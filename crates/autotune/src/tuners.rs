@@ -417,9 +417,9 @@ impl DynamicTuner {
     }
 
     /// [`DynamicTuner::tune_for`] with a caller-supplied measurement
-    /// harness — lets benches compare session-reusing and per-measurement
-    /// allocation behaviour, and lets callers share one harness (and its
-    /// cached sessions) across tuning runs on the same device.
+    /// harness — lets callers gate candidates by stability class, and
+    /// share one harness (and its cached sessions) across tuning runs on
+    /// the same device.
     pub fn tune_for_with<T: GpuScalar>(
         &mut self,
         gpu: &mut Gpu<T>,

@@ -1,23 +1,20 @@
 //! The bench-regression gate: re-measure the cases a committed
-//! `BENCH_<n>.json` snapshot recorded and fail on significant
-//! regressions.
+//! `BENCH_<n>.json` snapshot recorded and fail on regressions.
 //!
 //! The gate re-runs [`crate::snapshot::measure_workload`] for every
 //! (device, systems, size) case named in the baseline — it does not
 //! trust the current grid to match the baseline's (quick grids shrink
-//! workload dimensions) — and compares three metric classes under
-//! per-metric noise tolerances:
+//! workload dimensions) — and compares metric classes by how
+//! deterministic they are:
 //!
-//! - **`dynamic_ms`** — the dynamically tuned, resilient solve's
-//!   simulated milliseconds, with a relative tolerance (simulated time
-//!   is deterministic, so the slack only absorbs intentional cost-model
-//!   recalibrations; real slowdowns blow through it).
-//! - **`pipelined_ms`** — the two-stream pipelined solve's simulated
-//!   wall-clock, under the same relative band as `dynamic_ms` (a lost
-//!   overlap or a serialized schedule shows up here first).
-//! - **tuner evaluations** — the dynamic tuner's search cost, with a
-//!   generous relative+absolute band (search-space changes legitimately
-//!   move it a little; a pruning regression doubles it).
+//! - **`dynamic_ms`, `pipelined_ms`** — the dynamically tuned, resilient
+//!   solve's simulated milliseconds and the two-stream pipelined solve's
+//!   simulated wall-clock. Simulated time is deterministic, so both must
+//!   match the baseline to float noise (1e-9 relative) in *either*
+//!   direction: any drift is a cost-model, tuning or lowering change that
+//!   must re-snapshot the baseline, and a planted 1% regression fails.
+//! - **tuner evaluations** — the dynamic tuner's search cost, compared
+//!   exactly (the search is deterministic too).
 //! - **recovery counters** — `faults_injected`, `retries`, `fallbacks`
 //!   with zero tolerance: a clean benchmark run must stay clean.
 //!
@@ -42,12 +39,9 @@ use crate::snapshot;
 /// Per-metric-class noise tolerances for the gate.
 #[derive(Debug, Clone, Copy)]
 pub struct Tolerances {
-    /// Allowed relative increase of `dynamic_ms` (0.10 = +10%).
-    pub dynamic_ms_rel: f64,
-    /// Allowed relative increase of tuner evaluations.
-    pub evals_rel: f64,
-    /// Absolute headroom added on top of the evaluation band.
-    pub evals_abs: f64,
+    /// Allowed relative drift, either way, of the deterministic simulated
+    /// milliseconds (`dynamic_ms`, `pipelined_ms`): float noise only.
+    pub sim_ms_rel: f64,
     /// Allowed relative increase of the service campaign's end-to-end
     /// p99 latency.
     pub service_p99_rel: f64,
@@ -56,9 +50,7 @@ pub struct Tolerances {
 impl Default for Tolerances {
     fn default() -> Self {
         Self {
-            dynamic_ms_rel: 0.10,
-            evals_rel: 0.5,
-            evals_abs: 2.0,
+            sim_ms_rel: 1e-9,
             service_p99_rel: 0.10,
         }
     }
@@ -73,9 +65,12 @@ pub struct Check {
     pub baseline: f64,
     /// Value measured now.
     pub current: f64,
+    /// Smallest `current` the tolerance allows (`-inf` for one-sided
+    /// checks, which only gate increases).
+    pub floor: f64,
     /// Largest `current` the tolerance allows.
     pub limit: f64,
-    /// True when `current` exceeded the limit.
+    /// True when `current` fell outside `floor..=limit`.
     pub regressed: bool,
 }
 
@@ -122,10 +117,11 @@ impl RegressReport {
             out.push_str(&format!("  case {} / {}\n", case.device, case.workload));
             for k in &case.checks {
                 out.push_str(&format!(
-                    "    {:<18} baseline {:>12.4}  current {:>12.4}  limit {:>12.4}  {}\n",
+                    "    {:<18} baseline {:>12.4}  current {:>12.4}  allowed {:>12.4} .. {:<12.4}  {}\n",
                     k.metric,
                     k.baseline,
                     k.current,
+                    k.floor,
                     k.limit,
                     if k.regressed { "REGRESSED" } else { "ok" }
                 ));
@@ -151,13 +147,30 @@ impl RegressReport {
     }
 }
 
+/// A one-sided check: `current` may not exceed `limit`.
 fn check(metric: &'static str, baseline: f64, current: f64, limit: f64) -> Check {
     Check {
         metric,
         baseline,
         current,
+        floor: f64::NEG_INFINITY,
         limit,
         regressed: current > limit,
+    }
+}
+
+/// A deterministic metric: `current` must equal `baseline` up to `rel`
+/// relative drift in either direction (`rel = 0` demands equality).
+fn exact(metric: &'static str, baseline: f64, current: f64, rel: f64) -> Check {
+    let slack = baseline.abs() * rel;
+    let (floor, limit) = (baseline - slack, baseline + slack);
+    Check {
+        metric,
+        baseline,
+        current,
+        floor,
+        limit,
+        regressed: !(floor..=limit).contains(&current),
     }
 }
 
@@ -169,35 +182,25 @@ pub fn compare_case(
 ) -> Vec<Check> {
     let mut checks = Vec::new();
     let num = |key: &str| baseline.get(key).and_then(serde_json::Value::as_f64);
-    if let Some(b) = num("dynamic_ms") {
-        if b.is_finite() && b > 0.0 {
-            checks.push(check(
-                "dynamic_ms",
-                b,
-                rec.dynamic_ms,
-                b * (1.0 + tol.dynamic_ms_rel),
-            ));
-        }
-    }
-    // The pipelined wall-clock gates like `dynamic_ms`: simulated time is
-    // deterministic, so the band only absorbs intentional cost-model or
-    // lowering changes. Absent from pre-pipelining baselines → skipped.
-    if let Some(b) = num("pipelined_ms") {
-        if b.is_finite() && b > 0.0 {
-            checks.push(check(
-                "pipelined_ms",
-                b,
-                rec.pipelined_ms,
-                b * (1.0 + tol.dynamic_ms_rel),
-            ));
+    // Simulated milliseconds are deterministic: gated to float noise.
+    // `pipelined_ms` is absent from pre-pipelining baselines → skipped.
+    let sim_ms: [(&'static str, f64); 2] = [
+        ("dynamic_ms", rec.dynamic_ms),
+        ("pipelined_ms", rec.pipelined_ms),
+    ];
+    for (name, current) in sim_ms {
+        if let Some(b) = num(name) {
+            if b.is_finite() && b > 0.0 {
+                checks.push(exact(name, b, current, tol.sim_ms_rel));
+            }
         }
     }
     if let Some(b) = num("tuner_evaluations") {
-        checks.push(check(
+        checks.push(exact(
             "tuner_evaluations",
             b,
             rec.tuner_evaluations as f64,
-            b * (1.0 + tol.evals_rel) + tol.evals_abs,
+            0.0,
         ));
     }
     let counters: [(&'static str, u64); 3] = [

@@ -37,7 +37,7 @@ fn gate_passes_on_faithful_baseline_and_fails_on_planted_regressions() {
     assert!(report.render().contains("PASS"));
 
     // Planted slowdown: the baseline claims the dynamic solve used to be
-    // twice as fast. The re-measured value blows the +10% band.
+    // twice as fast. The re-measured value is far outside the gate.
     let planted = serde_json::json!({
         "systems": 64,
         "size": 512,
@@ -56,7 +56,7 @@ fn gate_passes_on_faithful_baseline_and_fails_on_planted_regressions() {
     assert!(report.render().contains("REGRESSED"));
 
     // Planted search blow-up: the baseline claims the tuner used to need
-    // a single evaluation; the generous 1.5x + 2 band still catches it.
+    // a single evaluation.
     let planted = serde_json::json!({
         "systems": 64,
         "size": 512,
@@ -72,6 +72,40 @@ fn gate_passes_on_faithful_baseline_and_fails_on_planted_regressions() {
         "expected eval blow-up (current {} vs baseline 1):\n{}",
         rec.tuner_evaluations,
         report.render()
+    );
+}
+
+#[test]
+fn gate_fails_on_planted_one_percent_regressions() {
+    let dev = DeviceSpec::paper_devices().into_iter().next().unwrap();
+    let name = dev.queryable().name.clone();
+    let shape = WorkloadShape::new(64, 512);
+    let rec = measure_workload(&dev, shape);
+    let tol = Tolerances::default();
+    let row = |dynamic_ms: f64, pipelined_ms: f64, evals: usize| {
+        serde_json::json!({
+            "systems": 64,
+            "size": 512,
+            "dynamic_ms": dynamic_ms,
+            "pipelined_ms": pipelined_ms,
+            "tuner_evaluations": evals,
+        })
+    };
+    let regressed = |doc: serde_json::Value| -> Vec<&'static str> {
+        let report = compare_against(&baseline_doc(&name, doc), false, &tol).unwrap();
+        report.regressions().iter().map(|(_, k)| k.metric).collect()
+    };
+    let (d, p, e) = (rec.dynamic_ms, rec.pipelined_ms, rec.tuner_evaluations);
+
+    assert!(regressed(row(d, p, e)).is_empty());
+    // Each deterministic metric 1% worse than its baseline fails the gate.
+    assert_eq!(regressed(row(d / 1.01, p, e)), ["dynamic_ms"]);
+    assert_eq!(regressed(row(d, p / 1.01, e)), ["pipelined_ms"]);
+    assert_eq!(regressed(row(d, p, e - 1)), ["tuner_evaluations"]);
+    // Drift the other way is a behaviour change too: re-snapshot it.
+    assert_eq!(
+        regressed(row(d * 1.01, p, e + 1)),
+        ["dynamic_ms", "tuner_evaluations"]
     );
 }
 

@@ -21,10 +21,11 @@
 //!   the launch-by-launch [`KernelStats`], replacing ad-hoc accounting in
 //!   the reporting binaries.
 
-use crate::kernels::{
-    base_solve, deinterleave_solution, elem_bytes, interleave_batch, ithomas_solve, stage1_step,
-    stage2_split, CoeffBuffers, GpuScalar,
-};
+use crate::kernels::base::base_run;
+use crate::kernels::interleaved::{deinterleave_run, interleave_run, ithomas_run};
+use crate::kernels::stage1::stage1_run;
+use crate::kernels::stage2::stage2_run;
+use crate::kernels::{elem_bytes, CoeffBuffers, GpuScalar};
 use crate::params::SolverParams;
 use crate::plan::{SolvePlan, StageOp};
 use crate::schedule::{lower_schedule, op_access, BufKey, NodeAction, Schedule, ScheduleNode};
@@ -34,8 +35,8 @@ use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use trisolve_gpu_sim::{
-    overlap_ratio, serial_time_s, wall_time_s, CpuSpec, DeviceBuffer, DeviceSpec, Gpu, KernelStats,
-    QueryableProps, ValidationReport,
+    overlap_ratio, serial_time_s, wall_time_s, BufferId, CpuSpec, DeviceBuffer, DeviceSpec, Gpu,
+    KernelStats, QueryableProps, ValidationReport,
 };
 use trisolve_obs::{arg, Phase, TraceEvent};
 use trisolve_tridiag::cpu_batch::{solve_batch_sequential, BatchAlgorithm};
@@ -490,13 +491,7 @@ impl<T: GpuScalar> SolveSession<T> {
     /// When no padding is needed the upload borrows straight from the batch
     /// — no host-side copy at all.
     fn upload_coefficients(&mut self, gpu: &mut Gpu<T>, batch: &SystemBatch<T>) -> Result<()> {
-        let targets = [
-            self.src[0].id(),
-            self.src[1].id(),
-            self.src[2].id(),
-            self.src[3].id(),
-        ];
-        self.upload_batch(gpu, batch, targets)
+        self.upload_batch(gpu, batch, ids(&self.src))
     }
 
     /// [`SolveSession::upload_coefficients`] generalised to an arbitrary
@@ -537,73 +532,31 @@ impl<T: GpuScalar> SolveSession<T> {
         Ok(())
     }
 
-    /// Run the plan's stage sequence. Returns the simulated time and the
-    /// per-launch stats of this solve only.
-    fn execute(&self, gpu: &mut Gpu<T>, plan: &SolvePlan) -> Result<(f64, Vec<KernelStats>)> {
-        let m = self.shape.num_systems;
-        let np = self.padded_size;
-        let mut cur: CoeffBuffers = [
-            self.src[0].id(),
-            self.src[1].id(),
-            self.src[2].id(),
-            self.src[3].id(),
-        ];
-        let mut alt: CoeffBuffers = [
-            self.dst[0].id(),
-            self.dst[1].id(),
-            self.dst[2].id(),
-            self.dst[3].id(),
-        ];
-        let x = self.x.id();
+    /// Run the plan's stage sequence on the session's buffers, or — with
+    /// `priced` — charge it from the kernels' meters alone. Returns the
+    /// simulated time and the per-launch stats of this solve only; both
+    /// are bit-identical between the two modes.
+    fn execute(
+        &self,
+        gpu: &mut Gpu<T>,
+        plan: &SolvePlan,
+        priced: bool,
+    ) -> Result<(f64, Vec<KernelStats>)> {
+        let mut bufs = OpBuffers {
+            cur: ids(&self.src),
+            alt: ids(&self.dst),
+            x: self.x.id(),
+        };
 
         let tracer = gpu.tracer().clone();
         let launches_before = gpu.timeline().len();
         for op in &plan.ops {
             let stage_begin_s = gpu.elapsed_s();
             let stage_launches = gpu.timeline().len();
-            match *op {
-                StageOp::Stage1Split { stride, .. } => {
-                    stage1_step(gpu, cur, alt, m, np, stride)?;
-                    std::mem::swap(&mut cur, &mut alt);
-                }
-                StageOp::Stage2Split {
-                    stride_in, steps, ..
-                } => {
-                    stage2_split(gpu, cur, alt, m, np, stride_in, steps)?;
-                    std::mem::swap(&mut cur, &mut alt);
-                }
-                StageOp::BaseSolve {
-                    chain_len,
-                    stride,
-                    thomas_chains,
-                    variant,
-                    ..
-                } => {
-                    base_solve(
-                        gpu,
-                        cur,
-                        x,
-                        m,
-                        np,
-                        chain_len,
-                        stride,
-                        thomas_chains,
-                        variant,
-                    )?;
-                }
-                StageOp::InterleavePack { systems, size } => {
-                    interleave_batch(gpu, cur, alt, systems, size)?;
-                    std::mem::swap(&mut cur, &mut alt);
-                }
-                StageOp::InterleavedThomas { systems, size } => {
-                    // The interleaved solution lands in the *other* bundle's
-                    // first buffer (free scratch after the pack's swap), so
-                    // the session needs no extra allocation.
-                    ithomas_solve(gpu, cur, alt[0], systems, size)?;
-                }
-                StageOp::Deinterleave { systems, size } => {
-                    deinterleave_solution(gpu, alt[0], x, systems, size)?;
-                }
+            let io = (!priced).then_some(bufs);
+            run_op(gpu, op, self.shape.num_systems, self.padded_size, io)?;
+            if op_access(op).2 {
+                std::mem::swap(&mut bufs.cur, &mut bufs.alt);
             }
             if tracer.is_enabled() {
                 let stage = op.stage_name();
@@ -643,7 +596,7 @@ impl<T: GpuScalar> SolveSession<T> {
         let plan = self.plan_for(params)?.clone();
         let solve_begin_s = gpu.elapsed_s();
         self.upload_coefficients(gpu, batch)?;
-        let (sim_time_s, kernel_stats) = self.execute(gpu, &plan)?;
+        let (sim_time_s, kernel_stats) = self.execute(gpu, &plan, false)?;
         self.trace_solve_span(gpu, "solve", params, solve_begin_s, kernel_stats.len());
 
         let m = self.shape.num_systems;
@@ -676,8 +629,29 @@ impl<T: GpuScalar> SolveSession<T> {
         let plan = self.plan_for(params)?.clone();
         let solve_begin_s = gpu.elapsed_s();
         self.upload_coefficients(gpu, batch)?;
-        let (sim_time_s, kernel_stats) = self.execute(gpu, &plan)?;
+        let (sim_time_s, kernel_stats) = self.execute(gpu, &plan, false)?;
         self.trace_solve_span(gpu, "measure", params, solve_begin_s, kernel_stats.len());
+        Ok(sim_time_s)
+    }
+
+    /// Price `params` from the kernels' cost meters without running the
+    /// numerics: no batch, no upload, one O(blocks) pass per launch (see
+    /// [`Gpu::price`]). Returns the same simulated seconds as
+    /// [`SolveSession::measure`], and charges the device clock, profile
+    /// and trace identically, because every meter depends on the launch
+    /// geometry only.
+    ///
+    /// What pricing cannot see is a data-dependent failure: a zero pivot
+    /// or a non-finite solution that makes an executed solve return
+    /// [`CoreError::NumericalBreakdown`]. Callers price only plans whose
+    /// stability certificate rules that out for their data, and execute
+    /// otherwise. Pricing also bypasses fault injection and the
+    /// sanitizer.
+    pub fn price(&mut self, gpu: &mut Gpu<T>, params: &SolverParams) -> Result<f64> {
+        let plan = self.plan_for(params)?.clone();
+        let begin_s = gpu.elapsed_s();
+        let (sim_time_s, kernel_stats) = self.execute(gpu, &plan, true)?;
+        self.trace_solve_span(gpu, "measure", params, begin_s, kernel_stats.len());
         Ok(sim_time_s)
     }
 
@@ -826,23 +800,20 @@ impl<T: GpuScalar> SolveSession<T> {
         } else {
             (Vec::new(), Vec::new())
         };
-        let bundle = |bufs: &[DeviceBuffer]| -> CoeffBuffers {
-            [bufs[0].id(), bufs[1].id(), bufs[2].id(), bufs[3].id()]
-        };
         let src_ids = [
-            bundle(&self.src),
+            ids(&self.src),
             if needs_set1 {
-                bundle(&src1)
+                ids(&src1)
             } else {
-                bundle(&self.src)
+                ids(&self.src)
             },
         ];
         let dst_ids = [
-            bundle(&self.dst),
+            ids(&self.dst),
             if needs_set1 {
-                bundle(&dst1)
+                ids(&dst1)
             } else {
-                bundle(&self.dst)
+                ids(&self.dst)
             },
         ];
         let x = self.x.id();
@@ -877,46 +848,8 @@ impl<T: GpuScalar> SolveSession<T> {
                         } else {
                             (dst_ids[set], src_ids[set])
                         };
-                        let (_, _, swap) = op_access(&op);
-                        match op {
-                            StageOp::Stage1Split { stride, .. } => {
-                                stage1_step(gpu, cur, alt, m, np, stride)?;
-                            }
-                            StageOp::Stage2Split {
-                                stride_in, steps, ..
-                            } => {
-                                stage2_split(gpu, cur, alt, m, np, stride_in, steps)?;
-                            }
-                            StageOp::BaseSolve {
-                                chain_len,
-                                stride,
-                                thomas_chains,
-                                variant,
-                                ..
-                            } => {
-                                base_solve(
-                                    gpu,
-                                    cur,
-                                    x,
-                                    m,
-                                    np,
-                                    chain_len,
-                                    stride,
-                                    thomas_chains,
-                                    variant,
-                                )?;
-                            }
-                            StageOp::InterleavePack { systems, size } => {
-                                interleave_batch(gpu, cur, alt, systems, size)?;
-                            }
-                            StageOp::InterleavedThomas { systems, size } => {
-                                ithomas_solve(gpu, cur, alt[0], systems, size)?;
-                            }
-                            StageOp::Deinterleave { systems, size } => {
-                                deinterleave_solution(gpu, alt[0], x, systems, size)?;
-                            }
-                        }
-                        if swap {
+                        run_op(gpu, &op, m, np, Some(OpBuffers { cur, alt, x }))?;
+                        if op_access(&op).2 {
                             flip_for[batch] = !flip_for[batch];
                         }
                     }
@@ -983,6 +916,68 @@ impl<T: GpuScalar> SolveSession<T> {
             schedule,
         })
     }
+}
+
+/// The handles of four guarded coefficient buffers, as one bundle.
+fn ids(bufs: &[DeviceBuffer]) -> CoeffBuffers {
+    [bufs[0].id(), bufs[1].id(), bufs[2].id(), bufs[3].id()]
+}
+
+/// The device buffers one plan op runs on, in the roles of
+/// [`op_access`]: the current coefficient bundle, the alternate
+/// (double-buffer) bundle, and the solution vector.
+#[derive(Debug, Clone, Copy)]
+struct OpBuffers {
+    cur: CoeffBuffers,
+    alt: CoeffBuffers,
+    x: BufferId,
+}
+
+/// Launch the kernel family of one plan op over `m` systems of padded
+/// size `np` on `bufs`, or price it from its meters alone when `bufs` is
+/// `None`. The one op dispatch behind the synchronous, pipelined and
+/// priced paths.
+fn run_op<T: GpuScalar>(
+    gpu: &mut Gpu<T>,
+    op: &StageOp,
+    m: usize,
+    np: usize,
+    bufs: Option<OpBuffers>,
+) -> Result<()> {
+    let coeffs = bufs.map(|b| (b.cur, b.alt));
+    match *op {
+        StageOp::Stage1Split { stride, .. } => stage1_run(gpu, coeffs, m, np, stride),
+        StageOp::Stage2Split {
+            stride_in, steps, ..
+        } => stage2_run(gpu, coeffs, m, np, stride_in, steps),
+        StageOp::BaseSolve {
+            chain_len,
+            stride,
+            thomas_chains,
+            variant,
+            ..
+        } => base_run(
+            gpu,
+            bufs.map(|b| (b.cur, b.x)),
+            m,
+            np,
+            chain_len,
+            stride,
+            thomas_chains,
+            variant,
+        ),
+        StageOp::InterleavePack { systems, size } => interleave_run(gpu, coeffs, systems, size),
+        // The interleaved solution lands in the alternate bundle's first
+        // buffer (free scratch after the pack's swap), so the session
+        // needs no extra allocation.
+        StageOp::InterleavedThomas { systems, size } => {
+            ithomas_run(gpu, bufs.map(|b| (b.cur, b.alt[0])), systems, size)
+        }
+        StageOp::Deinterleave { systems, size } => {
+            deinterleave_run(gpu, bufs.map(|b| (b.alt[0], b.x)), systems, size)
+        }
+    }?;
+    Ok(())
 }
 
 /// Result of a pipelined multi-batch solve ([`SolveSession::solve_pipelined`]).

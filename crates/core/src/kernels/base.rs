@@ -19,7 +19,7 @@
 //! choice empirically with the self-tuner, and so does `trisolve-autotune`.
 
 use crate::error::CoreError;
-use crate::kernels::{elem_bytes, CoeffBuffers, GpuScalar};
+use crate::kernels::{elem_bytes, launch_or_price, CoeffBuffers, GpuScalar};
 use crate::params::{BaseVariant, BASE_KERNEL_REGS_PER_THREAD};
 use crate::Result;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -78,6 +78,31 @@ pub fn base_solve<T: GpuScalar>(
     thomas_chains: usize,
     variant: BaseVariant,
 ) -> Result<KernelStats> {
+    base_run(
+        gpu,
+        Some((src, x)),
+        m,
+        n,
+        chain_len,
+        stride,
+        thomas_chains,
+        variant,
+    )
+}
+
+/// [`base_solve`] from `src` into `x`, or priced from its meters alone
+/// when `bufs` is `None` (see [`launch_or_price`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn base_run<T: GpuScalar>(
+    gpu: &mut Gpu<T>,
+    bufs: Option<(CoeffBuffers, BufferId)>,
+    m: usize,
+    n: usize,
+    chain_len: usize,
+    stride: usize,
+    thomas_chains: usize,
+    variant: BaseVariant,
+) -> Result<KernelStats> {
     debug_assert!(n.is_power_of_two());
     debug_assert!(chain_len.is_power_of_two());
     debug_assert_eq!(chain_len * stride, n);
@@ -101,7 +126,9 @@ pub fn base_solve<T: GpuScalar>(
     let word_factor = f64::max(elem_bytes::<T>() as f64 / 4.0, 1.0);
 
     let failed = AtomicBool::new(false);
-    let stats = gpu.launch(&cfg, &src, &[(x, OutMode::Scattered)], |ctx, io| {
+    let io = bufs.map(|(src, x)| (src, [(x, OutMode::Scattered)]));
+    let stats = launch_or_price(gpu, &cfg, io, |ctx, io| {
+        let numerics = !ctx.pricing();
         let bid = ctx.block_id as usize;
         let parent = bid / stride;
         let r = bid % stride;
@@ -112,12 +139,20 @@ pub fn base_solve<T: GpuScalar>(
         };
 
         // ---- Load phase (stage-3 entry) -------------------------------
-        let mut cur = (
-            chain.gather(io.inputs[0]),
-            chain.gather(io.inputs[1]),
-            chain.gather(io.inputs[2]),
-            chain.gather(io.inputs[3]),
-        );
+        let (mut cur, mut next) = if numerics {
+            let zeros = || vec![T::ZERO; chain_len];
+            (
+                (
+                    chain.gather(io.inputs[0]),
+                    chain.gather(io.inputs[1]),
+                    chain.gather(io.inputs[2]),
+                    chain.gather(io.inputs[3]),
+                ),
+                (zeros(), zeros(), zeros(), zeros()),
+            )
+        } else {
+            Default::default()
+        };
         match variant {
             // Interleaved plans never emit a BaseSolve op (the batched-Thomas
             // family replaces the whole staged pipeline); if one is forced
@@ -145,26 +180,22 @@ pub fn base_solve<T: GpuScalar>(
         ctx.sync();
 
         // ---- Stage 3: PCR in shared memory ----------------------------
-        let mut next = (
-            vec![T::ZERO; chain_len],
-            vec![T::ZERO; chain_len],
-            vec![T::ZERO; chain_len],
-            vec![T::ZERO; chain_len],
-        );
         let mut s = 1usize;
         for _ in 0..pcr_steps {
-            pcr::pcr_step(
-                s,
-                &cur.0,
-                &cur.1,
-                &cur.2,
-                &cur.3,
-                &mut next.0,
-                &mut next.1,
-                &mut next.2,
-                &mut next.3,
-            );
-            std::mem::swap(&mut cur, &mut next);
+            if numerics {
+                pcr::pcr_step(
+                    s,
+                    &cur.0,
+                    &cur.1,
+                    &cur.2,
+                    &cur.3,
+                    &mut next.0,
+                    &mut next.1,
+                    &mut next.2,
+                    &mut next.3,
+                );
+                std::mem::swap(&mut cur, &mut next);
+            }
             ctx.smem_conflict(PCR_SMEM_PER_EQ * chain_len, word_factor);
             ctx.ops(PCR_OPS_PER_EQ * chain_len);
             if ctx.sanitizing() {
@@ -202,22 +233,25 @@ pub fn base_solve<T: GpuScalar>(
         }
 
         // ---- Stage 4: Thomas, one thread per chain ---------------------
-        let mut lx = vec![T::ZERO; chain_len];
-        let mut scratch = ChainScratch::new();
-        for sub in ChainView::chains_of(0, chain_len, t4) {
-            if thomas::solve_thomas_chain(
-                &sub,
-                &cur.0,
-                &cur.1,
-                &cur.2,
-                &cur.3,
-                &mut lx,
-                &mut scratch,
-            )
-            .is_err()
-            {
-                failed.store(true, Ordering::Relaxed);
-                return;
+        let mut lx = Vec::new();
+        if numerics {
+            lx.resize(chain_len, T::ZERO);
+            let mut scratch = ChainScratch::new();
+            for sub in ChainView::chains_of(0, chain_len, t4) {
+                if thomas::solve_thomas_chain(
+                    &sub,
+                    &cur.0,
+                    &cur.1,
+                    &cur.2,
+                    &cur.3,
+                    &mut lx,
+                    &mut scratch,
+                )
+                .is_err()
+                {
+                    failed.store(true, Ordering::Relaxed);
+                    return;
+                }
             }
         }
         ctx.serial_phase(chain_len / t4, THOMAS_OPS_PER_EQ, t4);
@@ -242,7 +276,7 @@ pub fn base_solve<T: GpuScalar>(
         }
         ctx.sync();
 
-        // ---- Store phase ----------------------------------------------
+        // ---- Store phase (`lx` stays empty when pricing) ---------------
         for (j, &v) in lx.iter().enumerate() {
             if !v.is_finite() {
                 failed.store(true, Ordering::Relaxed);

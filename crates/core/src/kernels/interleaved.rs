@@ -27,7 +27,7 @@
 
 use crate::error::CoreError;
 use crate::kernels::base::THOMAS_OPS_PER_EQ;
-use crate::kernels::{elem_bytes, CoeffBuffers, GpuScalar};
+use crate::kernels::{elem_bytes, launch_or_price, CoeffBuffers, GpuScalar};
 use crate::params::SPLIT_KERNEL_REGS_PER_THREAD;
 use crate::Result;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -92,17 +92,30 @@ pub fn interleave_batch<T: GpuScalar>(
     m: usize,
     n: usize,
 ) -> Result<KernelStats> {
+    interleave_run(gpu, Some((src, dst)), m, n)
+}
+
+/// [`interleave_batch`] from `src` into `dst`, or priced from its meters
+/// alone when `bufs` is `None` (see [`launch_or_price`]).
+pub(crate) fn interleave_run<T: GpuScalar>(
+    gpu: &mut Gpu<T>,
+    bufs: Option<(CoeffBuffers, CoeffBuffers)>,
+    m: usize,
+    n: usize,
+) -> Result<KernelStats> {
     let cfg = interleave_config(m, n, elem_bytes::<T>());
-    let outputs: Vec<_> = dst.iter().map(|&b| (b, OutMode::Scattered)).collect();
-    let stats = gpu.launch(&cfg, &src, &outputs, |ctx, io| {
+    let io = bufs.map(|(src, dst)| (src, dst.map(|b| (b, OutMode::Scattered))));
+    launch_or_price(gpu, &cfg, io, |ctx, io| {
         let s = ctx.block_id as usize;
         // Tracked copy: logical thread `j` owns element `j` of system `s`.
         // The padded tile's internal staging is not replayed per element
         // (the tile layout is conflict- and race-free by construction).
-        for k in 0..4 {
-            for j in 0..n {
-                let v = io.load(k, s * n + j, j, "interleave::load");
-                io.scattered[k].set_at(j * m + s, v, j, "interleave::scatter");
+        if !ctx.pricing() {
+            for k in 0..4 {
+                for j in 0..n {
+                    let v = io.load(k, s * n + j, j, "interleave::load");
+                    io.scattered[k].set_at(j * m + s, v, j, "interleave::scatter");
+                }
             }
         }
         ctx.gmem_read(4 * n, 1);
@@ -110,8 +123,7 @@ pub fn interleave_batch<T: GpuScalar>(
         ctx.smem(2 * TRANSPOSE_SMEM_PER_EQ * 4 * n);
         ctx.sync();
         ctx.sync();
-    })?;
-    Ok(stats)
+    })
 }
 
 /// Solve the whole interleaved batch with one kernel: thread `s` runs the
@@ -129,20 +141,29 @@ pub fn ithomas_solve<T: GpuScalar>(
     m: usize,
     n: usize,
 ) -> Result<KernelStats> {
+    ithomas_run(gpu, Some((src, x_interleaved)), m, n)
+}
+
+/// [`ithomas_solve`] from `src` into `x_interleaved`, or priced from its
+/// meters alone when `bufs` is `None` (see [`launch_or_price`]).
+pub(crate) fn ithomas_run<T: GpuScalar>(
+    gpu: &mut Gpu<T>,
+    bufs: Option<(CoeffBuffers, BufferId)>,
+    m: usize,
+    n: usize,
+) -> Result<KernelStats> {
     let cfg = ithomas_config(m, n, elem_bytes::<T>());
     let block = cfg.block_threads;
 
     let failed = AtomicBool::new(false);
-    let stats = gpu.launch(
-        &cfg,
-        &src,
-        &[(x_interleaved, OutMode::Scattered)],
-        |ctx, io| {
-            let first = ctx.block_id as usize * block;
-            let count = block.min(m.saturating_sub(first));
-            if count == 0 {
-                return;
-            }
+    let io = bufs.map(|(src, x)| (src, [(x, OutMode::Scattered)]));
+    let stats = launch_or_price(gpu, &cfg, io, |ctx, io| {
+        let first = ctx.block_id as usize * block;
+        let count = block.min(m.saturating_sub(first));
+        if count == 0 {
+            return;
+        }
+        if !ctx.pricing() {
             let mut lx = vec![T::ZERO; n];
             let mut scratch = ChainScratch::new();
             for t in 0..count {
@@ -194,18 +215,18 @@ pub fn ithomas_solve<T: GpuScalar>(
                     io.scattered[0].set_at(chain.index(j), v, t, "ithomas::store");
                 }
             }
-            // Coalesced coefficient load, forward-coefficient round trip
-            // through global scratch, and the solution store — all stride 1
-            // across the warp's adjacent systems.
-            ctx.gmem_read(4 * n * count, 1);
-            ctx.gmem_write(2 * n * count, 1);
-            ctx.gmem_read(2 * n * count, 1);
-            ctx.gmem_write(n * count, 1);
-            // One serial Thomas sweep pair per system, `count` systems in
-            // flight per block: each thread walks `n` dependent steps.
-            ctx.serial_phase(n, THOMAS_OPS_PER_EQ, count);
-        },
-    )?;
+        }
+        // Coalesced coefficient load, forward-coefficient round trip
+        // through global scratch, and the solution store — all stride 1
+        // across the warp's adjacent systems.
+        ctx.gmem_read(4 * n * count, 1);
+        ctx.gmem_write(2 * n * count, 1);
+        ctx.gmem_read(2 * n * count, 1);
+        ctx.gmem_write(n * count, 1);
+        // One serial Thomas sweep pair per system, `count` systems in
+        // flight per block: each thread walks `n` dependent steps.
+        ctx.serial_phase(n, THOMAS_OPS_PER_EQ, count);
+    })?;
 
     if failed.load(Ordering::Relaxed) {
         return Err(CoreError::NumericalBreakdown {
@@ -225,25 +246,33 @@ pub fn deinterleave_solution<T: GpuScalar>(
     m: usize,
     n: usize,
 ) -> Result<KernelStats> {
+    deinterleave_run(gpu, Some((x_interleaved, x_out)), m, n)
+}
+
+/// [`deinterleave_solution`] from `x_interleaved` into `x_out`, or priced
+/// from its meters alone when `bufs` is `None` (see [`launch_or_price`]).
+pub(crate) fn deinterleave_run<T: GpuScalar>(
+    gpu: &mut Gpu<T>,
+    bufs: Option<(BufferId, BufferId)>,
+    m: usize,
+    n: usize,
+) -> Result<KernelStats> {
     let cfg = deinterleave_config(m, n, elem_bytes::<T>());
-    let stats = gpu.launch(
-        &cfg,
-        &[x_interleaved],
-        &[(x_out, OutMode::Scattered)],
-        |ctx, io| {
-            let s = ctx.block_id as usize;
+    let io = bufs.map(|(xi, x)| ([xi], [(x, OutMode::Scattered)]));
+    launch_or_price(gpu, &cfg, io, |ctx, io| {
+        let s = ctx.block_id as usize;
+        if !ctx.pricing() {
             for j in 0..n {
                 let v = io.load(0, j * m + s, j, "deinterleave::load");
                 io.scattered[0].set_at(s * n + j, v, j, "deinterleave::scatter");
             }
-            ctx.gmem_read(n, 1);
-            ctx.gmem_write(n, 1);
-            ctx.smem(TRANSPOSE_SMEM_PER_EQ * n);
-            ctx.sync();
-            ctx.sync();
-        },
-    )?;
-    Ok(stats)
+        }
+        ctx.gmem_read(n, 1);
+        ctx.gmem_write(n, 1);
+        ctx.smem(TRANSPOSE_SMEM_PER_EQ * n);
+        ctx.sync();
+        ctx.sync();
+    })
 }
 
 #[cfg(test)]

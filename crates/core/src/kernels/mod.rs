@@ -6,6 +6,12 @@
 //! arithmetic and synchronisation so the simulator can time it. The metering
 //! calls are the performance model of the real CUDA kernels; the analytic
 //! expectations they encode are checked by the tests in this module tree.
+//!
+//! The meters depend on the launch geometry only, never on the data, so
+//! the plan families can also be *priced* without computing: each has a
+//! crate-internal `*_run` entry taking `Option` buffers, guards its
+//! numerics with [`BlockCtx::pricing`], and keeps its meter calls
+//! unconditional (see `launch_or_price`).
 
 pub mod access;
 pub mod base;
@@ -37,7 +43,10 @@ pub use repack::{repack_chains, repack_config, unpack_config, unpack_solution};
 pub use stage1::{stage1_config, stage1_step};
 pub use stage2::{stage2_config, stage2_split};
 
-use trisolve_gpu_sim::Element;
+use crate::Result;
+use trisolve_gpu_sim::{
+    BlockCtx, BlockIo, BufferId, Element, Gpu, KernelStats, LaunchConfig, OutMode,
+};
 use trisolve_tridiag::Scalar;
 
 /// Scalars usable on the simulated GPU (`f32`, `f64`).
@@ -52,4 +61,27 @@ pub fn elem_bytes<T: GpuScalar>() -> usize {
 }
 
 /// The four coefficient buffers `(a, b, c, d)` as one handle bundle.
-pub type CoeffBuffers = [trisolve_gpu_sim::BufferId; 4];
+pub type CoeffBuffers = [BufferId; 4];
+
+/// Run one family launch: executed on `io = Some((inputs, outputs))`, or
+/// priced from its meters alone with `io = None` ([`Gpu::price`]). Either
+/// way the device is charged the same [`KernelStats`], because every
+/// family guards its numerics with [`BlockCtx::pricing`] and keeps its
+/// meter calls unconditional.
+pub(crate) fn launch_or_price<T, I, O, F>(
+    gpu: &mut Gpu<T>,
+    cfg: &LaunchConfig,
+    io: Option<(I, O)>,
+    kernel: F,
+) -> Result<KernelStats>
+where
+    T: GpuScalar,
+    I: AsRef<[BufferId]>,
+    O: AsRef<[(BufferId, OutMode)]>,
+    F: Fn(&mut BlockCtx, &mut BlockIo<'_, T>) + Sync,
+{
+    Ok(match io {
+        Some((inputs, outputs)) => gpu.launch(cfg, inputs.as_ref(), outputs.as_ref(), kernel)?,
+        None => gpu.price(cfg, kernel)?,
+    })
+}

@@ -8,7 +8,7 @@
 //! fixed cost (launch overhead) is exactly why the paper leaves stage 1 as
 //! soon as there are enough independent systems (§III-C).
 
-use crate::kernels::{CoeffBuffers, GpuScalar};
+use crate::kernels::{launch_or_price, CoeffBuffers, GpuScalar};
 use crate::params::{SPLIT_KERNEL_REGS_PER_THREAD, SPLIT_KERNEL_THREADS};
 use crate::Result;
 use trisolve_gpu_sim::{BlockIo, Gpu, KernelStats, LaunchConfig, OutMode};
@@ -53,16 +53,24 @@ pub fn stage1_step<T: GpuScalar>(
     n: usize,
     stride: usize,
 ) -> Result<KernelStats> {
+    stage1_run(gpu, Some((src, dst)), m, n, stride)
+}
+
+/// [`stage1_step`] on `(src, dst)`, or priced from its meters alone when
+/// `bufs` is `None` (see [`launch_or_price`]).
+pub(crate) fn stage1_run<T: GpuScalar>(
+    gpu: &mut Gpu<T>,
+    bufs: Option<(CoeffBuffers, CoeffBuffers)>,
+    m: usize,
+    n: usize,
+    stride: usize,
+) -> Result<KernelStats> {
     debug_assert!(n.is_power_of_two());
     let chunk = n.min(1024);
     let cfg = stage1_config(m, n, stride);
+    let io = bufs.map(|(src, dst)| (src, dst.map(|b| (b, OutMode::Chunked { chunk }))));
 
-    let outputs: Vec<_> = dst
-        .iter()
-        .map(|&b| (b, OutMode::Chunked { chunk }))
-        .collect();
-
-    let stats = gpu.launch(&cfg, &src, &outputs, |ctx, io| {
+    launch_or_price(gpu, &cfg, io, |ctx, io| {
         let base = ctx.block_id as usize * chunk;
         // Fetch a full row, treating indices outside this equation's system
         // as identity rows (b = 1, everything else 0). Logical thread `tid`
@@ -80,27 +88,28 @@ pub fn stage1_step<T: GpuScalar>(
                 )
             }
         };
-        for i in 0..chunk {
-            let g = base + i;
-            let sys = g / n;
-            let pos = (g % n) as isize;
-            let (ai, bi, ci, di) = row(io, sys, pos, i);
-            let (am, bm, cm, dm) = row(io, sys, pos - stride as isize, i);
-            let (ap, bp, cp, dp) = row(io, sys, pos + stride as isize, i);
-            let alpha = -ai / bm;
-            let gamma = -ci / bp;
-            io.store(0, i, alpha * am, i, "stage1::store");
-            io.store(1, i, bi + alpha * cm + gamma * ap, i, "stage1::store");
-            io.store(2, i, gamma * cp, i, "stage1::store");
-            io.store(3, i, di + alpha * dm + gamma * dp, i, "stage1::store");
+        if !ctx.pricing() {
+            for i in 0..chunk {
+                let g = base + i;
+                let sys = g / n;
+                let pos = (g % n) as isize;
+                let (ai, bi, ci, di) = row(io, sys, pos, i);
+                let (am, bm, cm, dm) = row(io, sys, pos - stride as isize, i);
+                let (ap, bp, cp, dp) = row(io, sys, pos + stride as isize, i);
+                let alpha = -ai / bm;
+                let gamma = -ci / bp;
+                io.store(0, i, alpha * am, i, "stage1::store");
+                io.store(1, i, bi + alpha * cm + gamma * ap, i, "stage1::store");
+                io.store(2, i, gamma * cp, i, "stage1::store");
+                io.store(3, i, di + alpha * dm + gamma * dp, i, "stage1::store");
+            }
         }
         ctx.gmem_read_staged(PCR_LOADS_PER_EQ * chunk, PCR_UNIQUE_LOADS_PER_EQ * chunk, 1);
         ctx.gmem_write(PCR_STORES_PER_EQ * chunk, 1);
         ctx.smem(PCR_STAGING_SMEM_PER_EQ * chunk);
         ctx.ops(PCR_OPS_PER_EQ * chunk);
         ctx.sync();
-    })?;
-    Ok(stats)
+    })
 }
 
 #[cfg(test)]

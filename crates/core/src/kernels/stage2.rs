@@ -18,7 +18,7 @@ use crate::kernels::stage1::{
     PCR_LOADS_PER_EQ, PCR_OPS_PER_EQ, PCR_STAGING_SMEM_PER_EQ, PCR_STORES_PER_EQ,
     PCR_UNIQUE_LOADS_PER_EQ,
 };
-use crate::kernels::{CoeffBuffers, GpuScalar};
+use crate::kernels::{launch_or_price, CoeffBuffers, GpuScalar};
 use crate::params::{SPLIT_KERNEL_REGS_PER_THREAD, SPLIT_KERNEL_THREADS};
 use crate::Result;
 use trisolve_gpu_sim::{Gpu, KernelStats, LaunchConfig, OutMode};
@@ -55,15 +55,28 @@ pub fn stage2_split<T: GpuScalar>(
     stride_in: usize,
     steps: u32,
 ) -> Result<KernelStats> {
+    stage2_run(gpu, Some((src, dst)), m, n, stride_in, steps)
+}
+
+/// [`stage2_split`] on `(src, dst)`, or priced from its meters alone when
+/// `bufs` is `None` (see [`launch_or_price`]).
+pub(crate) fn stage2_run<T: GpuScalar>(
+    gpu: &mut Gpu<T>,
+    bufs: Option<(CoeffBuffers, CoeffBuffers)>,
+    m: usize,
+    n: usize,
+    stride_in: usize,
+    steps: u32,
+) -> Result<KernelStats> {
     debug_assert!(n.is_power_of_two());
     debug_assert!(stride_in.is_power_of_two());
     debug_assert!(steps >= 1);
     let chain_len = n / stride_in;
     let cfg = stage2_config(m, n, stride_in, steps);
+    let io = bufs.map(|(src, dst)| (src, dst.map(|b| (b, OutMode::Scattered))));
 
-    let outputs: Vec<_> = dst.iter().map(|&b| (b, OutMode::Scattered)).collect();
-
-    let stats = gpu.launch(&cfg, &src, &outputs, |ctx, io| {
+    launch_or_price(gpu, &cfg, io, |ctx, io| {
+        let numerics = !ctx.pricing();
         let bid = ctx.block_id as usize;
         let parent = bid / stride_in;
         let r = bid % stride_in;
@@ -73,12 +86,20 @@ pub fn stage2_split<T: GpuScalar>(
             len: chain_len,
         };
         // Gather the chain into chain-contiguous working arrays.
-        let mut cur = (
-            chain.gather(io.inputs[0]),
-            chain.gather(io.inputs[1]),
-            chain.gather(io.inputs[2]),
-            chain.gather(io.inputs[3]),
-        );
+        let (mut cur, mut next) = if numerics {
+            let zeros = || vec![T::ZERO; chain_len];
+            (
+                (
+                    chain.gather(io.inputs[0]),
+                    chain.gather(io.inputs[1]),
+                    chain.gather(io.inputs[2]),
+                    chain.gather(io.inputs[3]),
+                ),
+                (zeros(), zeros(), zeros(), zeros()),
+            )
+        } else {
+            Default::default()
+        };
         if ctx.sanitizing() {
             // Replay the gather through the tracked API (the values were
             // already read above) so memcheck/initcheck see the kernel's
@@ -92,26 +113,22 @@ pub fn stage2_split<T: GpuScalar>(
                 }
             }
         }
-        let mut next = (
-            vec![T::ZERO; chain_len],
-            vec![T::ZERO; chain_len],
-            vec![T::ZERO; chain_len],
-            vec![T::ZERO; chain_len],
-        );
         let mut local_stride = 1usize;
         for _ in 0..steps {
-            pcr::pcr_step(
-                local_stride,
-                &cur.0,
-                &cur.1,
-                &cur.2,
-                &cur.3,
-                &mut next.0,
-                &mut next.1,
-                &mut next.2,
-                &mut next.3,
-            );
-            std::mem::swap(&mut cur, &mut next);
+            if numerics {
+                pcr::pcr_step(
+                    local_stride,
+                    &cur.0,
+                    &cur.1,
+                    &cur.2,
+                    &cur.3,
+                    &mut next.0,
+                    &mut next.1,
+                    &mut next.2,
+                    &mut next.3,
+                );
+                std::mem::swap(&mut cur, &mut next);
+            }
             local_stride *= 2;
             // The real kernel streams the chain through global memory every
             // step (it exceeds shared capacity by construction).
@@ -126,15 +143,16 @@ pub fn stage2_split<T: GpuScalar>(
             ctx.sync();
         }
         // Scatter the final coefficients to the chain's parent positions.
-        for j in 0..chain_len {
-            let g = chain.index(j);
-            io.scattered[0].set_at(g, cur.0[j], j, "stage2::scatter");
-            io.scattered[1].set_at(g, cur.1[j], j, "stage2::scatter");
-            io.scattered[2].set_at(g, cur.2[j], j, "stage2::scatter");
-            io.scattered[3].set_at(g, cur.3[j], j, "stage2::scatter");
+        if numerics {
+            for j in 0..chain_len {
+                let g = chain.index(j);
+                io.scattered[0].set_at(g, cur.0[j], j, "stage2::scatter");
+                io.scattered[1].set_at(g, cur.1[j], j, "stage2::scatter");
+                io.scattered[2].set_at(g, cur.2[j], j, "stage2::scatter");
+                io.scattered[3].set_at(g, cur.3[j], j, "stage2::scatter");
+            }
         }
-    })?;
-    Ok(stats)
+    })
 }
 
 #[cfg(test)]

@@ -117,6 +117,9 @@ pub struct BlockCtx<'a> {
     /// Kept strictly apart from the cost counters so tracking can never
     /// perturb a simulated timing.
     shadow: Option<&'a RefCell<BlockShadow>>,
+    /// True inside [`crate::Gpu::price`]: the block has no buffers and
+    /// must only feed its meters.
+    pricing: bool,
 }
 
 impl<'a> BlockCtx<'a> {
@@ -133,11 +136,26 @@ impl<'a> BlockCtx<'a> {
             elem_bytes,
             counters: CostCounters::default(),
             shadow: None,
+            pricing: false,
         }
     }
 
     pub(crate) fn attach_shadow(&mut self, cell: &'a RefCell<BlockShadow>) {
         self.shadow = Some(cell);
+    }
+
+    pub(crate) fn set_pricing(&mut self) {
+        self.pricing = true;
+    }
+
+    /// True when this block runs under [`crate::Gpu::price`]: its
+    /// [`BlockIo`] is empty, so the kernel must skip its numerics and
+    /// only make its meter calls. Meters may depend on the launch
+    /// geometry and the block id, never on buffer contents — that is
+    /// what makes a priced launch charge exactly the executed
+    /// [`crate::KernelStats`].
+    pub fn pricing(&self) -> bool {
+        self.pricing
     }
 
     /// True when this launch runs under the dynamic sanitizer; kernels use

@@ -868,10 +868,61 @@ impl<E: Element> Gpu<E> {
             self.trace_fault(&rec);
         }
 
+        self.charge(&stats, audit, &cfg.label, inputs, outputs);
+        Ok(stats)
+    }
+
+    /// Price a kernel launch from its cost meters alone: the same
+    /// residency check and [`KernelStats`] as [`Gpu::launch`], without
+    /// touching a buffer.
+    ///
+    /// `kernel` runs once per block, in block order on the calling
+    /// thread, with a [`BlockCtx`] whose [`BlockCtx::pricing`] is true and
+    /// an empty [`BlockIo`]. It must skip its numerics and keep every
+    /// meter call. The counters fold through the same timing model, and
+    /// the clock, profile and trace advance exactly as for a launch. No
+    /// fault is injected and nothing is sanitized, so callers that need
+    /// either execute instead.
+    pub fn price<F>(&mut self, cfg: &LaunchConfig, kernel: F) -> Result<KernelStats, SimError>
+    where
+        F: Fn(&mut BlockCtx, &mut BlockIo<'_, E>),
+    {
+        self.reclaim();
+        timing::residency(&self.spec, cfg)?;
+        let counters: Vec<CostCounters> = (0..cfg.grid_blocks)
+            .map(|b| {
+                let mut ctx = BlockCtx::new(b as u32, cfg.block_threads, &self.spec, E::BYTES);
+                ctx.set_pricing();
+                let mut io = BlockIo {
+                    inputs: Vec::new(),
+                    owned: Vec::new(),
+                    scattered: Vec::new(),
+                    shadow: None,
+                };
+                kernel(&mut ctx, &mut io);
+                ctx.into_counters()
+            })
+            .collect();
+        let stats = timing::kernel_time(&self.spec, cfg, &counters)?;
+        self.charge(&stats, None, &cfg.label, &[], &[]);
+        Ok(stats)
+    }
+
+    /// Book a successful launch: advance the clock (or the active
+    /// stream's engine), emit its trace span, fold its sanitizer audit,
+    /// and append it to the profile.
+    fn charge(
+        &mut self,
+        stats: &KernelStats,
+        audit: Option<LaunchAudit>,
+        label: &str,
+        inputs: &[BufferId],
+        outputs: &[(BufferId, OutMode)],
+    ) {
         match self.active_stream {
             None => {
                 if self.tracer.is_enabled() {
-                    self.trace_launch(&stats, audit.as_ref(), "gpu", self.elapsed_s * 1e6);
+                    self.trace_launch(stats, audit.as_ref(), "gpu", self.elapsed_s * 1e6);
                 }
                 self.fold_audit(audit);
                 self.elapsed_s += stats.total_time_s();
@@ -881,18 +932,17 @@ impl<E: Element> Gpu<E> {
                     self.schedule_async(stream, EngineKind::Compute, stats.total_time_s());
                 if self.tracer.is_enabled() {
                     self.trace_launch(
-                        &stats,
+                        stats,
                         audit.as_ref(),
                         stream_category(stream.index()),
                         start_s * 1e6,
                     );
                 }
                 self.fold_audit(audit);
-                self.track_async(stream, &cfg.label, "launch", inputs, outputs);
+                self.track_async(stream, label, "launch", inputs, outputs);
             }
         }
         self.timeline.push(stats.clone());
-        Ok(stats)
     }
 
     /// Fold a sanitized launch's findings into the device-level report.
@@ -1971,6 +2021,63 @@ mod tests {
         assert!(g.stream_op_intervals().is_empty());
         g.h2d_async(streams[1], a, &vec![0.0f32; 1024]).unwrap();
         assert_eq!(g.stream_op_intervals()[0].start_s, 0.0);
+    }
+
+    #[test]
+    fn price_charges_exactly_what_launch_charges() {
+        // The kernel's meters depend on the block id only; its numerics
+        // are guarded by `pricing()`.
+        let kernel = |ctx: &mut BlockCtx, io: &mut BlockIo<'_, f32>| {
+            let b = ctx.block_id as usize;
+            if !ctx.pricing() {
+                for i in 0..128 {
+                    io.owned[0][i] = io.inputs[0][b * 128 + i] + 1.0;
+                }
+            }
+            ctx.gmem_read(128, 1 + b);
+            ctx.gmem_write(128, 1);
+            ctx.ops(64 * (b + 1));
+            ctx.sync();
+        };
+        let cfg = LaunchConfig::new("meter[test]", 4, 128);
+        let tracer = Tracer::enabled();
+        let mut launched = gpu();
+        launched.set_tracer(tracer.clone());
+        let src = launched.alloc_from(&[1.0f32; 512]).unwrap();
+        let dst = launched.alloc(512).unwrap();
+        let exec = launched
+            .launch(
+                &cfg,
+                &[src],
+                &[(dst, OutMode::Chunked { chunk: 128 })],
+                kernel,
+            )
+            .unwrap();
+        let launch_spans = tracer.events().iter().filter(|e| e.cat == "gpu").count();
+
+        let priced_tracer = Tracer::enabled();
+        let mut priced = gpu();
+        priced.set_tracer(priced_tracer.clone());
+        let stats = priced.price(&cfg, kernel).unwrap();
+        assert_eq!(format!("{stats:?}"), format!("{exec:?}"));
+        assert_eq!(priced.elapsed_s().to_bits(), launched.elapsed_s().to_bits());
+        assert_eq!(priced.timeline().len(), 1);
+        assert_eq!(priced.allocated_bytes(), 0, "pricing allocates nothing");
+        let priced_spans = priced_tracer
+            .events()
+            .iter()
+            .filter(|e| e.cat == "gpu")
+            .count();
+        assert_eq!(
+            priced_spans,
+            launch_spans - 1,
+            "no h2d instant when pricing"
+        );
+
+        // Residency is validated exactly like a launch.
+        let too_big = LaunchConfig::new("huge", 1, 4096);
+        assert!(priced.price(&too_big, kernel).is_err());
+        assert_eq!(priced.timeline().len(), 1);
     }
 
     #[test]

@@ -135,10 +135,22 @@ pub fn gate(o: &ServeOutcome) -> Vec<String> {
     v
 }
 
-/// Where a campaign for `seed` persists its plan database. Deleted before
-/// a run so the warm-up is genuinely cold.
-fn campaign_db_path(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("trisolve-serve-sim-db-{seed}.json"))
+/// Where a campaign for `profile` persists its plan database. Deleted
+/// before a run so the warm-up is genuinely cold. Keyed by the whole
+/// profile and the process id, so concurrent campaigns — parallel tests,
+/// or two CLI runs — never share (and delete) each other's file.
+fn campaign_db_path(profile: &LoadProfile) -> PathBuf {
+    let LoadProfile {
+        requests,
+        seed,
+        load_scale,
+        chaos,
+    } = *profile;
+    std::env::temp_dir().join(format!(
+        "trisolve-serve-sim-db-{}-{requests}-{seed}-{:016x}-{chaos}.json",
+        std::process::id(),
+        load_scale.to_bits()
+    ))
 }
 
 /// Run a service campaign: generate the seeded request stream, warm the
@@ -147,7 +159,7 @@ fn campaign_db_path(seed: u64) -> PathBuf {
 /// the warm start crossed the restart. Deterministic per profile.
 pub fn campaign(profile: &LoadProfile) -> Result<ServeOutcome, String> {
     let workload = generate(profile);
-    let db_path = campaign_db_path(profile.seed);
+    let db_path = campaign_db_path(profile);
     let _ = std::fs::remove_file(&db_path);
 
     let mut config = workload.config.clone();
@@ -163,6 +175,8 @@ pub fn campaign(profile: &LoadProfile) -> Result<ServeOutcome, String> {
     let mut restarted = SolveService::new(config);
     let restart_db_origin = restarted.plan_db().origin().label().to_string();
     let restart_warm_evals = restarted.warm_plan_db(&workload.combos);
+    drop(restarted);
+    let _ = std::fs::remove_file(&db_path);
 
     Ok(ServeOutcome {
         profile: *profile,
