@@ -11,7 +11,8 @@
 use crate::kernels::{launch_or_price, CoeffBuffers, GpuScalar};
 use crate::params::{SPLIT_KERNEL_REGS_PER_THREAD, SPLIT_KERNEL_THREADS};
 use crate::Result;
-use trisolve_gpu_sim::{BlockIo, Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_gpu_sim::{Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_tridiag::pcr;
 
 /// Per-equation thread-operations of one PCR row update.
 pub const PCR_OPS_PER_EQ: usize = 12;
@@ -31,9 +32,7 @@ pub const PCR_STORES_PER_EQ: usize = 4;
 /// with exactly this configuration, so static validation of the config *is*
 /// validation of the launch — the two cannot drift.
 pub fn stage1_config(m: usize, n: usize, stride: usize) -> LaunchConfig {
-    let total = m * n;
-    let chunk = n.min(1024);
-    let grid = total / chunk;
+    let grid = m * n / n.min(1024);
     LaunchConfig::new(
         format!("stage1[stride={stride}]"),
         grid,
@@ -71,37 +70,23 @@ pub(crate) fn stage1_run<T: GpuScalar>(
     let io = bufs.map(|(src, dst)| (src, dst.map(|b| (b, OutMode::Chunked { chunk }))));
 
     launch_or_price(gpu, &cfg, io, |ctx, io| {
-        let base = ctx.block_id as usize * chunk;
-        // Fetch a full row, treating indices outside this equation's system
-        // as identity rows (b = 1, everything else 0). Logical thread `tid`
-        // owns element `tid` of the block's chunk.
-        let row = |io: &BlockIo<T>, sys: usize, pos: isize, tid: usize| -> (T, T, T, T) {
-            if pos < 0 || pos as usize >= n {
-                (T::ZERO, T::ONE, T::ZERO, T::ZERO)
-            } else {
-                let g = sys * n + pos as usize;
-                (
-                    io.load(0, g, tid, "stage1::row"),
-                    io.load(1, g, tid, "stage1::row"),
-                    io.load(2, g, tid, "stage1::row"),
-                    io.load(3, g, tid, "stage1::row"),
-                )
-            }
-        };
         if !ctx.pricing() {
-            for i in 0..chunk {
-                let g = base + i;
-                let sys = g / n;
-                let pos = (g % n) as isize;
-                let (ai, bi, ci, di) = row(io, sys, pos, i);
-                let (am, bm, cm, dm) = row(io, sys, pos - stride as isize, i);
-                let (ap, bp, cp, dp) = row(io, sys, pos + stride as isize, i);
-                let alpha = -ai / bm;
-                let gamma = -ci / bp;
-                io.store(0, i, alpha * am, i, "stage1::store");
-                io.store(1, i, bi + alpha * cm + gamma * ap, i, "stage1::store");
-                io.store(2, i, gamma * cp, i, "stage1::store");
-                io.store(3, i, di + alpha * dm + gamma * dp, i, "stage1::store");
+            // `chunk` divides `n`: thread `i` owns row `lo + i` of system `sys`.
+            let base = ctx.block_id as usize * chunk;
+            let (sys, lo) = (base / n, base % n);
+            let [a, b, c, d] = [0, 1, 2, 3].map(|k| &io.inputs[k][sys * n..][..n]);
+            let [oa, ob, oc, od] = <&mut [_; 4]>::try_from(&mut io.owned[..]).expect("4 outputs");
+            pcr::pcr_rows(stride, lo, a, b, c, d, oa, ob, oc, od);
+            // Sanitizer replay, in the kernel's order: thread `i` loads its
+            // row and its in-system neighbours, then stores its results.
+            for i in (0..chunk).filter(|_| ctx.sanitizing()) {
+                let (g, pos) = (base + i, lo + i);
+                let minus = (pos >= stride).then(|| g - stride);
+                let plus = (pos + stride < n).then(|| g + stride);
+                for row in [Some(g), minus, plus].into_iter().flatten() {
+                    (0..4).for_each(|k| _ = io.load(k, row, i, "stage1::row"));
+                }
+                (0..4).for_each(|k| io.store(k, i, io.owned[k][i], i, "stage1::store"));
             }
         }
         ctx.gmem_read_staged(PCR_LOADS_PER_EQ * chunk, PCR_UNIQUE_LOADS_PER_EQ * chunk, 1);
@@ -115,55 +100,38 @@ pub(crate) fn stage1_run<T: GpuScalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trisolve_gpu_sim::sanitizer::MAX_HAZARDS_PER_BLOCK;
     use trisolve_gpu_sim::DeviceSpec;
-    use trisolve_tridiag::pcr;
     use trisolve_tridiag::workloads::{random_dominant, WorkloadShape};
+    use trisolve_tridiag::SystemBatch;
 
-    fn upload(gpu: &mut Gpu<f64>, v: &[f64]) -> trisolve_gpu_sim::BufferId {
-        gpu.alloc_from(v).unwrap()
+    /// The batch's four coefficient arrays uploaded, except input `skip`,
+    /// which is allocated but never written.
+    fn upload<T: GpuScalar>(gpu: &mut Gpu<T>, b: &SystemBatch<T>, skip: usize) -> CoeffBuffers {
+        let mut bufs = [&b.a, &b.b, &b.c, &b.d].map(|v| gpu.alloc_from(v).unwrap());
+        if skip < 4 {
+            bufs[skip] = gpu.alloc(b.b.len()).unwrap();
+        }
+        bufs
     }
 
     #[test]
     fn matches_cpu_pcr_step() {
-        let shape = WorkloadShape::new(3, 2048);
-        let batch = random_dominant::<f64>(shape, 11).unwrap();
+        let (m, n) = (3, 2048);
+        let batch = random_dominant::<f64>(WorkloadShape::new(m, n), 11).unwrap();
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
-        let src = [
-            upload(&mut gpu, &batch.a),
-            upload(&mut gpu, &batch.b),
-            upload(&mut gpu, &batch.c),
-            upload(&mut gpu, &batch.d),
-        ];
-        let total = shape.total_equations();
-        let dst = [
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-        ];
-        for stride in [1usize, 2, 4] {
-            stage1_step(&mut gpu, src, dst, 3, 2048, stride).unwrap();
-            // CPU reference: apply one PCR step per system.
-            for s in 0..3 {
+        let src = upload(&mut gpu, &batch, 4);
+        let dst = [0; 4].map(|_| gpu.alloc(m * n).unwrap());
+        for stride in [1usize, 2, 4, 1024] {
+            stage1_step(&mut gpu, src, dst, m, n, stride).unwrap();
+            let got = dst.map(|b| gpu.download(b).unwrap());
+            for s in 0..m {
                 let sys = batch.system(s).unwrap();
-                let n = 2048;
-                let mut ea = vec![0.0; n];
-                let mut eb = vec![0.0; n];
-                let mut ec = vec![0.0; n];
-                let mut ed = vec![0.0; n];
-                pcr::pcr_step(
-                    stride, &sys.a, &sys.b, &sys.c, &sys.d, &mut ea, &mut eb, &mut ec, &mut ed,
-                );
-                let ga = gpu.download(dst[0]).unwrap();
-                let gb = gpu.download(dst[1]).unwrap();
-                let gc = gpu.download(dst[2]).unwrap();
-                let gd = gpu.download(dst[3]).unwrap();
-                for i in 0..n {
-                    let g = s * n + i;
-                    assert!((ga[g] - ea[i]).abs() < 1e-12, "a stride={stride} i={i}");
-                    assert!((gb[g] - eb[i]).abs() < 1e-12, "b stride={stride} i={i}");
-                    assert!((gc[g] - ec[i]).abs() < 1e-12, "c stride={stride} i={i}");
-                    assert!((gd[g] - ed[i]).abs() < 1e-12, "d stride={stride} i={i}");
+                let mut want = [(); 4].map(|()| vec![0.0; n]);
+                let [ea, eb, ec, ed] = &mut want;
+                pcr::pcr_step(stride, &sys.a, &sys.b, &sys.c, &sys.d, ea, eb, ec, ed);
+                for k in 0..4 {
+                    assert_eq!(got[k][s * n..(s + 1) * n], want[k], "stride={stride}");
                 }
             }
         }
@@ -174,19 +142,9 @@ mod tests {
         let shape = WorkloadShape::new(4, 1024);
         let batch = random_dominant::<f64>(shape, 1).unwrap();
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_280());
-        let src = [
-            upload(&mut gpu, &batch.a),
-            upload(&mut gpu, &batch.b),
-            upload(&mut gpu, &batch.c),
-            upload(&mut gpu, &batch.d),
-        ];
+        let src = upload(&mut gpu, &batch, 4);
         let total = shape.total_equations();
-        let dst = [
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-        ];
+        let dst = [0; 4].map(|_| gpu.alloc(total).unwrap());
         let stats = stage1_step(&mut gpu, src, dst, 4, 1024, 1).unwrap();
         let expect_read = (PCR_UNIQUE_LOADS_PER_EQ * total * 8) as f64;
         let expect_write = (PCR_STORES_PER_EQ * total * 8) as f64;
@@ -202,23 +160,64 @@ mod tests {
 
     #[test]
     fn each_step_is_one_launch() {
-        let shape = WorkloadShape::new(1, 4096);
-        let batch = random_dominant::<f64>(shape, 2).unwrap();
+        let batch = random_dominant::<f64>(WorkloadShape::new(1, 4096), 2).unwrap();
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::geforce_8800_gtx());
-        let src = [
-            upload(&mut gpu, &batch.a),
-            upload(&mut gpu, &batch.b),
-            upload(&mut gpu, &batch.c),
-            upload(&mut gpu, &batch.d),
-        ];
-        let dst = [
-            gpu.alloc(4096).unwrap(),
-            gpu.alloc(4096).unwrap(),
-            gpu.alloc(4096).unwrap(),
-            gpu.alloc(4096).unwrap(),
-        ];
+        let src = upload(&mut gpu, &batch, 4);
+        let dst = [0; 4].map(|_| gpu.alloc(4096).unwrap());
         stage1_step(&mut gpu, src, dst, 1, 4096, 1).unwrap();
         stage1_step(&mut gpu, dst, src, 1, 4096, 2).unwrap();
         assert_eq!(gpu.timeline().len(), 2);
+    }
+
+    /// Sanitized launches compute the same bits and track, per block in
+    /// order, each thread's own row then its in-system `-stride`/`+stride`
+    /// rows: reads of a never-written input are all reported (capped).
+    /// A second step reading the outputs stays clean: the first step's
+    /// tracked stores leave no output element marked unwritten.
+    #[test]
+    fn sanitized_launch_is_bit_identical_and_tracks_every_row_read() {
+        // `uninit == 4`: every input written, so no hazard at all.
+        for (m, n, stride, uninit) in [(3, 2048, 1, 4), (3, 2048, 512, 2), (5, 64, 16, 0)] {
+            let batch = random_dominant::<f32>(WorkloadShape::new(m, n), 7).unwrap();
+            let run = |mut gpu: Gpu<f32>| {
+                let src = upload(&mut gpu, &batch, uninit);
+                let dst = [0; 4].map(|_| gpu.alloc(m * n).unwrap());
+                stage1_step(&mut gpu, src, dst, m, n, stride).unwrap();
+                stage1_step(&mut gpu, dst, src, m, n, stride).unwrap();
+                let out = src.map(|b| {
+                    let v = gpu.download(b).unwrap();
+                    v.into_iter().map(f32::to_bits).collect::<Vec<_>>()
+                });
+                (out, gpu.take_sanitizer_report())
+            };
+            let (plain, _) = run(Gpu::new(DeviceSpec::gtx_470()));
+            let (checked, report) = run(Gpu::with_sanitizer(DeviceSpec::gtx_470()));
+            assert_eq!(plain, checked, "{m}x{n} stride {stride}");
+            let report = report.unwrap();
+            let (chunk, mut want, mut dropped) = (n.min(1024), Vec::new(), 0);
+            for block in (0..m * n / chunk).filter(|_| uninit < 4) {
+                let reads: Vec<_> = (0..chunk)
+                    .flat_map(|tid| {
+                        let g = block * chunk + tid;
+                        let minus = (g % n >= stride).then(|| g - stride);
+                        let plus = (g % n + stride < n).then(|| g + stride);
+                        [Some(g), minus, plus].map(|row| row.map(|i| (tid, i)))
+                    })
+                    .flatten()
+                    .collect();
+                dropped += reads.len().saturating_sub(MAX_HAZARDS_PER_BLOCK);
+                want.extend(reads.iter().take(MAX_HAZARDS_PER_BLOCK).map(|(tid, i)| {
+                    format!(
+                        "stage1[stride={stride}]: uninitialized read input[{uninit}][{i}] \
+                         in block {block}: read by thread {tid} at `stage1::row`"
+                    )
+                }));
+            }
+            let got: Vec<_> = report.hazards.iter().map(ToString::to_string).collect();
+            assert_eq!(
+                (got, report.dropped, report.launches_checked),
+                (want, dropped, 2)
+            );
+        }
     }
 }

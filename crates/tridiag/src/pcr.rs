@@ -38,48 +38,113 @@ pub fn pcr_step<T: Scalar>(
     dst_c: &mut [T],
     dst_d: &mut [T],
 ) {
-    let n = src_b.len();
+    pcr_rows(
+        stride, 0, src_a, src_b, src_c, src_d, dst_a, dst_b, dst_c, dst_d,
+    );
+}
+
+/// Apply one PCR step at stride `stride` to rows `lo .. lo + dst_b.len()`
+/// of one system: the `src` slices hold the whole system (all of length
+/// `n`), and row `lo + j` of the step's result lands in element `j` of each
+/// `dst` slice.
+///
+/// Every row gets exactly the operations, in exactly the order, of the
+/// textbook update with out-of-range neighbours read as identity rows
+/// (`b = 1`, others 0). Only the rows within `stride` of a system edge take
+/// that scalar path; the interior, where both neighbours exist, is one
+/// branch-free loop over equal-length sub-slices that the compiler can
+/// vectorise. Rust never contracts `a * b + c` into a fused multiply-add,
+/// so the two paths round identically and the result is bit-for-bit the
+/// scalar loop's, including the sign of zero and infinities. (A NaN stays
+/// a NaN; Rust leaves the sign and payload of NaN results unspecified.)
+///
+/// The slices are separate parameters, not arrays, on purpose: only
+/// reference parameters carry the no-alias guarantee that lets the
+/// compiler vectorise the interior without runtime overlap checks.
+#[allow(clippy::too_many_arguments)]
+pub fn pcr_rows<T: Scalar>(
+    stride: usize,
+    lo: usize,
+    sa: &[T],
+    sb: &[T],
+    sc: &[T],
+    sd: &[T],
+    da: &mut [T],
+    db: &mut [T],
+    dc: &mut [T],
+    dd: &mut [T],
+) {
+    let n = sb.len();
+    let hi = lo + db.len();
     debug_assert!(stride >= 1);
-    for i in 0..n {
-        let (row_m, row_p) = neighbor_rows(i, stride, n, src_a, src_b, src_c, src_d);
-        let (am, bm, cm, dm) = row_m;
-        let (ap, bp, cp, dp) = row_p;
+    debug_assert!(hi <= n);
+    debug_assert!([sa.len(), sc.len(), sd.len()].iter().all(|&l| l == n));
+    debug_assert!([da.len(), dc.len(), dd.len()].iter().all(|&l| l == hi - lo));
 
-        let alpha = -src_a[i] / bm;
-        let gamma = -src_c[i] / bp;
+    // Rows `start..end` have both neighbours inside the system; the rest
+    // of `lo..hi` lies within `stride` of an edge.
+    let start = stride.clamp(lo, hi);
+    let end = n.saturating_sub(stride).clamp(start, hi);
+    let identity = (T::ZERO, T::ONE, T::ZERO, T::ZERO);
+    for i in (lo..start).chain(end..hi) {
+        let row = |j: usize| (sa[j], sb[j], sc[j], sd[j]);
+        let (am, bm, cm, dm) = if i >= stride {
+            row(i - stride)
+        } else {
+            identity
+        };
+        let (ap, bp, cp, dp) = if i + stride < n {
+            row(i + stride)
+        } else {
+            identity
+        };
+        let alpha = -sa[i] / bm;
+        let gamma = -sc[i] / bp;
+        let o = i - lo;
+        da[o] = alpha * am;
+        db[o] = sb[i] + alpha * cm + gamma * ap;
+        dc[o] = gamma * cp;
+        dd[o] = sd[i] + alpha * dm + gamma * dp;
+    }
 
-        dst_a[i] = alpha * am;
-        dst_b[i] = src_b[i] + alpha * cm + gamma * ap;
-        dst_c[i] = gamma * cp;
-        dst_d[i] = src_d[i] + alpha * dm + gamma * dp;
+    // Interior: own rows, `-stride` rows and `+stride` rows as sub-slices
+    // of one common length, so the loop carries no bounds checks. A
+    // non-empty interior implies `stride <= start` and `end + stride <= n`.
+    let len = end - start;
+    if len == 0 {
+        return;
+    }
+    let rows = |v| {
+        (
+            window(v, start, len),
+            window(v, start - stride, len),
+            window(v, start + stride, len),
+        )
+    };
+    let (a, am, ap) = rows(sa);
+    let (b, bm, bp) = rows(sb);
+    let (c, cm, cp) = rows(sc);
+    let (d, dm, dp) = rows(sd);
+    let o = start - lo;
+    let (oa, ob, oc, od) = (
+        &mut da[o..][..len],
+        &mut db[o..][..len],
+        &mut dc[o..][..len],
+        &mut dd[o..][..len],
+    );
+    for j in 0..len {
+        let alpha = -a[j] / bm[j];
+        let gamma = -c[j] / bp[j];
+        oa[j] = alpha * am[j];
+        ob[j] = b[j] + alpha * cm[j] + gamma * ap[j];
+        oc[j] = gamma * cp[j];
+        od[j] = d[j] + alpha * dm[j] + gamma * dp[j];
     }
 }
 
-#[inline]
-#[allow(clippy::type_complexity)]
-fn neighbor_rows<T: Scalar>(
-    i: usize,
-    stride: usize,
-    n: usize,
-    a: &[T],
-    b: &[T],
-    c: &[T],
-    d: &[T],
-) -> ((T, T, T, T), (T, T, T, T)) {
-    let identity = (T::ZERO, T::ONE, T::ZERO, T::ZERO);
-    let row_m = if i >= stride {
-        let j = i - stride;
-        (a[j], b[j], c[j], d[j])
-    } else {
-        identity
-    };
-    let row_p = if i + stride < n {
-        let j = i + stride;
-        (a[j], b[j], c[j], d[j])
-    } else {
-        identity
-    };
-    (row_m, row_p)
+/// `v[from .. from + len]`, with a length the optimiser can see.
+fn window<T>(v: &[T], from: usize, len: usize) -> &[T] {
+    &v[from..][..len]
 }
 
 /// The result of PCR-splitting a system: transformed coefficients plus the
@@ -225,6 +290,207 @@ mod tests {
         c[n - 1] = 0.0;
         let d: Vec<f64> = (0..n).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
         TridiagonalSystem::new(a, b, c, d).unwrap()
+    }
+
+    /// The scalar row loop `pcr_rows` replaced, kept as the bit-exact
+    /// oracle: every row fetches its neighbours with a branch, reading
+    /// out-of-range ones as identity rows.
+    fn scalar_step<T: Scalar>(stride: usize, src: &[Vec<T>; 4]) -> [Vec<T>; 4] {
+        let [a, b, c, d] = src;
+        let n = b.len();
+        let mut dst = [(); 4].map(|()| vec![T::ZERO; n]);
+        let identity = (T::ZERO, T::ONE, T::ZERO, T::ZERO);
+        for i in 0..n {
+            let (am, bm, cm, dm) = if i >= stride {
+                let j = i - stride;
+                (a[j], b[j], c[j], d[j])
+            } else {
+                identity
+            };
+            let (ap, bp, cp, dp) = if i + stride < n {
+                let j = i + stride;
+                (a[j], b[j], c[j], d[j])
+            } else {
+                identity
+            };
+            let alpha = -a[i] / bm;
+            let gamma = -c[i] / bp;
+            dst[0][i] = alpha * am;
+            dst[1][i] = b[i] + alpha * cm + gamma * ap;
+            dst[2][i] = gamma * cp;
+            dst[3][i] = d[i] + alpha * dm + gamma * dp;
+        }
+        dst
+    }
+
+    /// Bit pattern of an element, so `-0.0 != 0.0` and `inf` compare
+    /// exactly. Every NaN maps to one pattern: Rust leaves the sign and
+    /// payload of a NaN *result* unspecified, and when two NaNs of
+    /// different sign meet, which one an `a + b` propagates depends on the
+    /// operand order the code generator picks, which differs between the
+    /// scalar and the vector loop.
+    trait Bits: Scalar {
+        /// Smallest positive normal value, widened.
+        const MIN_NORMAL: f64;
+        fn bits(self) -> u64;
+    }
+
+    impl Bits for f32 {
+        const MIN_NORMAL: f64 = f32::MIN_POSITIVE as f64;
+        fn bits(self) -> u64 {
+            if self.is_nan() {
+                u64::MAX
+            } else {
+                u64::from(self.to_bits())
+            }
+        }
+    }
+
+    impl Bits for f64 {
+        const MIN_NORMAL: f64 = f64::MIN_POSITIVE;
+        fn bits(self) -> u64 {
+            if self.is_nan() {
+                u64::MAX
+            } else {
+                self.to_bits()
+            }
+        }
+    }
+
+    /// A diagonally dominant system with pseudo-random coefficients of
+    /// both signs, a subnormal planted in `a` and `c`, plus the given
+    /// `(array, row, value)` overrides.
+    fn rough<T: Bits>(n: usize, seed: u64, overrides: &[(usize, usize, f64)]) -> [Vec<T>; 4] {
+        let mut s = seed;
+        let mut r = || {
+            s = s
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let mut sys: [Vec<T>; 4] = [1.0, 4.0, 1.0, 10.0].map(|scale: f64| {
+            (0..n)
+                .map(|_| T::from_f64(if scale == 4.0 { 4.0 + r() } else { scale * r() }))
+                .collect()
+        });
+        let tiny = T::MIN_NORMAL / 8.0;
+        for (k, i, v) in [(0, n / 2, tiny), (2, n / 3, -tiny)]
+            .into_iter()
+            .chain(overrides.iter().copied())
+        {
+            if i < n {
+                sys[k][i] = T::from_f64(v);
+            }
+        }
+        sys
+    }
+
+    /// `pcr_rows` over `lo..hi` against the oracle, bit for bit.
+    fn assert_rows_match<T: Bits>(
+        stride: usize,
+        src: &[Vec<T>; 4],
+        want: &[Vec<T>; 4],
+        what: &str,
+    ) {
+        let n = src[1].len();
+        let ranges = [
+            (0, n),
+            (0, n / 2),
+            (n / 2, n),
+            (n / 4, n - n / 4),
+            (n / 3, n / 3 + 1),
+            (n / 2, n / 2),
+        ];
+        for (lo, hi) in ranges {
+            let mut got = [(); 4].map(|()| vec![T::ZERO; hi - lo]);
+            let [ga, gb, gc, gd] = &mut got;
+            pcr_rows(
+                stride, lo, &src[0], &src[1], &src[2], &src[3], ga, gb, gc, gd,
+            );
+            for k in 0..4 {
+                for (j, (g, w)) in got[k].iter().zip(&want[k][lo..hi]).enumerate() {
+                    assert_eq!(
+                        g.bits(),
+                        w.bits(),
+                        "{what} stride={stride} rows {lo}..{hi}: array {k} row {}: {g} vs {w}",
+                        lo + j
+                    );
+                }
+            }
+        }
+    }
+
+    /// Each oracle input is checked after 0 to `PRE_STEPS` PCR steps. The
+    /// off-diagonals shrink quadratically per step, so they pass through
+    /// the subnormal range to exact zeros, in f32 first, f64 later.
+    const PRE_STEPS: u32 = 12;
+
+    /// `rough(n, seed, overrides)` after each of 0 to [`PRE_STEPS`] steps.
+    fn pre_stepped<T: Bits>(
+        n: usize,
+        seed: u64,
+        overrides: &[(usize, usize, f64)],
+    ) -> Vec<(u32, [Vec<T>; 4])> {
+        let mut sys = rough::<T>(n, seed, overrides);
+        let mut out = Vec::new();
+        for k in 0..=PRE_STEPS {
+            out.push((k, sys.clone()));
+            sys = scalar_step(1 << k, &sys);
+        }
+        out
+    }
+
+    /// Every stride from 1 past `n` and every range shape, on pre-stepped
+    /// inputs, with signed zeros (seed 1) or a NaN and both infinities
+    /// (seed 2) planted.
+    fn rows_match_scalar_oracle<T: Bits>() {
+        let specials = [
+            (0, 2, f64::NAN),
+            (1, 5, f64::INFINITY),
+            (2, 40, f64::NEG_INFINITY),
+        ];
+        let negzero = [(0, 1, -0.0), (2, 3, -0.0), (3, 7, -0.0)];
+        for n in [1usize, 2, 3, 5, 64, 1000, 1024] {
+            for (seed, overrides) in [(1, &negzero[..]), (2, &specials[..])] {
+                for (k, sys) in pre_stepped::<T>(n, seed, overrides) {
+                    let what = format!("{} n={n} seed={seed} k={k}", T::NAME);
+                    for stride in 1..=n + 1 {
+                        let want = scalar_step(stride, &sys);
+                        assert_rows_match(stride, &sys, &want, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_match_scalar_oracle_f32() {
+        rows_match_scalar_oracle::<f32>();
+    }
+
+    #[test]
+    fn rows_match_scalar_oracle_f64() {
+        rows_match_scalar_oracle::<f64>();
+    }
+
+    /// The stepped oracle inputs really carry subnormals and exact zeros
+    /// away from the edge rows (whose zeros are structural).
+    fn reaches_subnormals_and_zeros<T: Bits>() {
+        let min_normal = T::from_f64(T::MIN_NORMAL);
+        let (mut subnormal, mut zero) = (false, false);
+        for (k, sys) in pre_stepped::<T>(1024, 1, &[]).into_iter().skip(1) {
+            for v in sys.iter().flat_map(|v| v.iter().skip(1 << k)) {
+                subnormal |= *v != T::ZERO && v.abs() < min_normal;
+                zero |= *v == T::ZERO;
+            }
+        }
+        assert!(subnormal && zero, "{}", T::NAME);
+    }
+
+    #[test]
+    fn oracle_inputs_reach_subnormals_and_zeros() {
+        reaches_subnormals_and_zeros::<f32>();
+        reaches_subnormals_and_zeros::<f64>();
     }
 
     #[test]
