@@ -276,13 +276,17 @@ pub(crate) fn base_run<T: GpuScalar>(
         }
         ctx.sync();
 
-        // ---- Store phase (`lx` stays empty when pricing) ---------------
-        for (j, &v) in lx.iter().enumerate() {
-            if !v.is_finite() {
+        // ---- Store phase ----------------------------------------------
+        // Elements before the first non-finite one are stored, then the
+        // block fails.
+        if numerics {
+            let bad = lx.iter().position(|v| !v.is_finite());
+            let stored = &lx[..bad.unwrap_or(chain_len)];
+            io.scattered[0].set_strided(chain.offset, chain.stride, stored, "base::store");
+            if bad.is_some() {
                 failed.store(true, Ordering::Relaxed);
                 return;
             }
-            io.scattered[0].set_at(chain.index(j), v, j, "base::store");
         }
         ctx.gmem_write(chain_len, stride);
     })?;

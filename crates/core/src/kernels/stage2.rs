@@ -144,12 +144,8 @@ pub(crate) fn stage2_run<T: GpuScalar>(
         }
         // Scatter the final coefficients to the chain's parent positions.
         if numerics {
-            for j in 0..chain_len {
-                let g = chain.index(j);
-                io.scattered[0].set_at(g, cur.0[j], j, "stage2::scatter");
-                io.scattered[1].set_at(g, cur.1[j], j, "stage2::scatter");
-                io.scattered[2].set_at(g, cur.2[j], j, "stage2::scatter");
-                io.scattered[3].set_at(g, cur.3[j], j, "stage2::scatter");
+            for (k, vals) in [&cur.0, &cur.1, &cur.2, &cur.3].into_iter().enumerate() {
+                io.scattered[k].set_strided(chain.offset, chain.stride, vals, "stage2::scatter");
             }
         }
     })
@@ -273,12 +269,11 @@ mod tests {
 
     #[test]
     fn chain_scatter_covers_everything_without_races() {
-        // Race checking is on by default: a successful launch proves chains
+        // Race checking is always on: a successful launch proves chains
         // are disjoint and cover the buffer.
         let shape = WorkloadShape::new(2, 1024);
         let batch = random_dominant::<f64>(shape, 8).unwrap();
         let mut gpu = gpu470();
-        gpu.race_check = true;
         let src = coeffs(&mut gpu, &batch);
         let dst = fresh(&mut gpu, 2048);
         stage2_split(&mut gpu, src, dst, 2, 1024, 4, 1).unwrap();

@@ -17,9 +17,14 @@
 //! paper's stage 1 needs a global synchronisation per split and therefore
 //! pays one *launch* per split; the simulator enforces that structure.
 //!
-//! Scattered outputs are race-checked: if two blocks write the same element,
-//! the launch fails with [`SimError::WriteRace`] instead of silently
-//! corrupting data (on hardware this would be undefined behaviour).
+//! Scattered outputs are race-checked, always: each [`ScatterWriter`] logs
+//! its block's writes as affine runs `(start, stride, count)`, and after
+//! the grid has run the launch checks the blocks' logs against each other
+//! once. If two blocks wrote the same element, the launch fails with
+//! [`crate::SimError::WriteRace`] instead of silently corrupting data (on
+//! hardware this would be undefined behaviour).
+//! [`ScatterWriter::set_strided`] stores a whole strided chain with one
+//! bounds check and one logged run.
 //!
 //! When the device was built with [`crate::Gpu::with_sanitizer`], the
 //! *tracked* access APIs — [`BlockIo::load`], [`BlockIo::store`],
@@ -36,12 +41,10 @@
 
 use crate::cost::CostCounters;
 use crate::device::DeviceSpec;
-use crate::error::SimError;
 use crate::sanitizer::{BlockShadow, InitMask, Region};
+use crate::writelog::WriteLog;
 use crate::Element;
-use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// Configuration of one kernel launch.
 #[derive(Debug, Clone)]
@@ -369,84 +372,68 @@ impl<'a> BlockCtx<'a> {
     }
 }
 
-/// Shared scattered-output state for one buffer during one launch.
+/// One scattered output buffer during one launch: a raw pointer every
+/// block stores through. Who wrote what is logged per block, in each
+/// [`ScatterWriter`]'s [`WriteLog`].
 pub(crate) struct SharedOut<E> {
     ptr: *mut E,
     len: usize,
-    claims: Option<Vec<AtomicU32>>,
-    race: AtomicBool,
-    race_info: Mutex<Option<(usize, u32, u32)>>,
 }
 
-// SAFETY: blocks write disjoint elements (enforced by the claim map when
-// race checking is on; promised by the kernel author otherwise), so
-// concurrent access through the raw pointer never aliases a write.
+// SAFETY: every store through `ptr` is bounds-checked against `len`, and
+// the buffer outlives the launch. Blocks of a correct kernel write
+// disjoint elements, so concurrent stores never alias. A kernel whose
+// blocks do write the same element is rejected after the grid has run:
+// `Gpu::launch` checks the blocks' write logs and returns
+// `SimError::WriteRace` before the buffer is read again. The verdict
+// needs every block's writes, so racing stores have already landed,
+// unsynchronised, by then (DESIGN §3.18).
 unsafe impl<E: Send> Send for SharedOut<E> {}
 unsafe impl<E: Send> Sync for SharedOut<E> {}
 
-const UNCLAIMED: u32 = u32::MAX;
-
 impl<E: Element> SharedOut<E> {
-    pub(crate) fn new(buf: &mut [E], race_check: bool) -> Self {
-        let claims = race_check.then(|| {
-            let mut v = Vec::with_capacity(buf.len());
-            v.resize_with(buf.len(), || AtomicU32::new(UNCLAIMED));
-            v
-        });
+    pub(crate) fn new(buf: &mut [E]) -> Self {
         Self {
             ptr: buf.as_mut_ptr(),
             len: buf.len(),
-            claims,
-            race: AtomicBool::new(false),
-            race_info: Mutex::new(None),
         }
     }
 
-    fn set(&self, block: u32, idx: usize, v: E) {
+    #[inline]
+    fn store(&self, idx: usize, v: E) {
         assert!(
             idx < self.len,
             "scattered write out of bounds: {idx} >= {}",
             self.len
         );
-        if let Some(claims) = &self.claims {
-            let prev = claims[idx].swap(block, Ordering::Relaxed);
-            if prev != UNCLAIMED && prev != block {
-                self.race.store(true, Ordering::Relaxed);
-                let mut info = self.race_info.lock();
-                if info.is_none() {
-                    *info = Some((idx, prev, block));
-                }
-            }
-        }
-        // SAFETY: idx bounds-checked above; disjointness per the claim map.
+        // SAFETY: idx bounds-checked above; disjointness per the write-log
+        // check that follows the grid.
         unsafe {
             *self.ptr.add(idx) = v;
         }
     }
 
-    /// Initcheck shadow of this launch's writes: which elements were
-    /// claimed. `None` when race checking (and hence the claim map) is off.
-    pub(crate) fn written_mask(&self) -> Option<InitMask> {
-        let claims = self.claims.as_ref()?;
-        let mut mask = InitMask::new_uninit(self.len);
-        for (i, c) in claims.iter().enumerate() {
-            if c.load(Ordering::Relaxed) != UNCLAIMED {
-                mask.set(i);
+    /// Store `vals[j]` at `start + j·stride`: one bounds check, one loop.
+    #[inline]
+    fn store_strided(&self, start: usize, stride: usize, vals: &[E]) {
+        let Some(last) = vals.len().checked_sub(1) else {
+            return;
+        };
+        let end = last
+            .checked_mul(stride)
+            .and_then(|o| o.checked_add(start))
+            .filter(|&e| e < self.len);
+        assert!(
+            end.is_some(),
+            "scattered write out of bounds: {start} + {last} x {stride} >= {}",
+            self.len
+        );
+        for (j, &v) in vals.iter().enumerate() {
+            // SAFETY: the last (largest) index was bounds-checked above;
+            // disjointness per the write-log check that follows the grid.
+            unsafe {
+                *self.ptr.add(start + j * stride) = v;
             }
-        }
-        Some(mask)
-    }
-
-    pub(crate) fn race_error(&self) -> Option<SimError> {
-        if self.race.load(Ordering::Relaxed) {
-            let (index, first_block, second_block) = self.race_info.lock().unwrap_or((0, 0, 0));
-            Some(SimError::WriteRace {
-                index,
-                first_block,
-                second_block,
-            })
-        } else {
-            None
         }
     }
 }
@@ -454,17 +441,18 @@ impl<E: Element> SharedOut<E> {
 /// Write façade handed to a block for one scattered output buffer.
 pub struct ScatterWriter<'a, E: Element> {
     pub(crate) out: &'a SharedOut<E>,
-    pub(crate) block: u32,
     /// Position of this buffer among the launch's scattered outputs, for
     /// hazard reports.
     pub(crate) slot: usize,
     pub(crate) shadow: Option<&'a RefCell<BlockShadow>>,
+    /// This block's writes, checked against the other blocks' after the
+    /// grid has run.
+    pub(crate) log: WriteLog,
 }
 
 impl<E: Element> std::fmt::Debug for ScatterWriter<'_, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScatterWriter")
-            .field("block", &self.block)
             .field("slot", &self.slot)
             .field("len", &self.out.len)
             .finish_non_exhaustive()
@@ -472,11 +460,13 @@ impl<E: Element> std::fmt::Debug for ScatterWriter<'_, E> {
 }
 
 impl<E: Element> ScatterWriter<'_, E> {
-    /// Write `v` at `idx`. Panics if out of bounds; flags a race if another
-    /// block already wrote this element.
+    /// Write `v` at `idx`. Panics if out of bounds. If another block also
+    /// writes this element, the launch fails with
+    /// [`crate::SimError::WriteRace`] once the grid has run.
     #[inline]
     pub fn set(&self, idx: usize, v: E) {
-        self.out.set(self.block, idx, v);
+        self.out.store(idx, v);
+        self.log.record(idx);
     }
 
     /// Tracked write: like [`ScatterWriter::set`], but reports the logical
@@ -502,7 +492,25 @@ impl<E: Element> ScatterWriter<'_, E> {
             }
             s.record_access(Region::ScatteredOut(self.slot), idx, tid, site, true);
         }
-        self.out.set(self.block, idx, v);
+        self.set(idx, v);
+    }
+
+    /// Bulk strided store: `vals[j]` goes to `start + j·stride`, written by
+    /// logical thread `j` at source site `site`. Without a sanitizer it is
+    /// one bounds check (panicking if the last index is out of bounds,
+    /// before anything is stored), one store loop and one logged run.
+    /// Under the sanitizer it is exactly the [`ScatterWriter::set_at`]
+    /// loop.
+    #[inline]
+    pub fn set_strided(&self, start: usize, stride: usize, vals: &[E], site: &'static str) {
+        if self.shadow.is_some() {
+            for (j, &v) in vals.iter().enumerate() {
+                self.set_at(start + j * stride, v, j, site);
+            }
+            return;
+        }
+        self.out.store_strided(start, stride, vals);
+        self.log.record_run(start, stride, vals.len());
     }
 
     /// Length of the underlying buffer.
@@ -672,34 +680,37 @@ mod tests {
     }
 
     #[test]
-    fn scattered_out_detects_races() {
+    fn scattered_writes_fold_into_a_block_log() {
         let mut buf = vec![0.0f32; 8];
-        let out = SharedOut::new(&mut buf, true);
-        out.set(0, 3, 1.0);
-        out.set(0, 3, 2.0); // same block rewriting: fine
-        assert!(out.race_error().is_none());
-        out.set(1, 3, 3.0); // different block: race
-        let err = out.race_error().unwrap();
-        assert!(matches!(err, SimError::WriteRace { index: 3, .. }));
-    }
-
-    #[test]
-    fn scattered_out_without_checking_allows_overlap() {
-        let mut buf = vec![0.0f32; 4];
-        let out = SharedOut::new(&mut buf, false);
-        out.set(0, 1, 1.0);
-        out.set(1, 1, 2.0);
-        assert!(out.race_error().is_none());
-        drop(out);
-        assert_eq!(buf[1], 2.0);
+        let out = SharedOut::new(&mut buf);
+        let writer = ScatterWriter {
+            out: &out,
+            slot: 0,
+            shadow: None,
+            log: WriteLog::default(),
+        };
+        writer.set(3, 1.0);
+        writer.set(3, 2.0); // same block rewriting: one element
+        writer.set_strided(5, 2, &[3.0, 4.0], "test"); // continues 3, 5, 7
+        assert_eq!(writer.log.into_runs().len(), 1);
+        assert_eq!(buf, [0.0, 0.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0]);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn scattered_out_bounds_checked() {
         let mut buf = vec![0.0f32; 4];
-        let out = SharedOut::new(&mut buf, true);
-        out.set(0, 4, 1.0);
+        let out = SharedOut::new(&mut buf);
+        out.store(4, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn strided_store_bounds_checked_before_any_store() {
+        let mut buf = vec![0.0f32; 8];
+        let out = SharedOut::new(&mut buf);
+        out.store_strided(1, 3, &[1.0, 2.0, 3.0]); // last index 7 is fine
+        out.store_strided(2, 3, &[1.0, 2.0, 3.0]); // last index 8 is not
     }
 
     #[test]

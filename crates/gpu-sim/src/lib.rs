@@ -40,6 +40,7 @@ pub mod sanitizer;
 pub mod stream;
 pub mod timing;
 pub mod validate;
+mod writelog;
 
 pub use cost::{CostCounters, KernelStats, LimitedBy};
 pub use cpu::CpuSpec;

@@ -14,6 +14,7 @@ use crate::stream::{
     MAX_STREAMS,
 };
 use crate::timing;
+use crate::writelog::{self, Run, WriteLog};
 use crate::Element;
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -122,10 +123,6 @@ pub struct Gpu<E: Element> {
     spec: DeviceSpec,
     buffers: Vec<Option<Vec<E>>>,
     allocated_bytes: usize,
-    /// Verify that scattered outputs are written at most once per element
-    /// across the grid (on by default; a failure is a data race on real
-    /// hardware).
-    pub race_check: bool,
     timeline: Vec<KernelStats>,
     elapsed_s: f64,
     free_queue: FreeQueue,
@@ -150,6 +147,10 @@ struct SanitizerState {
     report: SanitizerReport,
 }
 
+/// What one block of a launch leaves behind: its cost counters, its
+/// sanitizer shadow, and the runs it wrote to each scattered output.
+type BlockOutcome = (CostCounters, Option<BlockShadow>, Vec<Vec<Run>>);
+
 /// What one sanitized launch learned, to be folded into [`SanitizerState`]
 /// after the output buffers are restored.
 struct LaunchAudit {
@@ -167,7 +168,6 @@ impl<E: Element> Gpu<E> {
             spec,
             buffers: Vec::new(),
             allocated_bytes: 0,
-            race_check: true,
             timeline: Vec::new(),
             elapsed_s: 0.0,
             free_queue: Arc::new(Mutex::new(Vec::new())),
@@ -209,13 +209,12 @@ impl<E: Element> Gpu<E> {
 
     /// Enable the sanitizer on an existing device. Buffers that already
     /// exist are conservatively treated as fully initialised (their history
-    /// was not tracked). Forces `race_check` on: the scattered-output claim
-    /// map doubles as the sanitizer's write shadow.
+    /// was not tracked). The scattered outputs' written masks come from the
+    /// same per-block write logs the always-on race check reads.
     pub fn enable_sanitizer(&mut self) {
         if self.sanitizer.is_some() {
             return;
         }
-        self.race_check = true;
         let init = self
             .buffers
             .iter()
@@ -1137,7 +1136,7 @@ impl<E: Element> Gpu<E> {
                 OutMode::Scattered => {
                     order.push(Slot::Scattered(scattered.len()));
                     scattered_meta.push((oid.0, buf.len()));
-                    scattered.push(SharedOut::new(buf, self.race_check));
+                    scattered.push(SharedOut::new(buf));
                 }
             }
         }
@@ -1157,7 +1156,7 @@ impl<E: Element> Gpu<E> {
         let input_views_ref = &input_views;
         let input_masks_ref = input_masks.as_deref();
 
-        let mut per_block: Vec<(CostCounters, Option<BlockShadow>)> = per_block_owned
+        let mut per_block: Vec<BlockOutcome> = per_block_owned
             .into_par_iter()
             .enumerate()
             .map(move |(b, owned)| {
@@ -1189,23 +1188,43 @@ impl<E: Element> Gpu<E> {
                         Slot::Scattered(j) => {
                             io.scattered.push(ScatterWriter {
                                 out: &scattered_ref[*j],
-                                block: b as u32,
                                 slot: *j,
                                 shadow: shadow_cell.as_ref(),
+                                log: WriteLog::default(),
                             });
                         }
                     }
                 }
                 kernel_ref(&mut ctx, &mut io);
+                let logs = io.scattered.drain(..).map(|w| w.log.into_runs()).collect();
                 drop(io);
                 let counters = ctx.into_counters();
-                (counters, shadow_cell.map(RefCell::into_inner))
+                (counters, shadow_cell.map(RefCell::into_inner), logs)
             })
             .collect();
 
-        for out in &scattered {
-            if let Some(err) = out.race_error() {
-                return Err(err);
+        // Who wrote what, per scattered output: every block's runs, in
+        // block order. One check per output proves the blocks disjoint.
+        let scattered_runs: Vec<Vec<(u32, Run)>> = (0..scattered.len())
+            .map(|j| {
+                per_block
+                    .iter_mut()
+                    .enumerate()
+                    .flat_map(|(b, (_, _, logs))| {
+                        std::mem::take(&mut logs[j])
+                            .into_iter()
+                            .map(move |run| (b as u32, run))
+                    })
+                    .collect()
+            })
+            .collect();
+        for (runs, &(_, len)) in scattered_runs.iter().zip(&scattered_meta) {
+            if let Some((index, first_block, second_block)) = writelog::find_race(len, runs) {
+                return Err(SimError::WriteRace {
+                    index,
+                    first_block,
+                    second_block,
+                });
             }
         }
 
@@ -1215,25 +1234,25 @@ impl<E: Element> Gpu<E> {
                 &mut per_block,
                 &chunked_meta,
                 &scattered_meta,
-                &scattered,
+                &scattered_runs,
             )
         });
 
-        let counters: Vec<CostCounters> = per_block.into_iter().map(|(c, _)| c).collect();
+        let counters: Vec<CostCounters> = per_block.into_iter().map(|(c, _, _)| c).collect();
         let stats = timing::kernel_time(&self.spec, cfg, &counters)?;
         Ok((stats, audit))
     }
 
-    /// Fold the per-block shadows and the scattered-output claim maps into a
-    /// launch audit: finished hazards (kernel label + block attached) plus
+    /// Fold the per-block shadows and the scattered-output write logs into
+    /// a launch audit: finished hazards (kernel label + block attached) plus
     /// the written-element masks to merge into the global init shadows.
     fn build_audit(
         &self,
         cfg: &LaunchConfig,
-        per_block: &mut [(CostCounters, Option<BlockShadow>)],
+        per_block: &mut [BlockOutcome],
         chunked_meta: &[(usize, usize, usize)],
         scattered_meta: &[(usize, usize)],
-        scattered: &[SharedOut<E>],
+        scattered_runs: &[Vec<(u32, Run)>],
     ) -> LaunchAudit {
         let mut hazards = Vec::new();
         let mut dropped = 0usize;
@@ -1241,7 +1260,7 @@ impl<E: Element> Gpu<E> {
             .iter()
             .map(|&(_, _, len)| InitMask::new_uninit(len))
             .collect();
-        for (b, (_, shadow)) in per_block.iter_mut().enumerate() {
+        for (b, (_, shadow, _)) in per_block.iter_mut().enumerate() {
             let Some(shadow) = shadow.take() else {
                 continue;
             };
@@ -1282,14 +1301,8 @@ impl<E: Element> Gpu<E> {
             .zip(owned_masks)
             .map(|(&(slot, _, _), mask)| (slot, mask))
             .collect();
-        for (j, out) in scattered.iter().enumerate() {
-            let (slot, len) = scattered_meta[j];
-            // `enable_sanitizer` forces race checking on, so the claim map —
-            // which doubles as the write shadow — is always present.
-            let mask = out
-                .written_mask()
-                .unwrap_or_else(|| InitMask::new_init(len));
-            output_inits.push((slot, mask));
+        for (&(slot, len), runs) in scattered_meta.iter().zip(scattered_runs) {
+            output_inits.push((slot, writelog::written_mask(len, runs)));
         }
         LaunchAudit {
             hazards,
@@ -1491,6 +1504,98 @@ mod tests {
         assert!(g.view(dst).is_ok());
         // Clock must not have advanced.
         assert_eq!(g.elapsed_s(), 0.0);
+    }
+
+    /// Launch `grid` blocks whose scattered writes are `writes(block, io)`
+    /// and return the race verdict.
+    fn race_verdict<F>(len: usize, grid: usize, writes: F) -> Option<(usize, u32, u32)>
+    where
+        F: Fn(usize, &mut BlockIo<'_, f32>) + Sync,
+    {
+        let mut g = gpu();
+        let dst = g.alloc(len).unwrap();
+        let cfg = LaunchConfig::new("race", grid, 32);
+        let result = g.launch(&cfg, &[], &[(dst, OutMode::Scattered)], |ctx, io| {
+            writes(ctx.block_id as usize, io);
+        });
+        match result {
+            Ok(_) => None,
+            Err(SimError::WriteRace {
+                index,
+                first_block,
+                second_block,
+            }) => {
+                assert_eq!(
+                    g.elapsed_s(),
+                    0.0,
+                    "a racy launch must not advance the clock"
+                );
+                Some((index, first_block, second_block))
+            }
+            Err(e) => panic!("unexpected error {e}"),
+        }
+    }
+
+    #[test]
+    fn write_race_report_is_a_function_of_the_writes() {
+        // 64 blocks each own 16 contiguous elements; blocks 40, 17 and 23
+        // also write element 700, which block 43 owns. The report names
+        // the smallest raced element and its two lowest writers, however
+        // the blocks were scheduled.
+        let racy = |b: usize, io: &mut BlockIo<'_, f32>| {
+            io.scattered[0].set_strided(16 * b, 1, &[b as f32; 16], "t");
+            if [40, 17, 23].contains(&b) {
+                io.scattered[0].set(700, 0.0);
+            }
+        };
+        for _ in 0..50 {
+            assert_eq!(race_verdict(1024, 64, racy), Some((700, 17, 23)));
+        }
+    }
+
+    #[test]
+    fn race_hidden_inside_a_run_is_found() {
+        // Block 0 writes 0, 4, …, 60 one element at a time (one folded
+        // run); block 1 writes 40, in the middle of it.
+        let verdict = race_verdict(64, 2, |b, io| {
+            if b == 0 {
+                for k in 0..16 {
+                    io.scattered[0].set(4 * k, 1.0);
+                }
+            } else {
+                io.scattered[0].set(40, 2.0);
+            }
+        });
+        assert_eq!(verdict, Some((40, 0, 1)));
+    }
+
+    #[test]
+    fn race_between_runs_of_different_strides_is_found() {
+        // Stride 3 from 0 and stride 5 from 5 first meet at 15.
+        let verdict = race_verdict(64, 2, |b, io| {
+            let (start, stride) = if b == 0 { (0, 3) } else { (5, 5) };
+            io.scattered[0].set_strided(start, stride, &[1.0; 11], "t");
+        });
+        assert_eq!(verdict, Some((15, 0, 1)));
+    }
+
+    #[test]
+    fn interleaved_strided_chains_are_not_a_race() {
+        // Block b stores chain b, b + 4, …: four interleaved stride-4
+        // chains covering the buffer, in bulk and element by element.
+        for bulk in [true, false] {
+            let verdict = race_verdict(64, 4, |b, io| {
+                let vals = [b as f32; 16];
+                if bulk {
+                    io.scattered[0].set_strided(b, 4, &vals, "t");
+                } else {
+                    for (k, &v) in vals.iter().enumerate() {
+                        io.scattered[0].set(b + 4 * k, v);
+                    }
+                }
+            });
+            assert_eq!(verdict, None);
+        }
     }
 
     #[test]

@@ -271,6 +271,89 @@ fn sanitizer_never_perturbs_timing_or_results() {
     }
 }
 
+/// `ScatterWriter::set_strided` under the sanitizer is the per-element
+/// `set_at` loop with thread `j` writing element `j`: the same hazards
+/// (OOB writes recorded and dropped, same-element writes by different
+/// threads racechecked), the same written mask (seen by a follow-up
+/// initcheck read of the whole output), and the same output bits.
+#[test]
+fn set_strided_tracks_exactly_the_set_at_loop() {
+    // (start, stride, count): chains in bounds, past the end, and a zero
+    // stride where every thread writes one element.
+    let cases: [(usize, usize, usize); 5] =
+        [(0, 1, 16), (3, 4, 8), (5, 7, 6), (9, 0, 3), (60, 1, 8)];
+    fn run(
+        bulk: bool,
+        sanitize: bool,
+        start: usize,
+        stride: usize,
+        n: usize,
+    ) -> (SanitizerReport, Vec<u32>) {
+        let spec = DeviceSpec::gtx_470();
+        let mut gpu: Gpu<f32> = if sanitize {
+            Gpu::with_sanitizer(spec)
+        } else {
+            Gpu::new(spec)
+        };
+        let out = gpu.alloc(64).unwrap();
+        let vals: Vec<f32> = (0..n).map(|j| 1.5 + j as f32).collect();
+        gpu.launch(
+            &cfg("strided", 32, 0),
+            &[],
+            &[(out, OutMode::Scattered)],
+            |_ctx, io| {
+                if bulk {
+                    io.scattered[0].set_strided(start, stride, &vals, "fixture::store");
+                } else {
+                    for (j, &v) in vals.iter().enumerate() {
+                        io.scattered[0].set_at(start + j * stride, v, j, "fixture::store");
+                    }
+                }
+            },
+        )
+        .unwrap();
+        let copy = gpu.alloc(64).unwrap();
+        gpu.launch(
+            &cfg("readback", 32, 0),
+            &[out],
+            &[(copy, OutMode::Scattered)],
+            |_ctx, io| {
+                for i in 0..64 {
+                    let v = io.load(0, i, i, "fixture::readback");
+                    io.scattered[0].set_at(i, v, i, "fixture::copy");
+                }
+            },
+        )
+        .unwrap();
+        let bits = gpu
+            .download(out)
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        (gpu.take_sanitizer_report().unwrap_or_default(), bits)
+    }
+    for (start, stride, n) in cases {
+        let (bulk, bulk_bits) = run(true, true, start, stride, n);
+        let (looped, looped_bits) = run(false, true, start, stride, n);
+        assert_eq!(bulk, looped, "start {start} stride {stride} n {n}");
+        assert_eq!(bulk_bits, looped_bits);
+        assert!(!bulk.is_clean(), "the readback sees unwritten elements");
+        if start + n.saturating_sub(1) * stride < 64 {
+            let (_, plain_bits) = run(true, false, start, stride, n);
+            assert_eq!(
+                plain_bits, bulk_bits,
+                "sanitizing must not change the output"
+            );
+        } else {
+            assert!(bulk
+                .hazards
+                .iter()
+                .any(|h| h.kind == HazardKind::OutOfBounds));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

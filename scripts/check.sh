@@ -42,8 +42,13 @@ cargo run -q --release --bin trisolve -- chaos --quick
 echo "== solver-service smoke run (nonzero exit on lost request, deadline miss, or breaker deadlock) =="
 cargo run -q --release --bin trisolve -- serve-sim --quick --chaos
 
-echo "== bench-regression gate (nonzero exit on significant regression vs BENCH_10) =="
-cargo run -q --release --bin trisolve -- report --regress BENCH_10.json --quick
+# The gate replays two snapshots: the pinned BENCH_10.json, which only an
+# edit here can move, and the newest (highest-numbered) BENCH_<n>.json.
+newest="$(ls BENCH_*.json | sort -V | tail -n 1)"
+for baseline in $(printf '%s\n' BENCH_10.json "$newest" | sort -uV); do
+    echo "== bench-regression gate (nonzero exit on significant regression vs $baseline) =="
+    cargo run -q --release --bin trisolve -- report --regress "$baseline" --quick
+done
 
 echo "== traced solve smoke run (chrome trace validates) =="
 trace_out="$(mktemp)"
