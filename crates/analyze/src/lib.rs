@@ -3,8 +3,8 @@
 //! Abstract interpretation over the kernel families of `trisolve-core`
 //! (`base`, `stage1`, `stage2`, `repack`, `baselines`, and the
 //! interleaved fast-path triple `interleave`/`ithomas`/`deinterleave`):
-//! every [`StageOp`](trisolve_core::StageOp) contributes an affine
-//! *access summary* ([`trisolve_core::kernels::access`]) — global and
+//! every [`StageOp`](trisolve_core::StageOp)'s descriptor contributes an
+//! affine *access summary* ([`trisolve_core::kernels::access`]) — global and
 //! shared index sets as functions of `system_size`, `num_systems`,
 //! grid/block dimensions and PCR step — from which this crate statically
 //! proves, for any `(device, plan, size)` point and without executing a
@@ -24,12 +24,12 @@
 //! * **(e) numerical stability** — dominance preservation through the
 //!   CR/PCR ladder, pivot-freedom of the Thomas phases, and an a-priori
 //!   forward error bound per precision, interval-interpreted over each
-//!   plan's [`recurrence summaries`](trisolve_core::kernels::recurrence)
+//!   plan's [recurrences](trisolve_core::kernels::recurrence)
 //!   ([`stability`]);
 //! * **(f) happens-before safety of pipelined stream schedules** —
 //!   use-before-ready, cross-stream write races, event wait-cycles and
-//!   dangling waits over the lowered schedule DAG, mirroring the
-//!   pipelined executor's admission decision ([`schedule`]).
+//!   dangling waits over the lowered schedule DAG, with the pipelined
+//!   executor's own admission function ([`schedule`]).
 //!
 //! The verdicts feed two consumers: `autotune`'s micro-benchmark harness
 //! prunes provably-invalid candidates via [`statically_rejected`] and

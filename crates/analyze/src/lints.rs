@@ -348,12 +348,13 @@ fn lint_interleaved(plan: &SolvePlan, lints: &mut Vec<Lint>) {
     }
 
     for op in interleaved {
-        let (label, systems, size) = match *op {
-            StageOp::InterleavePack { systems, size } => ("interleave", systems, size),
-            StageOp::InterleavedThomas { systems, size } => ("ithomas", systems, size),
-            StageOp::Deinterleave { systems, size } => ("deinterleave", systems, size),
+        let (systems, size) = match *op {
+            StageOp::InterleavePack { systems, size }
+            | StageOp::InterleavedThomas { systems, size }
+            | StageOp::Deinterleave { systems, size } => (systems, size),
             _ => continue,
         };
+        let label = op.describe(m, plan.padded_size).stage;
         if systems != m || size != plan.padded_size {
             lints.push(Lint::error(
                 "switch-points",
@@ -406,23 +407,20 @@ pub fn smem_budget_obligation(
     q: &QueryableProps,
     elem_bytes: usize,
 ) -> Obligation {
-    use trisolve_core::kernels::base_config;
     use trisolve_core::BaseVariant;
 
     let name = "smem-budget".to_string();
     for k in 0..=22u32 {
         let n = 1usize << k;
         let chain_len = params.onchip_size.min(n);
-        let chains = (n / chain_len).max(1);
-        let thomas = params.thomas_switch.min(chain_len);
-        let cfg = base_config(
-            chains,
+        let base = StageOp::BaseSolve {
+            chains: n / chain_len,
             chain_len,
-            n / chain_len,
-            thomas,
-            BaseVariant::Strided,
-            elem_bytes,
-        );
+            stride: n / chain_len,
+            thomas_chains: params.thomas_switch,
+            variant: BaseVariant::Strided,
+        };
+        let cfg = base.describe(1, n).config(elem_bytes);
         let report = validate_launch(q, &cfg);
         if report.has_errors() {
             return Obligation {

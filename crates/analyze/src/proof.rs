@@ -263,11 +263,21 @@ fn prove_interval_race_free(label: &str, accesses: &[SmemAccess]) -> Obligation 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trisolve_core::kernels::access::{
-        base_access_summary, AffineMap, BarrierInterval, SmemOwner,
-    };
-    use trisolve_core::kernels::base_config;
-    use trisolve_core::BaseVariant;
+    use trisolve_core::kernels::access::{AffineMap, BarrierInterval, SmemOwner};
+    use trisolve_core::{BaseVariant, OpDescriptor, StageOp};
+
+    /// The strided base kernel over `m` systems of `n` equations split
+    /// into `stride` chains, Thomas switch 32.
+    fn base(m: usize, n: usize, stride: usize) -> OpDescriptor {
+        let op = StageOp::BaseSolve {
+            chains: m * stride,
+            chain_len: n / stride,
+            stride,
+            thomas_chains: 32,
+            variant: BaseVariant::Strided,
+        };
+        op.describe(m, n)
+    }
 
     fn smem(site: &'static str, is_write: bool, map: AffineMap) -> SmemAccess {
         SmemAccess {
@@ -283,23 +293,22 @@ mod tests {
 
     #[test]
     fn base_kernel_proves_clean() {
-        let s = base_access_summary(4, 2048, 256, 8, 32, BaseVariant::Strided);
-        let cfg = base_config(32, 256, 8, 32, BaseVariant::Strided, 8);
-        let proof = prove_kernel(&s, &cfg, 8);
+        let d = base(4, 2048, 8);
+        let proof = prove_kernel(&d.access_summary(), &d.config(8), 8);
         assert!(proof.proven(), "{:?}", proof.failures().collect::<Vec<_>>());
     }
 
     #[test]
     fn planted_oob_is_refuted() {
-        let mut s = base_access_summary(4, 2048, 256, 8, 32, BaseVariant::Strided);
+        let d = base(4, 2048, 8);
+        let mut s = d.access_summary();
         // Stretch the store map one block past the buffer end.
         for g in &mut s.global {
             if g.is_write {
                 g.map.offset += 1;
             }
         }
-        let cfg = base_config(32, 256, 8, 32, BaseVariant::Strided, 8);
-        let proof = prove_kernel(&s, &cfg, 8);
+        let proof = prove_kernel(&s, &d.config(8), 8);
         assert!(proof.failures().any(|o| o.name == "oob-global:base::store"));
     }
 
@@ -349,10 +358,10 @@ mod tests {
 
     #[test]
     fn smem_overflow_is_refuted() {
-        let mut s = base_access_summary(1, 256, 256, 1, 32, BaseVariant::Strided);
+        let d = base(1, 256, 1);
+        let mut s = d.access_summary();
         s.smem_elems = 2 * 256; // pretend only half the arrays were declared
-        let cfg = base_config(1, 256, 1, 32, BaseVariant::Strided, 8);
-        let proof = prove_kernel(&s, &cfg, 8);
+        let proof = prove_kernel(&s, &d.config(8), 8);
         assert!(proof.failures().any(|o| o.name.starts_with("oob-smem:")));
     }
 

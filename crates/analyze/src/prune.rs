@@ -20,8 +20,7 @@
 //! is counted and reported instead of silently never tried.
 
 use serde::Serialize;
-use trisolve_core::kernels::base_config;
-use trisolve_core::BaseVariant;
+use trisolve_core::{BaseVariant, StageOp};
 use trisolve_gpu_sim::{validate_launch, QueryableProps};
 
 /// Theoretical ceiling of the `onchip_size` search: one power of two
@@ -59,15 +58,15 @@ pub fn prune_onchip_axis(q: &QueryableProps, elem_bytes: usize, ceiling: usize) 
     let mut proofs_failed = 0usize;
     let mut v = 1usize;
     while v <= ceiling {
-        let thomas = v.min(32);
-        let cfg = base_config(
-            q.num_processors.max(1),
-            v,
-            1,
-            thomas,
-            BaseVariant::Strided,
-            elem_bytes,
-        );
+        let chains = q.num_processors.max(1);
+        let base = StageOp::BaseSolve {
+            chains,
+            chain_len: v,
+            stride: 1,
+            thomas_chains: v.min(32),
+            variant: BaseVariant::Strided,
+        };
+        let cfg = base.describe(chains, v).config(elem_bytes);
         let report = validate_launch(q, &cfg);
         if report.has_errors() {
             pruned.push(v);

@@ -1,7 +1,7 @@
 //! Whole-plan analysis reports and the tuner-facing rejection predicate.
 
 use serde::Serialize;
-use trisolve_core::{BaseVariant, SolvePlan, SolverParams, StageOp};
+use trisolve_core::{BaseVariant, CoreError, SolvePlan, SolverParams, StageOp};
 use trisolve_gpu_sim::QueryableProps;
 use trisolve_tridiag::workloads::WorkloadShape;
 
@@ -127,12 +127,11 @@ pub fn analyze_plan(plan: &SolvePlan, q: &QueryableProps, elem_bytes: usize) -> 
         .collect();
     let lints = lint_plan(plan);
 
-    let summaries = plan.access_summaries();
-    let configs = plan.launch_configs(elem_bytes);
+    let summaries: Vec<_> = plan.descriptors().map(|d| d.access_summary()).collect();
     let proofs: Vec<KernelProof> = summaries
         .iter()
-        .zip(&configs)
-        .map(|(s, cfg)| prove_kernel(s, cfg, elem_bytes))
+        .zip(plan.descriptors())
+        .map(|(s, d)| prove_kernel(s, &d.config(elem_bytes), elem_bytes))
         .collect();
     let banks: Vec<BankSummary> = summaries
         .iter()
@@ -180,32 +179,29 @@ pub fn analyze_params(
 /// execution engine's `SolveSession::plan_for` would refuse this
 /// candidate without running a single kernel.
 ///
-/// This mirrors `plan_for` *exactly* — plan construction
-/// ([`SolvePlan::build`]) failing, or the built plan carrying a fatal
-/// launch-validation diagnostic (`CoreError::PlanRejected`) — and
-/// nothing else, so pruning on it cannot change which candidates the
-/// tuner's cost function prices finitely, only *when* the `+inf` is
-/// known. That is the bit-identical-output guarantee the auto-tuner's
-/// pruning hook relies on.
+/// Both ask the one admission function, [`SolvePlan::admit`]: plan
+/// construction failing, or the built plan carrying a fatal
+/// launch-validation diagnostic (`CoreError::PlanRejected`). Pruning on
+/// it therefore cannot change which candidates the tuner's cost function
+/// prices finitely, only *when* the `+inf` is known — the
+/// bit-identical-output guarantee the auto-tuner's pruning hook relies on.
 pub fn statically_rejected(
     shape: WorkloadShape,
     params: &SolverParams,
     q: &QueryableProps,
     elem_bytes: usize,
 ) -> Option<String> {
-    let plan = match SolvePlan::build(shape, params, q, elem_bytes) {
-        Ok(plan) => plan,
-        Err(e) => return Some(format!("plan construction rejected: {e}")),
-    };
-    let report = plan.validate(q, elem_bytes);
-    if report.has_errors() {
-        let sites: Vec<String> = report
-            .errors()
-            .map(trisolve_gpu_sim::Diagnostic::site)
-            .collect();
-        return Some(format!("launch validation rejected: {}", sites.join(", ")));
+    match SolvePlan::admit(shape, params, q, elem_bytes) {
+        Ok(_) => None,
+        Err(CoreError::PlanRejected { report }) => {
+            let sites: Vec<String> = report
+                .errors()
+                .map(trisolve_gpu_sim::Diagnostic::site)
+                .collect();
+            Some(format!("launch validation rejected: {}", sites.join(", ")))
+        }
+        Err(e) => Some(format!("plan construction rejected: {e}")),
     }
-    None
 }
 
 #[cfg(test)]
@@ -280,23 +276,6 @@ mod tests {
             SolvePlan::build(shape, &too_big, q, 4).is_err(),
             "predicate fired but the builder accepts"
         );
-        // The exact iff: over a parameter sweep, rejection fires
-        // precisely when build-or-validate fails.
-        for onchip in [64usize, 128, 256, 512, 1024, 2048] {
-            for thomas in [16usize, 32, 64] {
-                let p = SolverParams {
-                    onchip_size: onchip,
-                    thomas_switch: thomas,
-                    ..params()
-                };
-                let rejected = statically_rejected(shape, &p, q, 4).is_some();
-                let engine_refuses = match SolvePlan::build(shape, &p, q, 4) {
-                    Err(_) => true,
-                    Ok(plan) => plan.validate(q, 4).has_errors(),
-                };
-                assert_eq!(rejected, engine_refuses, "onchip={onchip} thomas={thomas}");
-            }
-        }
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! admission time — one implementation, zero drift between what the prover
 //! certifies and what the executor refuses. This module is the *analysis
 //! surface* over it: a renderable [`ScheduleReport`] per `(device, plan,
-//! workload)` point, the [`schedule_rejected`] mirror of the executor's
-//! admission decision (the `statically_rejected` pattern, PR 5 style), and
-//! the planted-defect fixtures the `trisolve analyze --schedule` sweep must
-//! refute:
+//! workload)` point, [`schedule_rejected`] — the executor's admission
+//! decision, made by the same core function — and the planted-defect
+//! fixtures the `trisolve analyze --schedule` sweep must refute:
 //!
 //! | fixture           | mutation of the certified lowering       | refuted obligation        |
 //! |-------------------|------------------------------------------|---------------------------|
@@ -24,7 +23,9 @@
 
 use serde::Serialize;
 use trisolve_core::schedule::{lower_schedule, NodeAction};
-use trisolve_core::{Schedule, ScheduleViolation, SolvePlan, SCHEDULE_OBLIGATIONS};
+use trisolve_core::{
+    pipelined_schedule, Schedule, ScheduleViolation, SolvePlan, SCHEDULE_OBLIGATIONS,
+};
 
 /// Certification verdict for one schedule.
 #[derive(Debug, Clone, Serialize)]
@@ -105,14 +106,13 @@ pub fn certify_schedule(label: impl Into<String>, schedule: &Schedule) -> Schedu
     }
 }
 
-/// Exactly the admission predicate of `SolveSession::solve_pipelined`:
-/// lower `plan` for `batches` batches on two streams and ask whether the
-/// certifier refutes it. `true` here ⇔ the executor returns
-/// `CoreError::ScheduleRejected` for the same inputs — the
-/// `statically_rejected`/`plan_for` mirror contract, tested both ways.
+/// The admission decision of `SolveSession::solve_pipelined`: both call
+/// [`pipelined_schedule`], which lowers `plan` for `batches` batches on two
+/// streams and certifies it. `true` here ⇔ the executor returns
+/// `CoreError::ScheduleRejected` for the same inputs.
 #[must_use]
 pub fn schedule_rejected(plan: &SolvePlan, batches: usize) -> bool {
-    !lower_schedule(plan, batches, 2).check().is_empty()
+    pipelined_schedule(plan, batches).is_err()
 }
 
 /// One planted-defect schedule for the `--schedule` sweep.
@@ -236,42 +236,6 @@ mod tests {
         assert!(text.contains("CERTIFIED"));
         for ob in SCHEDULE_OBLIGATIONS {
             assert!(text.contains(ob), "render must list `{ob}`");
-        }
-    }
-
-    #[test]
-    fn rejection_mirror_matches_the_executor_both_ways() {
-        // `schedule_rejected` ⟺ `solve_scheduled` errors, for the
-        // certified lowering and for every planted fixture.
-        let shape = WorkloadShape::new(8, 2048);
-        let params = SolverParams::default_untuned();
-        let batches: Vec<_> = (0..2)
-            .map(|s| random_dominant::<f32>(shape, 3 + s).unwrap())
-            .collect();
-        let mut gpu: Gpu<f32> = Gpu::new(DeviceSpec::gtx_470());
-        let mut session = SolveSession::new(&mut gpu, shape).unwrap();
-        let plan = session.plan_for(&params).unwrap().clone();
-
-        let good = lower_schedule(&plan, 2, 2);
-        assert!(
-            session
-                .solve_scheduled(&mut gpu, &batches, &params, good)
-                .is_ok(),
-            "certified schedule must be admitted"
-        );
-        assert!(!schedule_rejected(&plan, 2));
-
-        for fixture in schedule_fixtures(&plan) {
-            let statically_refuted = !fixture.schedule.check().is_empty();
-            let admitted = session
-                .solve_scheduled(&mut gpu, &batches, &params, fixture.schedule)
-                .is_ok();
-            assert!(statically_refuted, "{}", fixture.name);
-            assert!(
-                !admitted,
-                "{}: executor admitted a schedule the certifier refutes",
-                fixture.name
-            );
         }
     }
 

@@ -30,7 +30,7 @@
 //! must refute.
 
 use serde::Serialize;
-use trisolve_core::kernels::recurrence::RecurrenceSummary;
+use trisolve_core::kernels::RecurrenceKind;
 use trisolve_core::SolvePlan;
 use trisolve_tridiag::workloads::WorkloadClass;
 
@@ -86,12 +86,12 @@ pub fn error_growth(delta: f64) -> f64 {
 /// The dominance ratio entering each launch of a plan, starting from the
 /// class's worst-case ratio and stepping [`pcr_dominance_transfer`] through
 /// every PCR step. Element `i` is the ratio *entering* launch `i`.
-pub fn stage_entry_ratios(summaries: &[RecurrenceSummary], delta0: f64) -> Vec<f64> {
-    let mut ratios = Vec::with_capacity(summaries.len());
+pub fn stage_entry_ratios(recurrences: &[RecurrenceKind], delta0: f64) -> Vec<f64> {
+    let mut ratios = Vec::with_capacity(recurrences.len());
     let mut delta = delta0;
-    for s in summaries {
+    for r in recurrences {
         ratios.push(delta);
-        for _ in 0..s.kind.pcr_steps() {
+        for _ in 0..r.pcr_steps() {
             delta = pcr_dominance_transfer(delta);
         }
     }
@@ -145,17 +145,18 @@ impl StabilityCertificate {
 
 /// Certify a plan's numerics for a workload class at a given precision.
 ///
-/// Walks [`SolvePlan::recurrence_summaries`] — the same 1:1 op mirror the
-/// launch configs and access summaries use, so the certificate describes
-/// exactly the recurrences the plan executes.
+/// Walks the recurrence of each op's descriptor
+/// ([`SolvePlan::descriptors`]) — the same descriptor the launch configs
+/// and access summaries come from, so the certificate describes exactly
+/// the recurrences the plan executes.
 pub fn certify_plan(
     plan: &SolvePlan,
     class: WorkloadClass,
     elem_bytes: usize,
 ) -> StabilityCertificate {
-    let summaries = plan.recurrence_summaries();
+    let recurrences: Vec<_> = plan.descriptors().map(|d| d.recurrence()).collect();
     let delta0 = class.dominance_ratio();
-    let ratios = stage_entry_ratios(&summaries, delta0);
+    let ratios = stage_entry_ratios(&recurrences, delta0);
     let u = unit_roundoff(elem_bytes);
 
     // (a) Dominance preservation.
@@ -185,8 +186,8 @@ pub fn certify_plan(
     // (b) Pivot-freedom: every Thomas phase entered at ratio < 1 has
     // pivots |b^| >= |b|(1 - d) > 0.
     let mut worst_pivot_ratio: Option<f64> = None;
-    for (s, &r) in summaries.iter().zip(&ratios) {
-        if s.kind.thomas_len() > 0 {
+    for (rec, &r) in recurrences.iter().zip(&ratios) {
+        if rec.thomas_len() > 0 {
             worst_pivot_ratio = Some(worst_pivot_ratio.map_or(r, |w: f64| w.max(r)));
         }
     }
@@ -218,10 +219,10 @@ pub fn certify_plan(
     // (c) A-priori forward error bound: per-launch rounding ops weighted by
     // the growth factor at stage entry (conservative: the ratio only
     // shrinks inside a launch).
-    let weighted_ops: f64 = summaries
+    let weighted_ops: f64 = recurrences
         .iter()
         .zip(&ratios)
-        .map(|(s, &r)| s.kind.rounding_ops() as f64 * error_growth(r))
+        .map(|(rec, &r)| rec.rounding_ops() as f64 * error_growth(r))
         .sum();
     let bound_ulps = C_SAFETY * weighted_ops;
     let bound_rel = bound_ulps * u;
@@ -412,9 +413,9 @@ mod tests {
     #[test]
     fn entry_ratios_are_monotone_nonincreasing() {
         let p = plan(1, 1 << 21, BaseVariant::Strided);
-        let sums = p.recurrence_summaries();
-        let ratios = stage_entry_ratios(&sums, 2.0 / 3.0);
-        assert_eq!(ratios.len(), sums.len());
+        let recs: Vec<_> = p.descriptors().map(|d| d.recurrence()).collect();
+        let ratios = stage_entry_ratios(&recs, 2.0 / 3.0);
+        assert_eq!(ratios.len(), recs.len());
         for w in ratios.windows(2) {
             assert!(w[1] <= w[0] + 1e-15, "{ratios:?}");
         }

@@ -86,9 +86,7 @@ impl Dispatcher {
         // the device would reject must never be routed to the GPU, whatever
         // the measurement said.
         let device = gpu.spec().queryable();
-        let plan_ok = SolvePlan::build(shape, &params, device, elem_bytes::<T>())
-            .is_ok_and(|plan| !plan.validate(device, elem_bytes::<T>()).has_errors());
-        if !plan_ok {
+        if SolvePlan::admit(shape, &params, device, elem_bytes::<T>()).is_err() {
             gpu_ms = f64::INFINITY;
         }
         let (cpu_s, _) = self

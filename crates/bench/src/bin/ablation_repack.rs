@@ -10,8 +10,8 @@
 //! `cargo run --release -p trisolve-bench --bin ablation_repack`
 
 use trisolve_bench::report;
-use trisolve_core::kernels::{base_solve, repack_chains, unpack_solution, CoeffBuffers};
-use trisolve_core::BaseVariant;
+use trisolve_core::kernels::{repack_chains, unpack_solution, CoeffBuffers};
+use trisolve_core::{BaseVariant, StageOp};
 use trisolve_gpu_sim::{DeviceSpec, Gpu};
 use trisolve_tridiag::workloads::{random_dominant, WorkloadShape};
 
@@ -44,12 +44,25 @@ fn main() {
         let total = m * n;
         let batch = random_dominant::<f32>(WorkloadShape::new(m, n), 7).unwrap();
 
+        // The base kernel over `systems` systems split into `stride`
+        // chains of `chain_len`, Thomas switch 128.
+        let base = |systems: usize, stride: usize, variant| StageOp::BaseSolve {
+            chains: systems * stride,
+            chain_len,
+            stride,
+            thomas_chains: 128,
+            variant,
+        };
+
         // Variant A: strided gather.
         let run_variant = |variant: BaseVariant| {
             let mut gpu: Gpu<f32> = Gpu::new(device.clone());
             let src = coeffs(&mut gpu, total, &batch);
             let x = gpu.alloc(total).unwrap();
-            base_solve(&mut gpu, src, x, m, n, chain_len, stride, 128, variant).unwrap();
+            base(m, stride, variant)
+                .describe(m, n)
+                .launch(&mut gpu, &src, &[x])
+                .unwrap();
             gpu.elapsed_s() * 1e3
         };
         let t_strided = run_variant(BaseVariant::Strided);
@@ -68,18 +81,10 @@ fn main() {
             let xp = gpu.alloc(total).unwrap();
             let xo = gpu.alloc(total).unwrap();
             repack_chains(&mut gpu, src, packed, m, n, stride).unwrap();
-            base_solve(
-                &mut gpu,
-                packed,
-                xp,
-                m * stride,
-                chain_len,
-                chain_len,
-                1,
-                128,
-                BaseVariant::Strided,
-            )
-            .unwrap();
+            base(m * stride, 1, BaseVariant::Strided)
+                .describe(m * stride, chain_len)
+                .launch(&mut gpu, &packed, &[xp])
+                .unwrap();
             unpack_solution(&mut gpu, xp, xo, m, n, stride).unwrap();
             gpu.elapsed_s() * 1e3
         };

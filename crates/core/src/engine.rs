@@ -21,14 +21,10 @@
 //!   the launch-by-launch [`KernelStats`], replacing ad-hoc accounting in
 //!   the reporting binaries.
 
-use crate::kernels::base::base_run;
-use crate::kernels::interleaved::{deinterleave_run, interleave_run, ithomas_run};
-use crate::kernels::stage1::stage1_run;
-use crate::kernels::stage2::stage2_run;
-use crate::kernels::{elem_bytes, CoeffBuffers, GpuScalar};
+use crate::kernels::{elem_bytes, BufferRole, CoeffBuffers, GpuScalar};
 use crate::params::SolverParams;
-use crate::plan::{SolvePlan, StageOp};
-use crate::schedule::{lower_schedule, op_access, BufKey, NodeAction, Schedule, ScheduleNode};
+use crate::plan::SolvePlan;
+use crate::schedule::{pipelined_schedule, resolve, BufKey, NodeAction, Schedule, ScheduleNode};
 use crate::solver::SolveOutcome;
 use crate::{CoreError, Result};
 use serde::Serialize;
@@ -81,45 +77,27 @@ pub struct StageTimeline {
     pub stages: Vec<StageTimelineEntry>,
 }
 
+/// One launch's contribution to a [`StageTimeline`], read from either its
+/// [`KernelStats`] or its trace span.
+struct LaunchSample<'a> {
+    family: &'a str,
+    exec_s: f64,
+    overhead_s: f64,
+    payload_bytes: f64,
+    warps_per_sm: f64,
+}
+
 impl StageTimeline {
     /// Aggregate a launch sequence by kernel family (label prefix before
     /// the first `[`), preserving first-launch order.
     pub fn from_stats(stats: &[KernelStats]) -> Self {
-        let mut stages: Vec<StageTimelineEntry> = Vec::new();
-        let mut index: HashMap<String, usize> = HashMap::new();
-        let mut total_ms = 0.0;
-        for s in stats {
-            let family = s.label.split('[').next().unwrap_or(&s.label).to_string();
-            let i = *index.entry(family.clone()).or_insert_with(|| {
-                stages.push(StageTimelineEntry {
-                    stage: family,
-                    launches: 0,
-                    sim_time_ms: 0.0,
-                    exec_time_ms: 0.0,
-                    overhead_ms: 0.0,
-                    gmem_payload_mib: 0.0,
-                    mean_warps_per_sm: 0.0,
-                });
-                stages.len() - 1
-            });
-            let e = &mut stages[i];
-            e.launches += 1;
-            e.sim_time_ms += s.total_time_ms();
-            e.exec_time_ms += s.exec_time_s * 1e3;
-            e.overhead_ms += s.overhead_s * 1e3;
-            e.gmem_payload_mib += s.totals.gmem_payload_bytes() / (1024.0 * 1024.0);
-            // Accumulate; averaged below.
-            e.mean_warps_per_sm += s.residency.warps_per_sm as f64;
-            total_ms += s.total_time_ms();
-        }
-        for e in &mut stages {
-            e.mean_warps_per_sm /= e.launches as f64;
-        }
-        Self {
-            total_ms,
-            launches: stats.len(),
-            stages,
-        }
+        Self::accumulate(stats.iter().map(|s| LaunchSample {
+            family: s.label.split('[').next().unwrap_or(&s.label),
+            exec_s: s.exec_time_s,
+            overhead_s: s.overhead_s,
+            payload_bytes: s.totals.gmem_payload_bytes(),
+            warps_per_sm: s.residency.warps_per_sm as f64,
+        }))
     }
 
     /// The timeline of a completed solve.
@@ -135,19 +113,30 @@ impl StageTimeline {
     /// sequence the two constructors agree entry-for-entry, bit-for-bit —
     /// asserted by this crate's regression tests.
     pub fn from_trace(events: &[TraceEvent]) -> Self {
+        Self::accumulate(
+            events
+                .iter()
+                .filter(|ev| ev.cat == "gpu" && ev.phase == Phase::Span)
+                .map(|ev| LaunchSample {
+                    family: ev.family(),
+                    exec_s: ev.arg_f64("exec_s").unwrap_or(0.0),
+                    overhead_s: ev.arg_f64("overhead_s").unwrap_or(0.0),
+                    payload_bytes: ev.arg_f64("gmem_payload_bytes").unwrap_or(0.0),
+                    warps_per_sm: ev.arg_f64("warps_per_sm").unwrap_or(0.0),
+                }),
+        )
+    }
+
+    /// The one fold behind both constructors: sum each launch into its
+    /// family's entry (created on first launch), then average occupancy.
+    fn accumulate<'a>(launches: impl Iterator<Item = LaunchSample<'a>>) -> Self {
         let mut stages: Vec<StageTimelineEntry> = Vec::new();
-        let mut index: HashMap<String, usize> = HashMap::new();
-        let mut total_ms = 0.0;
-        let mut launches = 0;
-        for ev in events {
-            if ev.cat != "gpu" || ev.phase != Phase::Span {
-                continue;
-            }
-            launches += 1;
-            let family = ev.family().to_string();
-            let i = *index.entry(family.clone()).or_insert_with(|| {
+        let mut index: HashMap<&str, usize> = HashMap::new();
+        let (mut total_ms, mut count) = (0.0, 0);
+        for l in launches {
+            let i = *index.entry(l.family).or_insert_with(|| {
                 stages.push(StageTimelineEntry {
-                    stage: family,
+                    stage: l.family.to_string(),
                     launches: 0,
                     sim_time_ms: 0.0,
                     exec_time_ms: 0.0,
@@ -157,25 +146,24 @@ impl StageTimeline {
                 });
                 stages.len() - 1
             });
-            let exec_s = ev.arg_f64("exec_s").unwrap_or(0.0);
-            let overhead_s = ev.arg_f64("overhead_s").unwrap_or(0.0);
-            let sim_ms = (exec_s + overhead_s) * 1e3;
+            let sim_ms = (l.exec_s + l.overhead_s) * 1e3;
             let e = &mut stages[i];
             e.launches += 1;
             e.sim_time_ms += sim_ms;
-            e.exec_time_ms += exec_s * 1e3;
-            e.overhead_ms += overhead_s * 1e3;
-            e.gmem_payload_mib +=
-                ev.arg_f64("gmem_payload_bytes").unwrap_or(0.0) / (1024.0 * 1024.0);
-            e.mean_warps_per_sm += ev.arg_f64("warps_per_sm").unwrap_or(0.0);
+            e.exec_time_ms += l.exec_s * 1e3;
+            e.overhead_ms += l.overhead_s * 1e3;
+            e.gmem_payload_mib += l.payload_bytes / (1024.0 * 1024.0);
+            // Accumulate; averaged below.
+            e.mean_warps_per_sm += l.warps_per_sm;
             total_ms += sim_ms;
+            count += 1;
         }
         for e in &mut stages {
             e.mean_warps_per_sm /= e.launches as f64;
         }
         Self {
             total_ms,
-            launches,
+            launches: count,
             stages,
         }
     }
@@ -252,6 +240,10 @@ pub struct SolveSession<T: GpuScalar> {
 /// named), the workload shape, the element width and the parameter point.
 type SharedPlanKey = (String, WorkloadShape, usize, SolverParams);
 
+/// A published [`SolvePlan::admit`] outcome: the accepted plan and its
+/// report, or [`CoreError::PlanRejected`].
+type Admission = Result<(SolvePlan, ValidationReport)>;
+
 /// Cross-session, clone-to-share store of built (and statically
 /// validated) [`SolvePlan`]s — what makes [`SolveSession`] multi-tenant.
 ///
@@ -276,7 +268,7 @@ pub struct SharedPlanCache {
 
 #[derive(Debug, Default)]
 struct SharedPlanState {
-    plans: HashMap<SharedPlanKey, (SolvePlan, ValidationReport)>,
+    plans: HashMap<SharedPlanKey, Admission>,
     hits: u64,
     misses: u64,
 }
@@ -316,7 +308,7 @@ impl SharedPlanCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn get(&self, key: &SharedPlanKey) -> Option<(SolvePlan, ValidationReport)> {
+    fn get(&self, key: &SharedPlanKey) -> Option<Admission> {
         let mut s = self.lock();
         let found = s.plans.get(key).cloned();
         if found.is_some() {
@@ -327,8 +319,8 @@ impl SharedPlanCache {
         found
     }
 
-    fn publish(&self, key: SharedPlanKey, plan: SolvePlan, report: ValidationReport) {
-        self.lock().plans.entry(key).or_insert((plan, report));
+    fn publish(&self, key: SharedPlanKey, admission: Admission) {
+        self.lock().plans.entry(key).or_insert(admission);
     }
 }
 
@@ -342,16 +334,8 @@ impl<T: GpuScalar> SolveSession<T> {
         }
         let padded_size = shape.system_size.next_power_of_two();
         let total = shape.num_systems * padded_size;
-        let alloc4 = |gpu: &mut Gpu<T>| -> Result<[DeviceBuffer; 4]> {
-            Ok([
-                gpu.alloc_guarded(total)?,
-                gpu.alloc_guarded(total)?,
-                gpu.alloc_guarded(total)?,
-                gpu.alloc_guarded(total)?,
-            ])
-        };
-        let src = alloc4(gpu)?;
-        let dst = alloc4(gpu)?;
+        let src = alloc4(gpu, total)?;
+        let dst = alloc4(gpu, total)?;
         let x = gpu.alloc_guarded(total)?;
         if gpu.tracer().is_enabled() {
             gpu.tracer().instant_now(
@@ -430,31 +414,40 @@ impl<T: GpuScalar> SolveSession<T> {
                         *params,
                     )
                 });
-                // A shared hit replays another tenant's build verbatim —
-                // plan and validation report are pure functions of the
-                // key, so this is bit-identical to building locally.
+                // A shared hit replays another tenant's admission verbatim —
+                // it is a pure function of the key, so this is bit-identical
+                // to admitting locally.
                 let published = shared_key
                     .as_ref()
                     .and_then(|key| self.shared.as_ref().and_then(|c| c.get(key)));
-                let (plan, report) = match published {
+                let admitted = match published {
                     Some(hit) => hit,
                     None => {
-                        let plan =
-                            SolvePlan::build(self.shape, params, &self.device, elem_bytes::<T>())?;
-                        let report = plan.validate(&self.device, elem_bytes::<T>());
-                        if let (Some(key), Some(cache)) = (shared_key, self.shared.as_ref()) {
-                            cache.publish(key, plan.clone(), report.clone());
+                        let admitted =
+                            SolvePlan::admit(self.shape, params, &self.device, elem_bytes::<T>());
+                        // Accepted and rejected plans are published;
+                        // build errors are not.
+                        let built = matches!(admitted, Ok(_) | Err(CoreError::PlanRejected { .. }));
+                        if let (Some(key), Some(cache)) = (shared_key, &self.shared) {
+                            if built {
+                                cache.publish(key, admitted.clone());
+                            }
                         }
-                        (plan, report)
+                        admitted
                     }
                 };
-                let rejected = report.has_errors();
-                let report_for_err = rejected.then(|| report.clone());
-                self.validation.insert(*params, report);
-                if let Some(report) = report_for_err {
-                    return Err(CoreError::PlanRejected { report });
+                match admitted {
+                    Ok((plan, report)) => {
+                        self.validation.insert(*params, report);
+                        Ok(v.insert(plan))
+                    }
+                    Err(e) => {
+                        if let CoreError::PlanRejected { report } = &e {
+                            self.validation.insert(*params, report.clone());
+                        }
+                        Err(e)
+                    }
                 }
-                Ok(v.insert(plan))
             }
         }
     }
@@ -483,20 +476,15 @@ impl<T: GpuScalar> SolveSession<T> {
         Ok(())
     }
 
-    /// Upload the batch's four coefficient arrays into the session's source
-    /// buffers, padding each system to the power-of-two size with decoupled
-    /// identity rows (b = 1, everything else 0): they solve to zero and PCR
-    /// leaves them decoupled, so the original solutions are unaffected.
+    /// Upload the batch's four coefficient arrays into `targets`, padding
+    /// each system to the power-of-two size with decoupled identity rows
+    /// (b = 1, everything else 0): they solve to zero and PCR leaves them
+    /// decoupled, so the original solutions are unaffected. The pipelined
+    /// path double-buffers coefficient sets, so odd batches land in
+    /// session-external buffers.
     ///
     /// When no padding is needed the upload borrows straight from the batch
     /// — no host-side copy at all.
-    fn upload_coefficients(&mut self, gpu: &mut Gpu<T>, batch: &SystemBatch<T>) -> Result<()> {
-        self.upload_batch(gpu, batch, ids(&self.src))
-    }
-
-    /// [`SolveSession::upload_coefficients`] generalised to an arbitrary
-    /// destination bundle — the pipelined path double-buffers coefficient
-    /// sets, so odd batches land in session-external buffers.
     fn upload_batch(
         &mut self,
         gpu: &mut Gpu<T>,
@@ -542,33 +530,37 @@ impl<T: GpuScalar> SolveSession<T> {
         plan: &SolvePlan,
         priced: bool,
     ) -> Result<(f64, Vec<KernelStats>)> {
-        let mut bufs = OpBuffers {
-            cur: ids(&self.src),
-            alt: ids(&self.dst),
+        let sets = BufferSets {
+            src: &[ids(&self.src)],
+            dst: &[ids(&self.dst)],
             x: self.x.id(),
         };
+        let mut cur_is_src = true;
 
         let tracer = gpu.tracer().clone();
         let launches_before = gpu.timeline().len();
-        for op in &plan.ops {
+        for d in plan.descriptors() {
             let stage_begin_s = gpu.elapsed_s();
             let stage_launches = gpu.timeline().len();
-            let io = (!priced).then_some(bufs);
-            run_op(gpu, op, self.shape.num_systems, self.padded_size, io)?;
-            if op_access(op).2 {
-                std::mem::swap(&mut bufs.cur, &mut bufs.alt);
+            if priced {
+                d.price(gpu)?;
+            } else {
+                let bufs = |roles: &[BufferRole]| {
+                    sets.ids(roles.iter().map(|&r| resolve(r, 0, cur_is_src)))
+                };
+                d.launch(gpu, &bufs(d.roles.reads), &bufs(d.roles.writes))?;
             }
+            cur_is_src ^= d.roles.swap;
             if tracer.is_enabled() {
-                let stage = op.stage_name();
                 tracer.span(
                     "engine",
-                    stage,
+                    d.stage,
                     stage_begin_s * 1e6,
                     (gpu.elapsed_s() - stage_begin_s) * 1e6,
                     vec![arg("launches", gpu.timeline().len() - stage_launches)],
                 );
                 tracer.observe(
-                    &format!("stage_ms/{stage}"),
+                    &format!("stage_ms/{}", d.stage),
                     (gpu.elapsed_s() - stage_begin_s) * 1e3,
                 );
             }
@@ -592,23 +584,12 @@ impl<T: GpuScalar> SolveSession<T> {
         batch: &SystemBatch<T>,
         params: &SolverParams,
     ) -> Result<SolveOutcome<T>> {
-        self.check_batch(batch)?;
-        let plan = self.plan_for(params)?.clone();
-        let solve_begin_s = gpu.elapsed_s();
-        self.upload_coefficients(gpu, batch)?;
-        let (sim_time_s, kernel_stats) = self.execute(gpu, &plan, false)?;
-        self.trace_solve_span(gpu, "solve", params, solve_begin_s, kernel_stats.len());
-
-        let m = self.shape.num_systems;
-        let n = self.shape.system_size;
-        let np = self.padded_size;
-        let x_padded = gpu.download(self.x.id())?;
-        let mut x_out = Vec::with_capacity(m * n);
-        for s in 0..m {
-            x_out.extend_from_slice(&x_padded[s * np..s * np + n]);
-        }
+        let (plan, sim_time_s, kernel_stats) =
+            self.upload_and_execute(gpu, batch, params, "solve")?;
+        let mut x = Vec::new();
+        self.unpad_into(&gpu.download(self.x.id())?, &mut x);
         Ok(SolveOutcome {
-            x: x_out,
+            x,
             sim_time_s,
             kernel_stats,
             plan,
@@ -625,13 +606,36 @@ impl<T: GpuScalar> SolveSession<T> {
         batch: &SystemBatch<T>,
         params: &SolverParams,
     ) -> Result<f64> {
-        self.check_batch(batch)?;
-        let plan = self.plan_for(params)?.clone();
-        let solve_begin_s = gpu.elapsed_s();
-        self.upload_coefficients(gpu, batch)?;
+        Ok(self.upload_and_execute(gpu, batch, params, "measure")?.1)
+    }
+
+    /// The body [`SolveSession::solve`] and [`SolveSession::measure`]
+    /// share: admit `params`, upload `batch`, run the plan, and emit the
+    /// outer `span`.
+    fn upload_and_execute(
+        &mut self,
+        gpu: &mut Gpu<T>,
+        batch: &SystemBatch<T>,
+        params: &SolverParams,
+        span: &'static str,
+    ) -> Result<(SolvePlan, f64, Vec<KernelStats>)> {
+        let plan = self.plan_for_batches(std::slice::from_ref(batch), params)?;
+        let begin_s = gpu.elapsed_s();
+        self.upload_batch(gpu, batch, ids(&self.src))?;
         let (sim_time_s, kernel_stats) = self.execute(gpu, &plan, false)?;
-        self.trace_solve_span(gpu, "measure", params, solve_begin_s, kernel_stats.len());
-        Ok(sim_time_s)
+        self.trace_solve_span(gpu, span, params, begin_s, kernel_stats.len());
+        Ok((plan, sim_time_s, kernel_stats))
+    }
+
+    /// The padded solution `x_padded` with each system cut back to its
+    /// original size, into `out`.
+    fn unpad_into(&self, x_padded: &[T], out: &mut Vec<T>) {
+        let (n, np) = (self.shape.system_size, self.padded_size);
+        out.clear();
+        out.reserve(self.shape.num_systems * n);
+        for s in 0..self.shape.num_systems {
+            out.extend_from_slice(&x_padded[s * np..s * np + n]);
+        }
     }
 
     /// Price `params` from the kernels' cost meters without running the
@@ -695,12 +699,11 @@ impl<T: GpuScalar> SolveSession<T> {
     /// set, so batch `k+1`'s upload and interleave-pack overlap batch `k`'s
     /// solve and download on the other stream.
     ///
-    /// The plan is lowered to a [`Schedule`] and the happens-before
-    /// certifier runs first: an uncertified schedule is rejected via
+    /// The schedule comes from [`pipelined_schedule`], which lowers the
+    /// plan and certifies it: an uncertified schedule is rejected via
     /// [`CoreError::ScheduleRejected`] *before any transfer or launch is
-    /// enqueued*, mirroring the [`SolveSession::plan_for`]
-    /// launch-validation contract. Results are bit-identical to calling
-    /// [`SolveSession::solve`] once per batch.
+    /// enqueued*, like [`SolveSession::plan_for`] rejects a plan. Results
+    /// are bit-identical to calling [`SolveSession::solve`] once per batch.
     pub fn solve_pipelined(
         &mut self,
         gpu: &mut Gpu<T>,
@@ -712,12 +715,9 @@ impl<T: GpuScalar> SolveSession<T> {
                 detail: "pipelined solve needs at least one batch".into(),
             });
         }
-        for batch in batches {
-            self.check_batch(batch)?;
-        }
-        let plan = self.plan_for(params)?.clone();
-        let schedule = lower_schedule(&plan, batches.len(), 2);
-        self.solve_scheduled(gpu, batches, params, schedule)
+        let plan = self.plan_for_batches(batches, params)?;
+        let schedule = pipelined_schedule(&plan, batches.len())?;
+        self.execute_schedule(gpu, batches, &plan, schedule)
     }
 
     /// Certify `schedule` with the happens-before checker, then execute it.
@@ -731,15 +731,8 @@ impl<T: GpuScalar> SolveSession<T> {
         params: &SolverParams,
         schedule: Schedule,
     ) -> Result<PipelinedOutcome<T>> {
-        for batch in batches {
-            self.check_batch(batch)?;
-        }
-        let plan = self.plan_for(params)?.clone();
-        let violations = schedule.check();
-        if !violations.is_empty() {
-            return Err(CoreError::ScheduleRejected { violations });
-        }
-        self.execute_schedule(gpu, batches, &plan, schedule)
+        let plan = self.plan_for_batches(batches, params)?;
+        self.execute_schedule(gpu, batches, &plan, schedule.certified()?)
     }
 
     /// Execute `schedule` **without** certifying it first.
@@ -757,11 +750,20 @@ impl<T: GpuScalar> SolveSession<T> {
         params: &SolverParams,
         schedule: Schedule,
     ) -> Result<PipelinedOutcome<T>> {
+        let plan = self.plan_for_batches(batches, params)?;
+        self.execute_schedule(gpu, batches, &plan, schedule)
+    }
+
+    /// Check every batch against the session's shape, then admit `params`.
+    fn plan_for_batches(
+        &mut self,
+        batches: &[SystemBatch<T>],
+        params: &SolverParams,
+    ) -> Result<SolvePlan> {
         for batch in batches {
             self.check_batch(batch)?;
         }
-        let plan = self.plan_for(params)?.clone();
-        self.execute_schedule(gpu, batches, &plan, schedule)
+        Ok(self.plan_for(params)?.clone())
     }
 
     /// Run a schedule's nodes in enqueue order, routing each through its
@@ -779,7 +781,6 @@ impl<T: GpuScalar> SolveSession<T> {
         schedule: Schedule,
     ) -> Result<PipelinedOutcome<T>> {
         let m = self.shape.num_systems;
-        let n = self.shape.system_size;
         let np = self.padded_size;
         let total = m * np;
         // Odd-parity batches double-buffer into their own coefficient set;
@@ -790,39 +791,27 @@ impl<T: GpuScalar> SolveSession<T> {
                 .chain(nd.writes.iter())
                 .any(|k| matches!(k, BufKey::Src { set: 1, .. } | BufKey::Dst { set: 1, .. }))
         });
-        let alloc4 = |gpu: &mut Gpu<T>| -> Result<Vec<DeviceBuffer>> {
-            (0..4)
-                .map(|_| gpu.alloc_guarded(total).map_err(CoreError::from))
-                .collect()
-        };
-        let (src1, dst1) = if needs_set1 {
-            (alloc4(gpu)?, alloc4(gpu)?)
+        let set1 = if needs_set1 {
+            Some((alloc4(gpu, total)?, alloc4(gpu, total)?))
         } else {
-            (Vec::new(), Vec::new())
+            None
         };
-        let src_ids = [
-            ids(&self.src),
-            if needs_set1 {
-                ids(&src1)
-            } else {
-                ids(&self.src)
-            },
-        ];
-        let dst_ids = [
-            ids(&self.dst),
-            if needs_set1 {
-                ids(&dst1)
-            } else {
-                ids(&self.dst)
-            },
-        ];
+        let (src1, dst1) = set1
+            .as_ref()
+            .map_or((&self.src, &self.dst), |(s, d)| (s, d));
+        let src_ids = [ids(&self.src), ids(src1)];
+        let dst_ids = [ids(&self.dst), ids(dst1)];
         let x = self.x.id();
+        let sets = BufferSets {
+            src: &src_ids,
+            dst: &dst_ids,
+            x,
+        };
 
         let begin_s = gpu.elapsed_s();
         let streams = gpu.enable_streams(schedule.streams);
         let events: Vec<_> = (0..schedule.events).map(|_| gpu.create_event()).collect();
         let mark = gpu.stream_op_intervals().len();
-        let mut flip_for = vec![true; batches.len()];
         let mut xs: Vec<Vec<T>> = vec![Vec::new(); batches.len()];
         let mut run_node =
             |session: &mut Self, gpu: &mut Gpu<T>, node: &ScheduleNode| -> Result<()> {
@@ -841,26 +830,17 @@ impl<T: GpuScalar> SolveSession<T> {
                         };
                         session.upload_batch(gpu, &batches[batch], src_ids[set])?;
                     }
-                    NodeAction::Op { batch, op } => {
-                        let set = batch % 2;
-                        let (cur, alt) = if flip_for[batch] {
-                            (src_ids[set], dst_ids[set])
-                        } else {
-                            (dst_ids[set], src_ids[set])
-                        };
-                        run_op(gpu, &op, m, np, Some(OpBuffers { cur, alt, x }))?;
-                        if op_access(&op).2 {
-                            flip_for[batch] = !flip_for[batch];
-                        }
+                    // The certified buffer keys are the launch's buffers.
+                    NodeAction::Op { op, .. } => {
+                        let (reads, writes) = (node.reads.iter(), node.writes.iter());
+                        op.describe(m, np).launch(
+                            gpu,
+                            &sets.ids(reads.copied()),
+                            &sets.ids(writes.copied()),
+                        )?;
                     }
                     NodeAction::D2h { batch } => {
-                        let x_padded = gpu.download(x)?;
-                        let out = &mut xs[batch];
-                        out.clear();
-                        out.reserve(m * n);
-                        for s in 0..m {
-                            out.extend_from_slice(&x_padded[s * np..s * np + n]);
-                        }
+                        session.unpad_into(&gpu.download(x)?, &mut xs[batch]);
                     }
                 }
                 gpu.set_stream(None);
@@ -919,65 +899,37 @@ impl<T: GpuScalar> SolveSession<T> {
 }
 
 /// The handles of four guarded coefficient buffers, as one bundle.
-fn ids(bufs: &[DeviceBuffer]) -> CoeffBuffers {
-    [bufs[0].id(), bufs[1].id(), bufs[2].id(), bufs[3].id()]
+fn ids(bufs: &[DeviceBuffer; 4]) -> CoeffBuffers {
+    bufs.each_ref().map(DeviceBuffer::id)
 }
 
-/// The device buffers one plan op runs on, in the roles of
-/// [`op_access`]: the current coefficient bundle, the alternate
-/// (double-buffer) bundle, and the solution vector.
-#[derive(Debug, Clone, Copy)]
-struct OpBuffers {
-    cur: CoeffBuffers,
-    alt: CoeffBuffers,
+/// Four guarded device buffers of `len` elements.
+fn alloc4<T: GpuScalar>(gpu: &mut Gpu<T>, len: usize) -> Result<[DeviceBuffer; 4]> {
+    Ok([
+        gpu.alloc_guarded(len)?,
+        gpu.alloc_guarded(len)?,
+        gpu.alloc_guarded(len)?,
+        gpu.alloc_guarded(len)?,
+    ])
+}
+
+/// The device buffers behind schedule [`BufKey`]s: each buffer set's
+/// source and destination coefficient bundles, and the solution vector.
+struct BufferSets<'a> {
+    src: &'a [CoeffBuffers],
+    dst: &'a [CoeffBuffers],
     x: BufferId,
 }
 
-/// Launch the kernel family of one plan op over `m` systems of padded
-/// size `np` on `bufs`, or price it from its meters alone when `bufs` is
-/// `None`. The one op dispatch behind the synchronous, pipelined and
-/// priced paths.
-fn run_op<T: GpuScalar>(
-    gpu: &mut Gpu<T>,
-    op: &StageOp,
-    m: usize,
-    np: usize,
-    bufs: Option<OpBuffers>,
-) -> Result<()> {
-    let coeffs = bufs.map(|b| (b.cur, b.alt));
-    match *op {
-        StageOp::Stage1Split { stride, .. } => stage1_run(gpu, coeffs, m, np, stride),
-        StageOp::Stage2Split {
-            stride_in, steps, ..
-        } => stage2_run(gpu, coeffs, m, np, stride_in, steps),
-        StageOp::BaseSolve {
-            chain_len,
-            stride,
-            thomas_chains,
-            variant,
-            ..
-        } => base_run(
-            gpu,
-            bufs.map(|b| (b.cur, b.x)),
-            m,
-            np,
-            chain_len,
-            stride,
-            thomas_chains,
-            variant,
-        ),
-        StageOp::InterleavePack { systems, size } => interleave_run(gpu, coeffs, systems, size),
-        // The interleaved solution lands in the alternate bundle's first
-        // buffer (free scratch after the pack's swap), so the session
-        // needs no extra allocation.
-        StageOp::InterleavedThomas { systems, size } => {
-            ithomas_run(gpu, bufs.map(|b| (b.cur, b.alt[0])), systems, size)
-        }
-        StageOp::Deinterleave { systems, size } => {
-            deinterleave_run(gpu, bufs.map(|b| (b.alt[0], b.x)), systems, size)
-        }
-    }?;
-    Ok(())
+impl BufferSets<'_> {
+    fn ids(&self, keys: impl Iterator<Item = BufKey>) -> Vec<BufferId> {
+        keys.map(|key| match key {
+            BufKey::Src { set, arr } => self.src[set][arr],
+            BufKey::Dst { set, arr } => self.dst[set][arr],
+            BufKey::X => self.x,
+        })
+        .collect()
+    }
 }
 
 /// Result of a pipelined multi-batch solve ([`SolveSession::solve_pipelined`]).
@@ -1232,7 +1184,9 @@ impl<T: GpuScalar> Backend<T> for CpuBackend {
 mod tests {
     use super::*;
     use crate::params::BaseVariant;
+    use crate::schedule::lower_schedule;
     use crate::solver::solve_batch_on_gpu;
+    use crate::StageOp;
     use trisolve_gpu_sim::DeviceSpec;
     use trisolve_tridiag::norms::batch_worst_relative_residual;
     use trisolve_tridiag::workloads::random_dominant;
@@ -1286,7 +1240,8 @@ mod tests {
         let mut gpu: Gpu<f32> = Gpu::new(DeviceSpec::gtx_470());
         let mut session = SolveSession::new(&mut gpu, shape).unwrap();
         let plan = session.plan_for(&p).unwrap().clone();
-        let mut schedule = lower_schedule(&plan, 2, 2);
+        let certified = lower_schedule(&plan, 2, 2);
+        let mut schedule = certified.clone();
         for nd in &mut schedule.nodes {
             nd.waits.clear();
         }
@@ -1302,34 +1257,9 @@ mod tests {
             "rejection must precede every launch"
         );
         assert!(gpu.stream_op_intervals().is_empty());
-    }
-
-    #[test]
-    fn pipelined_solve_mirrors_the_certifier_verdict() {
-        // Exact-mirror admission: `solve_scheduled` rejects iff
-        // `Schedule::check` refutes — for the certified lowering it must
-        // succeed, for each mutated lowering it must return
-        // `ScheduleRejected`.
-        let shape = WorkloadShape::new(4, 1024);
-        let p = params(16, 512, 64);
-        let batches: Vec<_> = (0..2)
-            .map(|s| random_dominant::<f32>(shape, 30 + s).unwrap())
-            .collect();
-        let mut gpu: Gpu<f32> = Gpu::new(DeviceSpec::gtx_470());
-        let mut session = SolveSession::new(&mut gpu, shape).unwrap();
-        let plan = session.plan_for(&p).unwrap().clone();
-        let good = lower_schedule(&plan, 2, 2);
-        let mut bad = good.clone();
-        bad.nodes[0].waits.push(bad.events + 5);
-        for schedule in [good, bad] {
-            let statically_rejected = !schedule.check().is_empty();
-            let ran = session.solve_scheduled(&mut gpu, &batches, &p, schedule);
-            assert_eq!(
-                ran.is_err(),
-                statically_rejected,
-                "executor and certifier must agree"
-            );
-        }
+        // The unmutated lowering is admitted and runs.
+        let ran = session.solve_scheduled(&mut gpu, &batches, &p, certified);
+        assert!(ran.is_ok());
     }
 
     #[test]

@@ -10,15 +10,15 @@
 //! disjointness and inter-barrier race freedom *symbolically*, for every
 //! `(device, plan, size)` point, without executing anything.
 //!
-//! The summaries are built by constructors that live next to the launch
-//! config builders and take the same parameters, for the same reason the
-//! config builders are shared with the kernels: the description and the
-//! execution cannot drift apart silently. The dynamic sanitizer replay
+//! The six plan-op families build their summaries in their
+//! `Family` impls, from the same fields and the same
+//! label as their launch config, so the description and the execution
+//! cannot drift apart silently; the non-plan kernels (repack, unpack,
+//! baselines) keep their constructors here. The dynamic sanitizer replay
 //! (`ctx.sanitizing()` blocks in each kernel) is the ground truth these
 //! summaries are cross-validated against — see `trisolve analyze`'s
 //! cross-validation mode.
 
-use crate::params::{BaseVariant, SPLIT_KERNEL_THREADS};
 use serde::Serialize;
 use trisolve_tridiag::pcr::ceil_log2;
 
@@ -271,299 +271,77 @@ pub struct KernelAccessSummary {
 /// `parent = bid / stride`, `r = bid % stride`, and element `j` of the
 /// chain sits at `parent·n + r + j·stride`. With `chain_len·stride == n`
 /// this is a perfect mixed-radix decomposition of `[0, m·n)`.
-fn chain_map(m: usize, n: usize, stride: usize, chain_len: usize) -> AffineMap {
+pub(crate) fn chain_map(m: usize, n: usize, stride: usize, chain_len: usize) -> AffineMap {
     AffineMap::at(0)
         .term("r", 1, stride)
         .term("j", stride, chain_len)
         .term("parent", n, m)
 }
 
-/// Access summary of one stage-1 cooperative splitting launch
-/// (`stage1_config(m, n, stride)`): blocks cover contiguous chunks, each
-/// element reads its own row plus two neighbour rows clamped to its
-/// system, and writes its own position of the chunk.
-pub fn stage1_access_summary(m: usize, n: usize, stride: usize) -> KernelAccessSummary {
-    let chunk = n.min(1024);
-    let grid = (m * n) / chunk;
-    let map = AffineMap::at(0)
-        .term("i", 1, chunk)
-        .term("block", chunk, grid);
-    KernelAccessSummary {
-        label: format!("stage1[stride={stride}]"),
-        buffer_len: m * n,
-        block_threads: SPLIT_KERNEL_THREADS,
-        smem_elems: 0,
-        global: vec![
-            GlobalAccess {
-                site: "stage1::row",
-                is_write: false,
-                map: map.clone(),
-                warp_stride: 1,
-                clamped_neighbours: true,
-                exclusive: false,
-            },
-            GlobalAccess {
-                site: "stage1::store",
-                is_write: true,
-                map,
-                warp_stride: 1,
-                clamped_neighbours: false,
-                exclusive: true,
-            },
-        ],
-        intervals: Vec::new(),
-    }
-}
-
-/// Access summary of the single stage-2 independent-splitting launch
-/// (`stage2_config(m, n, stride_in, steps)`): each block gathers its
-/// chain, iterates locally double-buffering through *global* memory
-/// (hence no shared-memory intervals to prove), and scatters back to the
-/// chain's strided positions.
-pub fn stage2_access_summary(
-    m: usize,
-    n: usize,
-    stride_in: usize,
-    steps: u32,
+/// Access summary of a padded-tile transpose pass over a buffer of
+/// `buffer_len` elements in rows of `row_len`: `load` reads through its
+/// map, `store` writes through its map, and the 32×33 tile in between —
+/// whose post-transpose read stride of 33 is what makes it
+/// bank-conflict-free — absorbs any stride, so both global sides are
+/// coalesced. Shared by repack/unpack and interleave/deinterleave.
+pub(crate) fn transpose_summary(
+    label: String,
+    buffer_len: usize,
+    row_len: usize,
+    (load, src): (&'static str, AffineMap),
+    (store, dst): (&'static str, AffineMap),
 ) -> KernelAccessSummary {
-    let chain_len = n / stride_in;
-    let map = chain_map(m, n, stride_in, chain_len);
+    let site = |site, is_write, map| GlobalAccess {
+        site,
+        is_write,
+        map,
+        warp_stride: 1,
+        clamped_neighbours: false,
+        exclusive: is_write,
+    };
     KernelAccessSummary {
-        label: format!("stage2[chains={},steps={steps}]", m * stride_in),
-        buffer_len: m * n,
-        block_threads: SPLIT_KERNEL_THREADS.min(chain_len),
-        smem_elems: 0,
-        global: vec![
-            GlobalAccess {
-                site: "stage2::gather",
-                is_write: false,
-                map: map.clone(),
-                warp_stride: stride_in,
-                clamped_neighbours: false,
-                exclusive: false,
-            },
-            GlobalAccess {
-                site: "stage2::scatter",
-                is_write: true,
-                map,
-                warp_stride: stride_in,
-                clamped_neighbours: false,
-                exclusive: true,
-            },
-        ],
-        intervals: Vec::new(),
+        label,
+        buffer_len,
+        block_threads: 256.min(row_len.max(32)),
+        smem_elems: 32 * 33,
+        global: vec![site(load, false, src), site(store, true, dst)],
+        intervals: transpose_tile_intervals(),
     }
 }
 
-/// The four coefficient arrays staged in shared memory: array `k`
-/// occupies elements `k·chain_len .. (k+1)·chain_len`.
-fn staged_rows_map(chain_len: usize) -> AffineMap {
+/// The chain-major (repacked) layout: chain `c` contiguous at
+/// `c·chain_len`.
+fn chunked_map(m: usize, n: usize, stride: usize) -> AffineMap {
+    let chain_len = n / stride;
     AffineMap::at(0)
-        .term("t", 1, chain_len)
-        .term("k", chain_len, 4)
-}
-
-/// Access summary of the hybrid PCR-Thomas base kernel
-/// (`base_config(chains, chain_len, stride, thomas_chains, variant, _)`),
-/// including its full barrier choreography: load→sync, then per PCR step
-/// a read interval (rows `j±s`, clamped) and a write interval (row `j`)
-/// separated by the double sync, then the Thomas interval where thread
-/// `t` exclusively owns the interleaved sub-chain `t`.
-pub fn base_access_summary(
-    m: usize,
-    n: usize,
-    chain_len: usize,
-    stride: usize,
-    thomas_chains: usize,
-    variant: BaseVariant,
-) -> KernelAccessSummary {
-    let t4 = thomas_chains.min(chain_len);
-    let pcr_steps = t4.trailing_zeros();
-    let chain = chain_map(m, n, stride, chain_len);
-    // The Coalesced variant streams the contiguous tiles covering the
-    // chain, so consecutive threads touch consecutive elements; Strided
-    // gathers directly at the chain stride.
-    let warp_stride = match variant {
-        BaseVariant::Strided => stride,
-        // Coalesced streams contiguous tiles. Interleaved never reaches the
-        // base kernel (the plan replaces the whole staged pipeline with the
-        // batched-Thomas family), but the summary stays total.
-        BaseVariant::Coalesced | BaseVariant::Interleaved => 1,
-    };
-    let one_per_thread = SmemOwner {
-        row_len: chain_len,
-        modulus: chain_len,
-    };
-
-    let mut intervals = vec![BarrierInterval {
-        label: "load".into(),
-        accesses: vec![SmemAccess {
-            site: "base::smem_store",
-            is_write: true,
-            map: staged_rows_map(chain_len),
-            displacements: Vec::new(),
-            clamp_row: None,
-            owner: Some(one_per_thread),
-            thread_coeff: 1,
-        }],
-    }];
-    for step in 0..pcr_steps {
-        let s = 1usize << step;
-        intervals.push(BarrierInterval {
-            label: format!("pcr_read[s={s}]"),
-            accesses: vec![SmemAccess {
-                site: "base::pcr_read",
-                is_write: false,
-                map: staged_rows_map(chain_len),
-                displacements: vec![-(s as isize), 0, s as isize],
-                clamp_row: Some(chain_len),
-                owner: None,
-                thread_coeff: 1,
-            }],
-        });
-        intervals.push(BarrierInterval {
-            label: format!("pcr_write[s={s}]"),
-            accesses: vec![SmemAccess {
-                site: "base::pcr_write",
-                is_write: true,
-                map: staged_rows_map(chain_len),
-                displacements: Vec::new(),
-                clamp_row: None,
-                owner: Some(one_per_thread),
-                thread_coeff: 1,
-            }],
-        });
-    }
-    let sub_chains = SmemOwner {
-        row_len: chain_len,
-        modulus: t4,
-    };
-    intervals.push(BarrierInterval {
-        label: "thomas".into(),
-        accesses: vec![
-            SmemAccess {
-                site: "base::thomas_read",
-                is_write: false,
-                map: AffineMap::at(0)
-                    .term("t", 1, t4)
-                    .term("i", t4, chain_len / t4)
-                    .term("k", chain_len, 4),
-                displacements: Vec::new(),
-                clamp_row: None,
-                owner: Some(sub_chains),
-                thread_coeff: 1,
-            },
-            SmemAccess {
-                site: "base::thomas_write",
-                is_write: true,
-                map: AffineMap::at(3 * chain_len)
-                    .term("t", 1, t4)
-                    .term("i", t4, chain_len / t4),
-                displacements: Vec::new(),
-                clamp_row: None,
-                owner: Some(sub_chains),
-                thread_coeff: 1,
-            },
-        ],
-    });
-
-    KernelAccessSummary {
-        label: format!("base[{chain_len}@{stride},t4={t4},{variant:?}]"),
-        buffer_len: m * n,
-        block_threads: chain_len,
-        smem_elems: 4 * chain_len,
-        global: vec![
-            GlobalAccess {
-                site: "base::load",
-                is_write: false,
-                map: chain.clone(),
-                warp_stride,
-                clamped_neighbours: false,
-                exclusive: false,
-            },
-            GlobalAccess {
-                site: "base::store",
-                is_write: true,
-                map: chain,
-                warp_stride,
-                clamped_neighbours: false,
-                exclusive: true,
-            },
-        ],
-        intervals,
-    }
+        .term("j", 1, chain_len)
+        .term("block", chain_len, m * stride)
 }
 
 /// Access summary of the repack (transpose-in) pass: strided gather,
-/// chunk-contiguous store, staged through the padded 32×33 tile whose
-/// post-transpose read stride of 33 is what makes it bank-conflict-free.
+/// chunk-contiguous store.
 pub fn repack_access_summary(m: usize, n: usize, stride: usize) -> KernelAccessSummary {
-    let chain_len = n / stride;
-    let chains = m * stride;
-    let chunked = AffineMap::at(0)
-        .term("j", 1, chain_len)
-        .term("block", chain_len, chains);
-    KernelAccessSummary {
-        label: format!("repack[{chains}x{chain_len}@{stride}]"),
-        buffer_len: m * n,
-        block_threads: 256.min(chain_len.max(32)),
-        smem_elems: 32 * 33,
-        global: vec![
-            GlobalAccess {
-                site: "repack::gather",
-                is_write: false,
-                map: chain_map(m, n, stride, chain_len),
-                // The tile absorbs the stride: both global sides coalesced.
-                warp_stride: 1,
-                clamped_neighbours: false,
-                exclusive: false,
-            },
-            GlobalAccess {
-                site: "repack::store",
-                is_write: true,
-                map: chunked,
-                warp_stride: 1,
-                clamped_neighbours: false,
-                exclusive: true,
-            },
-        ],
-        intervals: transpose_tile_intervals(),
-    }
+    let (chains, chain_len) = (m * stride, n / stride);
+    transpose_summary(
+        format!("repack[{chains}x{chain_len}@{stride}]"),
+        m * n,
+        chain_len,
+        ("repack::gather", chain_map(m, n, stride, chain_len)),
+        ("repack::store", chunked_map(m, n, stride)),
+    )
 }
 
 /// Access summary of the unpack (transpose-out) pass: chunk-contiguous
-/// load, strided scatter, same padded tile.
+/// load, strided scatter.
 pub fn unpack_access_summary(m: usize, n: usize, stride: usize) -> KernelAccessSummary {
-    let chain_len = n / stride;
-    let chains = m * stride;
-    let chunked = AffineMap::at(0)
-        .term("j", 1, chain_len)
-        .term("block", chain_len, chains);
-    KernelAccessSummary {
-        label: format!("unpack[{chains}x{chain_len}@{stride}]"),
-        buffer_len: m * n,
-        block_threads: 256.min(chain_len.max(32)),
-        smem_elems: 32 * 33,
-        global: vec![
-            GlobalAccess {
-                site: "unpack::load",
-                is_write: false,
-                map: chunked,
-                warp_stride: 1,
-                clamped_neighbours: false,
-                exclusive: false,
-            },
-            GlobalAccess {
-                site: "unpack::scatter",
-                is_write: true,
-                map: chain_map(m, n, stride, chain_len),
-                warp_stride: 1,
-                clamped_neighbours: false,
-                exclusive: true,
-            },
-        ],
-        intervals: transpose_tile_intervals(),
-    }
+    let (chains, chain_len) = (m * stride, n / stride);
+    transpose_summary(
+        format!("unpack[{chains}x{chain_len}@{stride}]"),
+        m * n,
+        chain_len,
+        ("unpack::load", chunked_map(m, n, stride)),
+        ("unpack::scatter", chain_map(m, n, stride, chain_len)),
+    )
 }
 
 /// The fully *interleaved* batch map: element `j` of system `s` sits at
@@ -572,111 +350,14 @@ pub fn unpack_access_summary(m: usize, n: usize, stride: usize) -> KernelAccessS
 /// mixed-radix decomposition of `[0, m·n)` — injective and exactly
 /// covering, so the write-partition and OOB proofs extend to the
 /// interleaved family with no new abstract domain.
-fn interleaved_map(m: usize, n: usize) -> AffineMap {
+pub(crate) fn interleaved_map(m: usize, n: usize) -> AffineMap {
     AffineMap::at(0).term("s", 1, m).term("j", m, n)
 }
 
 /// The system-major batch map (system `s` contiguous at `s·n`): the layout
 /// the host uploads and the transpose passes convert from/to.
-fn system_major_map(m: usize, n: usize) -> AffineMap {
+pub(crate) fn system_major_map(m: usize, n: usize) -> AffineMap {
     AffineMap::at(0).term("j", 1, n).term("s", n, m)
-}
-
-/// Access summary of the interleave (transpose-in) pass
-/// (`interleave_config(m, n, _)`): system-major read, interleaved
-/// scatter, staged through the same padded 32×33 tile as the chain
-/// repack so both global sides are coalesced.
-pub fn interleave_access_summary(m: usize, n: usize) -> KernelAccessSummary {
-    KernelAccessSummary {
-        label: format!("interleave[{m}x{n}]"),
-        buffer_len: m * n,
-        block_threads: 256.min(n.max(32)),
-        smem_elems: 32 * 33,
-        global: vec![
-            GlobalAccess {
-                site: "interleave::load",
-                is_write: false,
-                map: system_major_map(m, n),
-                warp_stride: 1,
-                clamped_neighbours: false,
-                exclusive: false,
-            },
-            GlobalAccess {
-                site: "interleave::scatter",
-                is_write: true,
-                map: interleaved_map(m, n),
-                // The tile absorbs the transpose: coalesced on both sides.
-                warp_stride: 1,
-                clamped_neighbours: false,
-                exclusive: true,
-            },
-        ],
-        intervals: transpose_tile_intervals(),
-    }
-}
-
-/// Access summary of the single-kernel batched-Thomas solve
-/// (`ithomas_config(m, n, _)`): thread `s` walks system `s` through the
-/// interleaved coefficients — every access warp-stride 1 by construction —
-/// with no shared memory and no barriers at all, which is exactly why the
-/// family wins the many-small regime.
-pub fn ithomas_access_summary(m: usize, n: usize) -> KernelAccessSummary {
-    KernelAccessSummary {
-        label: format!("ithomas[{m}x{n}]"),
-        buffer_len: m * n,
-        block_threads: 256.min(m.max(32)),
-        smem_elems: 0,
-        global: vec![
-            GlobalAccess {
-                site: "ithomas::load",
-                is_write: false,
-                map: interleaved_map(m, n),
-                warp_stride: 1,
-                clamped_neighbours: false,
-                exclusive: false,
-            },
-            GlobalAccess {
-                site: "ithomas::store",
-                is_write: true,
-                map: interleaved_map(m, n),
-                warp_stride: 1,
-                clamped_neighbours: false,
-                exclusive: true,
-            },
-        ],
-        intervals: Vec::new(),
-    }
-}
-
-/// Access summary of the deinterleave (transpose-out) pass
-/// (`deinterleave_config(m, n, _)`): interleaved read of the solution,
-/// system-major scatter, same padded tile.
-pub fn deinterleave_access_summary(m: usize, n: usize) -> KernelAccessSummary {
-    KernelAccessSummary {
-        label: format!("deinterleave[{m}x{n}]"),
-        buffer_len: m * n,
-        block_threads: 256.min(n.max(32)),
-        smem_elems: 32 * 33,
-        global: vec![
-            GlobalAccess {
-                site: "deinterleave::load",
-                is_write: false,
-                map: interleaved_map(m, n),
-                warp_stride: 1,
-                clamped_neighbours: false,
-                exclusive: false,
-            },
-            GlobalAccess {
-                site: "deinterleave::scatter",
-                is_write: true,
-                map: system_major_map(m, n),
-                warp_stride: 1,
-                clamped_neighbours: false,
-                exclusive: true,
-            },
-        ],
-        intervals: transpose_tile_intervals(),
-    }
 }
 
 /// The padded 32×33 transpose tile: threads write rows (stride 1),
@@ -844,6 +525,7 @@ pub fn baseline_access_summary(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::BaseVariant;
 
     #[test]
     fn affine_bounds_are_exact() {
@@ -907,21 +589,46 @@ mod tests {
     }
 
     #[test]
-    fn summaries_cover_all_five_families() {
-        let s1 = stage1_access_summary(4, 2048, 2);
+    fn summaries_cover_every_family() {
+        use crate::kernels::base::Base;
+        use crate::kernels::interleaved::{Deinterleave, IThomas, Interleave};
+        use crate::kernels::stage1::Stage1;
+        use crate::kernels::stage2::Stage2;
+        use crate::kernels::Family;
+
+        let s1 = Stage1 {
+            m: 4,
+            n: 2048,
+            stride: 2,
+        }
+        .access();
         assert_eq!(s1.buffer_len, 4 * 2048);
         assert!(s1.global.iter().any(|g| g.is_write && g.exclusive));
 
-        let s2 = stage2_access_summary(4, 2048, 4, 2);
+        let s2 = Stage2 {
+            m: 4,
+            n: 2048,
+            stride_in: 4,
+            steps: 2,
+        }
+        .access();
         assert_eq!(s2.global[1].map.max_index(), Some(4 * 2048 - 1));
         assert!(s2.intervals.is_empty());
 
-        let b = base_access_summary(4, 2048, 256, 8, 32, BaseVariant::Strided);
+        let base = |variant| Base {
+            m: 4,
+            n: 2048,
+            chain_len: 256,
+            stride: 8,
+            t4: 32,
+            variant,
+        };
+        let b = base(BaseVariant::Strided).access();
         assert_eq!(b.smem_elems, 4 * 256);
         // load + (read+write) per PCR step + thomas.
         assert_eq!(b.intervals.len(), 1 + 2 * 5 + 1);
         assert_eq!(b.global[0].warp_stride, 8);
-        let bc = base_access_summary(4, 2048, 256, 8, 32, BaseVariant::Coalesced);
+        let bc = base(BaseVariant::Coalesced).access();
         assert_eq!(bc.global[0].warp_stride, 1);
 
         let r = repack_access_summary(2, 1024, 16);
@@ -929,12 +636,13 @@ mod tests {
         let u = unpack_access_summary(2, 1024, 16);
         assert_eq!(u.global[1].site, "unpack::scatter");
 
-        let il = interleave_access_summary(65536, 64);
+        let (m, n) = (65536, 64);
+        let il = Interleave { m, n }.access();
         assert_eq!(il.global[1].map.coeff_of("j"), 65536, "coefficient batch");
-        let it = ithomas_access_summary(65536, 64);
+        let it = IThomas { m, n }.access();
         assert!(it.intervals.is_empty() && it.smem_elems == 0);
         assert!(it.global.iter().all(|g| g.warp_stride == 1));
-        let dl = deinterleave_access_summary(65536, 64);
+        let dl = Deinterleave { m, n }.access();
         assert_eq!(dl.global[1].site, "deinterleave::scatter");
 
         for algo in [

@@ -19,302 +19,379 @@
 //! choice empirically with the self-tuner, and so does `trisolve-autotune`.
 
 use crate::error::CoreError;
-use crate::kernels::{elem_bytes, launch_or_price, CoeffBuffers, GpuScalar};
+use crate::kernels::access::{
+    chain_map, AffineMap, BarrierInterval, GlobalAccess, KernelAccessSummary, SmemAccess, SmemOwner,
+};
+use crate::kernels::stage1::PCR_OPS_PER_EQ;
+use crate::kernels::{
+    block_chain, elem_bytes, launch_or_price, BufferRole, BufferRoles, ChainCoeffs, Family,
+    GpuScalar, LaunchIo, RecurrenceKind, CUR,
+};
 use crate::params::{BaseVariant, BASE_KERNEL_REGS_PER_THREAD};
 use crate::Result;
 use std::sync::atomic::{AtomicBool, Ordering};
-use trisolve_gpu_sim::{BufferId, Gpu, KernelStats, LaunchConfig, OutMode};
-use trisolve_tridiag::pcr;
+use trisolve_gpu_sim::{Gpu, KernelStats, LaunchConfig, OutMode};
 use trisolve_tridiag::system::ChainView;
 use trisolve_tridiag::thomas::{self, ChainScratch};
 
 /// Shared-memory word accesses per equation per on-chip PCR step.
 pub const PCR_SMEM_PER_EQ: usize = 16;
-/// Thread-operations per equation per on-chip PCR step.
-pub const PCR_OPS_PER_EQ: usize = 12;
 /// Thread-operations per equation of the serial Thomas phase.
 pub const THOMAS_OPS_PER_EQ: usize = 8;
 /// Shared-memory word accesses per equation of the Thomas phase.
 pub const THOMAS_SMEM_PER_EQ: usize = 5;
 
-/// Launch geometry of the base kernel (shared between the kernel and the
-/// plan validator so the two cannot drift). Clamps `thomas_chains` to the
-/// chain length exactly as [`base_solve`] does, so the label always matches
-/// the launch. `elem_bytes` sizes the shared-memory footprint: the four
-/// coefficient arrays, one chain each.
-pub fn base_config(
-    chains: usize,
-    chain_len: usize,
-    stride: usize,
-    thomas_chains: usize,
-    variant: BaseVariant,
-    elem_bytes: usize,
-) -> LaunchConfig {
-    let t4 = thomas_chains.min(chain_len);
-    LaunchConfig::new(
-        format!("base[{chain_len}@{stride},t4={t4},{variant:?}]"),
-        chains,
-        chain_len,
-    )
-    .with_regs(BASE_KERNEL_REGS_PER_THREAD)
-    .with_shared_mem(4 * chain_len * elem_bytes)
-}
-
-/// Launch the base kernel over every chain of a batch.
+/// The base kernel over every chain of a batch.
 ///
-/// * `m` parent systems of `n` (power-of-two) equations live in `src`,
-///   already split into `stride` chains each of `chain_len` equations.
+/// * `m` parent systems of `n` (power-of-two) equations live in the
+///   current bundle, already split into `stride` chains each of
+///   `chain_len` equations.
 /// * Each block solves one chain on-chip, switching from PCR to Thomas at
-///   `thomas_chains` subsystems, and scatters its solution into `x`.
-#[allow(clippy::too_many_arguments)]
-pub fn base_solve<T: GpuScalar>(
-    gpu: &mut Gpu<T>,
-    src: CoeffBuffers,
-    x: BufferId,
-    m: usize,
-    n: usize,
-    chain_len: usize,
-    stride: usize,
-    thomas_chains: usize,
-    variant: BaseVariant,
-) -> Result<KernelStats> {
-    base_run(
-        gpu,
-        Some((src, x)),
-        m,
-        n,
-        chain_len,
-        stride,
-        thomas_chains,
-        variant,
-    )
+///   `t4` subsystems (the plan's Thomas switch clamped to the chain
+///   length), and scatters its solution into the solution vector.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Base {
+    pub m: usize,
+    pub n: usize,
+    pub chain_len: usize,
+    pub stride: usize,
+    pub t4: usize,
+    pub variant: BaseVariant,
 }
 
-/// [`base_solve`] from `src` into `x`, or priced from its meters alone
-/// when `bufs` is `None` (see [`launch_or_price`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn base_run<T: GpuScalar>(
-    gpu: &mut Gpu<T>,
-    bufs: Option<(CoeffBuffers, BufferId)>,
-    m: usize,
-    n: usize,
-    chain_len: usize,
-    stride: usize,
-    thomas_chains: usize,
-    variant: BaseVariant,
-) -> Result<KernelStats> {
-    debug_assert!(n.is_power_of_two());
-    debug_assert!(chain_len.is_power_of_two());
-    debug_assert_eq!(chain_len * stride, n);
-    let chains = m * stride;
-    let t4 = thomas_chains.min(chain_len);
-    debug_assert!(t4.is_power_of_two());
-    let pcr_steps = t4.trailing_zeros();
+impl Family for Base {
+    const STAGE: &'static str = "base";
+    const ROLES: BufferRoles = BufferRoles {
+        reads: CUR,
+        writes: &[BufferRole::X],
+        swap: false,
+    };
 
-    let cfg = base_config(
-        chains,
-        chain_len,
-        stride,
-        thomas_chains,
-        variant,
-        elem_bytes::<T>(),
-    );
+    fn label(&self) -> String {
+        let (len, stride, t4, variant) = (self.chain_len, self.stride, self.t4, self.variant);
+        format!("base[{len}@{stride},t4={t4},{variant:?}]")
+    }
 
-    // Shared-memory accesses serialise per 32-bit word on the banked
-    // register-file-like shared memory: 64-bit elements cost two-way
-    // conflicts (the double-precision penalty of §III-A).
-    let word_factor = f64::max(elem_bytes::<T>() as f64 / 4.0, 1.0);
+    /// `elem_bytes` sizes the shared-memory footprint: the four
+    /// coefficient arrays, one chain each.
+    fn config(&self, elem_bytes: usize) -> LaunchConfig {
+        LaunchConfig::new(self.label(), self.m * self.stride, self.chain_len)
+            .with_regs(BASE_KERNEL_REGS_PER_THREAD)
+            .with_shared_mem(4 * self.chain_len * elem_bytes)
+    }
 
-    let failed = AtomicBool::new(false);
-    let io = bufs.map(|(src, x)| (src, [(x, OutMode::Scattered)]));
-    let stats = launch_or_price(gpu, &cfg, io, |ctx, io| {
-        let numerics = !ctx.pricing();
-        let bid = ctx.block_id as usize;
-        let parent = bid / stride;
-        let r = bid % stride;
-        let chain = ChainView {
-            offset: parent * n + r,
-            stride,
-            len: chain_len,
+    /// PCR in shared memory down to `t4` serial chains, then Thomas. The
+    /// `t4.trailing_zeros()` step count and `chain_len / t4` chain length
+    /// are the access summary's barrier choreography.
+    fn recurrence(&self) -> RecurrenceKind {
+        RecurrenceKind::Hybrid {
+            pcr_steps: self.t4.trailing_zeros(),
+            thomas_len: self.chain_len / self.t4.max(1),
+        }
+    }
+
+    /// The full barrier choreography: load→sync, then per PCR step a read
+    /// interval (rows `j±s`, clamped) and a write interval (row `j`)
+    /// separated by the double sync, then the Thomas interval where thread
+    /// `t` exclusively owns the interleaved sub-chain `t`.
+    fn access(&self) -> KernelAccessSummary {
+        let (chain_len, stride, t4) = (self.chain_len, self.stride, self.t4);
+        let chain = chain_map(self.m, self.n, stride, chain_len);
+        // The Coalesced variant streams the contiguous tiles covering the
+        // chain, so consecutive threads touch consecutive elements; Strided
+        // gathers directly at the chain stride.
+        let warp_stride = match self.variant {
+            BaseVariant::Strided => stride,
+            // Interleaved never reaches the base kernel (the plan replaces
+            // the whole staged pipeline with the batched-Thomas family),
+            // but the summary stays total.
+            BaseVariant::Coalesced | BaseVariant::Interleaved => 1,
+        };
+        let one_per_thread = SmemOwner {
+            row_len: chain_len,
+            modulus: chain_len,
+        };
+        let staged_rows = || {
+            // Array `k` occupies elements `k·chain_len .. (k+1)·chain_len`.
+            AffineMap::at(0)
+                .term("t", 1, chain_len)
+                .term("k", chain_len, 4)
+        };
+        let smem = |site, is_write, map, owner| SmemAccess {
+            site,
+            is_write,
+            map,
+            displacements: Vec::new(),
+            clamp_row: None,
+            owner,
+            thread_coeff: 1,
         };
 
-        // ---- Load phase (stage-3 entry) -------------------------------
-        let (mut cur, mut next) = if numerics {
-            let zeros = || vec![T::ZERO; chain_len];
-            (
-                (
-                    chain.gather(io.inputs[0]),
-                    chain.gather(io.inputs[1]),
-                    chain.gather(io.inputs[2]),
-                    chain.gather(io.inputs[3]),
+        let mut intervals = vec![BarrierInterval {
+            label: "load".into(),
+            accesses: vec![smem(
+                "base::smem_store",
+                true,
+                staged_rows(),
+                Some(one_per_thread),
+            )],
+        }];
+        for step in 0..self.t4.trailing_zeros() {
+            let s = 1usize << step;
+            intervals.push(BarrierInterval {
+                label: format!("pcr_read[s={s}]"),
+                accesses: vec![SmemAccess {
+                    displacements: vec![-(s as isize), 0, s as isize],
+                    clamp_row: Some(chain_len),
+                    ..smem("base::pcr_read", false, staged_rows(), None)
+                }],
+            });
+            intervals.push(BarrierInterval {
+                label: format!("pcr_write[s={s}]"),
+                accesses: vec![smem(
+                    "base::pcr_write",
+                    true,
+                    staged_rows(),
+                    Some(one_per_thread),
+                )],
+            });
+        }
+        let sub_chains = Some(SmemOwner {
+            row_len: chain_len,
+            modulus: t4,
+        });
+        intervals.push(BarrierInterval {
+            label: "thomas".into(),
+            accesses: vec![
+                smem(
+                    "base::thomas_read",
+                    false,
+                    AffineMap::at(0)
+                        .term("t", 1, t4)
+                        .term("i", t4, chain_len / t4)
+                        .term("k", chain_len, 4),
+                    sub_chains,
                 ),
-                (zeros(), zeros(), zeros(), zeros()),
-            )
-        } else {
-            Default::default()
-        };
-        match variant {
-            // Interleaved plans never emit a BaseSolve op (the batched-Thomas
-            // family replaces the whole staged pipeline); if one is forced
-            // through anyway the gather behaves like the strided load.
-            BaseVariant::Strided | BaseVariant::Interleaved => {
-                ctx.gmem_read(4 * chain_len, stride);
-            }
-            BaseVariant::Coalesced => {
-                ctx.gmem_read_overfetch(4 * chain_len, stride as f64);
-            }
+                smem(
+                    "base::thomas_write",
+                    true,
+                    AffineMap::at(3 * chain_len)
+                        .term("t", 1, t4)
+                        .term("i", t4, chain_len / t4),
+                    sub_chains,
+                ),
+            ],
+        });
+
+        KernelAccessSummary {
+            label: self.label(),
+            buffer_len: self.m * self.n,
+            block_threads: chain_len,
+            smem_elems: 4 * chain_len,
+            global: vec![
+                GlobalAccess {
+                    site: "base::load",
+                    is_write: false,
+                    map: chain.clone(),
+                    warp_stride,
+                    clamped_neighbours: false,
+                    exclusive: false,
+                },
+                GlobalAccess {
+                    site: "base::store",
+                    is_write: true,
+                    map: chain,
+                    warp_stride,
+                    clamped_neighbours: false,
+                    exclusive: true,
+                },
+            ],
+            intervals,
         }
-        if ctx.sanitizing() {
-            // Replay the gather through the tracked APIs: thread `j` loads
-            // its four coefficients from global memory and stages them into
-            // the block's shared arrays. Shared layout (matching the
-            // declared `4 * chain_len` element footprint): array `k`
-            // occupies elements `k*chain_len .. (k+1)*chain_len`.
-            for k in 0..4 {
-                for j in 0..chain_len {
-                    let _ = io.load(k, chain.index(j), j, "base::load");
-                    ctx.track_smem_write(k * chain_len + j, j, "base::smem_store");
+    }
+
+    fn run<T: GpuScalar>(&self, gpu: &mut Gpu<T>, io: Option<LaunchIo<'_>>) -> Result<KernelStats> {
+        let (n, chain_len, stride, t4) = (self.n, self.chain_len, self.stride, self.t4);
+        debug_assert!(n.is_power_of_two());
+        debug_assert!(chain_len.is_power_of_two());
+        debug_assert_eq!(chain_len * stride, n);
+        debug_assert!(t4.is_power_of_two());
+        let pcr_steps = t4.trailing_zeros();
+        let cfg = self.config(elem_bytes::<T>());
+
+        // Shared-memory accesses serialise per 32-bit word on the banked
+        // register-file-like shared memory: 64-bit elements cost two-way
+        // conflicts (the double-precision penalty of §III-A).
+        let word_factor = f64::max(elem_bytes::<T>() as f64 / 4.0, 1.0);
+
+        let failed = AtomicBool::new(false);
+        let stats = launch_or_price(gpu, &cfg, io, OutMode::Scattered, |ctx, io| {
+            let numerics = !ctx.pricing();
+            let chain = block_chain(ctx.block_id as usize, n, stride);
+
+            // ---- Load phase (stage-3 entry) -------------------------------
+            let mut coeffs = ChainCoeffs::gather(&chain, &io.inputs, numerics);
+            match self.variant {
+                // Interleaved plans never emit a BaseSolve op (the batched-Thomas
+                // family replaces the whole staged pipeline); if one is forced
+                // through anyway the gather behaves like the strided load.
+                BaseVariant::Strided | BaseVariant::Interleaved => {
+                    ctx.gmem_read(4 * chain_len, stride);
+                }
+                BaseVariant::Coalesced => {
+                    ctx.gmem_read_overfetch(4 * chain_len, stride as f64);
                 }
             }
-        }
-        ctx.sync();
+            if ctx.sanitizing() {
+                // Replay the gather through the tracked APIs: thread `j` loads
+                // its four coefficients from global memory and stages them into
+                // the block's shared arrays. Shared layout (matching the
+                // declared `4 * chain_len` element footprint): array `k`
+                // occupies elements `k*chain_len .. (k+1)*chain_len`.
+                for k in 0..4 {
+                    for j in 0..chain_len {
+                        let _ = io.load(k, chain.index(j), j, "base::load");
+                        ctx.track_smem_write(k * chain_len + j, j, "base::smem_store");
+                    }
+                }
+            }
+            ctx.sync();
 
-        // ---- Stage 3: PCR in shared memory ----------------------------
-        let mut s = 1usize;
-        for _ in 0..pcr_steps {
+            // ---- Stage 3: PCR in shared memory ----------------------------
+            for step in 0..pcr_steps {
+                let s = 1usize << step;
+                if numerics {
+                    coeffs.pcr_step(s);
+                }
+                ctx.smem_conflict(PCR_SMEM_PER_EQ * chain_len, word_factor);
+                ctx.ops(PCR_OPS_PER_EQ * chain_len);
+                if ctx.sanitizing() {
+                    // Read half of the in-place PCR step: thread `j` reads rows
+                    // `j-s`, `j`, `j+s` of every array (clamped at the ends).
+                    for j in 0..chain_len {
+                        let lo = j.saturating_sub(s);
+                        let hi = (j + s).min(chain_len - 1);
+                        for k in 0..4 {
+                            ctx.track_smem_read(k * chain_len + lo, j, "base::pcr_read");
+                            ctx.track_smem_read(k * chain_len + j, j, "base::pcr_read");
+                            ctx.track_smem_read(k * chain_len + hi, j, "base::pcr_read");
+                        }
+                    }
+                }
+                // The declared shared footprint (4 arrays of one chain each) is
+                // exactly single-buffered, so each PCR step must update the
+                // arrays *in place*: one barrier separates every thread's reads
+                // from the writes...
+                ctx.sync();
+                if ctx.sanitizing() {
+                    for j in 0..chain_len {
+                        for k in 0..4 {
+                            ctx.track_smem_write(k * chain_len + j, j, "base::pcr_write");
+                        }
+                    }
+                }
+                // ...and a second one separates the writes from the next step's
+                // reads. The pair is NOT redundant: collapsing it into one
+                // barrier would put thread `j`'s write of row `j` in the same
+                // interval as thread `j∓s`'s read of that row — a read-write
+                // race the sanitizer reports if either sync is removed.
+                ctx.sync();
+            }
+
+            // ---- Stage 4: Thomas, one thread per chain ---------------------
+            let mut lx = Vec::new();
             if numerics {
-                pcr::pcr_step(
-                    s,
-                    &cur.0,
-                    &cur.1,
-                    &cur.2,
-                    &cur.3,
-                    &mut next.0,
-                    &mut next.1,
-                    &mut next.2,
-                    &mut next.3,
-                );
-                std::mem::swap(&mut cur, &mut next);
-            }
-            ctx.smem_conflict(PCR_SMEM_PER_EQ * chain_len, word_factor);
-            ctx.ops(PCR_OPS_PER_EQ * chain_len);
-            if ctx.sanitizing() {
-                // Read half of the in-place PCR step: thread `j` reads rows
-                // `j-s`, `j`, `j+s` of every array (clamped at the ends).
-                for j in 0..chain_len {
-                    let lo = j.saturating_sub(s);
-                    let hi = (j + s).min(chain_len - 1);
-                    for k in 0..4 {
-                        ctx.track_smem_read(k * chain_len + lo, j, "base::pcr_read");
-                        ctx.track_smem_read(k * chain_len + j, j, "base::pcr_read");
-                        ctx.track_smem_read(k * chain_len + hi, j, "base::pcr_read");
+                lx.resize(chain_len, T::ZERO);
+                let mut scratch = ChainScratch::new();
+                for sub in ChainView::chains_of(0, chain_len, t4) {
+                    let [a, b, c, d] = &coeffs.cur;
+                    if thomas::solve_thomas_chain(&sub, a, b, c, d, &mut lx, &mut scratch).is_err()
+                    {
+                        failed.store(true, Ordering::Relaxed);
+                        return;
                     }
                 }
             }
-            // The declared shared footprint (4 arrays of one chain each) is
-            // exactly single-buffered, so each PCR step must update the
-            // arrays *in place*: one barrier separates every thread's reads
-            // from the writes...
-            ctx.sync();
+            ctx.serial_phase(chain_len / t4, THOMAS_OPS_PER_EQ, t4);
+            ctx.smem_conflict(THOMAS_SMEM_PER_EQ * chain_len, word_factor);
             if ctx.sanitizing() {
-                for j in 0..chain_len {
-                    for k in 0..4 {
-                        ctx.track_smem_write(k * chain_len + j, j, "base::pcr_write");
-                    }
-                }
-            }
-            // ...and a second one separates the writes from the next step's
-            // reads. The pair is NOT redundant: collapsing it into one
-            // barrier would put thread `j`'s write of row `j` in the same
-            // interval as thread `j∓s`'s read of that row — a read-write
-            // race the sanitizer reports if either sync is removed.
-            ctx.sync();
-            s *= 2;
-        }
-
-        // ---- Stage 4: Thomas, one thread per chain ---------------------
-        let mut lx = Vec::new();
-        if numerics {
-            lx.resize(chain_len, T::ZERO);
-            let mut scratch = ChainScratch::new();
-            for sub in ChainView::chains_of(0, chain_len, t4) {
-                if thomas::solve_thomas_chain(
-                    &sub,
-                    &cur.0,
-                    &cur.1,
-                    &cur.2,
-                    &cur.3,
-                    &mut lx,
-                    &mut scratch,
-                )
-                .is_err()
+                // Thomas replay: thread `t` owns sub-chain `t` and sweeps it,
+                // reading all four arrays and overwriting the d-array slots
+                // with the solution. Chains are disjoint, so every element is
+                // touched by exactly one thread — hazard-free by construction.
+                for (t, sub) in ChainView::chains_of(0, chain_len, t4)
+                    .into_iter()
+                    .enumerate()
                 {
+                    for i in 0..sub.len {
+                        let e = sub.index(i);
+                        for k in 0..4 {
+                            ctx.track_smem_read(k * chain_len + e, t, "base::thomas_read");
+                        }
+                        ctx.track_smem_write(3 * chain_len + e, t, "base::thomas_write");
+                    }
+                }
+            }
+            ctx.sync();
+
+            // ---- Store phase ----------------------------------------------
+            // Elements before the first non-finite one are stored, then the
+            // block fails.
+            if numerics {
+                let bad = lx.iter().position(|v| !v.is_finite());
+                let stored = &lx[..bad.unwrap_or(chain_len)];
+                io.scattered[0].set_strided(chain.offset, chain.stride, stored, "base::store");
+                if bad.is_some() {
                     failed.store(true, Ordering::Relaxed);
                     return;
                 }
             }
-        }
-        ctx.serial_phase(chain_len / t4, THOMAS_OPS_PER_EQ, t4);
-        ctx.smem_conflict(THOMAS_SMEM_PER_EQ * chain_len, word_factor);
-        if ctx.sanitizing() {
-            // Thomas replay: thread `t` owns sub-chain `t` and sweeps it,
-            // reading all four arrays and overwriting the d-array slots
-            // with the solution. Chains are disjoint, so every element is
-            // touched by exactly one thread — hazard-free by construction.
-            for (t, sub) in ChainView::chains_of(0, chain_len, t4)
-                .into_iter()
-                .enumerate()
-            {
-                for i in 0..sub.len {
-                    let e = sub.index(i);
-                    for k in 0..4 {
-                        ctx.track_smem_read(k * chain_len + e, t, "base::thomas_read");
-                    }
-                    ctx.track_smem_write(3 * chain_len + e, t, "base::thomas_write");
-                }
-            }
-        }
-        ctx.sync();
+            ctx.gmem_write(chain_len, stride);
+        })?;
 
-        // ---- Store phase ----------------------------------------------
-        // Elements before the first non-finite one are stored, then the
-        // block fails.
-        if numerics {
-            let bad = lx.iter().position(|v| !v.is_finite());
-            let stored = &lx[..bad.unwrap_or(chain_len)];
-            io.scattered[0].set_strided(chain.offset, chain.stride, stored, "base::store");
-            if bad.is_some() {
-                failed.store(true, Ordering::Relaxed);
-                return;
-            }
+        if failed.load(Ordering::Relaxed) {
+            return Err(CoreError::NumericalBreakdown {
+                kernel: cfg.label.clone(),
+            });
         }
-        ctx.gmem_write(chain_len, stride);
-    })?;
-
-    if failed.load(Ordering::Relaxed) {
-        return Err(CoreError::NumericalBreakdown {
-            kernel: cfg.label.clone(),
-        });
+        Ok(stats)
     }
-    Ok(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trisolve_gpu_sim::DeviceSpec;
+    use crate::kernels::testing::upload;
+    use crate::kernels::CoeffBuffers;
+    use trisolve_gpu_sim::{BufferId, DeviceSpec};
     use trisolve_tridiag::cpu_batch::{solve_batch_sequential, BatchAlgorithm};
     use trisolve_tridiag::norms::batch_worst_relative_residual;
+    use trisolve_tridiag::pcr;
     use trisolve_tridiag::workloads::{random_dominant, WorkloadShape};
-    use trisolve_tridiag::SystemBatch;
 
-    fn coeffs(gpu: &mut Gpu<f64>, batch: &SystemBatch<f64>) -> CoeffBuffers {
-        [
-            gpu.alloc_from(&batch.a).unwrap(),
-            gpu.alloc_from(&batch.b).unwrap(),
-            gpu.alloc_from(&batch.c).unwrap(),
-            gpu.alloc_from(&batch.d).unwrap(),
-        ]
+    /// Launch the base kernel from `src` into `x`.
+    #[allow(clippy::too_many_arguments)]
+    fn base_solve<T: GpuScalar>(
+        gpu: &mut Gpu<T>,
+        src: CoeffBuffers,
+        x: BufferId,
+        m: usize,
+        n: usize,
+        chain_len: usize,
+        stride: usize,
+        thomas_chains: usize,
+        variant: BaseVariant,
+    ) -> Result<KernelStats> {
+        let t4 = thomas_chains.min(chain_len);
+        let base = Base {
+            m,
+            n,
+            chain_len,
+            stride,
+            t4,
+            variant,
+        };
+        base.run(gpu, Some((&src, &[x])))
     }
 
     #[test]
@@ -322,7 +399,7 @@ mod tests {
         let shape = WorkloadShape::new(20, 256);
         let batch = random_dominant::<f64>(shape, 21).unwrap();
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
-        let src = coeffs(&mut gpu, &batch);
+        let src = upload(&mut gpu, &batch);
         let x = gpu.alloc(shape.total_equations()).unwrap();
         base_solve(&mut gpu, src, x, 20, 256, 256, 1, 64, BaseVariant::Strided).unwrap();
         let got = gpu.download(x).unwrap();
@@ -378,7 +455,7 @@ mod tests {
         let batch = random_dominant::<f64>(shape, 4).unwrap();
         let run = |variant: BaseVariant| {
             let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
-            let src = coeffs(&mut gpu, &batch);
+            let src = upload(&mut gpu, &batch);
             let x = gpu.alloc(shape.total_equations()).unwrap();
             base_solve(&mut gpu, src, x, 2, 4096, 512, 8, 64, variant).unwrap()
         };
@@ -397,12 +474,7 @@ mod tests {
         let shape = WorkloadShape::new(10, 512);
         let batch = random_dominant::<f32>(shape, 6).unwrap();
         let mut gpu: Gpu<f32> = Gpu::new(DeviceSpec::gtx_280());
-        let src = [
-            gpu.alloc_from(&batch.a).unwrap(),
-            gpu.alloc_from(&batch.b).unwrap(),
-            gpu.alloc_from(&batch.c).unwrap(),
-            gpu.alloc_from(&batch.d).unwrap(),
-        ];
+        let src = upload(&mut gpu, &batch);
         let x = gpu.alloc(shape.total_equations()).unwrap();
         base_solve(&mut gpu, src, x, 10, 512, 512, 1, 64, BaseVariant::Strided).unwrap();
         let got = gpu.download(x).unwrap();
@@ -416,17 +488,12 @@ mod tests {
         let b64 = random_dominant::<f64>(shape, 1).unwrap();
 
         let mut g32: Gpu<f32> = Gpu::new(DeviceSpec::gtx_280());
-        let src = [
-            g32.alloc_from(&b32.a).unwrap(),
-            g32.alloc_from(&b32.b).unwrap(),
-            g32.alloc_from(&b32.c).unwrap(),
-            g32.alloc_from(&b32.d).unwrap(),
-        ];
+        let src = upload(&mut g32, &b32);
         let x = g32.alloc(shape.total_equations()).unwrap();
         let s32 = base_solve(&mut g32, src, x, 4, 256, 256, 1, 64, BaseVariant::Strided).unwrap();
 
         let mut g64: Gpu<f64> = Gpu::new(DeviceSpec::gtx_280());
-        let src = coeffs(&mut g64, &b64);
+        let src = upload(&mut g64, &b64);
         let x = g64.alloc(shape.total_equations()).unwrap();
         let s64 = base_solve(&mut g64, src, x, 4, 256, 256, 1, 64, BaseVariant::Strided).unwrap();
 
@@ -462,7 +529,7 @@ mod tests {
         let shape = WorkloadShape::new(1, 2048);
         let batch = random_dominant::<f64>(shape, 2).unwrap();
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
-        let src = coeffs(&mut gpu, &batch);
+        let src = upload(&mut gpu, &batch);
         let x = gpu.alloc(2048).unwrap();
         let err = base_solve(&mut gpu, src, x, 1, 2048, 2048, 1, 64, BaseVariant::Strided);
         assert!(err.is_err());

@@ -14,6 +14,8 @@
 //!   system.
 
 use crate::error::CoreError;
+use crate::kernels::base::PCR_SMEM_PER_EQ;
+use crate::kernels::stage1::PCR_OPS_PER_EQ;
 use crate::kernels::{elem_bytes, CoeffBuffers, GpuScalar};
 use crate::params::BASE_KERNEL_REGS_PER_THREAD;
 use crate::Result;
@@ -48,9 +50,6 @@ impl BaselineAlgo {
     }
 }
 
-/// Per-equation cost constants shared with the main base kernel.
-const PCR_OPS_PER_EQ: usize = 12;
-const PCR_SMEM_PER_EQ: usize = 16;
 const CR_OPS_PER_EQ: usize = 14;
 const CR_SMEM_PER_EQ: usize = 18;
 
@@ -74,7 +73,7 @@ pub fn baseline_config(
 
 /// Solve every chain of a batch with a prior-art on-chip kernel
 /// (one block per chain, same launch geometry as
-/// [`crate::kernels::base_solve`]).
+/// the base kernel's `StageOp::BaseSolve` launch).
 #[allow(clippy::too_many_arguments)]
 pub fn baseline_solve<T: GpuScalar>(
     gpu: &mut Gpu<T>,
@@ -230,6 +229,7 @@ fn meter_cr_levels(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::testing::upload;
     use trisolve_gpu_sim::DeviceSpec;
     use trisolve_tridiag::norms::batch_worst_relative_residual;
     use trisolve_tridiag::workloads::{random_dominant, WorkloadShape};
@@ -238,12 +238,7 @@ mod tests {
         let shape = WorkloadShape::new(32, 512);
         let batch = random_dominant::<f64>(shape, 3).unwrap();
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
-        let src = [
-            gpu.alloc_from(&batch.a).unwrap(),
-            gpu.alloc_from(&batch.b).unwrap(),
-            gpu.alloc_from(&batch.c).unwrap(),
-            gpu.alloc_from(&batch.d).unwrap(),
-        ];
+        let src = upload(&mut gpu, &batch);
         let x = gpu.alloc(shape.total_equations()).unwrap();
         let stats = baseline_solve(&mut gpu, src, x, 32, 512, 512, 1, algo).unwrap();
         let got = gpu.download(x).unwrap();

@@ -10,296 +10,335 @@
 //! batch solvers of Gloster et al. and Carroll et al. (see PAPERS.md), which
 //! beats staged PCR outright once the batch is large and the systems small.
 //!
-//! Three kernels, matching the plan's three stage-skip ops:
+//! Three kernel families, matching the plan's three stage-skip ops:
 //!
-//! * [`interleave_batch`] — tiled-transpose repack from system-major to
+//! * `Interleave` — tiled-transpose repack from system-major to
 //!   interleaved layout (both global sides coalesced, like
 //!   [`crate::kernels::repack`]);
-//! * [`ithomas_solve`] — the single-kernel batched Thomas solve, reading
+//! * `IThomas` — the single-kernel batched Thomas solve, reading
 //!   interleaved coefficients and scattering the interleaved solution;
-//! * [`deinterleave_solution`] — tiled-transpose repack of the solution back
-//!   to system-major order.
+//! * `Deinterleave` — tiled-transpose repack of the solution back to
+//!   system-major order.
 //!
-//! Each exports its `LaunchConfig` builder here and its affine access
-//! summary in [`crate::kernels::access`], side by side with the five staged
-//! families, so `SolvePlan::launch_configs` / `access_summaries` stay zipped
-//! 1:1 and the description cannot drift from the execution.
+//! Each is a `Family` like the three staged families, so its label,
+//! launch config, access summary and recurrence come from one value and
+//! cannot drift from the execution.
 
 use crate::error::CoreError;
+use crate::kernels::access::{
+    interleaved_map, system_major_map, transpose_summary, GlobalAccess, KernelAccessSummary,
+};
 use crate::kernels::base::THOMAS_OPS_PER_EQ;
-use crate::kernels::{elem_bytes, launch_or_price, CoeffBuffers, GpuScalar};
-use crate::params::SPLIT_KERNEL_REGS_PER_THREAD;
+use crate::kernels::repack::{meter_transpose, transpose_config, TRANSPOSE_SMEM_PER_EQ};
+use crate::kernels::{
+    elem_bytes, launch_or_price, BufferRole, BufferRoles, Family, GpuScalar, LaunchIo,
+    RecurrenceKind, CUR, DOUBLE_BUFFERED,
+};
 use crate::Result;
 use std::sync::atomic::{AtomicBool, Ordering};
-use trisolve_gpu_sim::{BufferId, Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_gpu_sim::{Gpu, KernelStats, LaunchConfig, OutMode};
 use trisolve_tridiag::system::ChainView;
 use trisolve_tridiag::thomas::{self, ChainScratch};
-
-/// Shared-memory accesses per element of the tiled repack transpose (one
-/// write into the padded tile, one read out) — same constant family as the
-/// chain-repack kernels.
-const TRANSPOSE_SMEM_PER_EQ: usize = 2;
 
 /// Registers per thread of the batched-Thomas kernel: the per-system
 /// running recurrence needs only a handful of live values (the forward
 /// coefficients round-trip through global scratch, not registers).
 pub const ITHOMAS_REGS_PER_THREAD: usize = 16;
 
-fn transpose_block_threads(n: usize) -> usize {
-    256.min(n.max(32))
+/// Repack the four coefficient arrays of `m` systems of `n` equations from
+/// system-major layout (system `s` contiguous at `s·n`) into fully
+/// interleaved layout (element `j` of system `s` at `j·m + s`) with a
+/// tiled shared-memory transpose: both global sides coalesced, staged
+/// through the padded (bank-conflict-free) 32×33 tile.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Interleave {
+    pub m: usize,
+    pub n: usize,
 }
 
-/// Launch geometry of the interleave (transpose-in) pass (shared between
-/// the kernel and the plan validator so the two cannot drift).
-pub fn interleave_config(m: usize, n: usize, elem_bytes: usize) -> LaunchConfig {
-    LaunchConfig::new(
-        format!("interleave[{m}x{n}]"),
-        m,
-        transpose_block_threads(n),
-    )
-    .with_regs(SPLIT_KERNEL_REGS_PER_THREAD)
-    .with_shared_mem(32 * 33 * elem_bytes) // padded transpose tile
-}
+impl Family for Interleave {
+    const STAGE: &'static str = "interleave";
+    const ROLES: BufferRoles = DOUBLE_BUFFERED;
 
-/// Launch geometry of the batched-Thomas solve: one thread per system,
-/// warp-width blocks, no shared memory at all.
-pub fn ithomas_config(m: usize, n: usize, _elem_bytes: usize) -> LaunchConfig {
-    let block = 256.min(m.max(32));
-    LaunchConfig::new(format!("ithomas[{m}x{n}]"), m.div_ceil(block), block)
-        .with_regs(ITHOMAS_REGS_PER_THREAD)
-}
+    fn label(&self) -> String {
+        format!("interleave[{}x{}]", self.m, self.n)
+    }
 
-/// Launch geometry of the deinterleave (transpose-out) pass.
-pub fn deinterleave_config(m: usize, n: usize, elem_bytes: usize) -> LaunchConfig {
-    LaunchConfig::new(
-        format!("deinterleave[{m}x{n}]"),
-        m,
-        transpose_block_threads(n),
-    )
-    .with_regs(SPLIT_KERNEL_REGS_PER_THREAD)
-    .with_shared_mem(32 * 33 * elem_bytes)
-}
+    fn config(&self, elem_bytes: usize) -> LaunchConfig {
+        transpose_config(self.label(), self.m, self.n, elem_bytes)
+    }
 
-/// Repack the four coefficient arrays from system-major layout (`src`,
-/// system `s` contiguous at `s·n`) into fully interleaved layout (`dst`,
-/// element `j` of system `s` at `j·m + s`) with a tiled shared-memory
-/// transpose: both global sides coalesced, staged through the padded
-/// (bank-conflict-free) 32×33 tile.
-pub fn interleave_batch<T: GpuScalar>(
-    gpu: &mut Gpu<T>,
-    src: CoeffBuffers,
-    dst: CoeffBuffers,
-    m: usize,
-    n: usize,
-) -> Result<KernelStats> {
-    interleave_run(gpu, Some((src, dst)), m, n)
-}
+    /// A layout transposition: exact.
+    fn recurrence(&self) -> RecurrenceKind {
+        RecurrenceKind::DataMovement
+    }
 
-/// [`interleave_batch`] from `src` into `dst`, or priced from its meters
-/// alone when `bufs` is `None` (see [`launch_or_price`]).
-pub(crate) fn interleave_run<T: GpuScalar>(
-    gpu: &mut Gpu<T>,
-    bufs: Option<(CoeffBuffers, CoeffBuffers)>,
-    m: usize,
-    n: usize,
-) -> Result<KernelStats> {
-    let cfg = interleave_config(m, n, elem_bytes::<T>());
-    let io = bufs.map(|(src, dst)| (src, dst.map(|b| (b, OutMode::Scattered))));
-    launch_or_price(gpu, &cfg, io, |ctx, io| {
-        let s = ctx.block_id as usize;
-        // Tracked copy: logical thread `j` owns element `j` of system `s`.
-        // The padded tile's internal staging is not replayed per element
-        // (the tile layout is conflict- and race-free by construction).
-        if !ctx.pricing() {
-            for k in 0..4 {
-                for j in 0..n {
-                    let v = io.load(k, s * n + j, j, "interleave::load");
-                    io.scattered[k].set_at(j * m + s, v, j, "interleave::scatter");
+    /// System-major read, interleaved scatter.
+    fn access(&self) -> KernelAccessSummary {
+        let Interleave { m, n } = *self;
+        transpose_summary(
+            self.label(),
+            m * n,
+            n,
+            ("interleave::load", system_major_map(m, n)),
+            ("interleave::scatter", interleaved_map(m, n)),
+        )
+    }
+
+    fn run<T: GpuScalar>(&self, gpu: &mut Gpu<T>, io: Option<LaunchIo<'_>>) -> Result<KernelStats> {
+        let Interleave { m, n } = *self;
+        let cfg = self.config(elem_bytes::<T>());
+        launch_or_price(gpu, &cfg, io, OutMode::Scattered, |ctx, io| {
+            let s = ctx.block_id as usize;
+            // Tracked copy: logical thread `j` owns element `j` of system `s`.
+            // The padded tile's internal staging is not replayed per element
+            // (the tile layout is conflict- and race-free by construction).
+            if !ctx.pricing() {
+                for k in 0..4 {
+                    for j in 0..n {
+                        let v = io.load(k, s * n + j, j, "interleave::load");
+                        io.scattered[k].set_at(j * m + s, v, j, "interleave::scatter");
+                    }
                 }
             }
-        }
-        ctx.gmem_read(4 * n, 1);
-        ctx.gmem_write(4 * n, 1);
-        ctx.smem(2 * TRANSPOSE_SMEM_PER_EQ * 4 * n);
-        ctx.sync();
-        ctx.sync();
-    })
+            meter_transpose(ctx, 4 * n, 2 * TRANSPOSE_SMEM_PER_EQ * 4 * n);
+        })
+    }
 }
 
 /// Solve the whole interleaved batch with one kernel: thread `s` runs the
 /// serial Thomas algorithm over system `s`, reading coefficients at
 /// `j·m + s` (perfectly coalesced across the warp) and scattering the
-/// solution back in the same interleaved layout into `x_interleaved`.
+/// solution back in the same interleaved layout into the alternate
+/// bundle's first buffer (free scratch after the pack's swap).
 ///
 /// The forward-elimination coefficients round-trip through global scratch
 /// (they do not fit registers for any interesting `n`); the traffic is
 /// metered coalesced like every other access of this kernel.
-pub fn ithomas_solve<T: GpuScalar>(
-    gpu: &mut Gpu<T>,
-    src: CoeffBuffers,
-    x_interleaved: BufferId,
-    m: usize,
-    n: usize,
-) -> Result<KernelStats> {
-    ithomas_run(gpu, Some((src, x_interleaved)), m, n)
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IThomas {
+    pub m: usize,
+    pub n: usize,
 }
 
-/// [`ithomas_solve`] from `src` into `x_interleaved`, or priced from its
-/// meters alone when `bufs` is `None` (see [`launch_or_price`]).
-pub(crate) fn ithomas_run<T: GpuScalar>(
-    gpu: &mut Gpu<T>,
-    bufs: Option<(CoeffBuffers, BufferId)>,
-    m: usize,
-    n: usize,
-) -> Result<KernelStats> {
-    let cfg = ithomas_config(m, n, elem_bytes::<T>());
-    let block = cfg.block_threads;
+impl Family for IThomas {
+    const STAGE: &'static str = "ithomas";
+    const ROLES: BufferRoles = BufferRoles {
+        reads: CUR,
+        writes: &[BufferRole::Alt(0)],
+        swap: false,
+    };
 
-    let failed = AtomicBool::new(false);
-    let io = bufs.map(|(src, x)| (src, [(x, OutMode::Scattered)]));
-    let stats = launch_or_price(gpu, &cfg, io, |ctx, io| {
-        let first = ctx.block_id as usize * block;
-        let count = block.min(m.saturating_sub(first));
-        if count == 0 {
-            return;
+    fn label(&self) -> String {
+        format!("ithomas[{}x{}]", self.m, self.n)
+    }
+
+    /// One thread per system, warp-width blocks, no shared memory at all.
+    fn config(&self, _elem_bytes: usize) -> LaunchConfig {
+        let block = 256.min(self.m.max(32));
+        LaunchConfig::new(self.label(), self.m.div_ceil(block), block)
+            .with_regs(ITHOMAS_REGS_PER_THREAD)
+    }
+
+    /// One full serial Thomas chain of the (padded) system size per
+    /// thread, no PCR at all.
+    fn recurrence(&self) -> RecurrenceKind {
+        RecurrenceKind::Thomas { chain_len: self.n }
+    }
+
+    /// Thread `s` walks system `s` through the interleaved coefficients —
+    /// every access warp-stride 1 by construction — with no shared memory
+    /// and no barriers at all, which is exactly why the family wins the
+    /// many-small regime.
+    fn access(&self) -> KernelAccessSummary {
+        let IThomas { m, n } = *self;
+        let site = |site, is_write| GlobalAccess {
+            site,
+            is_write,
+            map: interleaved_map(m, n),
+            warp_stride: 1,
+            clamped_neighbours: false,
+            exclusive: is_write,
+        };
+        KernelAccessSummary {
+            label: self.label(),
+            buffer_len: m * n,
+            block_threads: 256.min(m.max(32)),
+            smem_elems: 0,
+            global: vec![site("ithomas::load", false), site("ithomas::store", true)],
+            intervals: Vec::new(),
         }
-        if !ctx.pricing() {
-            let mut lx = vec![T::ZERO; n];
-            let mut scratch = ChainScratch::new();
-            for t in 0..count {
-                let s = first + t;
-                // System `s` as an interleaved chain: element `j` at
-                // `j·m + s`.
-                let chain = ChainView {
-                    offset: s,
-                    stride: m,
-                    len: n,
-                };
-                let cur = (
-                    chain.gather(io.inputs[0]),
-                    chain.gather(io.inputs[1]),
-                    chain.gather(io.inputs[2]),
-                    chain.gather(io.inputs[3]),
-                );
-                if ctx.sanitizing() {
-                    for k in 0..4 {
-                        for j in 0..n {
-                            let _ = io.load(k, chain.index(j), t, "ithomas::load");
+    }
+
+    fn run<T: GpuScalar>(&self, gpu: &mut Gpu<T>, io: Option<LaunchIo<'_>>) -> Result<KernelStats> {
+        let IThomas { m, n } = *self;
+        let cfg = self.config(elem_bytes::<T>());
+        let block = cfg.block_threads;
+
+        let failed = AtomicBool::new(false);
+        let stats = launch_or_price(gpu, &cfg, io, OutMode::Scattered, |ctx, io| {
+            let first = ctx.block_id as usize * block;
+            let count = block.min(m.saturating_sub(first));
+            if count == 0 {
+                return;
+            }
+            if !ctx.pricing() {
+                let mut lx = vec![T::ZERO; n];
+                let mut scratch = ChainScratch::new();
+                for t in 0..count {
+                    let s = first + t;
+                    // System `s` as an interleaved chain: element `j` at
+                    // `j·m + s`.
+                    let chain = ChainView {
+                        offset: s,
+                        stride: m,
+                        len: n,
+                    };
+                    let cur = (
+                        chain.gather(io.inputs[0]),
+                        chain.gather(io.inputs[1]),
+                        chain.gather(io.inputs[2]),
+                        chain.gather(io.inputs[3]),
+                    );
+                    if ctx.sanitizing() {
+                        for k in 0..4 {
+                            for j in 0..n {
+                                let _ = io.load(k, chain.index(j), t, "ithomas::load");
+                            }
                         }
                     }
-                }
-                let local = ChainView {
-                    offset: 0,
-                    stride: 1,
-                    len: n,
-                };
-                if thomas::solve_thomas_chain(
-                    &local,
-                    &cur.0,
-                    &cur.1,
-                    &cur.2,
-                    &cur.3,
-                    &mut lx,
-                    &mut scratch,
-                )
-                .is_err()
-                {
-                    failed.store(true, Ordering::Relaxed);
-                    return;
-                }
-                for (j, &v) in lx.iter().enumerate() {
-                    if !v.is_finite() {
+                    let local = ChainView {
+                        offset: 0,
+                        stride: 1,
+                        len: n,
+                    };
+                    if thomas::solve_thomas_chain(
+                        &local,
+                        &cur.0,
+                        &cur.1,
+                        &cur.2,
+                        &cur.3,
+                        &mut lx,
+                        &mut scratch,
+                    )
+                    .is_err()
+                    {
                         failed.store(true, Ordering::Relaxed);
                         return;
                     }
-                    io.scattered[0].set_at(chain.index(j), v, t, "ithomas::store");
+                    for (j, &v) in lx.iter().enumerate() {
+                        if !v.is_finite() {
+                            failed.store(true, Ordering::Relaxed);
+                            return;
+                        }
+                        io.scattered[0].set_at(chain.index(j), v, t, "ithomas::store");
+                    }
                 }
             }
-        }
-        // Coalesced coefficient load, forward-coefficient round trip
-        // through global scratch, and the solution store — all stride 1
-        // across the warp's adjacent systems.
-        ctx.gmem_read(4 * n * count, 1);
-        ctx.gmem_write(2 * n * count, 1);
-        ctx.gmem_read(2 * n * count, 1);
-        ctx.gmem_write(n * count, 1);
-        // One serial Thomas sweep pair per system, `count` systems in
-        // flight per block: each thread walks `n` dependent steps.
-        ctx.serial_phase(n, THOMAS_OPS_PER_EQ, count);
-    })?;
+            // Coalesced coefficient load, forward-coefficient round trip
+            // through global scratch, and the solution store — all stride 1
+            // across the warp's adjacent systems.
+            ctx.gmem_read(4 * n * count, 1);
+            ctx.gmem_write(2 * n * count, 1);
+            ctx.gmem_read(2 * n * count, 1);
+            ctx.gmem_write(n * count, 1);
+            // One serial Thomas sweep pair per system, `count` systems in
+            // flight per block: each thread walks `n` dependent steps.
+            ctx.serial_phase(n, THOMAS_OPS_PER_EQ, count);
+        })?;
 
-    if failed.load(Ordering::Relaxed) {
-        return Err(CoreError::NumericalBreakdown {
-            kernel: cfg.label.clone(),
-        });
+        if failed.load(Ordering::Relaxed) {
+            return Err(CoreError::NumericalBreakdown {
+                kernel: cfg.label.clone(),
+            });
+        }
+        Ok(stats)
     }
-    Ok(stats)
 }
 
 /// Transpose an interleaved solution vector back to system-major order:
 /// element `j` of system `s` moves from `j·m + s` to `s·n + j`, staged
-/// through the same padded tile as [`interleave_batch`].
-pub fn deinterleave_solution<T: GpuScalar>(
-    gpu: &mut Gpu<T>,
-    x_interleaved: BufferId,
-    x_out: BufferId,
-    m: usize,
-    n: usize,
-) -> Result<KernelStats> {
-    deinterleave_run(gpu, Some((x_interleaved, x_out)), m, n)
+/// through the same padded tile as [`Interleave`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Deinterleave {
+    pub m: usize,
+    pub n: usize,
 }
 
-/// [`deinterleave_solution`] from `x_interleaved` into `x_out`, or priced
-/// from its meters alone when `bufs` is `None` (see [`launch_or_price`]).
-pub(crate) fn deinterleave_run<T: GpuScalar>(
-    gpu: &mut Gpu<T>,
-    bufs: Option<(BufferId, BufferId)>,
-    m: usize,
-    n: usize,
-) -> Result<KernelStats> {
-    let cfg = deinterleave_config(m, n, elem_bytes::<T>());
-    let io = bufs.map(|(xi, x)| ([xi], [(x, OutMode::Scattered)]));
-    launch_or_price(gpu, &cfg, io, |ctx, io| {
-        let s = ctx.block_id as usize;
-        if !ctx.pricing() {
-            for j in 0..n {
-                let v = io.load(0, j * m + s, j, "deinterleave::load");
-                io.scattered[0].set_at(s * n + j, v, j, "deinterleave::scatter");
+impl Family for Deinterleave {
+    const STAGE: &'static str = "deinterleave";
+    const ROLES: BufferRoles = BufferRoles {
+        reads: &[BufferRole::Alt(0)],
+        writes: &[BufferRole::X],
+        swap: false,
+    };
+
+    fn label(&self) -> String {
+        format!("deinterleave[{}x{}]", self.m, self.n)
+    }
+
+    fn config(&self, elem_bytes: usize) -> LaunchConfig {
+        transpose_config(self.label(), self.m, self.n, elem_bytes)
+    }
+
+    /// A layout transposition: exact.
+    fn recurrence(&self) -> RecurrenceKind {
+        RecurrenceKind::DataMovement
+    }
+
+    /// Interleaved read of the solution, system-major scatter.
+    fn access(&self) -> KernelAccessSummary {
+        let Deinterleave { m, n } = *self;
+        transpose_summary(
+            self.label(),
+            m * n,
+            n,
+            ("deinterleave::load", interleaved_map(m, n)),
+            ("deinterleave::scatter", system_major_map(m, n)),
+        )
+    }
+
+    fn run<T: GpuScalar>(&self, gpu: &mut Gpu<T>, io: Option<LaunchIo<'_>>) -> Result<KernelStats> {
+        let Deinterleave { m, n } = *self;
+        let cfg = self.config(elem_bytes::<T>());
+        launch_or_price(gpu, &cfg, io, OutMode::Scattered, |ctx, io| {
+            let s = ctx.block_id as usize;
+            if !ctx.pricing() {
+                for j in 0..n {
+                    let v = io.load(0, j * m + s, j, "deinterleave::load");
+                    io.scattered[0].set_at(s * n + j, v, j, "deinterleave::scatter");
+                }
             }
-        }
-        ctx.gmem_read(n, 1);
-        ctx.gmem_write(n, 1);
-        ctx.smem(TRANSPOSE_SMEM_PER_EQ * n);
-        ctx.sync();
-        ctx.sync();
-    })
+            meter_transpose(ctx, n, TRANSPOSE_SMEM_PER_EQ * n);
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::testing::{alloc4, upload};
+    use crate::kernels::CoeffBuffers;
     use trisolve_gpu_sim::DeviceSpec;
     use trisolve_tridiag::cpu_batch::{solve_batch_sequential, BatchAlgorithm};
     use trisolve_tridiag::norms::batch_worst_relative_residual;
     use trisolve_tridiag::workloads::{random_dominant, WorkloadShape};
     use trisolve_tridiag::SystemBatch;
 
-    fn coeffs(gpu: &mut Gpu<f64>, batch: &SystemBatch<f64>) -> CoeffBuffers {
-        [
-            gpu.alloc_from(&batch.a).unwrap(),
-            gpu.alloc_from(&batch.b).unwrap(),
-            gpu.alloc_from(&batch.c).unwrap(),
-            gpu.alloc_from(&batch.d).unwrap(),
-        ]
-    }
-
-    fn alloc4(gpu: &mut Gpu<f64>, total: usize) -> CoeffBuffers {
-        [
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-        ]
+    /// Interleave, batched-Thomas and deinterleave `batch` on `gpu`: the
+    /// pack, the solve's stats, and the solution.
+    fn pipeline<T: GpuScalar>(
+        gpu: &mut Gpu<T>,
+        batch: &SystemBatch<T>,
+    ) -> (CoeffBuffers, KernelStats, Vec<T>) {
+        let (m, n) = (batch.num_systems, batch.system_size);
+        let src = upload(gpu, batch);
+        let dst = alloc4(gpu, m * n);
+        let (xi, x) = (gpu.alloc(m * n).unwrap(), gpu.alloc(m * n).unwrap());
+        Interleave { m, n }.run(gpu, Some((&src, &dst))).unwrap();
+        let stats = IThomas { m, n }.run(gpu, Some((&dst, &[xi]))).unwrap();
+        Deinterleave { m, n }.run(gpu, Some((&[xi], &[x]))).unwrap();
+        (dst, stats, gpu.download(x).unwrap())
     }
 
     #[test]
@@ -308,9 +347,7 @@ mod tests {
         let shape = WorkloadShape::new(m, n);
         let batch = random_dominant::<f64>(shape, 5).unwrap();
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
-        let src = coeffs(&mut gpu, &batch);
-        let dst = alloc4(&mut gpu, m * n);
-        interleave_batch(&mut gpu, src, dst, m, n).unwrap();
+        let (dst, _, _) = pipeline(&mut gpu, &batch);
         let out = gpu.download(dst[3]).unwrap();
         for s in 0..m {
             for j in 0..n {
@@ -325,14 +362,7 @@ mod tests {
             let shape = WorkloadShape::new(m, n);
             let batch = random_dominant::<f64>(shape, 17).unwrap();
             let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
-            let src = coeffs(&mut gpu, &batch);
-            let dst = alloc4(&mut gpu, m * n);
-            let xi = gpu.alloc(m * n).unwrap();
-            let x = gpu.alloc(m * n).unwrap();
-            interleave_batch(&mut gpu, src, dst, m, n).unwrap();
-            ithomas_solve(&mut gpu, dst, xi, m, n).unwrap();
-            deinterleave_solution(&mut gpu, xi, x, m, n).unwrap();
-            let got = gpu.download(x).unwrap();
+            let (_, _, got) = pipeline(&mut gpu, &batch);
             let expect = solve_batch_sequential(&batch, BatchAlgorithm::Lu).unwrap();
             let res = batch_worst_relative_residual(&batch, &got).unwrap();
             assert!(res < 1e-10, "m={m} n={n} residual {res:.3e}");
@@ -347,11 +377,7 @@ mod tests {
         let (m, n) = (4096usize, 64usize);
         let batch = random_dominant::<f64>(WorkloadShape::new(m, n), 3).unwrap();
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
-        let src = coeffs(&mut gpu, &batch);
-        let dst = alloc4(&mut gpu, m * n);
-        let xi = gpu.alloc(m * n).unwrap();
-        interleave_batch(&mut gpu, src, dst, m, n).unwrap();
-        let stats = ithomas_solve(&mut gpu, dst, xi, m, n).unwrap();
+        let (_, stats, _) = pipeline(&mut gpu, &batch);
         assert_eq!(stats.totals.coalescing_efficiency(), 1.0);
         assert_eq!(stats.totals.smem_accesses, 0.0);
         assert_eq!(stats.totals.barriers, 0.0);
@@ -364,14 +390,7 @@ mod tests {
         let (m, n) = (300usize, 32usize);
         let batch = random_dominant::<f64>(WorkloadShape::new(m, n), 9).unwrap();
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_280());
-        let src = coeffs(&mut gpu, &batch);
-        let dst = alloc4(&mut gpu, m * n);
-        let xi = gpu.alloc(m * n).unwrap();
-        let x = gpu.alloc(m * n).unwrap();
-        interleave_batch(&mut gpu, src, dst, m, n).unwrap();
-        ithomas_solve(&mut gpu, dst, xi, m, n).unwrap();
-        deinterleave_solution(&mut gpu, xi, x, m, n).unwrap();
-        let got = gpu.download(x).unwrap();
+        let (_, _, got) = pipeline(&mut gpu, &batch);
         assert!(batch_worst_relative_residual(&batch, &got).unwrap() < 1e-10);
     }
 
@@ -381,24 +400,7 @@ mod tests {
         let shape = WorkloadShape::new(m, n);
         let batch = random_dominant::<f32>(shape, 7).unwrap();
         let mut gpu: Gpu<f32> = Gpu::new(DeviceSpec::geforce_8800_gtx());
-        let src = [
-            gpu.alloc_from(&batch.a).unwrap(),
-            gpu.alloc_from(&batch.b).unwrap(),
-            gpu.alloc_from(&batch.c).unwrap(),
-            gpu.alloc_from(&batch.d).unwrap(),
-        ];
-        let dst = [
-            gpu.alloc(m * n).unwrap(),
-            gpu.alloc(m * n).unwrap(),
-            gpu.alloc(m * n).unwrap(),
-            gpu.alloc(m * n).unwrap(),
-        ];
-        let xi = gpu.alloc(m * n).unwrap();
-        let x = gpu.alloc(m * n).unwrap();
-        interleave_batch(&mut gpu, src, dst, m, n).unwrap();
-        ithomas_solve(&mut gpu, dst, xi, m, n).unwrap();
-        deinterleave_solution(&mut gpu, xi, x, m, n).unwrap();
-        let got = gpu.download(x).unwrap();
+        let (_, _, got) = pipeline(&mut gpu, &batch);
         assert!(batch_worst_relative_residual(&batch, &got).unwrap() < 1e-4);
     }
 
@@ -419,25 +421,26 @@ mod tests {
             gpu.alloc_from(&d).unwrap(),
         ];
         let xi = gpu.alloc(m * n).unwrap();
-        let err = ithomas_solve(&mut gpu, src, xi, m, n);
+        let err = IThomas { m, n }.run(&mut gpu, Some((&src, &[xi])));
         assert!(matches!(err, Err(CoreError::NumericalBreakdown { .. })));
     }
 
     #[test]
     fn configs_match_kernel_geometry() {
-        let cfg = ithomas_config(65536, 64, 4);
+        let config = |m, n| IThomas { m, n }.config(4);
+        let cfg = config(65536, 64);
         assert_eq!(cfg.block_threads, 256);
         assert_eq!(cfg.grid_blocks, 256);
         assert_eq!(cfg.shared_mem_bytes, 0);
         // Tiny batches still launch warp-width blocks.
-        let small = ithomas_config(40, 64, 4);
+        let small = config(40, 64);
         assert_eq!(small.block_threads, 40);
         assert_eq!(small.grid_blocks, 1);
-        let il = interleave_config(1024, 32, 8);
+        let il = Interleave { m: 1024, n: 32 }.config(8);
         assert_eq!(il.grid_blocks, 1024);
         assert_eq!(il.block_threads, 32);
         assert_eq!(il.shared_mem_bytes, 32 * 33 * 8);
-        let dl = deinterleave_config(1024, 32, 4);
+        let dl = Deinterleave { m: 1024, n: 32 }.config(4);
         assert_eq!(dl.label, "deinterleave[1024x32]");
     }
 }

@@ -1,4 +1,4 @@
-//! The three GPU kernels of the multi-stage solver, written against the
+//! The GPU kernels of the multi-stage solver, written against the
 //! simulator's launch API.
 //!
 //! Every kernel both *computes* (real arithmetic on real buffers, verified
@@ -7,10 +7,19 @@
 //! calls are the performance model of the real CUDA kernels; the analytic
 //! expectations they encode are checked by the tests in this module tree.
 //!
+//! The six kernel families a plan launches (stage 1, stage 2, the base
+//! kernel, and the interleave → batched-Thomas → deinterleave path) each
+//! implement `Family`: one type per family that derives its stage name,
+//! buffer roles, launch label and config, recurrence, access summary and
+//! run/price entry from the same fields. Callers reach them only through a
+//! plan op's [`OpDescriptor`](crate::plan::OpDescriptor), so a launch's
+//! label, config, access summary and recurrence cannot disagree. The
+//! baseline, repack and unpack kernels are not plan ops and keep their
+//! free `*_config` / `*_access_summary` functions.
+//!
 //! The meters depend on the launch geometry only, never on the data, so
-//! the plan families can also be *priced* without computing: each has a
-//! crate-internal `*_run` entry taking `Option` buffers, guards its
-//! numerics with [`BlockCtx::pricing`], and keeps its meter calls
+//! the plan families can also be *priced* without computing: each guards
+//! its numerics with [`BlockCtx::pricing`] and keeps its meter calls
 //! unconditional (see `launch_or_price`).
 
 pub mod access;
@@ -23,30 +32,19 @@ pub mod stage1;
 pub mod stage2;
 
 pub use access::{
-    base_access_summary, baseline_access_summary, deinterleave_access_summary,
-    interleave_access_summary, ithomas_access_summary, repack_access_summary,
-    stage1_access_summary, stage2_access_summary, unpack_access_summary, AffineMap, AffineTerm,
+    baseline_access_summary, repack_access_summary, unpack_access_summary, AffineMap, AffineTerm,
     BarrierInterval, GlobalAccess, KernelAccessSummary, SmemAccess, SmemOwner,
 };
-pub use base::{base_config, base_solve};
 pub use baselines::{baseline_config, baseline_solve, BaselineAlgo};
-pub use interleaved::{
-    deinterleave_config, deinterleave_solution, interleave_batch, interleave_config,
-    ithomas_config, ithomas_solve,
-};
-pub use recurrence::{
-    base_recurrence_summary, deinterleave_recurrence_summary, interleave_recurrence_summary,
-    ithomas_recurrence_summary, stage1_recurrence_summary, stage2_recurrence_summary,
-    RecurrenceKind, RecurrenceSummary, PCR_ROUNDING_OPS_PER_ROW, THOMAS_ROUNDING_OPS_PER_ROW,
-};
+pub use recurrence::{RecurrenceKind, PCR_ROUNDING_OPS_PER_ROW, THOMAS_ROUNDING_OPS_PER_ROW};
 pub use repack::{repack_chains, repack_config, unpack_config, unpack_solution};
-pub use stage1::{stage1_config, stage1_step};
-pub use stage2::{stage2_config, stage2_split};
 
 use crate::Result;
 use trisolve_gpu_sim::{
     BlockCtx, BlockIo, BufferId, Element, Gpu, KernelStats, LaunchConfig, OutMode,
 };
+use trisolve_tridiag::pcr;
+use trisolve_tridiag::system::ChainView;
 use trisolve_tridiag::Scalar;
 
 /// Scalars usable on the simulated GPU (`f32`, `f64`).
@@ -63,25 +61,162 @@ pub fn elem_bytes<T: GpuScalar>() -> usize {
 /// The four coefficient buffers `(a, b, c, d)` as one handle bundle.
 pub type CoeffBuffers = [BufferId; 4];
 
-/// Run one family launch: executed on `io = Some((inputs, outputs))`, or
-/// priced from its meters alone with `io = None` ([`Gpu::price`]). Either
-/// way the device is charged the same [`KernelStats`], because every
-/// family guards its numerics with [`BlockCtx::pricing`] and keeps its
-/// meter calls unconditional.
-pub(crate) fn launch_or_price<T, I, O, F>(
+/// The buffers one plan-op launch reads and writes: `(inputs, outputs)`,
+/// in the order of its [`BufferRoles`].
+pub(crate) type LaunchIo<'a> = (&'a [BufferId], &'a [BufferId]);
+
+/// One buffer a plan op touches, relative to the executor's current and
+/// alternate coefficient bundles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BufferRole {
+    /// Array `i` of the current bundle.
+    Cur(usize),
+    /// Array `i` of the alternate (double-buffer) bundle.
+    Alt(usize),
+    /// The solution vector.
+    X,
+}
+
+/// A plan op's buffer discipline: what it reads, what it writes, and
+/// whether the bundles swap afterwards. The schedule lowering certifies
+/// these accesses and the executors launch on exactly these buffers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BufferRoles {
+    /// Buffers read, in kernel input order.
+    pub reads: &'static [BufferRole],
+    /// Buffers written, in kernel output order.
+    pub writes: &'static [BufferRole],
+    /// The current and alternate bundles swap after the op.
+    pub swap: bool,
+}
+
+/// The current coefficient bundle.
+pub(crate) const CUR: &[BufferRole] = &[
+    BufferRole::Cur(0),
+    BufferRole::Cur(1),
+    BufferRole::Cur(2),
+    BufferRole::Cur(3),
+];
+
+/// Coefficients in, transformed coefficients out into the alternate
+/// bundle, which then becomes current (stage 1, stage 2, interleave).
+pub(crate) const DOUBLE_BUFFERED: BufferRoles = BufferRoles {
+    reads: CUR,
+    writes: &[
+        BufferRole::Alt(0),
+        BufferRole::Alt(1),
+        BufferRole::Alt(2),
+        BufferRole::Alt(3),
+    ],
+    swap: true,
+};
+
+/// One kernel family a plan launches: the only place its static facts are
+/// derived. The six implementors carry the op's fields plus the batch
+/// geometry; [`StageOp::describe`](crate::plan::StageOp::describe) picks
+/// the family and every [`OpDescriptor`](crate::plan::OpDescriptor) fact
+/// comes from it.
+pub(crate) trait Family {
+    /// Short stage name: trace category, `stage_ms/<stage>` metric key and
+    /// schedule node label.
+    const STAGE: &'static str;
+    /// The buffers the launch reads and writes.
+    const ROLES: BufferRoles;
+    /// The launch label, formatted here and nowhere else.
+    fn label(&self) -> String;
+    /// Launch geometry for elements of `elem_bytes`.
+    fn config(&self, elem_bytes: usize) -> LaunchConfig;
+    /// The numeric recurrence the launch applies.
+    fn recurrence(&self) -> RecurrenceKind;
+    /// The affine access summary of the launch.
+    fn access(&self) -> KernelAccessSummary;
+    /// Launch on `io`, or price from the meters alone with `None` (see
+    /// [`launch_or_price`]).
+    fn run<T: GpuScalar>(&self, gpu: &mut Gpu<T>, io: Option<LaunchIo<'_>>) -> Result<KernelStats>;
+}
+
+/// Run one family launch: executed on `io = Some((inputs, outputs))`, every
+/// output partitioned by `mode`, or priced from its meters alone with
+/// `io = None` ([`Gpu::price`]). Either way the device is charged the same
+/// [`KernelStats`], because every family guards its numerics with
+/// [`BlockCtx::pricing`] and keeps its meter calls unconditional.
+pub(crate) fn launch_or_price<T, F>(
     gpu: &mut Gpu<T>,
     cfg: &LaunchConfig,
-    io: Option<(I, O)>,
+    io: Option<LaunchIo<'_>>,
+    mode: OutMode,
     kernel: F,
 ) -> Result<KernelStats>
 where
     T: GpuScalar,
-    I: AsRef<[BufferId]>,
-    O: AsRef<[(BufferId, OutMode)]>,
     F: Fn(&mut BlockCtx, &mut BlockIo<'_, T>) + Sync,
 {
     Ok(match io {
-        Some((inputs, outputs)) => gpu.launch(cfg, inputs.as_ref(), outputs.as_ref(), kernel)?,
+        Some((inputs, outputs)) => {
+            let outputs: Vec<_> = outputs.iter().map(|&b| (b, mode)).collect();
+            gpu.launch(cfg, inputs, &outputs, kernel)?
+        }
         None => gpu.price(cfg, kernel)?,
     })
+}
+
+/// The chain block `bid` owns in a batch of `n`-equation systems split
+/// into `stride` chains each: `parent = bid / stride`, `r = bid % stride`,
+/// element `j` at `parent·n + r + j·stride` (stage 2 and the base kernel).
+pub(crate) fn block_chain(bid: usize, n: usize, stride: usize) -> ChainView {
+    ChainView {
+        offset: bid / stride * n + bid % stride,
+        stride,
+        len: n / stride,
+    }
+}
+
+/// One chain's four coefficient arrays, gathered chain-contiguous and
+/// double-buffered for PCR steps. Empty when the launch is only priced.
+pub(crate) struct ChainCoeffs<T> {
+    /// The current `(a, b, c, d)`.
+    pub cur: [Vec<T>; 4],
+    next: [Vec<T>; 4],
+}
+
+impl<T: GpuScalar> ChainCoeffs<T> {
+    /// Gather `chain` from the four `inputs`, or nothing without `numerics`.
+    pub(crate) fn gather(chain: &ChainView, inputs: &[&[T]], numerics: bool) -> Self {
+        if !numerics {
+            return Self {
+                cur: Default::default(),
+                next: Default::default(),
+            };
+        }
+        Self {
+            cur: [0, 1, 2, 3].map(|k| chain.gather(inputs[k])),
+            next: [(); 4].map(|()| vec![T::ZERO; chain.len]),
+        }
+    }
+
+    /// One PCR step at local stride `s`; the result becomes current.
+    pub(crate) fn pcr_step(&mut self, s: usize) {
+        let [a, b, c, d] = &self.cur;
+        let [oa, ob, oc, od] = &mut self.next;
+        pcr::pcr_step(s, a, b, c, d, oa, ob, oc, od);
+        std::mem::swap(&mut self.cur, &mut self.next);
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod testing {
+    //! Buffer fixtures shared by the kernel tests.
+    use super::{CoeffBuffers, GpuScalar};
+    use trisolve_gpu_sim::Gpu;
+    use trisolve_tridiag::SystemBatch;
+
+    /// The batch's four coefficient arrays, uploaded.
+    pub(crate) fn upload<T: GpuScalar>(gpu: &mut Gpu<T>, b: &SystemBatch<T>) -> CoeffBuffers {
+        [&b.a, &b.b, &b.c, &b.d].map(|v| gpu.alloc_from(v).unwrap())
+    }
+
+    /// Four fresh buffers of `len` elements.
+    pub(crate) fn alloc4<T: GpuScalar>(gpu: &mut Gpu<T>, len: usize) -> CoeffBuffers {
+        [(); 4].map(|()| gpu.alloc(len).unwrap())
+    }
 }

@@ -1,20 +1,19 @@
-//! Per-kernel *recurrence summaries* — the numeric mirror of the access
-//! summaries in [`super::access`].
+//! Per-kernel *recurrences* — the numeric mirror of the access summaries
+//! in [`super::access`].
 //!
 //! Where an access summary describes *which addresses* a launch touches, a
-//! recurrence summary describes *which numeric recurrence* it applies to the
+//! [`RecurrenceKind`] describes *which numeric recurrence* it applies to the
 //! coefficients: how many parallel-cyclic-reduction steps, how long a serial
 //! Thomas chain, or pure data movement (exact, no rounding at all). The
 //! stability certifier in `trisolve-analyze` abstract-interprets these
-//! summaries to prove dominance preservation, pivot-freedom and a-priori
+//! recurrences to prove dominance preservation, pivot-freedom and a-priori
 //! error bounds without executing a single simulated instruction.
 //!
-//! Like the access constructors, each recurrence constructor lives next to
-//! the kernel family's config builder and emits the *same label*, and
-//! [`SolvePlan::recurrence_summaries`](crate::SolvePlan::recurrence_summaries)
-//! maps the same op sequence — description and execution cannot drift.
+//! Each plan-op family derives its recurrence in its `Family` impl, next
+//! to its launch config and access summary, and a plan op's
+//! [`OpDescriptor`](crate::plan::OpDescriptor) hands it out — description
+//! and execution cannot drift.
 
-use crate::params::BaseVariant;
 use serde::Serialize;
 
 /// Sequential rounding operations one row's value passes through per PCR
@@ -90,85 +89,11 @@ impl RecurrenceKind {
     }
 }
 
-/// The numeric recurrence of one kernel launch, labelled identically to its
-/// [`LaunchConfig`](trisolve_gpu_sim::LaunchConfig) and
-/// [`KernelAccessSummary`](super::access::KernelAccessSummary) so the three
-/// descriptions zip 1:1 in plan order.
-#[derive(Debug, Clone, Serialize)]
-pub struct RecurrenceSummary {
-    /// Kernel label, identical to the launch config's.
-    pub label: String,
-    /// The recurrence the launch applies.
-    pub kind: RecurrenceKind,
-}
-
-/// Recurrence of one stage-1 cooperative splitting launch: a single PCR
-/// step at the given parent stride.
-pub fn stage1_recurrence_summary(stride: usize) -> RecurrenceSummary {
-    RecurrenceSummary {
-        label: format!("stage1[stride={stride}]"),
-        kind: RecurrenceKind::Pcr { steps: 1 },
-    }
-}
-
-/// Recurrence of the stage-2 independent splitting launch: `steps` PCR
-/// steps applied block-locally.
-pub fn stage2_recurrence_summary(m: usize, stride_in: usize, steps: u32) -> RecurrenceSummary {
-    RecurrenceSummary {
-        label: format!("stage2[chains={},steps={steps}]", m * stride_in),
-        kind: RecurrenceKind::Pcr { steps },
-    }
-}
-
-/// Recurrence of the on-chip base kernel: PCR in shared memory down to
-/// `thomas_chains.min(chain_len)` serial chains, then Thomas. The
-/// `t4.trailing_zeros()` step count and `chain_len / t4` chain length
-/// mirror the access summary's barrier choreography exactly.
-pub fn base_recurrence_summary(
-    chain_len: usize,
-    stride: usize,
-    thomas_chains: usize,
-    variant: BaseVariant,
-) -> RecurrenceSummary {
-    let t4 = thomas_chains.min(chain_len);
-    let pcr_steps = t4.trailing_zeros();
-    RecurrenceSummary {
-        label: format!("base[{chain_len}@{stride},t4={t4},{variant:?}]"),
-        kind: RecurrenceKind::Hybrid {
-            pcr_steps,
-            thomas_len: chain_len / t4.max(1),
-        },
-    }
-}
-
-/// Recurrence of the interleave pack launch: a layout transposition, exact.
-pub fn interleave_recurrence_summary(m: usize, n: usize) -> RecurrenceSummary {
-    RecurrenceSummary {
-        label: format!("interleave[{m}x{n}]"),
-        kind: RecurrenceKind::DataMovement,
-    }
-}
-
-/// Recurrence of the batched-Thomas launch: one full serial Thomas chain of
-/// the (padded) system size per thread, no PCR at all.
-pub fn ithomas_recurrence_summary(m: usize, n: usize) -> RecurrenceSummary {
-    RecurrenceSummary {
-        label: format!("ithomas[{m}x{n}]"),
-        kind: RecurrenceKind::Thomas { chain_len: n },
-    }
-}
-
-/// Recurrence of the deinterleave launch: a layout transposition, exact.
-pub fn deinterleave_recurrence_summary(m: usize, n: usize) -> RecurrenceSummary {
-    RecurrenceSummary {
-        label: format!("deinterleave[{m}x{n}]"),
-        kind: RecurrenceKind::DataMovement,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::BaseVariant;
+    use crate::plan::StageOp;
 
     #[test]
     fn rounding_ops_compose_pcr_and_thomas_terms() {
@@ -196,51 +121,31 @@ mod tests {
     #[test]
     fn base_recurrence_matches_the_kernel_switch_points() {
         // 256-row chains, Thomas switch 32: 5 PCR halvings to 32 chains of 8.
-        let s = base_recurrence_summary(256, 8, 32, BaseVariant::Strided);
+        let base = |chain_len, stride, thomas_chains, variant| {
+            StageOp::BaseSolve {
+                chains: stride,
+                chain_len,
+                stride,
+                thomas_chains,
+                variant,
+            }
+            .describe(1, chain_len * stride)
+            .recurrence()
+        };
         assert_eq!(
-            s.kind,
+            base(256, 8, 32, BaseVariant::Strided),
             RecurrenceKind::Hybrid {
                 pcr_steps: 5,
                 thomas_len: 8
             }
         );
         // The switch clamps to the chain length: t4 = 64, chains of 1 row.
-        let s = base_recurrence_summary(64, 1, 128, BaseVariant::Coalesced);
         assert_eq!(
-            s.kind,
+            base(64, 1, 128, BaseVariant::Coalesced),
             RecurrenceKind::Hybrid {
                 pcr_steps: 6,
                 thomas_len: 1
             }
-        );
-    }
-
-    #[test]
-    fn labels_match_the_access_summary_labels() {
-        use super::super::access;
-        assert_eq!(
-            stage1_recurrence_summary(4).label,
-            access::stage1_access_summary(16, 1024, 4).label
-        );
-        assert_eq!(
-            stage2_recurrence_summary(16, 16, 8).label,
-            access::stage2_access_summary(16, 1024, 16, 8).label
-        );
-        assert_eq!(
-            base_recurrence_summary(256, 8, 32, BaseVariant::Strided).label,
-            access::base_access_summary(16, 2048, 256, 8, 32, BaseVariant::Strided).label
-        );
-        assert_eq!(
-            ithomas_recurrence_summary(65536, 64).label,
-            access::ithomas_access_summary(65536, 64).label
-        );
-        assert_eq!(
-            interleave_recurrence_summary(65536, 64).label,
-            access::interleave_access_summary(65536, 64).label
-        );
-        assert_eq!(
-            deinterleave_recurrence_summary(65536, 64).label,
-            access::deinterleave_access_summary(65536, 64).label
         );
     }
 }

@@ -13,38 +13,50 @@
 use crate::kernels::{CoeffBuffers, GpuScalar};
 use crate::params::SPLIT_KERNEL_REGS_PER_THREAD;
 use crate::Result;
-use trisolve_gpu_sim::{BufferId, Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_gpu_sim::{BlockCtx, BufferId, Gpu, KernelStats, LaunchConfig, OutMode};
 use trisolve_tridiag::system::ChainView;
 
 /// Shared-memory accesses per element of a tiled transpose (one write into
 /// the tile, one read out).
-const TRANSPOSE_SMEM_PER_EQ: usize = 2;
+pub(crate) const TRANSPOSE_SMEM_PER_EQ: usize = 2;
 
-/// Launch geometry of the repack (transpose-in) pass (shared between the
-/// kernel and the plan validator so the two cannot drift).
+/// Meter one block of a padded-tile transpose: `elems` elements read and
+/// written coalesced, `smem_accesses` tile accesses, and the barrier pair
+/// around the tile.
+pub(crate) fn meter_transpose(ctx: &mut BlockCtx, elems: usize, smem_accesses: usize) {
+    ctx.gmem_read(elems, 1);
+    ctx.gmem_write(elems, 1);
+    ctx.smem(smem_accesses);
+    ctx.sync();
+    ctx.sync();
+}
+
+/// Launch geometry of a padded-tile transpose pass: one block per row of
+/// `row_len` elements, staging through the padded 32×33 tile. Shared by
+/// repack/unpack and interleave/deinterleave.
+pub(crate) fn transpose_config(
+    label: String,
+    rows: usize,
+    row_len: usize,
+    elem_bytes: usize,
+) -> LaunchConfig {
+    LaunchConfig::new(label, rows, 256.min(row_len.max(32)))
+        .with_regs(SPLIT_KERNEL_REGS_PER_THREAD)
+        .with_shared_mem(32 * 33 * elem_bytes) // padded transpose tile
+}
+
+/// Launch geometry of the repack (transpose-in) pass.
 pub fn repack_config(m: usize, n: usize, stride: usize, elem_bytes: usize) -> LaunchConfig {
-    let chain_len = n / stride;
-    let chains = m * stride;
-    LaunchConfig::new(
-        format!("repack[{chains}x{chain_len}@{stride}]"),
-        chains,
-        256.min(chain_len.max(32)),
-    )
-    .with_regs(SPLIT_KERNEL_REGS_PER_THREAD)
-    .with_shared_mem(32 * 33 * elem_bytes) // padded transpose tile
+    let (chains, chain_len) = (m * stride, n / stride);
+    let label = format!("repack[{chains}x{chain_len}@{stride}]");
+    transpose_config(label, chains, chain_len, elem_bytes)
 }
 
 /// Launch geometry of the unpack (transpose-out) pass.
 pub fn unpack_config(m: usize, n: usize, stride: usize, elem_bytes: usize) -> LaunchConfig {
-    let chain_len = n / stride;
-    let chains = m * stride;
-    LaunchConfig::new(
-        format!("unpack[{chains}x{chain_len}@{stride}]"),
-        chains,
-        256.min(chain_len.max(32)),
-    )
-    .with_regs(SPLIT_KERNEL_REGS_PER_THREAD)
-    .with_shared_mem(32 * 33 * elem_bytes)
+    let (chains, chain_len) = (m * stride, n / stride);
+    let label = format!("unpack[{chains}x{chain_len}@{stride}]");
+    transpose_config(label, chains, chain_len, elem_bytes)
 }
 
 /// Repack the four coefficient arrays from interleaved chains (stride `k`
@@ -89,11 +101,11 @@ pub fn repack_chains<T: GpuScalar>(
         }
         // Tiled transpose: both global sides coalesced, staged through a
         // padded (bank-conflict-free) shared tile.
-        ctx.gmem_read(4 * chain_len, 1);
-        ctx.gmem_write(4 * chain_len, 1);
-        ctx.smem(2 * TRANSPOSE_SMEM_PER_EQ * 4 * chain_len);
-        ctx.sync();
-        ctx.sync();
+        meter_transpose(
+            ctx,
+            4 * chain_len,
+            2 * TRANSPOSE_SMEM_PER_EQ * 4 * chain_len,
+        );
     })?;
     Ok(stats)
 }
@@ -129,11 +141,7 @@ pub fn unpack_solution<T: GpuScalar>(
                 let v = io.load(0, bid * chain_len + j, j, "unpack::load");
                 io.scattered[0].set_at(chain.index(j), v, j, "unpack::scatter");
             }
-            ctx.gmem_read(chain_len, 1);
-            ctx.gmem_write(chain_len, 1);
-            ctx.smem(TRANSPOSE_SMEM_PER_EQ * chain_len);
-            ctx.sync();
-            ctx.sync();
+            meter_transpose(ctx, chain_len, TRANSPOSE_SMEM_PER_EQ * chain_len);
         },
     )?;
     Ok(stats)
@@ -142,8 +150,9 @@ pub fn unpack_solution<T: GpuScalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::base_solve;
+    use crate::kernels::testing::{alloc4, upload};
     use crate::params::BaseVariant;
+    use crate::plan::StageOp;
     use trisolve_gpu_sim::DeviceSpec;
     use trisolve_tridiag::norms::batch_worst_relative_residual;
     use trisolve_tridiag::pcr;
@@ -183,29 +192,22 @@ mod tests {
             gpu.alloc_from(&c).unwrap(),
             gpu.alloc_from(&d).unwrap(),
         ];
-        let packed = [
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-        ];
+        let packed = alloc4(&mut gpu, total);
         let x_packed = gpu.alloc(total).unwrap();
         let x_out = gpu.alloc(total).unwrap();
 
         repack_chains(&mut gpu, src, packed, m, n, stride).unwrap();
         // Repacked chains are contiguous systems of chain_len.
-        base_solve(
-            &mut gpu,
-            packed,
-            x_packed,
-            m * stride,
+        let base = StageOp::BaseSolve {
+            chains: m * stride,
             chain_len,
-            chain_len,
-            1,
-            64,
-            BaseVariant::Strided,
-        )
-        .unwrap();
+            stride: 1,
+            thomas_chains: 64,
+            variant: BaseVariant::Strided,
+        };
+        base.describe(m * stride, chain_len)
+            .launch(&mut gpu, &packed, &[x_packed])
+            .unwrap();
         unpack_solution(&mut gpu, x_packed, x_out, m, n, stride).unwrap();
 
         let x = gpu.download(x_out).unwrap();
@@ -218,18 +220,8 @@ mod tests {
         let (m, n, stride) = (2usize, 1024usize, 16usize);
         let batch = random_dominant::<f32>(WorkloadShape::new(m, n), 3).unwrap();
         let mut gpu: Gpu<f32> = Gpu::new(DeviceSpec::gtx_280());
-        let src = [
-            gpu.alloc_from(&batch.a).unwrap(),
-            gpu.alloc_from(&batch.b).unwrap(),
-            gpu.alloc_from(&batch.c).unwrap(),
-            gpu.alloc_from(&batch.d).unwrap(),
-        ];
-        let dst = [
-            gpu.alloc(m * n).unwrap(),
-            gpu.alloc(m * n).unwrap(),
-            gpu.alloc(m * n).unwrap(),
-            gpu.alloc(m * n).unwrap(),
-        ];
+        let src = upload(&mut gpu, &batch);
+        let dst = alloc4(&mut gpu, m * n);
         let stats = repack_chains(&mut gpu, src, dst, m, n, stride).unwrap();
         // The whole point: no transaction waste despite the stride.
         assert_eq!(stats.totals.coalescing_efficiency(), 1.0);

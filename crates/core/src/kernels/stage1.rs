@@ -8,7 +8,11 @@
 //! fixed cost (launch overhead) is exactly why the paper leaves stage 1 as
 //! soon as there are enough independent systems (§III-C).
 
-use crate::kernels::{launch_or_price, CoeffBuffers, GpuScalar};
+use crate::kernels::access::{AffineMap, GlobalAccess, KernelAccessSummary};
+use crate::kernels::{
+    elem_bytes, launch_or_price, BufferRoles, Family, GpuScalar, LaunchIo, RecurrenceKind,
+    DOUBLE_BUFFERED,
+};
 use crate::params::{SPLIT_KERNEL_REGS_PER_THREAD, SPLIT_KERNEL_THREADS};
 use crate::Result;
 use trisolve_gpu_sim::{Gpu, KernelStats, LaunchConfig, OutMode};
@@ -28,78 +32,110 @@ pub const PCR_STAGING_SMEM_PER_EQ: usize = 12;
 /// Per-equation global stores of one PCR row update.
 pub const PCR_STORES_PER_EQ: usize = 4;
 
-/// Launch geometry of one cooperative splitting step. The kernel launches
-/// with exactly this configuration, so static validation of the config *is*
-/// validation of the launch — the two cannot drift.
-pub fn stage1_config(m: usize, n: usize, stride: usize) -> LaunchConfig {
-    let grid = m * n / n.min(1024);
-    LaunchConfig::new(
-        format!("stage1[stride={stride}]"),
-        grid,
-        SPLIT_KERNEL_THREADS,
-    )
-    .with_regs(SPLIT_KERNEL_REGS_PER_THREAD)
+/// One cooperative splitting step: PCR at `stride` over a batch of `m`
+/// systems of `n` (power-of-two) equations, reading the current bundle and
+/// writing the alternate one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stage1 {
+    pub m: usize,
+    pub n: usize,
+    pub stride: usize,
 }
 
-/// Launch one cooperative splitting step: PCR at `stride` over a batch of
-/// `m` systems of `n` (power-of-two) equations, reading `src` and writing
-/// `dst`.
-pub fn stage1_step<T: GpuScalar>(
-    gpu: &mut Gpu<T>,
-    src: CoeffBuffers,
-    dst: CoeffBuffers,
-    m: usize,
-    n: usize,
-    stride: usize,
-) -> Result<KernelStats> {
-    stage1_run(gpu, Some((src, dst)), m, n, stride)
-}
+impl Family for Stage1 {
+    const STAGE: &'static str = "stage1";
+    const ROLES: BufferRoles = DOUBLE_BUFFERED;
 
-/// [`stage1_step`] on `(src, dst)`, or priced from its meters alone when
-/// `bufs` is `None` (see [`launch_or_price`]).
-pub(crate) fn stage1_run<T: GpuScalar>(
-    gpu: &mut Gpu<T>,
-    bufs: Option<(CoeffBuffers, CoeffBuffers)>,
-    m: usize,
-    n: usize,
-    stride: usize,
-) -> Result<KernelStats> {
-    debug_assert!(n.is_power_of_two());
-    let chunk = n.min(1024);
-    let cfg = stage1_config(m, n, stride);
-    let io = bufs.map(|(src, dst)| (src, dst.map(|b| (b, OutMode::Chunked { chunk }))));
+    fn label(&self) -> String {
+        format!("stage1[stride={}]", self.stride)
+    }
 
-    launch_or_price(gpu, &cfg, io, |ctx, io| {
-        if !ctx.pricing() {
-            // `chunk` divides `n`: thread `i` owns row `lo + i` of system `sys`.
-            let base = ctx.block_id as usize * chunk;
-            let (sys, lo) = (base / n, base % n);
-            let [a, b, c, d] = [0, 1, 2, 3].map(|k| &io.inputs[k][sys * n..][..n]);
-            let [oa, ob, oc, od] = <&mut [_; 4]>::try_from(&mut io.owned[..]).expect("4 outputs");
-            pcr::pcr_rows(stride, lo, a, b, c, d, oa, ob, oc, od);
-            // Sanitizer replay, in the kernel's order: thread `i` loads its
-            // row and its in-system neighbours, then stores its results.
-            for i in (0..chunk).filter(|_| ctx.sanitizing()) {
-                let (g, pos) = (base + i, lo + i);
-                let minus = (pos >= stride).then(|| g - stride);
-                let plus = (pos + stride < n).then(|| g + stride);
-                for row in [Some(g), minus, plus].into_iter().flatten() {
-                    (0..4).for_each(|k| _ = io.load(k, row, i, "stage1::row"));
-                }
-                (0..4).for_each(|k| io.store(k, i, io.owned[k][i], i, "stage1::store"));
-            }
+    fn config(&self, _elem_bytes: usize) -> LaunchConfig {
+        let grid = self.m * self.n / self.n.min(1024);
+        LaunchConfig::new(self.label(), grid, SPLIT_KERNEL_THREADS)
+            .with_regs(SPLIT_KERNEL_REGS_PER_THREAD)
+    }
+
+    /// A single PCR step at the parent stride.
+    fn recurrence(&self) -> RecurrenceKind {
+        RecurrenceKind::Pcr { steps: 1 }
+    }
+
+    /// Blocks cover contiguous chunks; each element reads its own row plus
+    /// two neighbour rows clamped to its system, and writes its own
+    /// position of the chunk.
+    fn access(&self) -> KernelAccessSummary {
+        let Stage1 { m, n, .. } = *self;
+        let chunk = n.min(1024);
+        let map = AffineMap::at(0)
+            .term("i", 1, chunk)
+            .term("block", chunk, m * n / chunk);
+        KernelAccessSummary {
+            label: self.label(),
+            buffer_len: m * n,
+            block_threads: SPLIT_KERNEL_THREADS,
+            smem_elems: 0,
+            global: vec![
+                GlobalAccess {
+                    site: "stage1::row",
+                    is_write: false,
+                    map: map.clone(),
+                    warp_stride: 1,
+                    clamped_neighbours: true,
+                    exclusive: false,
+                },
+                GlobalAccess {
+                    site: "stage1::store",
+                    is_write: true,
+                    map,
+                    warp_stride: 1,
+                    clamped_neighbours: false,
+                    exclusive: true,
+                },
+            ],
+            intervals: Vec::new(),
         }
-        ctx.gmem_read_staged(PCR_LOADS_PER_EQ * chunk, PCR_UNIQUE_LOADS_PER_EQ * chunk, 1);
-        ctx.gmem_write(PCR_STORES_PER_EQ * chunk, 1);
-        ctx.smem(PCR_STAGING_SMEM_PER_EQ * chunk);
-        ctx.ops(PCR_OPS_PER_EQ * chunk);
-        ctx.sync();
-    })
+    }
+
+    fn run<T: GpuScalar>(&self, gpu: &mut Gpu<T>, io: Option<LaunchIo<'_>>) -> Result<KernelStats> {
+        let Stage1 { n, stride, .. } = *self;
+        debug_assert!(n.is_power_of_two());
+        let chunk = n.min(1024);
+        let cfg = self.config(elem_bytes::<T>());
+        launch_or_price(gpu, &cfg, io, OutMode::Chunked { chunk }, |ctx, io| {
+            if !ctx.pricing() {
+                // `chunk` divides `n`: thread `i` owns row `lo + i` of system `sys`.
+                let base = ctx.block_id as usize * chunk;
+                let (sys, lo) = (base / n, base % n);
+                let [a, b, c, d] = [0, 1, 2, 3].map(|k| &io.inputs[k][sys * n..][..n]);
+                let [oa, ob, oc, od] =
+                    <&mut [_; 4]>::try_from(&mut io.owned[..]).expect("4 outputs");
+                pcr::pcr_rows(stride, lo, a, b, c, d, oa, ob, oc, od);
+                // Sanitizer replay, in the kernel's order: thread `i` loads its
+                // row and its in-system neighbours, then stores its results.
+                for i in (0..chunk).filter(|_| ctx.sanitizing()) {
+                    let (g, pos) = (base + i, lo + i);
+                    let minus = (pos >= stride).then(|| g - stride);
+                    let plus = (pos + stride < n).then(|| g + stride);
+                    for row in [Some(g), minus, plus].into_iter().flatten() {
+                        (0..4).for_each(|k| _ = io.load(k, row, i, "stage1::row"));
+                    }
+                    (0..4).for_each(|k| io.store(k, i, io.owned[k][i], i, "stage1::store"));
+                }
+            }
+            ctx.gmem_read_staged(PCR_LOADS_PER_EQ * chunk, PCR_UNIQUE_LOADS_PER_EQ * chunk, 1);
+            ctx.gmem_write(PCR_STORES_PER_EQ * chunk, 1);
+            ctx.smem(PCR_STAGING_SMEM_PER_EQ * chunk);
+            ctx.ops(PCR_OPS_PER_EQ * chunk);
+            ctx.sync();
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::CoeffBuffers;
     use trisolve_gpu_sim::sanitizer::MAX_HAZARDS_PER_BLOCK;
     use trisolve_gpu_sim::DeviceSpec;
     use trisolve_tridiag::workloads::{random_dominant, WorkloadShape};
@@ -123,7 +159,8 @@ mod tests {
         let src = upload(&mut gpu, &batch, 4);
         let dst = [0; 4].map(|_| gpu.alloc(m * n).unwrap());
         for stride in [1usize, 2, 4, 1024] {
-            stage1_step(&mut gpu, src, dst, m, n, stride).unwrap();
+            let step = Stage1 { m, n, stride };
+            step.run(&mut gpu, Some((&src, &dst))).unwrap();
             let got = dst.map(|b| gpu.download(b).unwrap());
             for s in 0..m {
                 let sys = batch.system(s).unwrap();
@@ -139,13 +176,15 @@ mod tests {
 
     #[test]
     fn traffic_is_coalesced_and_proportional() {
-        let shape = WorkloadShape::new(4, 1024);
+        let (m, n) = (4, 1024);
+        let shape = WorkloadShape::new(m, n);
         let batch = random_dominant::<f64>(shape, 1).unwrap();
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_280());
         let src = upload(&mut gpu, &batch, 4);
         let total = shape.total_equations();
         let dst = [0; 4].map(|_| gpu.alloc(total).unwrap());
-        let stats = stage1_step(&mut gpu, src, dst, 4, 1024, 1).unwrap();
+        let step = Stage1 { m, n, stride: 1 };
+        let stats = step.run(&mut gpu, Some((&src, &dst))).unwrap();
         let expect_read = (PCR_UNIQUE_LOADS_PER_EQ * total * 8) as f64;
         let expect_write = (PCR_STORES_PER_EQ * total * 8) as f64;
         assert_eq!(stats.totals.gmem_read_bytes, expect_read);
@@ -160,12 +199,14 @@ mod tests {
 
     #[test]
     fn each_step_is_one_launch() {
-        let batch = random_dominant::<f64>(WorkloadShape::new(1, 4096), 2).unwrap();
+        let (m, n) = (1, 4096);
+        let batch = random_dominant::<f64>(WorkloadShape::new(m, n), 2).unwrap();
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::geforce_8800_gtx());
         let src = upload(&mut gpu, &batch, 4);
-        let dst = [0; 4].map(|_| gpu.alloc(4096).unwrap());
-        stage1_step(&mut gpu, src, dst, 1, 4096, 1).unwrap();
-        stage1_step(&mut gpu, dst, src, 1, 4096, 2).unwrap();
+        let dst = [0; 4].map(|_| gpu.alloc(n).unwrap());
+        let step = |stride| Stage1 { m, n, stride };
+        step(1).run(&mut gpu, Some((&src, &dst))).unwrap();
+        step(2).run(&mut gpu, Some((&dst, &src))).unwrap();
         assert_eq!(gpu.timeline().len(), 2);
     }
 
@@ -182,8 +223,9 @@ mod tests {
             let run = |mut gpu: Gpu<f32>| {
                 let src = upload(&mut gpu, &batch, uninit);
                 let dst = [0; 4].map(|_| gpu.alloc(m * n).unwrap());
-                stage1_step(&mut gpu, src, dst, m, n, stride).unwrap();
-                stage1_step(&mut gpu, dst, src, m, n, stride).unwrap();
+                let step = Stage1 { m, n, stride };
+                step.run(&mut gpu, Some((&src, &dst))).unwrap();
+                step.run(&mut gpu, Some((&dst, &src))).unwrap();
                 let out = src.map(|b| {
                     let v = gpu.download(b).unwrap();
                     v.into_iter().map(f32::to_bits).collect::<Vec<_>>()

@@ -14,169 +14,178 @@
 //! which cannot keep an over-shared-memory-sized chain on chip — would
 //! generate.
 
+use crate::kernels::access::{chain_map, GlobalAccess, KernelAccessSummary};
 use crate::kernels::stage1::{
     PCR_LOADS_PER_EQ, PCR_OPS_PER_EQ, PCR_STAGING_SMEM_PER_EQ, PCR_STORES_PER_EQ,
     PCR_UNIQUE_LOADS_PER_EQ,
 };
-use crate::kernels::{launch_or_price, CoeffBuffers, GpuScalar};
+use crate::kernels::{
+    block_chain, elem_bytes, launch_or_price, BufferRoles, ChainCoeffs, Family, GpuScalar,
+    LaunchIo, RecurrenceKind, DOUBLE_BUFFERED,
+};
 use crate::params::{SPLIT_KERNEL_REGS_PER_THREAD, SPLIT_KERNEL_THREADS};
 use crate::Result;
 use trisolve_gpu_sim::{Gpu, KernelStats, LaunchConfig, OutMode};
-use trisolve_tridiag::pcr;
-use trisolve_tridiag::system::ChainView;
 
-/// Launch geometry of the independent splitting stage (shared between the
-/// kernel and the plan validator so the two cannot drift).
-pub fn stage2_config(m: usize, n: usize, stride_in: usize, steps: u32) -> LaunchConfig {
-    let chains = m * stride_in;
-    let chain_len = n / stride_in;
-    LaunchConfig::new(
-        format!("stage2[chains={chains},steps={steps}]"),
-        chains,
-        SPLIT_KERNEL_THREADS.min(chain_len),
-    )
-    .with_regs(SPLIT_KERNEL_REGS_PER_THREAD)
-}
-
-/// Launch the independent splitting stage.
+/// The independent splitting stage.
 ///
-/// * `m` parent systems of `n` equations (power of two) live in `src`.
+/// * `m` parent systems of `n` equations (power of two) live in the
+///   current bundle.
 /// * On entry each parent is already split into `stride_in` chains
 ///   (by stage 1); the grid has `m * stride_in` blocks, one per chain.
 /// * Each block applies `steps` PCR steps to its chain; the transformed
-///   coefficients land in `dst` at the chain's (strided) positions.
-#[allow(clippy::too_many_arguments)]
-pub fn stage2_split<T: GpuScalar>(
-    gpu: &mut Gpu<T>,
-    src: CoeffBuffers,
-    dst: CoeffBuffers,
-    m: usize,
-    n: usize,
-    stride_in: usize,
-    steps: u32,
-) -> Result<KernelStats> {
-    stage2_run(gpu, Some((src, dst)), m, n, stride_in, steps)
+///   coefficients land in the alternate bundle at the chain's (strided)
+///   positions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stage2 {
+    pub m: usize,
+    pub n: usize,
+    pub stride_in: usize,
+    pub steps: u32,
 }
 
-/// [`stage2_split`] on `(src, dst)`, or priced from its meters alone when
-/// `bufs` is `None` (see [`launch_or_price`]).
-pub(crate) fn stage2_run<T: GpuScalar>(
-    gpu: &mut Gpu<T>,
-    bufs: Option<(CoeffBuffers, CoeffBuffers)>,
-    m: usize,
-    n: usize,
-    stride_in: usize,
-    steps: u32,
-) -> Result<KernelStats> {
-    debug_assert!(n.is_power_of_two());
-    debug_assert!(stride_in.is_power_of_two());
-    debug_assert!(steps >= 1);
-    let chain_len = n / stride_in;
-    let cfg = stage2_config(m, n, stride_in, steps);
-    let io = bufs.map(|(src, dst)| (src, dst.map(|b| (b, OutMode::Scattered))));
+impl Family for Stage2 {
+    const STAGE: &'static str = "stage2";
+    const ROLES: BufferRoles = DOUBLE_BUFFERED;
 
-    launch_or_price(gpu, &cfg, io, |ctx, io| {
-        let numerics = !ctx.pricing();
-        let bid = ctx.block_id as usize;
-        let parent = bid / stride_in;
-        let r = bid % stride_in;
-        let chain = ChainView {
-            offset: parent * n + r,
-            stride: stride_in,
-            len: chain_len,
-        };
-        // Gather the chain into chain-contiguous working arrays.
-        let (mut cur, mut next) = if numerics {
-            let zeros = || vec![T::ZERO; chain_len];
-            (
-                (
-                    chain.gather(io.inputs[0]),
-                    chain.gather(io.inputs[1]),
-                    chain.gather(io.inputs[2]),
-                    chain.gather(io.inputs[3]),
-                ),
-                (zeros(), zeros(), zeros(), zeros()),
-            )
-        } else {
-            Default::default()
-        };
-        if ctx.sanitizing() {
-            // Replay the gather through the tracked API (the values were
-            // already read above) so memcheck/initcheck see the kernel's
-            // true global read set. Logical thread `j` owns chain element
-            // `j`. The per-step streaming below double-buffers through
-            // global memory (`src` → `dst`), so it is race-free by
-            // construction and needs no shared-memory replay.
-            for k in 0..4 {
-                for j in 0..chain_len {
-                    let _ = io.load(k, chain.index(j), j, "stage2::gather");
+    fn label(&self) -> String {
+        let chains = self.m * self.stride_in;
+        format!("stage2[chains={chains},steps={}]", self.steps)
+    }
+
+    fn config(&self, _elem_bytes: usize) -> LaunchConfig {
+        LaunchConfig::new(
+            self.label(),
+            self.m * self.stride_in,
+            SPLIT_KERNEL_THREADS.min(self.n / self.stride_in),
+        )
+        .with_regs(SPLIT_KERNEL_REGS_PER_THREAD)
+    }
+
+    /// `steps` PCR steps applied block-locally.
+    fn recurrence(&self) -> RecurrenceKind {
+        RecurrenceKind::Pcr { steps: self.steps }
+    }
+
+    /// Each block gathers its chain, iterates locally double-buffering
+    /// through *global* memory (hence no shared-memory intervals to
+    /// prove), and scatters back to the chain's strided positions.
+    fn access(&self) -> KernelAccessSummary {
+        let (m, n, stride_in) = (self.m, self.n, self.stride_in);
+        let chain_len = n / stride_in;
+        let map = chain_map(m, n, stride_in, chain_len);
+        KernelAccessSummary {
+            label: self.label(),
+            buffer_len: m * n,
+            block_threads: SPLIT_KERNEL_THREADS.min(chain_len),
+            smem_elems: 0,
+            global: vec![
+                GlobalAccess {
+                    site: "stage2::gather",
+                    is_write: false,
+                    map: map.clone(),
+                    warp_stride: stride_in,
+                    clamped_neighbours: false,
+                    exclusive: false,
+                },
+                GlobalAccess {
+                    site: "stage2::scatter",
+                    is_write: true,
+                    map,
+                    warp_stride: stride_in,
+                    clamped_neighbours: false,
+                    exclusive: true,
+                },
+            ],
+            intervals: Vec::new(),
+        }
+    }
+
+    fn run<T: GpuScalar>(&self, gpu: &mut Gpu<T>, io: Option<LaunchIo<'_>>) -> Result<KernelStats> {
+        let (n, stride_in, steps) = (self.n, self.stride_in, self.steps);
+        debug_assert!(n.is_power_of_two());
+        debug_assert!(stride_in.is_power_of_two());
+        debug_assert!(steps >= 1);
+        let chain_len = n / stride_in;
+        let cfg = self.config(elem_bytes::<T>());
+        launch_or_price(gpu, &cfg, io, OutMode::Scattered, |ctx, io| {
+            let numerics = !ctx.pricing();
+            let chain = block_chain(ctx.block_id as usize, n, stride_in);
+            // Gather the chain into chain-contiguous working arrays.
+            let mut coeffs = ChainCoeffs::gather(&chain, &io.inputs, numerics);
+            if ctx.sanitizing() {
+                // Replay the gather through the tracked API (the values were
+                // already read above) so memcheck/initcheck see the kernel's
+                // true global read set. Logical thread `j` owns chain element
+                // `j`. The per-step streaming below double-buffers through
+                // global memory (`src` → `dst`), so it is race-free by
+                // construction and needs no shared-memory replay.
+                for k in 0..4 {
+                    for j in 0..chain_len {
+                        let _ = io.load(k, chain.index(j), j, "stage2::gather");
+                    }
                 }
             }
-        }
-        let mut local_stride = 1usize;
-        for _ in 0..steps {
-            if numerics {
-                pcr::pcr_step(
-                    local_stride,
-                    &cur.0,
-                    &cur.1,
-                    &cur.2,
-                    &cur.3,
-                    &mut next.0,
-                    &mut next.1,
-                    &mut next.2,
-                    &mut next.3,
+            for step in 0..steps {
+                if numerics {
+                    coeffs.pcr_step(1 << step);
+                }
+                // The real kernel streams the chain through global memory every
+                // step (it exceeds shared capacity by construction).
+                ctx.gmem_read_staged(
+                    PCR_LOADS_PER_EQ * chain_len,
+                    PCR_UNIQUE_LOADS_PER_EQ * chain_len,
+                    stride_in,
                 );
-                std::mem::swap(&mut cur, &mut next);
+                ctx.gmem_write(PCR_STORES_PER_EQ * chain_len, stride_in);
+                ctx.smem(PCR_STAGING_SMEM_PER_EQ * chain_len);
+                ctx.ops(PCR_OPS_PER_EQ * chain_len);
+                ctx.sync();
             }
-            local_stride *= 2;
-            // The real kernel streams the chain through global memory every
-            // step (it exceeds shared capacity by construction).
-            ctx.gmem_read_staged(
-                PCR_LOADS_PER_EQ * chain_len,
-                PCR_UNIQUE_LOADS_PER_EQ * chain_len,
-                stride_in,
-            );
-            ctx.gmem_write(PCR_STORES_PER_EQ * chain_len, stride_in);
-            ctx.smem(PCR_STAGING_SMEM_PER_EQ * chain_len);
-            ctx.ops(PCR_OPS_PER_EQ * chain_len);
-            ctx.sync();
-        }
-        // Scatter the final coefficients to the chain's parent positions.
-        if numerics {
-            for (k, vals) in [&cur.0, &cur.1, &cur.2, &cur.3].into_iter().enumerate() {
-                io.scattered[k].set_strided(chain.offset, chain.stride, vals, "stage2::scatter");
+            // Scatter the final coefficients to the chain's parent positions.
+            if numerics {
+                for (k, vals) in coeffs.cur.iter().enumerate() {
+                    io.scattered[k].set_strided(
+                        chain.offset,
+                        chain.stride,
+                        vals,
+                        "stage2::scatter",
+                    );
+                }
             }
-        }
-    })
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::testing::{alloc4, upload};
+    use crate::kernels::CoeffBuffers;
     use trisolve_gpu_sim::DeviceSpec;
+    use trisolve_tridiag::pcr;
+
+    fn stage2_split(
+        gpu: &mut Gpu<f64>,
+        src: CoeffBuffers,
+        dst: CoeffBuffers,
+        m: usize,
+        n: usize,
+        stride_in: usize,
+        steps: u32,
+    ) -> Result<KernelStats> {
+        Stage2 {
+            m,
+            n,
+            stride_in,
+            steps,
+        }
+        .run(gpu, Some((&src, &dst)))
+    }
     use trisolve_tridiag::workloads::{random_dominant, WorkloadShape};
 
     fn gpu470() -> Gpu<f64> {
         Gpu::new(DeviceSpec::gtx_470())
-    }
-
-    fn coeffs(gpu: &mut Gpu<f64>, batch: &trisolve_tridiag::SystemBatch<f64>) -> CoeffBuffers {
-        [
-            gpu.alloc_from(&batch.a).unwrap(),
-            gpu.alloc_from(&batch.b).unwrap(),
-            gpu.alloc_from(&batch.c).unwrap(),
-            gpu.alloc_from(&batch.d).unwrap(),
-        ]
-    }
-
-    fn fresh(gpu: &mut Gpu<f64>, total: usize) -> CoeffBuffers {
-        [
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-        ]
     }
 
     #[test]
@@ -185,8 +194,8 @@ mod tests {
         let shape = WorkloadShape::new(4, 1024);
         let batch = random_dominant::<f64>(shape, 5).unwrap();
         let mut gpu = gpu470();
-        let src = coeffs(&mut gpu, &batch);
-        let dst = fresh(&mut gpu, shape.total_equations());
+        let src = upload(&mut gpu, &batch);
+        let dst = alloc4(&mut gpu, shape.total_equations());
         stage2_split(&mut gpu, src, dst, 4, 1024, 1, 2).unwrap();
 
         let gb = gpu.download(dst[1]).unwrap();
@@ -209,15 +218,15 @@ mod tests {
         let batch = random_dominant::<f64>(shape, 9).unwrap();
 
         let mut g1 = gpu470();
-        let src = coeffs(&mut g1, &batch);
-        let dst = fresh(&mut g1, 2048);
+        let src = upload(&mut g1, &batch);
+        let dst = alloc4(&mut g1, 2048);
         stage2_split(&mut g1, src, dst, 1, 2048, 1, 2).unwrap();
         let direct_b = g1.download(dst[1]).unwrap();
 
         let mut g2 = gpu470();
-        let src2 = coeffs(&mut g2, &batch);
-        let mid = fresh(&mut g2, 2048);
-        let fin = fresh(&mut g2, 2048);
+        let src2 = upload(&mut g2, &batch);
+        let mid = alloc4(&mut g2, 2048);
+        let fin = alloc4(&mut g2, 2048);
         stage2_split(&mut g2, src2, mid, 1, 2048, 1, 1).unwrap();
         stage2_split(&mut g2, mid, fin, 1, 2048, 2, 1).unwrap();
         let composed_b = g2.download(fin[1]).unwrap();
@@ -237,8 +246,8 @@ mod tests {
         let shape = WorkloadShape::new(8, 4096);
         let batch = random_dominant::<f64>(shape, 3).unwrap();
         let mut gpu = gpu470();
-        let src = coeffs(&mut gpu, &batch);
-        let dst = fresh(&mut gpu, shape.total_equations());
+        let src = upload(&mut gpu, &batch);
+        let dst = alloc4(&mut gpu, shape.total_equations());
         stage2_split(&mut gpu, src, dst, 8, 4096, 1, 3).unwrap();
         assert_eq!(gpu.timeline().len(), 1);
     }
@@ -250,8 +259,8 @@ mod tests {
 
         // stride_in = 1: coalesced.
         let mut g1 = gpu470();
-        let src = coeffs(&mut g1, &batch);
-        let dst = fresh(&mut g1, 4096);
+        let src = upload(&mut g1, &batch);
+        let dst = alloc4(&mut g1, 4096);
         let s1 = stage2_split(&mut g1, src, dst, 1, 4096, 1, 1).unwrap();
         // Contiguous chains: only the missed fraction of the redundant
         // neighbour streams costs anything.
@@ -259,10 +268,10 @@ mod tests {
 
         // stride_in = 8: wasteful transactions.
         let mut g2 = gpu470();
-        let src2 = coeffs(&mut g2, &batch);
+        let src2 = upload(&mut g2, &batch);
         // Pre-split on the CPU so the data is meaningful (not required for
         // the traffic check, but keeps the kernel numerically sensible).
-        let dst2 = fresh(&mut g2, 4096);
+        let dst2 = alloc4(&mut g2, 4096);
         let s2 = stage2_split(&mut g2, src2, dst2, 1, 4096, 8, 1).unwrap();
         assert!(s2.totals.coalescing_efficiency() < 0.5);
     }
@@ -274,8 +283,8 @@ mod tests {
         let shape = WorkloadShape::new(2, 1024);
         let batch = random_dominant::<f64>(shape, 8).unwrap();
         let mut gpu = gpu470();
-        let src = coeffs(&mut gpu, &batch);
-        let dst = fresh(&mut gpu, 2048);
+        let src = upload(&mut gpu, &batch);
+        let dst = alloc4(&mut gpu, 2048);
         stage2_split(&mut gpu, src, dst, 2, 1024, 4, 1).unwrap();
     }
 }

@@ -41,11 +41,11 @@ pub use engine::{
 };
 pub use error::CoreError;
 pub use params::{BaseVariant, SolverParams, BASE_KERNEL_REGS_PER_THREAD};
-pub use plan::{SolvePlan, StageOp};
+pub use plan::{OpDescriptor, SolvePlan, StageOp};
 pub use resilience::{RecoveryAction, RecoveryEvent, ResiliencePolicy, ResilientOutcome};
 pub use schedule::{
-    lower_schedule, BufKey, NodeAction, Schedule, ScheduleNode, ScheduleViolation,
-    SCHEDULE_OBLIGATIONS,
+    lower_schedule, pipelined_schedule, BufKey, NodeAction, Schedule, ScheduleNode,
+    ScheduleViolation, SCHEDULE_OBLIGATIONS,
 };
 pub use solver::{solve_batch_on_gpu, SolveOutcome};
 

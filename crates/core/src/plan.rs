@@ -2,15 +2,19 @@
 //! parameter set, produce the executable sequence of stage invocations.
 
 use crate::error::CoreError;
-use crate::kernels;
+use crate::kernels::base::Base;
+use crate::kernels::interleaved::{Deinterleave, IThomas, Interleave};
+use crate::kernels::stage1::Stage1;
+use crate::kernels::stage2::Stage2;
 use crate::kernels::{
-    base_config, deinterleave_config, interleave_config, ithomas_config, stage1_config,
-    stage2_config,
+    BufferRoles, Family, GpuScalar, KernelAccessSummary, LaunchIo, RecurrenceKind,
 };
 use crate::params::{BaseVariant, SolverParams, INTERLEAVED_MIN_SYSTEMS};
 use crate::Result;
 use serde::Serialize;
-use trisolve_gpu_sim::{validate_launches, LaunchConfig, QueryableProps, ValidationReport};
+use trisolve_gpu_sim::{
+    validate_launches, BufferId, Gpu, KernelStats, LaunchConfig, QueryableProps, ValidationReport,
+};
 use trisolve_tridiag::workloads::WorkloadShape;
 
 /// One stage invocation in a solve plan.
@@ -78,18 +82,182 @@ pub enum StageOp {
 }
 
 impl StageOp {
+    /// This op's descriptor over `m` systems of padded size `padded_size`.
+    #[must_use]
+    pub fn describe(&self, m: usize, padded_size: usize) -> OpDescriptor {
+        let (stage, roles) = self.family(m, padded_size, Kind);
+        OpDescriptor {
+            op: *self,
+            m,
+            padded_size,
+            stage,
+            roles,
+        }
+    }
+
+    /// Resolve the op to its kernel family and apply `f` to it: the one
+    /// `match` on the variants, so a new variant compiles only once its
+    /// family exists, and every fact of an [`OpDescriptor`] comes from it.
+    fn family<F: FamilyFn>(&self, m: usize, n: usize, f: F) -> F::Out {
+        match *self {
+            StageOp::Stage1Split { stride, .. } => f.call(Stage1 { m, n, stride }),
+            StageOp::Stage2Split {
+                stride_in, steps, ..
+            } => f.call(Stage2 {
+                m,
+                n,
+                stride_in,
+                steps,
+            }),
+            StageOp::BaseSolve {
+                chain_len,
+                stride,
+                thomas_chains,
+                variant,
+                ..
+            } => f.call(Base {
+                m,
+                n,
+                chain_len,
+                stride,
+                t4: thomas_chains.min(chain_len),
+                variant,
+            }),
+            StageOp::InterleavePack { systems, size } => f.call(Interleave {
+                m: systems,
+                n: size,
+            }),
+            StageOp::InterleavedThomas { systems, size } => f.call(IThomas {
+                m: systems,
+                n: size,
+            }),
+            StageOp::Deinterleave { systems, size } => f.call(Deinterleave {
+                m: systems,
+                n: size,
+            }),
+        }
+    }
+}
+
+/// A computation over one kernel family, applied by `StageOp::family`.
+trait FamilyFn {
+    type Out;
+    fn call<F: Family>(self, family: F) -> Self::Out;
+}
+
+struct Kind;
+impl FamilyFn for Kind {
+    type Out = (&'static str, BufferRoles);
+    fn call<F: Family>(self, _: F) -> Self::Out {
+        (F::STAGE, F::ROLES)
+    }
+}
+
+struct ConfigOf(usize);
+impl FamilyFn for ConfigOf {
+    type Out = LaunchConfig;
+    fn call<F: Family>(self, family: F) -> LaunchConfig {
+        family.config(self.0)
+    }
+}
+
+struct RecurrenceOf;
+impl FamilyFn for RecurrenceOf {
+    type Out = RecurrenceKind;
+    fn call<F: Family>(self, family: F) -> RecurrenceKind {
+        family.recurrence()
+    }
+}
+
+struct AccessOf;
+impl FamilyFn for AccessOf {
+    type Out = KernelAccessSummary;
+    fn call<F: Family>(self, family: F) -> KernelAccessSummary {
+        family.access()
+    }
+}
+
+struct Run<'a, 'io, T: GpuScalar>(&'a mut Gpu<T>, Option<LaunchIo<'io>>);
+impl<T: GpuScalar> FamilyFn for Run<'_, '_, T> {
+    type Out = Result<KernelStats>;
+    fn call<F: Family>(self, family: F) -> Result<KernelStats> {
+        family.run(self.0, self.1)
+    }
+}
+
+/// Every static fact of one plan op over `m` systems of padded size
+/// `padded_size`, all read off the op's kernel family (picked by the one
+/// `match` on [`StageOp`]'s variants): the stage name and buffer roles
+/// when [`StageOp::describe`] builds it, the rest on demand, so a
+/// launch's label, config, access summary and recurrence cannot disagree.
+/// The executing and pricing paths build only the [`LaunchConfig`]
+/// (inside [`OpDescriptor::launch`] / [`OpDescriptor::price`]); the
+/// summaries are built for the analyzers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpDescriptor {
+    /// The op described.
+    pub op: StageOp,
+    /// Number of systems in the batch.
+    m: usize,
+    /// Padded (power-of-two) equations per system.
+    padded_size: usize,
     /// Short stage name, as used in trace categories, `stage_ms/<stage>`
     /// metric keys and schedule node labels.
+    pub stage: &'static str,
+    /// The buffers the launch reads and writes, and whether the
+    /// coefficient bundles swap afterwards.
+    pub roles: BufferRoles,
+}
+
+impl OpDescriptor {
+    /// The launch configuration for elements of `elem_bytes` — the
+    /// configuration the launch runs with.
     #[must_use]
-    pub fn stage_name(&self) -> &'static str {
-        match self {
-            StageOp::Stage1Split { .. } => "stage1",
-            StageOp::Stage2Split { .. } => "stage2",
-            StageOp::BaseSolve { .. } => "base",
-            StageOp::InterleavePack { .. } => "interleave",
-            StageOp::InterleavedThomas { .. } => "ithomas",
-            StageOp::Deinterleave { .. } => "deinterleave",
+    pub fn config(&self, elem_bytes: usize) -> LaunchConfig {
+        self.op
+            .family(self.m, self.padded_size, ConfigOf(elem_bytes))
+    }
+
+    /// The numeric recurrence the launch applies.
+    #[must_use]
+    pub fn recurrence(&self) -> RecurrenceKind {
+        self.op.family(self.m, self.padded_size, RecurrenceOf)
+    }
+
+    /// The affine access summary of the launch, labelled like its config.
+    #[must_use]
+    pub fn access_summary(&self) -> KernelAccessSummary {
+        self.op.family(self.m, self.padded_size, AccessOf)
+    }
+
+    /// Launch the op on `inputs` and `outputs`, given in the order of
+    /// [`OpDescriptor::roles`].
+    pub fn launch<T: GpuScalar>(
+        &self,
+        gpu: &mut Gpu<T>,
+        inputs: &[BufferId],
+        outputs: &[BufferId],
+    ) -> Result<KernelStats> {
+        let (reads, writes) = (self.roles.reads.len(), self.roles.writes.len());
+        if inputs.len() != reads || outputs.len() != writes {
+            return Err(CoreError::BadParams {
+                detail: format!(
+                    "{} launch takes {reads} inputs and {writes} outputs, got {} and {}",
+                    self.stage,
+                    inputs.len(),
+                    outputs.len()
+                ),
+            });
         }
+        let run = Run(gpu, Some((inputs, outputs)));
+        self.op.family(self.m, self.padded_size, run)
+    }
+
+    /// Charge the launch from its cost meters alone, without computing
+    /// (see [`Gpu::price`]): the same [`KernelStats`] as
+    /// [`OpDescriptor::launch`].
+    pub fn price<T: GpuScalar>(&self, gpu: &mut Gpu<T>) -> Result<KernelStats> {
+        self.op.family(self.m, self.padded_size, Run(gpu, None))
     }
 }
 
@@ -265,135 +433,30 @@ impl SolvePlan {
         self.ops.len()
     }
 
-    /// The launch configuration of every stage invocation, in execution
-    /// order. Built by the *same* config constructors the kernels launch
-    /// with, so validating these configurations is validating the actual
-    /// launches — the two cannot drift.
-    pub fn launch_configs(&self, elem_bytes: usize) -> Vec<LaunchConfig> {
-        let m = self.shape.num_systems;
-        let np = self.padded_size;
-        self.ops
-            .iter()
-            .map(|op| match *op {
-                StageOp::Stage1Split { stride, .. } => stage1_config(m, np, stride),
-                StageOp::Stage2Split {
-                    stride_in, steps, ..
-                } => stage2_config(m, np, stride_in, steps),
-                StageOp::BaseSolve {
-                    chains,
-                    chain_len,
-                    stride,
-                    thomas_chains,
-                    variant,
-                } => base_config(
-                    chains,
-                    chain_len,
-                    stride,
-                    thomas_chains,
-                    variant,
-                    elem_bytes,
-                ),
-                StageOp::InterleavePack { systems, size } => {
-                    interleave_config(systems, size, elem_bytes)
-                }
-                StageOp::InterleavedThomas { systems, size } => {
-                    ithomas_config(systems, size, elem_bytes)
-                }
-                StageOp::Deinterleave { systems, size } => {
-                    deinterleave_config(systems, size, elem_bytes)
-                }
-            })
-            .collect()
+    /// Build the plan and statically validate every launch against the
+    /// device, refusing it with [`CoreError::PlanRejected`] when the
+    /// device would reject a launch outright. The one admission decision:
+    /// the execution engine's `plan_for` and the analyzer's
+    /// `statically_rejected` both call it. On success the report carries
+    /// any warnings.
+    pub fn admit(
+        shape: WorkloadShape,
+        params: &SolverParams,
+        device: &QueryableProps,
+        elem_bytes: usize,
+    ) -> Result<(SolvePlan, ValidationReport)> {
+        let plan = SolvePlan::build(shape, params, device, elem_bytes)?;
+        let report = plan.validate(device, elem_bytes);
+        if report.has_errors() {
+            return Err(CoreError::PlanRejected { report });
+        }
+        Ok((plan, report))
     }
 
-    /// The affine access summary of every stage invocation, in execution
-    /// order — the static mirror of what each launch touches. Built by
-    /// constructors living next to the config builders
-    /// ([`crate::kernels::access`]) and zipped 1:1 with
-    /// [`Self::launch_configs`] by the `trisolve-analyze` prover.
-    pub fn access_summaries(&self) -> Vec<kernels::access::KernelAccessSummary> {
-        let m = self.shape.num_systems;
-        let np = self.padded_size;
-        self.ops
-            .iter()
-            .map(|op| match *op {
-                StageOp::Stage1Split { stride, .. } => {
-                    kernels::access::stage1_access_summary(m, np, stride)
-                }
-                StageOp::Stage2Split {
-                    stride_in, steps, ..
-                } => kernels::access::stage2_access_summary(m, np, stride_in, steps),
-                StageOp::BaseSolve {
-                    chain_len,
-                    stride,
-                    thomas_chains,
-                    variant,
-                    ..
-                } => kernels::access::base_access_summary(
-                    m,
-                    np,
-                    chain_len,
-                    stride,
-                    thomas_chains,
-                    variant,
-                ),
-                StageOp::InterleavePack { systems, size } => {
-                    kernels::access::interleave_access_summary(systems, size)
-                }
-                StageOp::InterleavedThomas { systems, size } => {
-                    kernels::access::ithomas_access_summary(systems, size)
-                }
-                StageOp::Deinterleave { systems, size } => {
-                    kernels::access::deinterleave_access_summary(systems, size)
-                }
-            })
-            .collect()
-    }
-
-    /// The numeric recurrence summary of every stage invocation, in
-    /// execution order — the third 1:1 description alongside
-    /// [`Self::launch_configs`] and [`Self::access_summaries`]. Built by
-    /// constructors living next to the config builders
-    /// ([`crate::kernels::recurrence`]) so the stability certifier in
-    /// `trisolve-analyze` reasons about exactly the recurrences the plan
-    /// executes.
-    pub fn recurrence_summaries(&self) -> Vec<kernels::recurrence::RecurrenceSummary> {
-        self.ops
-            .iter()
-            .map(|op| match *op {
-                StageOp::Stage1Split { stride, .. } => {
-                    kernels::recurrence::stage1_recurrence_summary(stride)
-                }
-                StageOp::Stage2Split {
-                    stride_in, steps, ..
-                } => kernels::recurrence::stage2_recurrence_summary(
-                    self.shape.num_systems,
-                    stride_in,
-                    steps,
-                ),
-                StageOp::BaseSolve {
-                    chain_len,
-                    stride,
-                    thomas_chains,
-                    variant,
-                    ..
-                } => kernels::recurrence::base_recurrence_summary(
-                    chain_len,
-                    stride,
-                    thomas_chains,
-                    variant,
-                ),
-                StageOp::InterleavePack { systems, size } => {
-                    kernels::recurrence::interleave_recurrence_summary(systems, size)
-                }
-                StageOp::InterleavedThomas { systems, size } => {
-                    kernels::recurrence::ithomas_recurrence_summary(systems, size)
-                }
-                StageOp::Deinterleave { systems, size } => {
-                    kernels::recurrence::deinterleave_recurrence_summary(systems, size)
-                }
-            })
-            .collect()
+    /// The descriptor of every stage invocation, in execution order.
+    pub fn descriptors(&self) -> impl Iterator<Item = OpDescriptor> + '_ {
+        let (m, np) = (self.shape.num_systems, self.padded_size);
+        self.ops.iter().map(move |op| op.describe(m, np))
     }
 
     /// Statically validate every launch of this plan against a device's
@@ -401,7 +464,8 @@ impl SolvePlan {
     /// would reject a launch outright; warnings flag launches that run but
     /// under-utilise the machine (see [`trisolve_gpu_sim::validate_launch`]).
     pub fn validate(&self, device: &QueryableProps, elem_bytes: usize) -> ValidationReport {
-        validate_launches(device, &self.launch_configs(elem_bytes))
+        let configs: Vec<_> = self.descriptors().map(|d| d.config(elem_bytes)).collect();
+        validate_launches(device, &configs)
     }
 
     /// Human-readable one-line summary, e.g.
@@ -636,22 +700,13 @@ mod tests {
                 },
             ]
         );
-        // Configs and both summary kinds stay zipped 1:1 with the ops.
-        let cfgs = plan.launch_configs(4);
-        let sums = plan.access_summaries();
-        let recs = plan.recurrence_summaries();
-        assert_eq!(cfgs.len(), 3);
-        assert_eq!(sums.len(), 3);
-        assert_eq!(recs.len(), 3);
-        for ((c, s), r) in cfgs.iter().zip(&sums).zip(&recs) {
-            assert_eq!(c.label, s.label);
-            assert_eq!(c.label, r.label);
-        }
         // The fast path's only arithmetic is one full-length Thomas chain.
-        use crate::kernels::recurrence::RecurrenceKind;
-        assert!(recs[0].kind.is_exact());
-        assert_eq!(recs[1].kind, RecurrenceKind::Thomas { chain_len: 64 });
-        assert!(recs[2].kind.is_exact());
+        let recs: Vec<_> = plan.descriptors().map(|d| d.recurrence()).collect();
+        assert!(recs[0].is_exact());
+        assert_eq!(recs[1], RecurrenceKind::Thomas { chain_len: 64 });
+        assert!(recs[2].is_exact());
+        let stages: Vec<_> = plan.descriptors().map(|d| d.stage).collect();
+        assert_eq!(stages, ["interleave", "ithomas", "deinterleave"]);
         assert!(!plan.validate(&q470(), 4).has_errors());
         assert!(plan.summary().contains("ithomas[65536x64]"));
     }
@@ -682,8 +737,7 @@ mod tests {
     }
 
     #[test]
-    fn recurrence_summaries_zip_with_staged_launch_configs() {
-        use crate::kernels::recurrence::RecurrenceKind;
+    fn staged_plan_recurrences_cover_the_padded_system() {
         let plan = SolvePlan::build(
             WorkloadShape::new(1, 2 * 1024 * 1024),
             &params(16, 512, 128),
@@ -691,25 +745,41 @@ mod tests {
             4,
         )
         .unwrap();
-        let cfgs = plan.launch_configs(4);
-        let recs = plan.recurrence_summaries();
-        assert_eq!(cfgs.len(), recs.len());
-        for (c, r) in cfgs.iter().zip(&recs) {
-            assert_eq!(c.label, r.label);
-        }
+        let recs: Vec<_> = plan.descriptors().map(|d| d.recurrence()).collect();
         // 4 stage-1 single steps, one stage-2 launch of 8 steps, hybrid base.
-        assert_eq!(recs[0].kind, RecurrenceKind::Pcr { steps: 1 });
-        assert_eq!(recs[4].kind, RecurrenceKind::Pcr { steps: 8 });
+        assert_eq!(recs.len(), 6);
+        assert_eq!(recs[0], RecurrenceKind::Pcr { steps: 1 });
+        assert_eq!(recs[4], RecurrenceKind::Pcr { steps: 8 });
         assert_eq!(
-            recs[5].kind,
+            recs[5],
             RecurrenceKind::Hybrid {
                 pcr_steps: 7,
                 thomas_len: 4
             }
         );
         // Total PCR halvings + the Thomas chains cover the padded system.
-        let total_pcr: u32 = recs.iter().map(|r| r.kind.pcr_steps()).sum();
+        let total_pcr: u32 = recs.iter().map(RecurrenceKind::pcr_steps).sum();
         assert_eq!(1usize << total_pcr, 2 * 1024 * 1024 / 4);
+    }
+
+    #[test]
+    fn launch_refuses_buffers_that_do_not_match_the_roles() {
+        use trisolve_gpu_sim::{DeviceSpec, Gpu};
+        let mut gpu: Gpu<f32> = Gpu::new(DeviceSpec::gtx_470());
+        let bufs: Vec<_> = (0..5).map(|_| gpu.alloc(64).unwrap()).collect();
+        let base = StageOp::BaseSolve {
+            chains: 1,
+            chain_len: 64,
+            stride: 1,
+            thomas_chains: 8,
+            variant: BaseVariant::Strided,
+        }
+        .describe(1, 64);
+        assert_eq!((base.roles.reads.len(), base.roles.writes.len()), (4, 1));
+        // Four coefficient outputs where the base kernel writes one solution.
+        let err = base.launch(&mut gpu, &bufs[..4], &bufs[..4]);
+        assert!(matches!(err, Err(CoreError::BadParams { .. })), "{err:?}");
+        assert!(gpu.timeline().is_empty(), "refused before any launch");
     }
 
     #[test]

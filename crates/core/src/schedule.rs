@@ -6,10 +6,11 @@
 //! stream assignment, the buffers it reads and writes (at buffer
 //! granularity, matching the dynamic cross-stream sanitizer), and the event
 //! edges (`waits`/`records`) that order it against other streams. The
-//! pipelined session path executes *from* this object — the certified
-//! artifact and the executed artifact are the same value, mirroring the
-//! `plan_for`/launch-validation contract so prover and executor cannot
-//! drift.
+//! pipelined session path executes *from* this object, launching each op
+//! on the buffers its node names — the certified artifact and the
+//! executed artifact are the same value, so prover and executor cannot
+//! drift. [`pipelined_schedule`] is the one admission decision for
+//! pipelined solves.
 //!
 //! [`Schedule::check`] discharges four obligations:
 //!
@@ -28,7 +29,9 @@
 //! completion of everything previously enqueued on the recording stream,
 //! exactly the semantics `gpu-sim`'s stream engines implement dynamically.
 
+use crate::kernels::BufferRole;
 use crate::plan::{SolvePlan, StageOp};
+use crate::{CoreError, Result};
 use serde::Serialize;
 use std::fmt;
 
@@ -143,42 +146,16 @@ impl fmt::Display for ScheduleViolation {
     }
 }
 
-/// Which bundle role each buffer access of `op` uses, relative to the
-/// executor's current/alternate coefficient bundles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RoleKey {
-    /// Array `i` of the current bundle.
-    Cur(usize),
-    /// Array `i` of the alternate bundle.
-    Alt(usize),
-    /// The solution buffer.
-    X,
-}
-
-/// The single source of truth for each stage op's buffer discipline:
-/// `(reads, writes, swap_after)` in terms of the current/alternate bundle
-/// roles. Both the schedule lowering and the pipelined executor consume
-/// this, so the certified access sets and the executed access sets cannot
-/// drift apart.
-pub(crate) fn op_access(op: &StageOp) -> (Vec<RoleKey>, Vec<RoleKey>, bool) {
-    let cur4 = || (0..4).map(RoleKey::Cur).collect::<Vec<_>>();
-    let alt4 = || (0..4).map(RoleKey::Alt).collect::<Vec<_>>();
-    match op {
-        StageOp::Stage1Split { .. } | StageOp::Stage2Split { .. } => (cur4(), alt4(), true),
-        StageOp::InterleavePack { .. } => (cur4(), alt4(), true),
-        StageOp::BaseSolve { .. } => (cur4(), vec![RoleKey::X], false),
-        StageOp::InterleavedThomas { .. } => (cur4(), vec![RoleKey::Alt(0)], false),
-        StageOp::Deinterleave { .. } => (vec![RoleKey::Alt(0)], vec![RoleKey::X], false),
-    }
-}
-
-fn resolve(role: RoleKey, set: usize, cur_is_src: bool) -> BufKey {
+/// The buffer `role` names for a batch on buffer set `set`, whose current
+/// coefficient bundle is the source set (`cur_is_src`) or the destination
+/// set.
+pub(crate) fn resolve(role: BufferRole, set: usize, cur_is_src: bool) -> BufKey {
     match role {
-        RoleKey::Cur(arr) if cur_is_src => BufKey::Src { set, arr },
-        RoleKey::Cur(arr) => BufKey::Dst { set, arr },
-        RoleKey::Alt(arr) if cur_is_src => BufKey::Dst { set, arr },
-        RoleKey::Alt(arr) => BufKey::Src { set, arr },
-        RoleKey::X => BufKey::X,
+        BufferRole::Cur(arr) if cur_is_src => BufKey::Src { set, arr },
+        BufferRole::Cur(arr) => BufKey::Dst { set, arr },
+        BufferRole::Alt(arr) if cur_is_src => BufKey::Dst { set, arr },
+        BufferRole::Alt(arr) => BufKey::Src { set, arr },
+        BufferRole::X => BufKey::X,
     }
 }
 
@@ -231,25 +208,26 @@ pub fn lower_schedule(plan: &SolvePlan, batches: usize, streams: usize) -> Sched
             records: Vec::new(),
         });
         let mut x_guarded = k == 0;
-        for (i, op) in plan.ops.iter().enumerate() {
-            let (r, w, swap) = op_access(op);
-            let reads: Vec<BufKey> = r.into_iter().map(|x| resolve(x, set, cur_is_src)).collect();
-            let writes: Vec<BufKey> = w.into_iter().map(|x| resolve(x, set, cur_is_src)).collect();
+        for (i, d) in plan.descriptors().enumerate() {
+            let keys = |roles: &[BufferRole]| -> Vec<BufKey> {
+                roles.iter().map(|&r| resolve(r, set, cur_is_src)).collect()
+            };
+            let (reads, writes) = (keys(d.roles.reads), keys(d.roles.writes));
             let mut waits = Vec::new();
             if !x_guarded && writes.contains(&BufKey::X) {
                 waits.push(k - 1);
                 x_guarded = true;
             }
             nodes.push(ScheduleNode {
-                label: format!("b{k}/{}#{i}", op.stage_name()),
+                label: format!("b{k}/{}#{i}", d.stage),
                 stream,
-                action: NodeAction::Op { batch: k, op: *op },
+                action: NodeAction::Op { batch: k, op: d.op },
                 reads,
                 writes,
                 waits,
                 records: Vec::new(),
             });
-            if swap {
+            if d.roles.swap {
                 cur_is_src = !cur_is_src;
             }
         }
@@ -290,6 +268,14 @@ pub fn lower_schedule(plan: &SolvePlan, batches: usize, streams: usize) -> Sched
     }
 }
 
+/// The schedule [`SolveSession::solve_pipelined`](crate::SolveSession::solve_pipelined)
+/// executes: `plan` lowered for `batches` batches on two streams, then
+/// certified. The one admission decision for pipelined solves — the
+/// analyzer's `schedule_rejected` calls it too.
+pub fn pipelined_schedule(plan: &SolvePlan, batches: usize) -> Result<Schedule> {
+    lower_schedule(plan, batches, 2).certified()
+}
+
 impl Schedule {
     /// Number of nodes.
     #[must_use]
@@ -301,6 +287,17 @@ impl Schedule {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// The schedule itself when [`Schedule::check`] certifies it, otherwise
+    /// [`CoreError::ScheduleRejected`] with every refuted obligation.
+    pub fn certified(self) -> Result<Schedule> {
+        let violations = self.check();
+        if violations.is_empty() {
+            Ok(self)
+        } else {
+            Err(CoreError::ScheduleRejected { violations })
+        }
     }
 
     /// Discharge the four ordering obligations. An empty return means the

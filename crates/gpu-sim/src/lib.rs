@@ -48,7 +48,7 @@ pub use device::{DeviceSpec, HiddenProps, QueryableProps};
 pub use error::SimError;
 pub use fault::{FaultInjector, FaultKind, FaultLog, FaultPlan, FaultRecord};
 pub use launch::{BlockCtx, BlockIo, BlockOut, LaunchConfig, OutMode, ScatterWriter};
-pub use memory::{BufferId, DeviceBuffer, Gpu, ProfileEntry};
+pub use memory::{BufferId, DeviceBuffer, Gpu};
 pub use sanitizer::{AccessSite, Hazard, HazardKind, Region, SanitizerReport};
 pub use stream::{
     overlap_ratio, serial_time_s, stream_category, transfer_time_s, wall_time_s, Event, OpInterval,

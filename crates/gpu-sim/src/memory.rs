@@ -79,19 +79,6 @@ impl Drop for DeviceBuffer {
     }
 }
 
-/// One row of [`Gpu::profile_summary`]: a kernel family's aggregate cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileEntry {
-    /// Kernel label prefix (before the first `[`).
-    pub family: String,
-    /// Number of launches.
-    pub launches: usize,
-    /// Total simulated seconds (execution + overhead).
-    pub total_time_s: f64,
-    /// Total useful global-memory bytes moved.
-    pub payload_bytes: f64,
-}
-
 /// A simulated GPU: a device specification, global-memory buffers of element
 /// type `E`, and a simulated clock advanced by every launch.
 ///
@@ -314,11 +301,6 @@ impl<E: Element> Gpu<E> {
         (0..n).map(Stream).collect()
     }
 
-    /// True when [`Gpu::enable_streams`] has been called.
-    pub fn streams_enabled(&self) -> bool {
-        self.streams.is_some()
-    }
-
     /// Route subsequent [`Gpu::launch`]/[`Gpu::upload`]/[`Gpu::download`]
     /// calls onto `stream` (asynchronous engine accounting), or back onto
     /// the synchronous default path with `None`.
@@ -398,50 +380,6 @@ impl<E: Element> Gpu<E> {
     /// [`crate::stream::overlap_ratio`]). Empty when streams are disabled.
     pub fn stream_op_intervals(&self) -> &[OpInterval] {
         self.streams.as_ref().map_or(&[], StreamEngines::intervals)
-    }
-
-    /// Asynchronous H2D copy on `stream`: functionally identical to
-    /// [`Gpu::upload`], but charges modelled PCIe time to the stream's
-    /// queue and the copy engine instead of completing instantly.
-    pub fn h2d_async(&mut self, stream: Stream, id: BufferId, data: &[E]) -> Result<(), SimError> {
-        let prev = self.active_stream;
-        self.set_stream(Some(stream));
-        let result = self.upload(id, data);
-        self.active_stream = prev;
-        result
-    }
-
-    /// Asynchronous D2H copy on `stream`: functionally identical to
-    /// [`Gpu::download`], but charges modelled PCIe time to the stream's
-    /// queue and the copy engine. The host sees the bytes immediately (the
-    /// simulator is functional); the *timing* is what overlaps.
-    pub fn d2h_async(&mut self, stream: Stream, id: BufferId) -> Result<Vec<E>, SimError> {
-        let prev = self.active_stream;
-        self.set_stream(Some(stream));
-        let result = self.download(id);
-        self.active_stream = prev;
-        result
-    }
-
-    /// Launch a kernel asynchronously on `stream`: identical results to
-    /// [`Gpu::launch`], with the modelled kernel time charged to the
-    /// stream's queue and the compute engine instead of the host clock.
-    pub fn launch_async<F>(
-        &mut self,
-        stream: Stream,
-        cfg: &LaunchConfig,
-        inputs: &[BufferId],
-        outputs: &[(BufferId, OutMode)],
-        kernel: F,
-    ) -> Result<KernelStats, SimError>
-    where
-        F: Fn(&mut BlockCtx, &mut BlockIo<'_, E>) + Sync,
-    {
-        let prev = self.active_stream;
-        self.set_stream(Some(stream));
-        let result = self.launch(cfg, inputs, outputs, kernel);
-        self.active_stream = prev;
-        result
     }
 
     /// Emit a fault instant into the trace (no-op when no tracer attached).
@@ -745,30 +683,6 @@ impl<E: Element> Gpu<E> {
     /// Stats of the most recent launch.
     pub fn last_stats(&self) -> Option<&KernelStats> {
         self.timeline.last()
-    }
-
-    /// Aggregate the launch profile by kernel label prefix (the part before
-    /// the first `[`): total simulated time, launch count, and payload
-    /// bytes per kernel family, sorted by time descending. The inspection
-    /// tool behind `trisolve-bench --bin profile`.
-    pub fn profile_summary(&self) -> Vec<ProfileEntry> {
-        let mut map: std::collections::BTreeMap<String, ProfileEntry> =
-            std::collections::BTreeMap::new();
-        for s in &self.timeline {
-            let family = s.label.split('[').next().unwrap_or(&s.label).to_string();
-            let e = map.entry(family.clone()).or_insert_with(|| ProfileEntry {
-                family,
-                launches: 0,
-                total_time_s: 0.0,
-                payload_bytes: 0.0,
-            });
-            e.launches += 1;
-            e.total_time_s += s.total_time_s();
-            e.payload_bytes += s.totals.gmem_payload_bytes();
-        }
-        let mut out: Vec<_> = map.into_values().collect();
-        out.sort_by(|a, b| b.total_time_s.total_cmp(&a.total_time_s));
-        out
     }
 
     /// Launch a kernel.
@@ -1693,44 +1607,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_summary_aggregates_by_family() {
-        let mut g = gpu();
-        let dst = g.alloc(1024).unwrap();
-        for stride in [1usize, 2] {
-            let cfg = LaunchConfig::new(format!("ka[s={stride}]"), 4, 64);
-            g.launch(
-                &cfg,
-                &[],
-                &[(dst, OutMode::Chunked { chunk: 256 })],
-                |ctx, _| {
-                    ctx.ops(100);
-                    ctx.gmem_write(256, 1);
-                },
-            )
-            .unwrap();
-        }
-        let cfg = LaunchConfig::new("kb[x]", 4, 64);
-        g.launch(
-            &cfg,
-            &[],
-            &[(dst, OutMode::Chunked { chunk: 256 })],
-            |ctx, _| {
-                ctx.ops(100);
-            },
-        )
-        .unwrap();
-        let summary = g.profile_summary();
-        assert_eq!(summary.len(), 2);
-        let ka = summary.iter().find(|e| e.family == "ka").unwrap();
-        assert_eq!(ka.launches, 2);
-        assert_eq!(ka.payload_bytes, 2.0 * 4.0 * 1024.0);
-        let total: f64 = summary.iter().map(|e| e.total_time_s).sum();
-        assert!((total - g.elapsed_s()).abs() < 1e-15);
-        // Sorted by time descending.
-        assert!(summary[0].total_time_s >= summary[1].total_time_s);
-    }
-
-    #[test]
     fn guard_drop_frees_buffer() {
         let mut g = gpu();
         let kept = g.alloc(2).unwrap();
@@ -1967,10 +1843,11 @@ mod tests {
         let b = g.alloc(4096).unwrap();
         // Upload on stream 0 (copy engine) while stream 1 computes on an
         // unrelated buffer (compute engine): genuine overlap.
-        g.h2d_async(streams[0], a, &data).unwrap();
+        g.set_stream(Some(streams[0]));
+        g.upload(a, &data).unwrap();
         let cfg = LaunchConfig::new("busy", 4, 128);
-        g.launch_async(
-            streams[1],
+        g.set_stream(Some(streams[1]));
+        g.launch(
             &cfg,
             &[],
             &[(b, OutMode::Chunked { chunk: 1024 })],
@@ -2000,8 +1877,10 @@ mod tests {
         let a = g.alloc(1 << 20).unwrap();
         let b = g.alloc(1 << 20).unwrap();
         let data = vec![1.0f32; 1 << 20];
-        g.h2d_async(streams[0], a, &data).unwrap();
-        g.h2d_async(streams[1], b, &data).unwrap();
+        g.set_stream(Some(streams[0]));
+        g.upload(a, &data).unwrap();
+        g.set_stream(Some(streams[1]));
+        g.upload(b, &data).unwrap();
         let iv = g.stream_op_intervals();
         assert_eq!(iv[1].start_s, iv[0].end_s, "one copy engine serialises");
     }
@@ -2012,14 +1891,15 @@ mod tests {
         let streams = g.enable_streams(2);
         let a = g.alloc(1 << 20).unwrap();
         let data = vec![2.0f32; 1 << 20];
-        g.h2d_async(streams[0], a, &data).unwrap();
+        g.set_stream(Some(streams[0]));
+        g.upload(a, &data).unwrap();
         let ev = g.create_event();
         g.record_event(streams[0], ev);
         g.wait_event(streams[1], ev);
         let dst = g.alloc(1024).unwrap();
         let cfg = LaunchConfig::new("after", 2, 64);
-        g.launch_async(
-            streams[1],
+        g.set_stream(Some(streams[1]));
+        g.launch(
             &cfg,
             &[a],
             &[(dst, OutMode::Chunked { chunk: 512 })],
@@ -2080,15 +1960,16 @@ mod tests {
             let a = g.alloc(1024).unwrap();
             let dst = g.alloc(1024).unwrap();
             let data = vec![1.0f32; 1024];
-            g.h2d_async(streams[0], a, &data).unwrap();
+            g.set_stream(Some(streams[0]));
+            g.upload(a, &data).unwrap();
             if with_edge {
                 let ev = g.create_event();
                 g.record_event(streams[0], ev);
                 g.wait_event(streams[1], ev);
             }
             let cfg = LaunchConfig::new("reader", 2, 64);
-            g.launch_async(
-                streams[1],
+            g.set_stream(Some(streams[1]));
+            g.launch(
                 &cfg,
                 &[a],
                 &[(dst, OutMode::Chunked { chunk: 512 })],
@@ -2120,11 +2001,13 @@ mod tests {
         let mut g = gpu();
         let streams = g.enable_streams(2);
         let a = g.alloc(1024).unwrap();
-        g.h2d_async(streams[0], a, &vec![0.0f32; 1024]).unwrap();
+        g.set_stream(Some(streams[0]));
+        g.upload(a, &vec![0.0f32; 1024]).unwrap();
         assert!(!g.stream_op_intervals().is_empty());
         g.reset_clock();
         assert!(g.stream_op_intervals().is_empty());
-        g.h2d_async(streams[1], a, &vec![0.0f32; 1024]).unwrap();
+        g.set_stream(Some(streams[1]));
+        g.upload(a, &vec![0.0f32; 1024]).unwrap();
         assert_eq!(g.stream_op_intervals()[0].start_s, 0.0);
     }
 

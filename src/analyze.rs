@@ -52,12 +52,11 @@ use trisolve_analyze::{
 };
 use trisolve_autotune::{StaticTuner, Tuner};
 use trisolve_core::kernels::{
-    base_access_summary, base_config, baseline_access_summary, baseline_config, elem_bytes,
-    interleave_access_summary, interleave_config, repack_access_summary, repack_config,
+    baseline_access_summary, baseline_config, elem_bytes, repack_access_summary, repack_config,
     unpack_access_summary, unpack_config, BaselineAlgo, GpuScalar, KernelAccessSummary,
 };
 use trisolve_core::params::INTERLEAVED_MIN_SYSTEMS;
-use trisolve_core::{lower_schedule, BaseVariant, SolvePlan, SolveSession, SolverParams};
+use trisolve_core::{lower_schedule, BaseVariant, SolvePlan, SolveSession, SolverParams, StageOp};
 use trisolve_gpu_sim::{validate_launch, DeviceSpec, Gpu, LaunchConfig};
 use trisolve_tridiag::thomas::solve_thomas;
 use trisolve_tridiag::workloads::{
@@ -166,11 +165,16 @@ fn refutation(name: &'static str, refuted: bool, failures: Vec<String>) -> Proof
 }
 
 fn fixture_summary() -> (KernelAccessSummary, LaunchConfig) {
-    let (m, n) = (1usize, 1024usize);
-    (
-        base_access_summary(m, n, n, 1, 4, BaseVariant::Strided),
-        base_config(1, n, 1, 4, BaseVariant::Strided, 8),
-    )
+    let n = 1024;
+    let base = StageOp::BaseSolve {
+        chains: 1,
+        chain_len: n,
+        stride: 1,
+        thomas_chains: 4,
+        variant: BaseVariant::Strided,
+    }
+    .describe(1, n);
+    (base.access_summary(), base.config(8))
 }
 
 /// Planted defect: the buffer is one element shorter than the access
@@ -238,9 +242,14 @@ fn lint_fixture() -> ProofFixture {
 /// the family's characteristic pattern.
 fn interleave_oob_fixture() -> ProofFixture {
     let (m, n) = (64usize, 32usize);
-    let mut summary = interleave_access_summary(m, n);
+    let pack = StageOp::InterleavePack {
+        systems: m,
+        size: n,
+    }
+    .describe(m, n);
+    let mut summary = pack.access_summary();
     summary.buffer_len -= 1;
-    let proof = prove_kernel(&summary, &interleave_config(m, n, 8), 8);
+    let proof = prove_kernel(&summary, &pack.config(8), 8);
     let failures: Vec<String> = proof
         .failures()
         .filter(|o| o.name.starts_with("oob-global"))

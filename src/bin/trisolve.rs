@@ -174,12 +174,15 @@ fn device(opts: &Opts) -> Result<DeviceSpec, String> {
     }
 }
 
+/// `--seed`, or `default` when absent.
+fn opt_seed(opts: &Opts, default: u64) -> Result<u64, String> {
+    opts.get("seed").map_or(Ok(default), |s| {
+        s.parse().map_err(|_| "--seed must be a number".to_string())
+    })
+}
+
 fn workload(opts: &Opts, shape: WorkloadShape) -> Result<SystemBatch<f32>, String> {
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "--seed must be a number".to_string()))
-        .transpose()?
-        .unwrap_or(2011);
+    let seed = opt_seed(opts, 2011)?;
     let kind = opts.get("workload").map_or("random", String::as_str);
     let batch = match kind {
         "random" => random_dominant(shape, seed),
@@ -247,8 +250,10 @@ fn pick_params(
 fn cmd_solve(opts: &Opts) -> Result<(), String> {
     let shape = WorkloadShape::new(opt_usize(opts, "systems")?, opt_usize(opts, "size")?);
     let dev = device(opts)?;
-    if opts.get("precision").map(String::as_str) == Some("f64") {
-        return solve_f64(opts, shape, dev);
+    match opts.get("precision").map_or("f32", String::as_str) {
+        "f32" => {}
+        "f64" => return solve_f64(opts, shape, dev),
+        other => return Err(format!("unknown precision `{other}` (use f32 or f64)")),
     }
     let batch = workload(opts, shape)?;
     let (params, tuner_name, evals) = pick_params(opts, shape, &dev)?;
@@ -303,10 +308,7 @@ fn cmd_solve(opts: &Opts) -> Result<(), String> {
 }
 
 fn solve_f64(opts: &Opts, shape: WorkloadShape, dev: DeviceSpec) -> Result<(), String> {
-    let seed: u64 = opts
-        .get("seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2011);
+    let seed = opt_seed(opts, 2011)?;
     let batch: SystemBatch<f64> = random_dominant(shape, seed).map_err(|e| e.to_string())?;
     let params = StaticTuner.params_for(shape, dev.queryable(), 8);
     let mut gpu: Gpu<f64> = Gpu::new(dev.clone());
@@ -871,11 +873,7 @@ fn cmd_chaos(opts: &Opts) -> Result<(), String> {
     if opts.contains_key("shrink") {
         chaos_opts.shrink = opt_usize(opts, "shrink")?.max(1);
     }
-    if let Some(s) = opts.get("seed") {
-        chaos_opts.seed = s
-            .parse()
-            .map_err(|_| "--seed must be a number".to_string())?;
-    }
+    chaos_opts.seed = opt_seed(opts, chaos_opts.seed)?;
 
     let fixtures = chaos::fixture_checks()?;
     let cases = chaos::campaign(&chaos_opts)?;
@@ -968,11 +966,7 @@ fn cmd_serve_sim(opts: &Opts) -> Result<(), String> {
     if opts.contains_key("requests") {
         profile.requests = opt_usize(opts, "requests")?;
     }
-    if let Some(s) = opts.get("seed") {
-        profile.seed = s
-            .parse()
-            .map_err(|_| "--seed must be a number".to_string())?;
-    }
+    profile.seed = opt_seed(opts, profile.seed)?;
     if let Some(x) = opts.get("scale") {
         profile.load_scale = x
             .parse()

@@ -71,6 +71,46 @@ fn solve_json_contains_metrics() {
 }
 
 #[test]
+fn solve_rejects_unknown_precisions() {
+    for precision in ["f16", "F64"] {
+        let (ok, stdout, stderr) = run(&[
+            "solve",
+            "--systems",
+            "4",
+            "--size",
+            "256",
+            "--tuner",
+            "default",
+            "--precision",
+            precision,
+        ]);
+        assert!(!ok, "--precision {precision} must fail, got:\n{stdout}");
+        assert!(stderr.contains("unknown precision"), "{stderr}");
+    }
+}
+
+#[test]
+fn solve_rejects_a_bad_seed_in_both_precisions() {
+    for precision in ["f32", "f64"] {
+        let (ok, stdout, stderr) = run(&[
+            "solve",
+            "--systems",
+            "4",
+            "--size",
+            "256",
+            "--tuner",
+            "default",
+            "--seed",
+            "abc",
+            "--precision",
+            precision,
+        ]);
+        assert!(!ok, "{precision}: bad seed must fail, got:\n{stdout}");
+        assert!(stderr.contains("--seed must be a number"), "{stderr}");
+    }
+}
+
+#[test]
 fn unknown_command_fails_with_usage() {
     let (ok, _, stderr) = run(&["frobnicate"]);
     assert!(!ok);

@@ -3,7 +3,7 @@
 //! multi-stage design exists, so the reproduction must exhibit them.
 
 use trisolve::prelude::*;
-use trisolve::solver::kernels::{stage1_step, stage2_split};
+use trisolve::solver::StageOp;
 
 fn coeffs(gpu: &mut Gpu<f32>, batch: &SystemBatch<f32>) -> [trisolve::gpu::BufferId; 4] {
     [
@@ -33,9 +33,22 @@ fn stage1_costs_more_per_split_than_stage2() {
         g1.alloc(total).unwrap(),
         g1.alloc(total).unwrap(),
     ];
-    stage1_step(&mut g1, src, dst, 256, 8192, 1).unwrap();
-    stage1_step(&mut g1, dst, src, 256, 8192, 2).unwrap();
-    stage1_step(&mut g1, src, dst, 256, 8192, 4).unwrap();
+    let step = |stride| StageOp::Stage1Split {
+        stride,
+        systems_now: 256 * stride,
+    };
+    step(1)
+        .describe(256, 8192)
+        .launch(&mut g1, &src, &dst)
+        .unwrap();
+    step(2)
+        .describe(256, 8192)
+        .launch(&mut g1, &dst, &src)
+        .unwrap();
+    step(4)
+        .describe(256, 8192)
+        .launch(&mut g1, &src, &dst)
+        .unwrap();
     let t_stage1 = g1.elapsed_s();
 
     // The same three splits as one stage-2 launch.
@@ -47,7 +60,15 @@ fn stage1_costs_more_per_split_than_stage2() {
         g2.alloc(total).unwrap(),
         g2.alloc(total).unwrap(),
     ];
-    stage2_split(&mut g2, src, dst, 256, 8192, 1, 3).unwrap();
+    let split = StageOp::Stage2Split {
+        chains: 256,
+        stride_in: 1,
+        steps: 3,
+    };
+    split
+        .describe(256, 8192)
+        .launch(&mut g2, &src, &dst)
+        .unwrap();
     let t_stage2 = g2.elapsed_s();
 
     assert!(

@@ -188,3 +188,58 @@ fn out_of_memory_is_reported_not_panicked() {
     let err = solve_batch_on_gpu(&mut gpu, &batch, &SolverParams::default_untuned());
     assert!(err.is_err());
 }
+
+/// Every launch a solve executes is the launch its plan describes: same
+/// label and geometry, in plan order, for every op of every plan over the
+/// shrunk paper grid × devices × layouts × precisions.
+fn described_launches_are_executed<T: trisolve::solver::kernels::GpuScalar>() {
+    use trisolve::sanitize::shrunk_paper_grid;
+    use trisolve::solver::params::INTERLEAVED_MIN_SYSTEMS;
+    let eb = trisolve::solver::kernels::elem_bytes::<T>();
+    for device in DeviceSpec::paper_devices() {
+        for shape in shrunk_paper_grid(16) {
+            let batch = random_dominant::<T>(shape, 7).unwrap();
+            let mut variants = vec![BaseVariant::Strided, BaseVariant::Coalesced];
+            if shape.num_systems >= INTERLEAVED_MIN_SYSTEMS {
+                variants.push(BaseVariant::Interleaved);
+            }
+            for variant in variants {
+                let params = SolverParams {
+                    variant,
+                    ..SolverParams::default_untuned()
+                };
+                let mut gpu: Gpu<T> = Gpu::new(device.clone());
+                let outcome = solve_batch_on_gpu(&mut gpu, &batch, &params).unwrap();
+                let executed: Vec<_> = outcome
+                    .kernel_stats
+                    .iter()
+                    .map(|s| (s.label.clone(), s.grid_blocks, s.block_threads))
+                    .collect();
+                let described: Vec<_> = outcome
+                    .plan
+                    .descriptors()
+                    .map(|d| d.config(eb))
+                    .map(|c| (c.label, c.grid_blocks, c.block_threads))
+                    .collect();
+                assert_eq!(executed.len(), outcome.plan.ops.len());
+                assert_eq!(
+                    executed,
+                    described,
+                    "{} {} {variant:?} {eb} B",
+                    device.name(),
+                    shape.label()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn described_launches_are_executed_f32() {
+    described_launches_are_executed::<f32>();
+}
+
+#[test]
+fn described_launches_are_executed_f64() {
+    described_launches_are_executed::<f64>();
+}

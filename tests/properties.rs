@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use trisolve::prelude::*;
-use trisolve::solver::kernels::{deinterleave_solution, interleave_batch};
+use trisolve::solver::StageOp;
 use trisolve::tridiag::cpu_batch::{solve_batch_sequential, BatchAlgorithm};
 use trisolve::tridiag::norms;
 
@@ -141,12 +141,15 @@ proptest! {
             gpu.alloc(m * n).unwrap(),
             gpu.alloc(m * n).unwrap(),
         ];
-        interleave_batch(&mut gpu, src, dst, m, n).unwrap();
+        let (systems, size) = (m, n);
+        let pack = StageOp::InterleavePack { systems, size }.describe(m, n);
+        pack.launch(&mut gpu, &src, &dst).unwrap();
+        let unpack = StageOp::Deinterleave { systems, size }.describe(m, n);
         let back = gpu.alloc(m * n).unwrap();
         for (plane, original) in
             dst.iter().zip([&batch.a, &batch.b, &batch.c, &batch.d])
         {
-            deinterleave_solution(&mut gpu, *plane, back, m, n).unwrap();
+            unpack.launch(&mut gpu, &[*plane], &[back]).unwrap();
             let round = gpu.download(back).unwrap();
             for (u, v) in round.iter().zip(original) {
                 prop_assert_eq!(u.to_bits(), v.to_bits());
@@ -174,12 +177,15 @@ proptest! {
             gpu.alloc(m * n).unwrap(),
             gpu.alloc(m * n).unwrap(),
         ];
-        interleave_batch(&mut gpu, src, dst, m, n).unwrap();
+        let (systems, size) = (m, n);
+        let pack = StageOp::InterleavePack { systems, size }.describe(m, n);
+        pack.launch(&mut gpu, &src, &dst).unwrap();
+        let unpack = StageOp::Deinterleave { systems, size }.describe(m, n);
         let back = gpu.alloc(m * n).unwrap();
         for (plane, original) in
             dst.iter().zip([&batch.a, &batch.b, &batch.c, &batch.d])
         {
-            deinterleave_solution(&mut gpu, *plane, back, m, n).unwrap();
+            unpack.launch(&mut gpu, &[*plane], &[back]).unwrap();
             let round = gpu.download(back).unwrap();
             for (u, v) in round.iter().zip(original) {
                 prop_assert_eq!(u.to_bits(), v.to_bits());
