@@ -32,7 +32,7 @@ use crate::Result;
 use std::sync::atomic::{AtomicBool, Ordering};
 use trisolve_gpu_sim::{Gpu, KernelStats, LaunchConfig, OutMode};
 use trisolve_tridiag::system::ChainView;
-use trisolve_tridiag::thomas::{self, ChainScratch};
+use trisolve_tridiag::thomas::{self, LaneView};
 
 /// Shared-memory word accesses per equation per on-chip PCR step.
 pub const PCR_SMEM_PER_EQ: usize = 16;
@@ -299,17 +299,22 @@ impl Family for Base {
             }
 
             // ---- Stage 4: Thomas, one thread per chain ---------------------
+            // Sub-chain `t` is rows `t, t + t4, ...` of the chain: the `t4`
+            // chains are the lanes of one sweep, and its compact output is
+            // the chain's own order.
             let mut lx = Vec::new();
             if numerics {
                 lx.resize(chain_len, T::ZERO);
-                let mut scratch = ChainScratch::new();
-                for sub in ChainView::chains_of(0, chain_len, t4) {
-                    let [a, b, c, d] = &coeffs.cur;
-                    if thomas::solve_thomas_chain(&sub, a, b, c, d, &mut lx, &mut scratch).is_err()
-                    {
-                        failed.store(true, Ordering::Relaxed);
-                        return;
-                    }
+                let lanes = LaneView {
+                    offset: 0,
+                    row_stride: t4,
+                    lanes: t4,
+                    len: chain_len / t4,
+                };
+                let [a, b, c, d] = &coeffs.cur;
+                if thomas::solve_thomas_lanes(&lanes, a, b, c, d, &mut lx).contains(&true) {
+                    failed.store(true, Ordering::Relaxed);
+                    return;
                 }
             }
             ctx.serial_phase(chain_len / t4, THOMAS_OPS_PER_EQ, t4);

@@ -37,8 +37,7 @@ use crate::kernels::{
 use crate::Result;
 use std::sync::atomic::{AtomicBool, Ordering};
 use trisolve_gpu_sim::{Gpu, KernelStats, LaunchConfig, OutMode};
-use trisolve_tridiag::system::ChainView;
-use trisolve_tridiag::thomas::{self, ChainScratch};
+use trisolve_tridiag::thomas::{self, LaneView};
 
 /// Registers per thread of the batched-Thomas kernel: the per-system
 /// running recurrence needs only a handful of live values (the forward
@@ -183,55 +182,41 @@ impl Family for IThomas {
                 return;
             }
             if !ctx.pricing() {
-                let mut lx = vec![T::ZERO; n];
-                let mut scratch = ChainScratch::new();
-                for t in 0..count {
+                // The block's systems are the lanes of one sweep, read in
+                // place: row `j` of system `first + t` is at `j·m + first + t`.
+                let lanes = LaneView {
+                    offset: first,
+                    row_stride: m,
+                    lanes: count,
+                    len: n,
+                };
+                let [a, b, c, d] = [0, 1, 2, 3].map(|k| io.inputs[k]);
+                let mut lx = vec![T::ZERO; n * count];
+                let broke = thomas::solve_thomas_lanes(&lanes, a, b, c, d, &mut lx);
+                // Replay system by system, as one thread per system would
+                // run: its tracked loads, then its stores, stopping at the
+                // first system that broke down or produced a non-finite
+                // value.
+                for (t, &lane_broke) in broke.iter().enumerate() {
                     let s = first + t;
-                    // System `s` as an interleaved chain: element `j` at
-                    // `j·m + s`.
-                    let chain = ChainView {
-                        offset: s,
-                        stride: m,
-                        len: n,
-                    };
-                    let cur = (
-                        chain.gather(io.inputs[0]),
-                        chain.gather(io.inputs[1]),
-                        chain.gather(io.inputs[2]),
-                        chain.gather(io.inputs[3]),
-                    );
                     if ctx.sanitizing() {
                         for k in 0..4 {
                             for j in 0..n {
-                                let _ = io.load(k, chain.index(j), t, "ithomas::load");
+                                let _ = io.load(k, j * m + s, t, "ithomas::load");
                             }
                         }
                     }
-                    let local = ChainView {
-                        offset: 0,
-                        stride: 1,
-                        len: n,
-                    };
-                    if thomas::solve_thomas_chain(
-                        &local,
-                        &cur.0,
-                        &cur.1,
-                        &cur.2,
-                        &cur.3,
-                        &mut lx,
-                        &mut scratch,
-                    )
-                    .is_err()
-                    {
+                    if lane_broke {
                         failed.store(true, Ordering::Relaxed);
                         return;
                     }
-                    for (j, &v) in lx.iter().enumerate() {
+                    for j in 0..n {
+                        let v = lx[j * count + t];
                         if !v.is_finite() {
                             failed.store(true, Ordering::Relaxed);
                             return;
                         }
-                        io.scattered[0].set_at(chain.index(j), v, t, "ithomas::store");
+                        io.scattered[0].set_at(j * m + s, v, t, "ithomas::store");
                     }
                 }
             }
@@ -423,6 +408,37 @@ mod tests {
         let xi = gpu.alloc(m * n).unwrap();
         let err = IThomas { m, n }.run(&mut gpu, Some((&src, &[xi])));
         assert!(matches!(err, Err(CoreError::NumericalBreakdown { .. })));
+    }
+
+    #[test]
+    fn breakdown_stores_only_the_systems_before_the_failing_one() {
+        // One 64-system block; system 37 gets an exact zero pivot at row 5.
+        let (m, n, bad) = (64usize, 16usize, 37usize);
+        let batch = random_dominant::<f64>(WorkloadShape::new(m, n), 12).unwrap();
+        let interleave =
+            |v: &[f64]| -> Vec<f64> { (0..m * n).map(|i| v[(i % m) * n + i / m]).collect() };
+        let [mut a, mut b, c, d] = [&batch.a, &batch.b, &batch.c, &batch.d].map(|v| interleave(v));
+        a[5 * m + bad] = 0.0;
+        b[5 * m + bad] = 0.0;
+        let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
+        let src = [&a, &b, &c, &d].map(|v| gpu.alloc_from(v).unwrap());
+        let sentinel = -7.25f64;
+        let xi = gpu.alloc_from(&vec![sentinel; m * n]).unwrap();
+        let err = IThomas { m, n }.run(&mut gpu, Some((&src, &[xi])));
+        assert!(matches!(err, Err(CoreError::NumericalBreakdown { .. })));
+
+        let got = gpu.download(xi).unwrap();
+        for s in 0..m {
+            let expect =
+                (s < bad).then(|| thomas::solve_thomas(&batch.system(s).unwrap()).unwrap());
+            for j in 0..n {
+                let v = got[j * m + s];
+                match &expect {
+                    Some(x) => assert_eq!(v.to_bits(), x[j].to_bits(), "s={s} j={j}"),
+                    None => assert_eq!(v.to_bits(), sentinel.to_bits(), "s={s} j={j}"),
+                }
+            }
+        }
     }
 
     #[test]

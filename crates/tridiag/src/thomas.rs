@@ -144,16 +144,108 @@ impl<T: Scalar> ChainScratch<T> {
     }
 }
 
+/// `lanes` chains of `len` equations interleaved in flat parent arrays:
+/// element `k` of chain `t` sits at `offset + k·row_stride + t`, so one row
+/// of every chain is the contiguous slice starting at `offset + k·row_stride`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneView {
+    /// Parent index of element 0 of lane 0.
+    pub offset: usize,
+    /// Distance between consecutive rows (`>= lanes`).
+    pub row_stride: usize,
+    /// Number of chains.
+    pub lanes: usize,
+    /// Equations per chain.
+    pub len: usize,
+}
+
+/// Thomas over every chain of a [`LaneView`] at once, the lanes being the
+/// vector dimension: each row of the forward sweep and of the back
+/// substitution is one branch-free loop over the lanes.
+///
+/// Lane `t` performs exactly [`solve_thomas_chain`]'s operations on its
+/// chain, in the same order and with the same pivot test, so a lane that
+/// passes holds bit for bit the solution `solve_thomas_chain` would write.
+/// The solution lands in `x` lane-interleaved and compact: element `k` of
+/// lane `t` at `k·lanes + t`.
+///
+/// Returns one flag per lane, `true` where `solve_thomas_chain` fails on
+/// that chain (a pivot below the threshold or non-finite, or an empty
+/// chain). A failed lane keeps sweeping; its entries of `x` are
+/// unspecified.
+pub fn solve_thomas_lanes<T: Scalar>(
+    view: &LaneView,
+    a: &[T],
+    b: &[T],
+    c: &[T],
+    d: &[T],
+    x: &mut [T],
+) -> Vec<bool> {
+    let LaneView {
+        offset,
+        row_stride,
+        lanes,
+        len,
+    } = *view;
+    debug_assert!(len <= 1 || row_stride >= lanes);
+    let mut broke = vec![len == 0; lanes];
+    if len == 0 {
+        return broke;
+    }
+    let mut cp = vec![T::ZERO; len * lanes];
+    let dp = &mut x[..len * lanes];
+    // Row `k` of every lane; slicing once lets the lane loops index it
+    // without bounds checks.
+    let row = |k: usize| offset + k * row_stride..offset + k * row_stride + lanes;
+
+    let [b0, c0, d0] = [b, c, d].map(|v| &v[row(0)]);
+    let (cp0, dp0) = (&mut cp[..lanes], &mut dp[..lanes]);
+    for t in 0..lanes {
+        let beta = b0[t];
+        broke[t] |= bad_pivot(beta);
+        cp0[t] = c0[t] / beta;
+        dp0[t] = d0[t] / beta;
+    }
+    for k in 1..len {
+        let [ak, bk, ck, dk] = [a, b, c, d].map(|v| &v[row(k)]);
+        let (cp_prev, cp_k) = cp[(k - 1) * lanes..(k + 1) * lanes].split_at_mut(lanes);
+        let (dp_prev, dp_k) = dp[(k - 1) * lanes..(k + 1) * lanes].split_at_mut(lanes);
+        for t in 0..lanes {
+            let beta = bk[t] - ak[t] * cp_prev[t];
+            broke[t] |= bad_pivot(beta);
+            cp_k[t] = ck[t] / beta;
+            dp_k[t] = (dk[t] - ak[t] * dp_prev[t]) / beta;
+        }
+    }
+    for k in (0..len - 1).rev() {
+        let cp_k = &cp[k * lanes..(k + 1) * lanes];
+        let (dp_k, dp_next) = dp[k * lanes..(k + 2) * lanes].split_at_mut(lanes);
+        for t in 0..lanes {
+            let next = dp_next[t];
+            dp_k[t] -= cp_k[t] * next;
+        }
+    }
+    broke
+}
+
 #[inline]
 fn check_pivot<T: Scalar>(beta: T, row: usize) -> Result<()> {
-    let mag = beta.abs().to_f64();
-    if !mag.is_finite() || mag < PIVOT_REL_TOL {
+    if bad_pivot(beta) {
         return Err(SolverError::ZeroPivot {
             row,
-            magnitude: mag,
+            magnitude: beta.abs().to_f64(),
         });
     }
     Ok(())
+}
+
+/// The one pivot test: `|beta|` non-finite or below [`PIVOT_REL_TOL`].
+/// Written as one negated range test (NaN lies in no range) so the lane
+/// loops stay branch-free.
+#[inline]
+fn bad_pivot<T: Scalar>(beta: T) -> bool {
+    let mag = beta.abs().to_f64();
+    !(PIVOT_REL_TOL..f64::INFINITY).contains(&mag)
 }
 
 /// Floating-point operation count of a Thomas solve of `n` equations

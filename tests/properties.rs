@@ -3,10 +3,14 @@
 //! the CPU reference solvers, conserve structure, and meter sane costs.
 
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use trisolve::prelude::*;
 use trisolve::solver::StageOp;
 use trisolve::tridiag::cpu_batch::{solve_batch_sequential, BatchAlgorithm};
 use trisolve::tridiag::norms;
+use trisolve::tridiag::system::ChainView;
+use trisolve::tridiag::thomas::{solve_thomas_chain, solve_thomas_lanes, ChainScratch, LaneView};
 
 /// Strategy: a random diagonally dominant batch (small enough to be fast).
 fn small_batch() -> impl Strategy<Value = SystemBatch<f64>> {
@@ -300,4 +304,122 @@ fn session_error_path_frees_buffers_on_drop() {
     }
     // ...and dropping it returns every byte.
     assert_eq!(gpu.allocated_bytes(), 0);
+}
+
+/// Signed zeros, subnormals (of f32 and of f64), infinities, NaN, and
+/// magnitudes either side of the 1e-30 pivot threshold.
+const SPECIALS: [f64; 15] = [
+    0.0,
+    -0.0,
+    1e-40,
+    -1e-40,
+    1e-310,
+    -5e-324,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    0.99e-30,
+    -0.99e-30,
+    1e-30,
+    1.01e-30,
+    -1.01e-30,
+    1e300,
+];
+
+/// Lanes of `len` rows at row stride `lanes + pad`, solved by
+/// `solve_thomas_lanes` and by `solve_thomas_chain` one lane at a time:
+/// every lane's verdict and, where it passes, every solution bit agree.
+/// About a third of the lanes get special values planted; in some of them
+/// the row's `a` is zeroed so `b` is the pivot exactly.
+fn lanes_match_chains<T: Scalar>(
+    lanes: usize,
+    len: usize,
+    pad: usize,
+    offset: usize,
+    seed: u64,
+) -> Result<(), String> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let row_stride = lanes + pad;
+    let size = offset + (len - 1) * row_stride + lanes;
+    let mut coeffs = [(-1.0, 1.0), (2.5, 4.0), (-1.0, 1.0), (-10.0, 10.0)].map(|(lo, hi)| {
+        (0..size)
+            .map(|_| rng.gen_range(lo..hi))
+            .collect::<Vec<f64>>()
+    });
+    for v in coeffs[1].iter_mut().step_by(3) {
+        *v = -*v;
+    }
+    for t in 0..lanes {
+        if rng.gen_range(0..3) != 0 {
+            continue;
+        }
+        for _ in 0..rng.gen_range(1..4) {
+            let i = offset + rng.gen_range(0..len) * row_stride + t;
+            let arr = rng.gen_range(0..4);
+            coeffs[arr][i] = SPECIALS[rng.gen_range(0..SPECIALS.len())];
+            if arr == 1 && rng.gen::<bool>() {
+                coeffs[0][i] = 0.0;
+            }
+        }
+    }
+    let [a, b, c, d] = coeffs.map(|v| v.into_iter().map(T::from_f64).collect::<Vec<T>>());
+
+    let view = LaneView {
+        offset,
+        row_stride,
+        lanes,
+        len,
+    };
+    let mut x = vec![T::ZERO; len * lanes];
+    let broke = solve_thomas_lanes(&view, &a, &b, &c, &d, &mut x);
+    prop_assert_eq!(broke.len(), lanes);
+
+    let mut chain_x = vec![T::ZERO; size];
+    let mut chain_scratch = ChainScratch::new();
+    let same_bits = |u: T, v: T| {
+        let (u, v) = (u.to_f64(), v.to_f64());
+        u.to_bits() == v.to_bits() || (u.is_nan() && v.is_nan())
+    };
+    for (t, &lane_broke) in broke.iter().enumerate() {
+        let chain = ChainView {
+            offset: offset + t,
+            stride: row_stride,
+            len,
+        };
+        let passed = solve_thomas_chain(&chain, &a, &b, &c, &d, &mut chain_x, &mut chain_scratch);
+        prop_assert!(lane_broke == passed.is_err(), "lane {t}: {passed:?}");
+        if passed.is_ok() {
+            for k in 0..len {
+                let (u, v) = (x[k * lanes + t], chain_x[chain.index(k)]);
+                prop_assert!(same_bits(u, v), "lane {t} row {k}: {u:?} vs {v:?}");
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn thomas_lanes_match_per_chain_thomas_f32(
+        lanes in 1usize..=256,
+        len in 1usize..=64,
+        pad in 0usize..5,
+        offset in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        lanes_match_chains::<f32>(lanes, len, pad, offset, seed)?;
+    }
+
+    #[test]
+    fn thomas_lanes_match_per_chain_thomas_f64(
+        lanes in 1usize..=256,
+        len in 1usize..=64,
+        pad in 0usize..5,
+        offset in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        lanes_match_chains::<f64>(lanes, len, pad, offset, seed)?;
+    }
 }
