@@ -1,12 +1,16 @@
 //! Criterion benches of the *real* (wall-clock) CPU baseline solvers — the
 //! Rust analogue of the paper's MKL runs. These are genuine measurements,
 //! not simulations: the batched LU/Thomas drivers from
-//! `trisolve_tridiag::cpu_batch` on this machine.
+//! `trisolve_tridiag::cpu_batch` on this machine, and (`pcr_ladder`) the
+//! per-step cost of the PCR row kernel every splitting stage runs.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+};
 use trisolve_tridiag::cpu_batch::{
     solve_batch_parallel, solve_batch_scoped, solve_batch_sequential, BatchAlgorithm,
 };
+use trisolve_tridiag::pcr::{pcr_split, pcr_step, row_kernel_width};
 use trisolve_tridiag::workloads::{random_dominant, WorkloadShape};
 
 fn bench_algorithms(c: &mut Criterion) {
@@ -43,5 +47,59 @@ fn bench_parallel_drivers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_algorithms, bench_parallel_drivers);
+/// Rows per `pcr_ladder` sample, so every step reads directly as ns/row.
+const LADDER_ROWS: usize = 1 << 16;
+
+/// f32 `pcr_step`, one benchmark per PCR step, on `random_dominant`
+/// inputs: a 64K-row system over steps 0–7, and the 512-row chains the
+/// `batch-1Kx1K` base kernel splits (each the stride-2 chain of a 1024-row
+/// system after one step, 128 chains per sample) over their steps 0–6.
+/// The off-diagonals reach the f32 subnormal range on the late steps,
+/// where x86 pays a microcode assist per instruction (DESIGN §3.17).
+fn bench_pcr_ladder(c: &mut Criterion) {
+    println!("pcr_ladder: {} row kernel", row_kernel_width());
+    let mut group = c.benchmark_group("pcr_ladder");
+    group.throughput(Throughput::Elements(LADDER_ROWS as u64));
+    let big = random_dominant::<f32>(WorkloadShape::new(1, LADDER_ROWS), 1).unwrap();
+    ladder(&mut group, "64K", vec![[big.a, big.b, big.c, big.d]], 8);
+
+    let n = 1024;
+    let batch = random_dominant::<f32>(WorkloadShape::new(LADDER_ROWS / n, n), 1).unwrap();
+    let chains = (0..batch.num_systems)
+        .flat_map(|s| {
+            let split = pcr_split(&batch.system(s).unwrap(), 1).unwrap();
+            split
+                .chains()
+                .into_iter()
+                .map(|ch| [&split.a, &split.b, &split.c, &split.d].map(|v| ch.gather(v)))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    ladder(&mut group, "512", chains, 7);
+    group.finish();
+}
+
+/// Time steps `0..steps` of PCR on `systems`, each step on the previous
+/// step's output.
+fn ladder(group: &mut BenchmarkGroup<'_>, name: &str, mut systems: Vec<[Vec<f32>; 4]>, steps: u32) {
+    let mut next = systems.clone();
+    for k in 0..steps {
+        let stride = 1 << k;
+        group.bench_function(BenchmarkId::new(name, format!("step{k}")), |b| {
+            b.iter(|| {
+                for ([a, b, c, d], [oa, ob, oc, od]) in systems.iter().zip(&mut next) {
+                    pcr_step(stride, a, b, c, d, oa, ob, oc, od);
+                }
+            });
+        });
+        std::mem::swap(&mut systems, &mut next);
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_algorithms,
+    bench_parallel_drivers,
+    bench_pcr_ladder
+);
 criterion_main!(benches);

@@ -50,19 +50,125 @@ pub fn pcr_step<T: Scalar>(
 ///
 /// Every row gets exactly the operations, in exactly the order, of the
 /// textbook update with out-of-range neighbours read as identity rows
-/// (`b = 1`, others 0). Only the rows within `stride` of a system edge take
-/// that scalar path; the interior, where both neighbours exist, is one
-/// branch-free loop over equal-length sub-slices that the compiler can
-/// vectorise. Rust never contracts `a * b + c` into a fused multiply-add,
-/// so the two paths round identically and the result is bit-for-bit the
-/// scalar loop's, including the sign of zero and infinities. (A NaN stays
-/// a NaN; Rust leaves the sign and payload of NaN results unspecified.)
+/// (`b = 1`, others 0). All rows run through one branch-free row kernel
+/// that the compiler vectorises; a missing neighbour is fed from a
+/// constant chunk of identity rows. Rust never contracts `a * b + c` into
+/// a fused multiply-add, so every vector lane rounds like the scalar
+/// update and the result is bit-for-bit the scalar loop's, including the
+/// sign of zero and infinities. (A NaN stays a NaN; Rust leaves the sign
+/// and payload of NaN results unspecified.)
+///
+/// The kernel is compiled twice: once for the baseline target and once
+/// with `avx512f`, 16 `f32` lanes wide, which one call picks when the host
+/// supports it ([`row_kernel_width`]). Subnormal operands cost x86 a
+/// microcode assist per instruction, not per lane, so the wider kernel
+/// pays far fewer of them on the late PCR steps.
 ///
 /// The slices are separate parameters, not arrays, on purpose: only
 /// reference parameters carry the no-alias guarantee that lets the
-/// compiler vectorise the interior without runtime overlap checks.
+/// compiler vectorise the kernel without runtime overlap checks.
 #[allow(clippy::too_many_arguments)]
 pub fn pcr_rows<T: Scalar>(
+    stride: usize,
+    lo: usize,
+    sa: &[T],
+    sb: &[T],
+    sc: &[T],
+    sd: &[T],
+    da: &mut [T],
+    db: &mut [T],
+    dc: &mut [T],
+    dd: &mut [T],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx512f() {
+        #[allow(unsafe_code)]
+        // SAFETY: the only requirement of a `target_feature` function is
+        // that the host supports its features, and `avx512f` was just
+        // detected at run time.
+        unsafe {
+            pcr_rows_avx512f(stride, lo, sa, sb, sc, sd, da, db, dc, dd);
+        }
+        return;
+    }
+    pcr_rows_body(stride, lo, sa, sb, sc, sd, da, db, dc, dd);
+}
+
+/// Which instantiation of the PCR row kernel [`pcr_rows`] runs on this
+/// host: `"avx512f"` or `"baseline"`.
+pub fn row_kernel_width() -> &'static str {
+    if has_avx512f() {
+        "avx512f"
+    } else {
+        "baseline"
+    }
+}
+
+fn has_avx512f() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx512f");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// [`pcr_rows_body`] compiled for `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+fn pcr_rows_avx512f<T: Scalar>(
+    stride: usize,
+    lo: usize,
+    sa: &[T],
+    sb: &[T],
+    sc: &[T],
+    sd: &[T],
+    da: &mut [T],
+    db: &mut [T],
+    dc: &mut [T],
+    dd: &mut [T],
+) {
+    pcr_rows_body(stride, lo, sa, sb, sc, sd, da, db, dc, dd);
+}
+
+/// Rows of identity coefficients one kernel call takes for a missing
+/// neighbour; an edge run longer than this is fed chunk by chunk.
+const IDENTITY_ROWS: usize = 64;
+
+/// The four coefficient arrays of a run of rows.
+#[derive(Clone, Copy)]
+struct Rows<'a, T> {
+    a: &'a [T],
+    b: &'a [T],
+    c: &'a [T],
+    d: &'a [T],
+}
+
+impl<'a, T> Rows<'a, T> {
+    /// Rows `from .. from + len`, with a length the optimiser can see.
+    #[inline(always)]
+    fn window(self, from: usize, len: usize) -> Self {
+        Rows {
+            a: &self.a[from..][..len],
+            b: &self.b[from..][..len],
+            c: &self.c[from..][..len],
+            d: &self.d[from..][..len],
+        }
+    }
+}
+
+/// The body of [`pcr_rows`], inlined into each instantiation.
+///
+/// `lo..hi` splits into at most three contiguous runs at the cut points
+/// `stride` (rows below it have no `−stride` neighbour) and `n − stride`
+/// (rows from it on have no `+stride` neighbour): a low-edge run, then
+/// the interior (or, when `stride > n − stride`, the rows that miss both
+/// neighbours), then a high-edge run. Within a run every row has the same
+/// neighbours present, so each run is one kernel call per
+/// [`IDENTITY_ROWS`] chunk when a neighbour is missing, or one call
+/// outright when both exist.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn pcr_rows_body<T: Scalar>(
     stride: usize,
     lo: usize,
     sa: &[T],
@@ -81,70 +187,82 @@ pub fn pcr_rows<T: Scalar>(
     debug_assert!([sa.len(), sc.len(), sd.len()].iter().all(|&l| l == n));
     debug_assert!([da.len(), dc.len(), dd.len()].iter().all(|&l| l == hi - lo));
 
-    // Rows `start..end` have both neighbours inside the system; the rest
-    // of `lo..hi` lies within `stride` of an edge.
-    let start = stride.clamp(lo, hi);
-    let end = n.saturating_sub(stride).clamp(start, hi);
-    let identity = (T::ZERO, T::ONE, T::ZERO, T::ZERO);
-    for i in (lo..start).chain(end..hi) {
-        let row = |j: usize| (sa[j], sb[j], sc[j], sd[j]);
-        let (am, bm, cm, dm) = if i >= stride {
-            row(i - stride)
-        } else {
-            identity
-        };
-        let (ap, bp, cp, dp) = if i + stride < n {
-            row(i + stride)
-        } else {
-            identity
-        };
-        let alpha = -sa[i] / bm;
-        let gamma = -sc[i] / bp;
-        let o = i - lo;
-        da[o] = alpha * am;
-        db[o] = sb[i] + alpha * cm + gamma * ap;
-        dc[o] = gamma * cp;
-        dd[o] = sd[i] + alpha * dm + gamma * dp;
-    }
-
-    // Interior: own rows, `-stride` rows and `+stride` rows as sub-slices
-    // of one common length, so the loop carries no bounds checks. A
-    // non-empty interior implies `stride <= start` and `end + stride <= n`.
-    let len = end - start;
-    if len == 0 {
-        return;
-    }
-    let rows = |v| {
-        (
-            window(v, start, len),
-            window(v, start - stride, len),
-            window(v, start + stride, len),
-        )
+    let src = Rows {
+        a: sa,
+        b: sb,
+        c: sc,
+        d: sd,
     };
-    let (a, am, ap) = rows(sa);
-    let (b, bm, bp) = rows(sb);
-    let (c, cm, cp) = rows(sc);
-    let (d, dm, dp) = rows(sd);
-    let o = start - lo;
-    let (oa, ob, oc, od) = (
-        &mut da[o..][..len],
-        &mut db[o..][..len],
-        &mut dc[o..][..len],
-        &mut dd[o..][..len],
-    );
-    for j in 0..len {
-        let alpha = -a[j] / bm[j];
-        let gamma = -c[j] / bp[j];
-        oa[j] = alpha * am[j];
-        ob[j] = b[j] + alpha * cm[j] + gamma * ap[j];
-        oc[j] = gamma * cp[j];
-        od[j] = d[j] + alpha * dm[j] + gamma * dp[j];
+    let (zeros, ones) = ([T::ZERO; IDENTITY_ROWS], [T::ONE; IDENTITY_ROWS]);
+    let identity = Rows {
+        a: &zeros[..],
+        b: &ones[..],
+        c: &zeros[..],
+        d: &zeros[..],
+    };
+    let (low, high) = (stride.min(n), n.saturating_sub(stride));
+    let cut1 = low.min(high).clamp(lo, hi);
+    let cut2 = low.max(high).clamp(lo, hi);
+    for (from, to) in [(lo, cut1), (cut1, cut2), (cut2, hi)] {
+        if from == to {
+            continue;
+        }
+        let has_minus = from >= stride;
+        let has_plus = to + stride <= n;
+        let chunk = if has_minus && has_plus {
+            to - from
+        } else {
+            IDENTITY_ROWS
+        };
+        for start in (from..to).step_by(chunk) {
+            let len = chunk.min(to - start);
+            let minus = if has_minus {
+                src.window(start - stride, len)
+            } else {
+                identity.window(0, len)
+            };
+            let plus = if has_plus {
+                src.window(start + stride, len)
+            } else {
+                identity.window(0, len)
+            };
+            let o = start - lo;
+            row_kernel(
+                src.window(start, len),
+                minus,
+                plus,
+                &mut da[o..][..len],
+                &mut db[o..][..len],
+                &mut dc[o..][..len],
+                &mut dd[o..][..len],
+            );
+        }
     }
 }
 
-/// `v[from .. from + len]`, with a length the optimiser can see.
-fn window<T>(v: &[T], from: usize, len: usize) -> &[T] {
-    &v[from..][..len]
+/// One PCR row update over equal-length runs: own rows, their `−stride`
+/// neighbours and their `+stride` neighbours, into `oa..od`.
+#[inline(always)]
+fn row_kernel<T: Scalar>(
+    own: Rows<'_, T>,
+    m: Rows<'_, T>,
+    p: Rows<'_, T>,
+    oa: &mut [T],
+    ob: &mut [T],
+    oc: &mut [T],
+    od: &mut [T],
+) {
+    let len = oa.len();
+    let (own, m, p) = (own.window(0, len), m.window(0, len), p.window(0, len));
+    let (ob, oc, od) = (&mut ob[..len], &mut oc[..len], &mut od[..len]);
+    for j in 0..len {
+        let alpha = -own.a[j] / m.b[j];
+        let gamma = -own.c[j] / p.b[j];
+        oa[j] = alpha * m.a[j];
+        ob[j] = own.b[j] + alpha * m.c[j] + gamma * p.a[j];
+        oc[j] = gamma * p.c[j];
+        od[j] = own.d[j] + alpha * m.d[j] + gamma * p.d[j];
+    }
 }
 
 /// The result of PCR-splitting a system: transformed coefficients plus the
@@ -385,8 +503,10 @@ mod tests {
         sys
     }
 
-    /// `pcr_rows` over `lo..hi` against the oracle, bit for bit.
+    /// `pcr_rows` over `lo..hi` against the oracle, bit for bit: the
+    /// dispatched call (`widest`) or the baseline instantiation.
     fn assert_rows_match<T: Bits>(
+        widest: bool,
         stride: usize,
         src: &[Vec<T>; 4],
         want: &[Vec<T>; 4],
@@ -404,15 +524,18 @@ mod tests {
         for (lo, hi) in ranges {
             let mut got = [(); 4].map(|()| vec![T::ZERO; hi - lo]);
             let [ga, gb, gc, gd] = &mut got;
-            pcr_rows(
-                stride, lo, &src[0], &src[1], &src[2], &src[3], ga, gb, gc, gd,
-            );
+            let [sa, sb, sc, sd] = src.each_ref().map(Vec::as_slice);
+            if widest {
+                pcr_rows(stride, lo, sa, sb, sc, sd, ga, gb, gc, gd);
+            } else {
+                pcr_rows_body(stride, lo, sa, sb, sc, sd, ga, gb, gc, gd);
+            }
             for k in 0..4 {
                 for (j, (g, w)) in got[k].iter().zip(&want[k][lo..hi]).enumerate() {
                     assert_eq!(
                         g.bits(),
                         w.bits(),
-                        "{what} stride={stride} rows {lo}..{hi}: array {k} row {}: {g} vs {w}",
+                        "{what} widest={widest} stride={stride} rows {lo}..{hi}: array {k} row {}: {g} vs {w}",
                         lo + j
                     );
                 }
@@ -442,21 +565,37 @@ mod tests {
 
     /// Every stride from 1 past `n` and every range shape, on pre-stepped
     /// inputs, with signed zeros (seed 1) or a NaN and both infinities
-    /// (seed 2) planted.
+    /// (seed 2) planted, on the baseline instantiation and, when the host
+    /// has `avx512f`, the wide one. The sizes include edge runs longer
+    /// than one identity chunk, such as rows `0..200` and `800..1000` of
+    /// `n = 1000` at stride 200.
     fn rows_match_scalar_oracle<T: Bits>() {
+        let sizes = [1usize, 2, 3, 5, 64, 1000, 1024];
+        assert!(sizes.iter().any(|&n| n > 3 * IDENTITY_ROWS));
+        let mut widths = vec![false];
+        if has_avx512f() {
+            widths.push(true);
+        } else {
+            eprintln!(
+                "{}: skipped the avx512f instantiation: host lacks avx512f",
+                T::NAME
+            );
+        }
         let specials = [
             (0, 2, f64::NAN),
             (1, 5, f64::INFINITY),
             (2, 40, f64::NEG_INFINITY),
         ];
         let negzero = [(0, 1, -0.0), (2, 3, -0.0), (3, 7, -0.0)];
-        for n in [1usize, 2, 3, 5, 64, 1000, 1024] {
+        for n in sizes {
             for (seed, overrides) in [(1, &negzero[..]), (2, &specials[..])] {
                 for (k, sys) in pre_stepped::<T>(n, seed, overrides) {
                     let what = format!("{} n={n} seed={seed} k={k}", T::NAME);
                     for stride in 1..=n + 1 {
                         let want = scalar_step(stride, &sys);
-                        assert_rows_match(stride, &sys, &want, &what);
+                        for &widest in &widths {
+                            assert_rows_match(widest, stride, &sys, &want, &what);
+                        }
                     }
                 }
             }

@@ -11,9 +11,10 @@ use crate::scalar::Scalar;
 use crate::system::{ChainView, TridiagonalSystem};
 use crate::Result;
 
-/// Relative pivot threshold: pivots smaller than `PIVOT_REL_TOL * max|b|`
-/// are treated as breakdown.
-const PIVOT_REL_TOL: f64 = 1e-30;
+/// Absolute pivot threshold: a pivot whose magnitude is below it (or is
+/// not finite) is treated as breakdown. It is not scaled by the system's
+/// coefficients.
+const PIVOT_ABS_TOL: f64 = 1e-30;
 
 /// Solve a tridiagonal system with the Thomas algorithm.
 ///
@@ -239,13 +240,13 @@ fn check_pivot<T: Scalar>(beta: T, row: usize) -> Result<()> {
     Ok(())
 }
 
-/// The one pivot test: `|beta|` non-finite or below [`PIVOT_REL_TOL`].
+/// The one pivot test: `|beta|` non-finite or below [`PIVOT_ABS_TOL`].
 /// Written as one negated range test (NaN lies in no range) so the lane
 /// loops stay branch-free.
 #[inline]
 fn bad_pivot<T: Scalar>(beta: T) -> bool {
     let mag = beta.abs().to_f64();
-    !(PIVOT_REL_TOL..f64::INFINITY).contains(&mag)
+    !(PIVOT_ABS_TOL..f64::INFINITY).contains(&mag)
 }
 
 /// Floating-point operation count of a Thomas solve of `n` equations

@@ -198,7 +198,11 @@ fn json_flag(opts: &Opts) -> bool {
     opts.contains_key("json")
 }
 
+/// Each simulated device's numerics run on the host's PCR row kernel, so
+/// its instantiation is listed with the devices: two hosts' wall-clock
+/// numbers compare only on the same one.
 fn cmd_devices(opts: &Opts) -> Result<(), String> {
+    let row_kernel = trisolve::tridiag::pcr::row_kernel_width();
     if json_flag(opts) {
         let rows: Vec<_> = DeviceSpec::paper_devices()
             .iter()
@@ -206,6 +210,7 @@ fn cmd_devices(opts: &Opts) -> Result<(), String> {
                 serde_json::json!({
                     "name": d.name(),
                     "queryable": d.queryable(),
+                    "host_row_kernel": row_kernel,
                 })
             })
             .collect();
@@ -225,6 +230,7 @@ fn cmd_devices(opts: &Opts) -> Result<(), String> {
             SolverParams::max_onchip_size(q, 4),
         );
     }
+    println!("host PCR row kernel: {row_kernel}");
     Ok(())
 }
 

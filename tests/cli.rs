@@ -30,6 +30,10 @@ fn devices_json_is_valid_json() {
     assert!(ok);
     let v: serde_json::Value = serde_json::from_str(&stdout).expect("valid JSON");
     assert_eq!(v.as_array().unwrap().len(), 3);
+    for row in v.as_array().unwrap() {
+        let kernel = row["host_row_kernel"].as_str().unwrap();
+        assert!(["avx512f", "baseline"].contains(&kernel), "{kernel}");
+    }
 }
 
 #[test]
