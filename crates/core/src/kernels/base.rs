@@ -17,6 +17,14 @@
 //!
 //! Which wins depends on the stride and the device; the paper resolves the
 //! choice empirically with the self-tuner, and so does `trisolve-autotune`.
+//!
+//! The variants differ in their meters only. On the host, blocks whose
+//! chains sit at least one cache line of elements apart are taken in tiles
+//! of that many adjacent chains (`chain_tile`): the tile gathers and
+//! stores whole rows, its PCR steps are one step on lane-interleaved
+//! arrays, and its Thomas phase is one lane-wise sweep over every
+//! sub-chain of every block. Each block keeps its own meters, verdict and
+//! store (DESIGN §3.20).
 
 use crate::error::CoreError;
 use crate::kernels::access::{
@@ -24,13 +32,13 @@ use crate::kernels::access::{
 };
 use crate::kernels::stage1::PCR_OPS_PER_EQ;
 use crate::kernels::{
-    block_chain, elem_bytes, launch_or_price, BufferRole, BufferRoles, ChainCoeffs, Family,
-    GpuScalar, LaunchIo, RecurrenceKind, CUR,
+    block_chain, chain_tile, elem_bytes, launch_or_price_tiles, BufferRole, BufferRoles, ChainTile,
+    Family, GpuScalar, LaunchIo, RecurrenceKind, CUR,
 };
 use crate::params::{BaseVariant, BASE_KERNEL_REGS_PER_THREAD};
 use crate::Result;
 use std::sync::atomic::{AtomicBool, Ordering};
-use trisolve_gpu_sim::{Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_gpu_sim::{store_tile, Gpu, KernelStats, LaunchConfig, OutMode};
 use trisolve_tridiag::system::ChainView;
 use trisolve_tridiag::thomas::{self, LaneView};
 
@@ -224,134 +232,172 @@ impl Family for Base {
         // conflicts (the double-precision penalty of §III-A).
         let word_factor = f64::max(elem_bytes::<T>() as f64 / 4.0, 1.0);
 
+        let tile = chain_tile(stride, elem_bytes::<T>());
         let failed = AtomicBool::new(false);
-        let stats = launch_or_price(gpu, &cfg, io, OutMode::Scattered, |ctx, io| {
-            let numerics = !ctx.pricing();
-            let chain = block_chain(ctx.block_id as usize, n, stride);
+        let stats = launch_or_price_tiles(gpu, &cfg, io, OutMode::Scattered, tile, |ctxs, ios| {
+            let lanes = ctxs.len();
+            let first = block_chain(ctxs[0].block_id as usize, n, stride);
 
-            // ---- Load phase (stage-3 entry) -------------------------------
-            let mut coeffs = ChainCoeffs::gather(&chain, &io.inputs, numerics);
-            match self.variant {
-                // Interleaved plans never emit a BaseSolve op (the batched-Thomas
-                // family replaces the whole staged pipeline); if one is forced
-                // through anyway the gather behaves like the strided load.
-                BaseVariant::Strided | BaseVariant::Interleaved => {
-                    ctx.gmem_read(4 * chain_len, stride);
+            // ---- Numerics, for the whole tile -----------------------------
+            // Stage 3 (PCR in shared memory) and stage 4 (Thomas, one thread
+            // per sub-chain). Sub-chain `t` of a block is rows `t, t + t4,
+            // ...` of its chain. In the tile, row `i` of lane `g` sits at
+            // `i·lanes + g`, so sub-chain `t` of lane `g` is lane `t·lanes + g`
+            // of one sweep at row stride `t4·lanes`, and the sweep's compact
+            // output is the tile's own layout.
+            //
+            // Per block, the verdict is `None` when its sweep broke down, else
+            // how many elements it stores: all of them, or those before its
+            // first non-finite one. Verdicts are listed only when some block
+            // falls short; a priced launch computes nothing and stores
+            // everything. The working arrays live as long as the closure,
+            // as the per-chain kernel's did.
+            let mut coeffs = None;
+            let (mut lx, mut verdicts) = (Vec::new(), Vec::new());
+            if !ctxs[0].pricing() {
+                let coeffs = coeffs.insert(ChainTile::gather(&first, lanes, &ios[0].inputs));
+                for step in 0..pcr_steps {
+                    coeffs.pcr_step(1 << step);
                 }
-                BaseVariant::Coalesced => {
-                    ctx.gmem_read_overfetch(4 * chain_len, stride as f64);
-                }
-            }
-            if ctx.sanitizing() {
-                // Replay the gather through the tracked APIs: thread `j` loads
-                // its four coefficients from global memory and stages them into
-                // the block's shared arrays. Shared layout (matching the
-                // declared `4 * chain_len` element footprint): array `k`
-                // occupies elements `k*chain_len .. (k+1)*chain_len`.
-                for k in 0..4 {
-                    for j in 0..chain_len {
-                        let _ = io.load(k, chain.index(j), j, "base::load");
-                        ctx.track_smem_write(k * chain_len + j, j, "base::smem_store");
-                    }
-                }
-            }
-            ctx.sync();
-
-            // ---- Stage 3: PCR in shared memory ----------------------------
-            for step in 0..pcr_steps {
-                let s = 1usize << step;
-                if numerics {
-                    coeffs.pcr_step(s);
-                }
-                ctx.smem_conflict(PCR_SMEM_PER_EQ * chain_len, word_factor);
-                ctx.ops(PCR_OPS_PER_EQ * chain_len);
-                if ctx.sanitizing() {
-                    // Read half of the in-place PCR step: thread `j` reads rows
-                    // `j-s`, `j`, `j+s` of every array (clamped at the ends).
-                    for j in 0..chain_len {
-                        let lo = j.saturating_sub(s);
-                        let hi = (j + s).min(chain_len - 1);
-                        for k in 0..4 {
-                            ctx.track_smem_read(k * chain_len + lo, j, "base::pcr_read");
-                            ctx.track_smem_read(k * chain_len + j, j, "base::pcr_read");
-                            ctx.track_smem_read(k * chain_len + hi, j, "base::pcr_read");
-                        }
-                    }
-                }
-                // The declared shared footprint (4 arrays of one chain each) is
-                // exactly single-buffered, so each PCR step must update the
-                // arrays *in place*: one barrier separates every thread's reads
-                // from the writes...
-                ctx.sync();
-                if ctx.sanitizing() {
-                    for j in 0..chain_len {
-                        for k in 0..4 {
-                            ctx.track_smem_write(k * chain_len + j, j, "base::pcr_write");
-                        }
-                    }
-                }
-                // ...and a second one separates the writes from the next step's
-                // reads. The pair is NOT redundant: collapsing it into one
-                // barrier would put thread `j`'s write of row `j` in the same
-                // interval as thread `j∓s`'s read of that row — a read-write
-                // race the sanitizer reports if either sync is removed.
-                ctx.sync();
-            }
-
-            // ---- Stage 4: Thomas, one thread per chain ---------------------
-            // Sub-chain `t` is rows `t, t + t4, ...` of the chain: the `t4`
-            // chains are the lanes of one sweep, and its compact output is
-            // the chain's own order.
-            let mut lx = Vec::new();
-            if numerics {
-                lx.resize(chain_len, T::ZERO);
-                let lanes = LaneView {
+                lx.resize(chain_len * lanes, T::ZERO);
+                let sweep = LaneView {
                     offset: 0,
-                    row_stride: t4,
-                    lanes: t4,
+                    row_stride: t4 * lanes,
+                    lanes: t4 * lanes,
                     len: chain_len / t4,
                 };
                 let [a, b, c, d] = &coeffs.cur;
-                if thomas::solve_thomas_lanes(&lanes, a, b, c, d, &mut lx).contains(&true) {
-                    failed.store(true, Ordering::Relaxed);
-                    return;
+                let flags = thomas::solve_thomas_lanes(&sweep, a, b, c, d, &mut lx);
+                if flags.contains(&true) || !lx.iter().all(|v| v.is_finite()) {
+                    verdicts = (0..lanes)
+                        .map(|g| {
+                            // Block `g`'s sweep lanes are `t·lanes + g`.
+                            if flags.iter().skip(g).step_by(lanes).any(|&b| b) {
+                                return None;
+                            }
+                            let bad = (0..chain_len).position(|i| !lx[i * lanes + g].is_finite());
+                            Some(bad.unwrap_or(chain_len))
+                        })
+                        .collect();
                 }
             }
-            ctx.serial_phase(chain_len / t4, THOMAS_OPS_PER_EQ, t4);
-            ctx.smem_conflict(THOMAS_SMEM_PER_EQ * chain_len, word_factor);
-            if ctx.sanitizing() {
-                // Thomas replay: thread `t` owns sub-chain `t` and sweeps it,
-                // reading all four arrays and overwriting the d-array slots
-                // with the solution. Chains are disjoint, so every element is
-                // touched by exactly one thread — hazard-free by construction.
-                for (t, sub) in ChainView::chains_of(0, chain_len, t4)
-                    .into_iter()
-                    .enumerate()
-                {
-                    for i in 0..sub.len {
-                        let e = sub.index(i);
-                        for k in 0..4 {
-                            ctx.track_smem_read(k * chain_len + e, t, "base::thomas_read");
-                        }
-                        ctx.track_smem_write(3 * chain_len + e, t, "base::thomas_write");
+            let verdict = |g: usize| verdicts.get(g).copied().unwrap_or(Some(chain_len));
+
+            // ---- Per block: meters and sanitizer replays, in kernel order --
+            for (g, (ctx, io)) in ctxs.iter_mut().zip(ios.iter()).enumerate() {
+                // Load phase (stage-3 entry).
+                match self.variant {
+                    // Interleaved plans never emit a BaseSolve op (the
+                    // batched-Thomas family replaces the whole staged
+                    // pipeline); if one is forced through anyway the gather
+                    // behaves like the strided load.
+                    BaseVariant::Strided | BaseVariant::Interleaved => {
+                        ctx.gmem_read(4 * chain_len, stride);
+                    }
+                    BaseVariant::Coalesced => {
+                        ctx.gmem_read_overfetch(4 * chain_len, stride as f64);
                     }
                 }
+                if ctx.sanitizing() {
+                    // Replay the gather through the tracked APIs: thread `j`
+                    // loads its four coefficients from global memory and
+                    // stages them into the block's shared arrays. Shared
+                    // layout (matching the declared `4 * chain_len` element
+                    // footprint): array `k` occupies elements
+                    // `k*chain_len .. (k+1)*chain_len`.
+                    for k in 0..4 {
+                        for j in 0..chain_len {
+                            let _ = io.load(k, first.index(j) + g, j, "base::load");
+                            ctx.track_smem_write(k * chain_len + j, j, "base::smem_store");
+                        }
+                    }
+                }
+                ctx.sync();
+
+                // Stage 3.
+                for step in 0..pcr_steps {
+                    let s = 1usize << step;
+                    ctx.smem_conflict(PCR_SMEM_PER_EQ * chain_len, word_factor);
+                    ctx.ops(PCR_OPS_PER_EQ * chain_len);
+                    if ctx.sanitizing() {
+                        // Read half of the in-place PCR step: thread `j` reads
+                        // rows `j-s`, `j`, `j+s` of every array (clamped at
+                        // the ends).
+                        for j in 0..chain_len {
+                            let lo = j.saturating_sub(s);
+                            let hi = (j + s).min(chain_len - 1);
+                            for k in 0..4 {
+                                ctx.track_smem_read(k * chain_len + lo, j, "base::pcr_read");
+                                ctx.track_smem_read(k * chain_len + j, j, "base::pcr_read");
+                                ctx.track_smem_read(k * chain_len + hi, j, "base::pcr_read");
+                            }
+                        }
+                    }
+                    // The declared shared footprint (4 arrays of one chain
+                    // each) is exactly single-buffered, so each PCR step must
+                    // update the arrays *in place*: one barrier separates
+                    // every thread's reads from the writes...
+                    ctx.sync();
+                    if ctx.sanitizing() {
+                        for j in 0..chain_len {
+                            for k in 0..4 {
+                                ctx.track_smem_write(k * chain_len + j, j, "base::pcr_write");
+                            }
+                        }
+                    }
+                    // ...and a second one separates the writes from the next
+                    // step's reads. The pair is NOT redundant: collapsing it
+                    // into one barrier would put thread `j`'s write of row
+                    // `j` in the same interval as thread `j∓s`'s read of that
+                    // row — a read-write race the sanitizer reports if either
+                    // sync is removed.
+                    ctx.sync();
+                }
+
+                // Stage 4. A block whose sweep broke down fails here, before
+                // its stage-4 meters and its store.
+                if verdict(g).is_none() {
+                    failed.store(true, Ordering::Relaxed);
+                    continue;
+                }
+                ctx.serial_phase(chain_len / t4, THOMAS_OPS_PER_EQ, t4);
+                ctx.smem_conflict(THOMAS_SMEM_PER_EQ * chain_len, word_factor);
+                if ctx.sanitizing() {
+                    // Thomas replay: thread `t` owns sub-chain `t` and sweeps
+                    // it, reading all four arrays and overwriting the d-array
+                    // slots with the solution. Chains are disjoint, so every
+                    // element is touched by exactly one thread — hazard-free
+                    // by construction.
+                    for (t, sub) in ChainView::chains_of(0, chain_len, t4)
+                        .into_iter()
+                        .enumerate()
+                    {
+                        for i in 0..sub.len {
+                            let e = sub.index(i);
+                            for k in 0..4 {
+                                ctx.track_smem_read(k * chain_len + e, t, "base::thomas_read");
+                            }
+                            ctx.track_smem_write(3 * chain_len + e, t, "base::thomas_write");
+                        }
+                    }
+                }
+                ctx.sync();
             }
-            ctx.sync();
 
             // ---- Store phase ----------------------------------------------
-            // Elements before the first non-finite one are stored, then the
-            // block fails.
-            if numerics {
-                let bad = lx.iter().position(|v| !v.is_finite());
-                let stored = &lx[..bad.unwrap_or(chain_len)];
-                io.scattered[0].set_strided(chain.offset, chain.stride, stored, "base::store");
-                if bad.is_some() {
-                    failed.store(true, Ordering::Relaxed);
-                    return;
+            // Each block stores its verdict's elements, then fails if that
+            // was not all of them.
+            if !lx.is_empty() {
+                let count = |g| verdict(g).unwrap_or(0);
+                store_tile(ios, 0, first.offset, stride, count, &lx, "base::store");
+            }
+            for (g, ctx) in ctxs.iter_mut().enumerate() {
+                match verdict(g) {
+                    None => {}
+                    Some(count) if count < chain_len => failed.store(true, Ordering::Relaxed),
+                    Some(_) => ctx.gmem_write(chain_len, stride),
                 }
             }
-            ctx.gmem_write(chain_len, stride);
         })?;
 
         if failed.load(Ordering::Relaxed) {

@@ -160,6 +160,32 @@ where
     })
 }
 
+/// [`launch_or_price`] for a kernel that takes its blocks in tiles of
+/// `tile` adjacent blocks ([`Gpu::launch_tiles`]). Pricing runs one block
+/// per tile.
+pub(crate) fn launch_or_price_tiles<T, F>(
+    gpu: &mut Gpu<T>,
+    cfg: &LaunchConfig,
+    io: Option<LaunchIo<'_>>,
+    mode: OutMode,
+    tile: usize,
+    kernel: F,
+) -> Result<KernelStats>
+where
+    T: GpuScalar,
+    F: Fn(&mut [BlockCtx], &mut [BlockIo<'_, T>]) + Sync,
+{
+    Ok(match io {
+        Some((inputs, outputs)) => {
+            let outputs: Vec<_> = outputs.iter().map(|&b| (b, mode)).collect();
+            gpu.launch_tiles(cfg, tile, inputs, &outputs, kernel)?
+        }
+        None => gpu.price(cfg, |ctx, io| {
+            kernel(std::slice::from_mut(ctx), std::slice::from_mut(io));
+        })?,
+    })
+}
+
 /// The chain block `bid` owns in a batch of `n`-equation systems split
 /// into `stride` chains each: `parent = bid / stride`, `r = bid % stride`,
 /// element `j` at `parent·n + r + j·stride` (stage 2 and the base kernel).
@@ -171,34 +197,70 @@ pub(crate) fn block_chain(bid: usize, n: usize, stride: usize) -> ChainView {
     }
 }
 
-/// One chain's four coefficient arrays, gathered chain-contiguous and
-/// double-buffered for PCR steps. Empty when the launch is only priced.
-pub(crate) struct ChainCoeffs<T> {
+/// Bytes of one host cache line.
+const CACHE_LINE_BYTES: usize = 64;
+
+/// How many adjacent chain blocks stage 2 and the base kernel take per
+/// tile: one cache line of elements (16 `f32`, 8 `f64`) when chains at
+/// `stride` are that far apart, so each gathered or stored row fills a
+/// line; otherwise 1. The tile width divides `stride`, so a tile's chains
+/// share one parent system.
+pub(crate) fn chain_tile(stride: usize, elem_bytes: usize) -> usize {
+    let line = CACHE_LINE_BYTES / elem_bytes;
+    if stride >= line && stride.is_multiple_of(line) {
+        line
+    } else {
+        1
+    }
+}
+
+/// The chains of one tile of adjacent blocks, gathered lane-interleaved
+/// and double-buffered for PCR steps. Lane `g` is the chain at parent
+/// offset `first.offset + g`; its row `j` sits at `j·lanes + g`.
+///
+/// One PCR step at local stride `s` on every lane is one step at stride
+/// `s·lanes` on the flat arrays: the neighbours of row `j` of lane `g` sit
+/// `s·lanes` away, and a row lacks its `−s` (`+s`) neighbour exactly when
+/// its flat index is below `s·lanes` (within `s·lanes` of the end). Every
+/// lane therefore gets the operations, in the order, that one chain alone
+/// gets.
+pub(crate) struct ChainTile<T> {
+    /// Chains in the tile.
+    lanes: usize,
     /// The current `(a, b, c, d)`.
     pub cur: [Vec<T>; 4],
     next: [Vec<T>; 4],
 }
 
-impl<T: GpuScalar> ChainCoeffs<T> {
-    /// Gather `chain` from the four `inputs`, or nothing without `numerics`.
-    pub(crate) fn gather(chain: &ChainView, inputs: &[&[T]], numerics: bool) -> Self {
-        if !numerics {
-            return Self {
-                cur: Default::default(),
-                next: Default::default(),
-            };
-        }
+impl<T: GpuScalar> ChainTile<T> {
+    /// Gather the `lanes` chains starting at `first` from the four
+    /// `inputs`, one `lanes`-element run per row.
+    pub(crate) fn gather(first: &ChainView, lanes: usize, inputs: &[&[T]]) -> Self {
+        // One lane is the chain itself, gathered element by element (a
+        // run copy per element would cost a `memcpy` call each).
+        let rows = |input: &[T]| {
+            if lanes == 1 {
+                return first.gather(input);
+            }
+            let mut flat = Vec::with_capacity(first.len * lanes);
+            for j in 0..first.len {
+                flat.extend_from_slice(&input[first.index(j)..][..lanes]);
+            }
+            flat
+        };
         Self {
-            cur: [0, 1, 2, 3].map(|k| chain.gather(inputs[k])),
-            next: [(); 4].map(|()| vec![T::ZERO; chain.len]),
+            lanes,
+            cur: [0, 1, 2, 3].map(|k| rows(inputs[k])),
+            next: [(); 4].map(|()| vec![T::ZERO; first.len * lanes]),
         }
     }
 
-    /// One PCR step at local stride `s`; the result becomes current.
+    /// One PCR step at local stride `s` on every lane; the result becomes
+    /// current.
     pub(crate) fn pcr_step(&mut self, s: usize) {
         let [a, b, c, d] = &self.cur;
         let [oa, ob, oc, od] = &mut self.next;
-        pcr::pcr_step(s, a, b, c, d, oa, ob, oc, od);
+        pcr::pcr_step(s * self.lanes, a, b, c, d, oa, ob, oc, od);
         std::mem::swap(&mut self.cur, &mut self.next);
     }
 }

@@ -8,11 +8,19 @@
 //! Chains produced by stage 1 are strided in their parent system, so every
 //! global access of this kernel carries the parent stride; when stage 1 was
 //! skipped (`stride_in == 1`) each block owns a contiguous system and the
-//! accesses are coalesced. The functional execution gathers the chain once
+//! accesses are coalesced. The functional execution gathers each chain once
 //! and iterates locally (blocks own their chains exclusively), while the
 //! meters charge the per-step global read/write traffic the real kernel —
 //! which cannot keep an over-shared-memory-sized chain on chip — would
 //! generate.
+//!
+//! On the host, adjacent chains of one parent are taken together: the
+//! launch hands blocks over in tiles of one cache line of elements when the
+//! chain stride allows it (`chain_tile`), and a tile's chains run as the
+//! lanes of lane-interleaved arrays. Each gathered row and each stored row
+//! is then one contiguous run, and every lane gets bit for bit the
+//! arithmetic of a chain alone (DESIGN §3.20). Each block still meters on
+//! its own context.
 
 use crate::kernels::access::{chain_map, GlobalAccess, KernelAccessSummary};
 use crate::kernels::stage1::{
@@ -20,12 +28,12 @@ use crate::kernels::stage1::{
     PCR_UNIQUE_LOADS_PER_EQ,
 };
 use crate::kernels::{
-    block_chain, elem_bytes, launch_or_price, BufferRoles, ChainCoeffs, Family, GpuScalar,
-    LaunchIo, RecurrenceKind, DOUBLE_BUFFERED,
+    block_chain, chain_tile, elem_bytes, launch_or_price_tiles, BufferRoles, ChainTile, Family,
+    GpuScalar, LaunchIo, RecurrenceKind, DOUBLE_BUFFERED,
 };
 use crate::params::{SPLIT_KERNEL_REGS_PER_THREAD, SPLIT_KERNEL_THREADS};
 use crate::Result;
-use trisolve_gpu_sim::{Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_gpu_sim::{store_tile, Gpu, KernelStats, LaunchConfig, OutMode};
 
 /// The independent splitting stage.
 ///
@@ -108,46 +116,58 @@ impl Family for Stage2 {
         debug_assert!(steps >= 1);
         let chain_len = n / stride_in;
         let cfg = self.config(elem_bytes::<T>());
-        launch_or_price(gpu, &cfg, io, OutMode::Scattered, |ctx, io| {
-            let numerics = !ctx.pricing();
-            let chain = block_chain(ctx.block_id as usize, n, stride_in);
-            // Gather the chain into chain-contiguous working arrays.
-            let mut coeffs = ChainCoeffs::gather(&chain, &io.inputs, numerics);
-            if ctx.sanitizing() {
-                // Replay the gather through the tracked API (the values were
-                // already read above) so memcheck/initcheck see the kernel's
-                // true global read set. Logical thread `j` owns chain element
-                // `j`. The per-step streaming below double-buffers through
-                // global memory (`src` → `dst`), so it is race-free by
-                // construction and needs no shared-memory replay.
-                for k in 0..4 {
-                    for j in 0..chain_len {
-                        let _ = io.load(k, chain.index(j), j, "stage2::gather");
-                    }
-                }
-            }
-            for step in 0..steps {
-                if numerics {
+        let tile = chain_tile(stride_in, elem_bytes::<T>());
+        launch_or_price_tiles(gpu, &cfg, io, OutMode::Scattered, tile, |ctxs, ios| {
+            let first = block_chain(ctxs[0].block_id as usize, n, stride_in);
+            // Numerics, for the whole tile: gather its chains into
+            // lane-interleaved working arrays and apply the steps. Only an
+            // executed launch computes.
+            let coeffs = (!ctxs[0].pricing()).then(|| {
+                let mut coeffs = ChainTile::gather(&first, ctxs.len(), &ios[0].inputs);
+                for step in 0..steps {
                     coeffs.pcr_step(1 << step);
                 }
-                // The real kernel streams the chain through global memory every
-                // step (it exceeds shared capacity by construction).
-                ctx.gmem_read_staged(
-                    PCR_LOADS_PER_EQ * chain_len,
-                    PCR_UNIQUE_LOADS_PER_EQ * chain_len,
-                    stride_in,
-                );
-                ctx.gmem_write(PCR_STORES_PER_EQ * chain_len, stride_in);
-                ctx.smem(PCR_STAGING_SMEM_PER_EQ * chain_len);
-                ctx.ops(PCR_OPS_PER_EQ * chain_len);
-                ctx.sync();
+                coeffs
+            });
+            for (g, (ctx, io)) in ctxs.iter_mut().zip(ios.iter()).enumerate() {
+                if ctx.sanitizing() {
+                    // Replay the gather through the tracked API (the values
+                    // were already read above) so memcheck/initcheck see the
+                    // kernel's true global read set. Logical thread `j` owns
+                    // chain element `j`. The per-step streaming below
+                    // double-buffers through global memory (`src` → `dst`),
+                    // so it is race-free by construction and needs no
+                    // shared-memory replay.
+                    for k in 0..4 {
+                        for j in 0..chain_len {
+                            let _ = io.load(k, first.index(j) + g, j, "stage2::gather");
+                        }
+                    }
+                }
+                for _ in 0..steps {
+                    // The real kernel streams the chain through global memory
+                    // every step (it exceeds shared capacity by
+                    // construction).
+                    ctx.gmem_read_staged(
+                        PCR_LOADS_PER_EQ * chain_len,
+                        PCR_UNIQUE_LOADS_PER_EQ * chain_len,
+                        stride_in,
+                    );
+                    ctx.gmem_write(PCR_STORES_PER_EQ * chain_len, stride_in);
+                    ctx.smem(PCR_STAGING_SMEM_PER_EQ * chain_len);
+                    ctx.ops(PCR_OPS_PER_EQ * chain_len);
+                    ctx.sync();
+                }
             }
-            // Scatter the final coefficients to the chain's parent positions.
-            if numerics {
+            // Scatter the final coefficients to the chains' parent positions.
+            if let Some(coeffs) = coeffs {
                 for (k, vals) in coeffs.cur.iter().enumerate() {
-                    io.scattered[k].set_strided(
-                        chain.offset,
-                        chain.stride,
+                    store_tile(
+                        ios,
+                        k,
+                        first.offset,
+                        first.stride,
+                        |_| chain_len,
                         vals,
                         "stage2::scatter",
                     );

@@ -17,6 +17,13 @@
 //! paper's stage 1 needs a global synchronisation per split and therefore
 //! pays one *launch* per split; the simulator enforces that structure.
 //!
+//! [`crate::Gpu::launch_tiles`] hands a kernel its blocks in *tiles* of
+//! adjacent blocks — one `BlockCtx` and one `BlockIo` per block — so the
+//! host can run their numerics together; [`store_tile`] stores a tile's
+//! lane-interleaved rows and logs each block's writes as its own. The
+//! simulated launch, its meters and its race check do not depend on the
+//! tile width.
+//!
 //! Scattered outputs are race-checked, always: each [`ScatterWriter`] logs
 //! its block's writes as affine runs `(start, stride, count)`, and after
 //! the grid has run the launch checks the blocks' logs against each other
@@ -384,7 +391,7 @@ pub(crate) struct SharedOut<E> {
 // the buffer outlives the launch. Blocks of a correct kernel write
 // disjoint elements, so concurrent stores never alias. A kernel whose
 // blocks do write the same element is rejected after the grid has run:
-// `Gpu::launch` checks the blocks' write logs and returns
+// `Gpu::launch_tiles` checks the blocks' write logs and returns
 // `SimError::WriteRace` before the buffer is read again. The verdict
 // needs every block's writes, so racing stores have already landed,
 // unsynchronised, by then (DESIGN §3.18).
@@ -524,6 +531,68 @@ impl<E: Element> ScatterWriter<'_, E> {
     }
 }
 
+/// Store a tile's lane-interleaved rows into scattered output `out`.
+///
+/// `ios` are the blocks of one tile of [`crate::Gpu::launch_tiles`], and
+/// block `g` is lane `g` of `vals`: its element `j` is `vals[j·lanes + g]`
+/// (`lanes = ios.len()`), and its first `count(g)` elements go to
+/// `start + g + j·stride`. Each block logs exactly the run `(start + g,
+/// stride, count(g))` that [`ScatterWriter::set_strided`] would log for
+/// its lane, so the race check sees the same writes. Rows that every lane
+/// stores are written `lanes` contiguous elements at a time.
+///
+/// Panics, before anything is stored, if an index is out of bounds. With
+/// one lane this is exactly `set_strided`, sanitizer tracking included;
+/// under the sanitizer every tile has one lane.
+pub fn store_tile<E: Element>(
+    ios: &[BlockIo<'_, E>],
+    out: usize,
+    start: usize,
+    stride: usize,
+    count: impl Fn(usize) -> usize,
+    vals: &[E],
+    site: &'static str,
+) {
+    let lanes = ios.len();
+    if lanes == 1 {
+        ios[0].scattered[out].set_strided(start, stride, &vals[..count(0)], site);
+        return;
+    }
+    let counts: Vec<usize> = (0..lanes).map(count).collect();
+    let shared = ios[0].scattered[out].out;
+    debug_assert!(ios.iter().all(|io| {
+        let w = &io.scattered[out];
+        std::ptr::eq(w.out, shared) && w.shadow.is_none()
+    }));
+    for (g, &count) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
+        let end = (count - 1)
+            .checked_mul(stride)
+            .and_then(|o| o.checked_add(start))
+            .and_then(|e| e.checked_add(g))
+            .filter(|&e| e < shared.len);
+        assert!(
+            end.is_some(),
+            "scattered write out of bounds: {start} + {g} + {} x {stride} >= {}",
+            count - 1,
+            shared.len
+        );
+    }
+    let full = counts.iter().copied().min().unwrap_or(0);
+    let longest = counts.iter().copied().max().unwrap_or(0);
+    for (j, row) in vals.chunks_exact(lanes).take(longest).enumerate() {
+        if j < full {
+            shared.store_strided(start + j * stride, 1, row);
+        } else {
+            for (g, &v) in row.iter().enumerate().filter(|&(g, _)| j < counts[g]) {
+                shared.store(start + g + j * stride, v);
+            }
+        }
+    }
+    for (g, (io, count)) in ios.iter().zip(counts).enumerate() {
+        io.scattered[out].log.record_run(start + g, stride, count);
+    }
+}
+
 /// Per-block sanitizer wiring carried by [`BlockIo`]: the shadow cell plus
 /// views of the launch inputs' global-memory init masks.
 pub(crate) struct ShadowHandle<'a> {
@@ -533,7 +602,7 @@ pub(crate) struct ShadowHandle<'a> {
 
 /// Everything a block can touch: input views, its owned chunks, and the
 /// scattered writers, in the order the corresponding buffers were passed to
-/// [`crate::Gpu::launch`].
+/// [`crate::Gpu::launch`] or [`crate::Gpu::launch_tiles`].
 pub struct BlockIo<'a, E: Element> {
     /// Read-only full views of the input buffers.
     pub inputs: Vec<&'a [E]>,

@@ -47,7 +47,7 @@ pub use cpu::CpuSpec;
 pub use device::{DeviceSpec, HiddenProps, QueryableProps};
 pub use error::SimError;
 pub use fault::{FaultInjector, FaultKind, FaultLog, FaultPlan, FaultRecord};
-pub use launch::{BlockCtx, BlockIo, BlockOut, LaunchConfig, OutMode, ScatterWriter};
+pub use launch::{store_tile, BlockCtx, BlockIo, BlockOut, LaunchConfig, OutMode, ScatterWriter};
 pub use memory::{BufferId, DeviceBuffer, Gpu};
 pub use sanitizer::{AccessSite, Hazard, HazardKind, Region, SanitizerReport};
 pub use stream::{

@@ -148,6 +148,73 @@ struct LaunchAudit {
     output_inits: Vec<(usize, InitMask)>,
 }
 
+/// Where output `i`, in the caller's order, comes from in a block's
+/// [`BlockIo`]: its owned chunk, or the `j`-th scattered output.
+enum OutSlot {
+    Chunked,
+    Scattered(usize),
+}
+
+/// What every block of one launch sees: the device, the input views (and
+/// their init masks under the sanitizer), and the outputs in caller order.
+struct LaunchViews<'a, E: Element> {
+    cfg: &'a LaunchConfig,
+    spec: &'a DeviceSpec,
+    inputs: &'a [&'a [E]],
+    input_masks: Option<&'a [&'a InitMask]>,
+    order: &'a [OutSlot],
+    scattered: &'a [SharedOut<E>],
+}
+
+impl<'a, E: Element> LaunchViews<'a, E> {
+    /// Block `b`'s context and views: its owned chunks and one fresh
+    /// write log per scattered output, tracked through `cell` under the
+    /// sanitizer.
+    fn open<'b>(
+        &self,
+        b: usize,
+        owned: Vec<&'b mut [E]>,
+        cell: Option<&'b RefCell<BlockShadow>>,
+    ) -> (BlockCtx<'b>, BlockIo<'b, E>)
+    where
+        'a: 'b,
+    {
+        let mut ctx = BlockCtx::new(b as u32, self.cfg.block_threads, self.spec, E::BYTES);
+        if let Some(cell) = cell {
+            ctx.attach_shadow(cell);
+        }
+        let mut owned = owned.into_iter();
+        let mut io = BlockIo {
+            inputs: self.inputs.to_vec(),
+            owned: Vec::new(),
+            scattered: Vec::new(),
+            shadow: cell
+                .zip(self.input_masks)
+                .map(|(cell, input_init)| ShadowHandle { cell, input_init }),
+        };
+        for slot in self.order {
+            match slot {
+                OutSlot::Chunked => io.owned.push(owned.next().expect("chunk per output")),
+                OutSlot::Scattered(j) => io.scattered.push(ScatterWriter {
+                    out: &self.scattered[*j],
+                    slot: *j,
+                    shadow: cell,
+                    log: WriteLog::default(),
+                }),
+            }
+        }
+        (ctx, io)
+    }
+}
+
+/// A block's counters and its runs per scattered output, once it has run
+/// (the caller fills in the shadow once the block's borrows have ended).
+fn close_block<E: Element>(ctx: BlockCtx<'_>, mut io: BlockIo<'_, E>) -> BlockOutcome {
+    let logs = io.scattered.drain(..).map(|w| w.log.into_runs()).collect();
+    drop(io);
+    (ctx.into_counters(), None, logs)
+}
+
 impl<E: Element> Gpu<E> {
     /// Create a device.
     pub fn new(spec: DeviceSpec) -> Self {
@@ -706,6 +773,34 @@ impl<E: Element> Gpu<E> {
     where
         F: Fn(&mut BlockCtx, &mut BlockIo<'_, E>) + Sync,
     {
+        self.launch_tiles(cfg, 1, inputs, outputs, |ctxs, ios| {
+            kernel(&mut ctxs[0], &mut ios[0]);
+        })
+    }
+
+    /// Launch a kernel whose blocks are handed to it in *tiles* of `tile`
+    /// adjacent blocks: `kernel` runs once per tile with one [`BlockCtx`]
+    /// and one [`BlockIo`] per block, in block order (the last tile may be
+    /// shorter). The simulated launch is the same as [`Gpu::launch`]'s:
+    /// every block keeps its own meters, owned chunks and scattered-write
+    /// log, so the [`KernelStats`], the race check and its report do not
+    /// depend on the tile width. A tile lets the host run its blocks'
+    /// numerics together, e.g. adjacent strided chains as SIMD lanes
+    /// ([`crate::launch::store_tile`] stores them).
+    ///
+    /// Under the sanitizer every tile is one block, so tracked accesses
+    /// replay exactly as with [`Gpu::launch`].
+    pub fn launch_tiles<F>(
+        &mut self,
+        cfg: &LaunchConfig,
+        tile: usize,
+        inputs: &[BufferId],
+        outputs: &[(BufferId, OutMode)],
+        kernel: F,
+    ) -> Result<KernelStats, SimError>
+    where
+        F: Fn(&mut [BlockCtx], &mut [BlockIo<'_, E>]) + Sync,
+    {
         self.reclaim();
 
         // Validate the launch shape before touching any buffer.
@@ -754,7 +849,12 @@ impl<E: Element> Gpu<E> {
         }
         // Restore-on-exit guard pattern: from here on, every path must put
         // the buffers back before returning.
-        let result = self.run_blocks(cfg, inputs, &mut taken, kernel);
+        let tile = if self.sanitizer.is_some() {
+            1
+        } else {
+            tile.max(1)
+        };
+        let result = self.run_tiles(cfg, tile, inputs, &mut taken, kernel);
         for (oid, _, buf) in taken {
             self.buffers[oid.0] = Some(buf);
         }
@@ -995,15 +1095,16 @@ impl<E: Element> Gpu<E> {
         }
     }
 
-    fn run_blocks<F>(
+    fn run_tiles<F>(
         &self,
         cfg: &LaunchConfig,
+        tile: usize,
         inputs: &[BufferId],
         taken: &mut [(BufferId, OutMode, Vec<E>)],
         kernel: F,
     ) -> Result<(KernelStats, Option<LaunchAudit>), SimError>
     where
-        F: Fn(&mut BlockCtx, &mut BlockIo<'_, E>) + Sync,
+        F: Fn(&mut [BlockCtx], &mut [BlockIo<'_, E>]) + Sync,
     {
         let grid = cfg.grid_blocks;
         let input_views: Vec<&[E]> = inputs
@@ -1026,11 +1127,7 @@ impl<E: Element> Gpu<E> {
         let mut chunked_meta: Vec<(usize, usize, usize)> = Vec::new();
         let mut scattered_meta: Vec<(usize, usize)> = Vec::new();
         // Order map so BlockIo presents outputs in caller order.
-        enum Slot {
-            Chunked,
-            Scattered(usize),
-        }
-        let mut order: Vec<Slot> = Vec::with_capacity(taken.len());
+        let mut order: Vec<OutSlot> = Vec::with_capacity(taken.len());
         for (oid, mode, buf) in taken.iter_mut() {
             match mode {
                 OutMode::Chunked { chunk } => {
@@ -1043,12 +1140,12 @@ impl<E: Element> Gpu<E> {
                             ),
                         });
                     }
-                    order.push(Slot::Chunked);
+                    order.push(OutSlot::Chunked);
                     chunked_meta.push((oid.0, *chunk, buf.len()));
                     chunk_iters.push((*chunk, buf.chunks_mut(*chunk)));
                 }
                 OutMode::Scattered => {
-                    order.push(Slot::Scattered(scattered.len()));
+                    order.push(OutSlot::Scattered(scattered.len()));
                     scattered_meta.push((oid.0, buf.len()));
                     scattered.push(SharedOut::new(buf));
                 }
@@ -1063,59 +1160,68 @@ impl<E: Element> Gpu<E> {
             }
         }
 
-        let spec = &self.spec;
-        let scattered_ref = &scattered;
-        let order_ref = &order;
-        let kernel_ref = &kernel;
-        let input_views_ref = &input_views;
-        let input_masks_ref = input_masks.as_deref();
-
-        let mut per_block: Vec<BlockOutcome> = per_block_owned
-            .into_par_iter()
-            .enumerate()
-            .map(move |(b, owned)| {
-                // The shadow cell must be declared before `ctx`/`io` so the
-                // borrows they hold end first.
-                let shadow_cell = input_masks_ref
-                    .is_some()
-                    .then(|| RefCell::new(BlockShadow::new(smem_elems, owned.len())));
-                let mut ctx = BlockCtx::new(b as u32, cfg.block_threads, spec, E::BYTES);
-                if let Some(cell) = &shadow_cell {
-                    ctx.attach_shadow(cell);
+        let launch = LaunchViews {
+            cfg,
+            spec: &self.spec,
+            inputs: &input_views,
+            input_masks: input_masks.as_deref(),
+            order: &order,
+            scattered: &scattered,
+        };
+        let launch = &launch;
+        let kernel = &kernel;
+        let mut per_block: Vec<BlockOutcome> = if tile == 1 {
+            // One block per parallel item: every `Gpu::launch`, and every
+            // launch under the sanitizer.
+            per_block_owned
+                .into_par_iter()
+                .enumerate()
+                .map(move |(b, owned)| {
+                    // The shadow cell must be declared before `ctx`/`io` so
+                    // the borrows they hold end first.
+                    let cell = launch
+                        .input_masks
+                        .is_some()
+                        .then(|| RefCell::new(BlockShadow::new(smem_elems, owned.len())));
+                    let (mut ctx, mut io) = launch.open(b, owned, cell.as_ref());
+                    kernel(
+                        std::slice::from_mut(&mut ctx),
+                        std::slice::from_mut(&mut io),
+                    );
+                    let mut outcome = close_block(ctx, io);
+                    outcome.1 = cell.map(RefCell::into_inner);
+                    outcome
+                })
+                .collect()
+        } else {
+            // Tiles of adjacent blocks, one per parallel item. The
+            // sanitizer never gets here, so no block has a shadow.
+            debug_assert!(launch.input_masks.is_none());
+            let mut tiles: Vec<Vec<Vec<&mut [E]>>> = Vec::with_capacity(grid.div_ceil(tile));
+            for (b, owned) in per_block_owned.into_iter().enumerate() {
+                if b % tile == 0 {
+                    tiles.push(Vec::with_capacity(tile));
                 }
-                // Reorder owned/scattered back into declaration order.
-                let mut owned_iter = owned.into_iter();
-                let mut io = BlockIo {
-                    inputs: input_views_ref.clone(),
-                    owned: Vec::new(),
-                    scattered: Vec::new(),
-                    shadow: match (&shadow_cell, input_masks_ref) {
-                        (Some(cell), Some(input_init)) => Some(ShadowHandle { cell, input_init }),
-                        _ => None,
-                    },
-                };
-                for slot in order_ref {
-                    match slot {
-                        Slot::Chunked => {
-                            io.owned.push(owned_iter.next().expect("chunk per output"));
-                        }
-                        Slot::Scattered(j) => {
-                            io.scattered.push(ScatterWriter {
-                                out: &scattered_ref[*j],
-                                slot: *j,
-                                shadow: shadow_cell.as_ref(),
-                                log: WriteLog::default(),
-                            });
-                        }
-                    }
-                }
-                kernel_ref(&mut ctx, &mut io);
-                let logs = io.scattered.drain(..).map(|w| w.log.into_runs()).collect();
-                drop(io);
-                let counters = ctx.into_counters();
-                (counters, shadow_cell.map(RefCell::into_inner), logs)
-            })
-            .collect();
+                tiles.last_mut().expect("tile started").push(owned);
+            }
+            let per_tile: Vec<Vec<BlockOutcome>> = tiles
+                .into_par_iter()
+                .enumerate()
+                .map(move |(t, tile_owned)| {
+                    let (mut ctxs, mut ios): (Vec<_>, Vec<_>) = tile_owned
+                        .into_iter()
+                        .enumerate()
+                        .map(|(g, owned)| launch.open(t * tile + g, owned, None))
+                        .unzip();
+                    kernel(&mut ctxs, &mut ios);
+                    ctxs.into_iter()
+                        .zip(ios)
+                        .map(|(ctx, io)| close_block(ctx, io))
+                        .collect()
+                })
+                .collect();
+            per_tile.into_iter().flatten().collect()
+        };
 
         // Who wrote what, per scattered output: every block's runs, in
         // block order. One check per output proves the blocks disjoint.
@@ -1509,6 +1615,101 @@ mod tests {
                 }
             });
             assert_eq!(verdict, None);
+        }
+    }
+
+    /// Launch `grid` blocks in tiles of `tile`: block `b` stores the first
+    /// `count(b)` elements of chain `b` (elements `b, b + grid, …`) of a
+    /// `grid × len` buffer through `store_tile`, then the element
+    /// `extra(b)`, if any. Returns the launch's race verdict, the buffer
+    /// and the clock.
+    fn tiled_chains<C, X>(
+        grid: usize,
+        len: usize,
+        tile: usize,
+        count: C,
+        extra: X,
+    ) -> (Option<(usize, u32, u32)>, Vec<f32>, f64)
+    where
+        C: Fn(usize) -> usize + Sync,
+        X: Fn(usize) -> Option<usize> + Sync,
+    {
+        let mut g = gpu();
+        let dst = g.alloc(grid * len).unwrap();
+        let cfg = LaunchConfig::new("tiles", grid, 32);
+        let result = g.launch_tiles(
+            &cfg,
+            tile,
+            &[],
+            &[(dst, OutMode::Scattered)],
+            |ctxs, ios| {
+                let first = ctxs[0].block_id as usize;
+                let lanes = ctxs.len();
+                let vals: Vec<f32> = (0..len * lanes)
+                    .map(|i| (first + i % lanes) as f32 + (i / lanes) as f32 / 64.0)
+                    .collect();
+                crate::launch::store_tile(ios, 0, first, grid, |g| count(first + g), &vals, "t");
+                for (ctx, io) in ctxs.iter().zip(ios.iter()) {
+                    if let Some(i) = extra(ctx.block_id as usize) {
+                        io.scattered[0].set(i, -1.0);
+                    }
+                }
+            },
+        );
+        let verdict = match result {
+            Ok(_) => None,
+            Err(SimError::WriteRace {
+                index,
+                first_block,
+                second_block,
+            }) => Some((index, first_block, second_block)),
+            Err(e) => panic!("unexpected error {e}"),
+        };
+        let out = g.view(dst).expect("buffer restored").to_vec();
+        (verdict, out, g.elapsed_s())
+    }
+
+    #[test]
+    fn tile_stores_write_and_log_what_one_block_stores() {
+        // Ten chains of 8 in tiles of 4 (the last tile has two blocks),
+        // each block storing a different prefix of its chain.
+        let count = |b: usize| [8, 0, 3, 8, 5, 8, 1, 8, 8, 7][b];
+        let (verdict, tiled, clock) = tiled_chains(10, 8, 4, count, |_| None);
+        let (verdict1, single, clock1) = tiled_chains(10, 8, 1, count, |_| None);
+        assert_eq!((verdict, verdict1), (None, None));
+        assert_eq!(clock.to_bits(), clock1.to_bits());
+        assert_eq!(tiled, single);
+        for (i, &v) in tiled.iter().enumerate() {
+            let (b, j) = (i % 10, i / 10);
+            let want = if j < count(b) {
+                b as f32 + j as f32 / 64.0
+            } else {
+                0.0
+            };
+            assert_eq!(v, want, "element {i}");
+        }
+    }
+
+    #[test]
+    fn races_through_tiles_report_what_tile_width_one_reports() {
+        let full = |_: usize| 8;
+        // Block 5 also writes row 3 of chain 6, in the same tile of 4.
+        let in_tile = |b: usize| (b == 5).then_some(6usize + 3 * 10);
+        // Block 2 also writes row 1 of chain 9, two tiles later (the last
+        // tile, which has two blocks).
+        let across = |b: usize| (b == 2).then_some(9usize + 10);
+        for (extra, want) in [
+            (
+                &in_tile as &(dyn Fn(usize) -> Option<usize> + Sync),
+                (36, 5, 6),
+            ),
+            (&across, (19, 2, 9)),
+        ] {
+            let (verdict, _, clock) = tiled_chains(10, 8, 4, full, extra);
+            let (verdict1, _, clock1) = tiled_chains(10, 8, 1, full, extra);
+            assert_eq!(verdict, Some(want));
+            assert_eq!(verdict1, Some(want));
+            assert_eq!((clock, clock1), (0.0, 0.0), "a racy launch moves no clock");
         }
     }
 

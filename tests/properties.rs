@@ -6,9 +6,11 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use trisolve::prelude::*;
+use trisolve::solver::kernels::GpuScalar;
 use trisolve::solver::StageOp;
 use trisolve::tridiag::cpu_batch::{solve_batch_sequential, BatchAlgorithm};
 use trisolve::tridiag::norms;
+use trisolve::tridiag::pcr;
 use trisolve::tridiag::system::ChainView;
 use trisolve::tridiag::thomas::{solve_thomas_chain, solve_thomas_lanes, ChainScratch, LaneView};
 
@@ -421,5 +423,276 @@ proptest! {
         seed in any::<u64>(),
     ) {
         lanes_match_chains::<f64>(lanes, len, pad, offset, seed)?;
+    }
+}
+
+/// Planted trouble for [`chain_tiles_match`]: none, a zero row (a
+/// guaranteed zero or NaN pivot in the base kernel's Thomas phase), or a
+/// NaN right-hand side in the middle of one chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Plant {
+    None,
+    ZeroRow,
+    NanRhs,
+}
+
+/// Stage 2 applied the way one block per chain does it: gather the chain,
+/// `steps` PCR steps on the chain-contiguous copy, scatter it back.
+fn per_chain_stage2<T: GpuScalar>(
+    src: &[Vec<T>; 4],
+    out: &mut [Vec<T>; 4],
+    chains: &[ChainView],
+    steps: u32,
+) {
+    for chain in chains {
+        let mut cur = src.each_ref().map(|v| chain.gather(v));
+        let mut next = [(); 4].map(|()| vec![T::ZERO; chain.len]);
+        for step in 0..steps {
+            let [a, b, c, d] = &cur;
+            let [na, nb, nc, nd] = &mut next;
+            pcr::pcr_step(1 << step, a, b, c, d, na, nb, nc, nd);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        for (vals, parent) in cur.iter().zip(out.iter_mut()) {
+            chain.scatter(vals, parent);
+        }
+    }
+}
+
+/// The base kernel applied the way one block per chain does it: PCR down
+/// to `t4` sub-chains, the lane-wise Thomas sweep, then the store of the
+/// solution up to its first non-finite element. Returns how many blocks
+/// failed on a broken lane (storing nothing) and how many on a non-finite
+/// element (storing the elements before it).
+fn per_chain_base<T: GpuScalar>(
+    src: &[Vec<T>; 4],
+    x: &mut [T],
+    chains: &[ChainView],
+    t4: usize,
+) -> (usize, usize) {
+    let (mut broken, mut short) = (0, 0);
+    for chain in chains {
+        let len = chain.len;
+        let mut cur = src.each_ref().map(|v| chain.gather(v));
+        let mut next = [(); 4].map(|()| vec![T::ZERO; len]);
+        for step in 0..t4.trailing_zeros() {
+            let [a, b, c, d] = &cur;
+            let [na, nb, nc, nd] = &mut next;
+            pcr::pcr_step(1 << step, a, b, c, d, na, nb, nc, nd);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        let lanes = LaneView {
+            offset: 0,
+            row_stride: t4,
+            lanes: t4,
+            len: len / t4,
+        };
+        let mut lx = vec![T::ZERO; len];
+        let [a, b, c, d] = &cur;
+        if solve_thomas_lanes(&lanes, a, b, c, d, &mut lx).contains(&true) {
+            broken += 1;
+            continue;
+        }
+        let bad = lx.iter().position(|v| !v.is_finite());
+        for (i, &v) in lx[..bad.unwrap_or(len)].iter().enumerate() {
+            x[chain.index(i)] = v;
+        }
+        short += usize::from(bad.is_some());
+    }
+    (broken, short)
+}
+
+/// Bit equality, any NaN equal to any NaN.
+fn same_bits<T: Scalar>(u: T, v: T) -> bool {
+    let (u, v) = (u.to_f64(), v.to_f64());
+    u.to_bits() == v.to_bits() || (u.is_nan() && v.is_nan())
+}
+
+/// Launch stage 2 (`t4 == None`) or the base kernel over `m` parents split
+/// into `stride` chains of `chain_len` rows, through the plan op's
+/// descriptor, on a plain device and on a sanitized one (which runs one
+/// block at a time). The plain launch must store exactly the bits of the
+/// per-chain body above and return the same verdict, and both devices must
+/// charge the same `KernelStats` and fail the same way. Those stats are the
+/// priced launch's, less what failing blocks skip: a block with a broken
+/// lane its stage-4 barrier and its store, a block with a non-finite
+/// element its store.
+#[allow(clippy::too_many_arguments)]
+fn chain_tiles_match<T: GpuScalar>(
+    m: usize,
+    stride: usize,
+    chain_len: usize,
+    steps: u32,
+    t4: Option<usize>,
+    variant: BaseVariant,
+    plant: Plant,
+    seed: u64,
+) -> Result<(), String> {
+    let n = stride * chain_len;
+    let total = m * n;
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut src = [(-1.0, 1.0), (2.5, 4.0), (-1.0, 1.0), (-10.0, 10.0)].map(|(lo, hi)| {
+        (0..total)
+            .map(|_| T::from_f64(rng.gen_range(lo..hi)))
+            .collect::<Vec<T>>()
+    });
+    let chains: Vec<ChainView> = (0..m)
+        .flat_map(|p| ChainView::chains_of(p * n, n, stride))
+        .collect();
+    let target = chains[rng.gen_range(0..chains.len())].index(chain_len / 2);
+    match plant {
+        Plant::None => {}
+        Plant::ZeroRow => {
+            for coeffs in &mut src[..3] {
+                coeffs[target] = T::ZERO;
+            }
+        }
+        Plant::NanRhs => src[3][target] = T::from_f64(f64::NAN),
+    }
+    let sentinel = T::from_f64(-7.25);
+
+    let (op, outputs) = match t4 {
+        None => (
+            StageOp::Stage2Split {
+                chains: m * stride,
+                stride_in: stride,
+                steps,
+            },
+            4,
+        ),
+        Some(t4) => (
+            StageOp::BaseSolve {
+                chains: m * stride,
+                chain_len,
+                stride,
+                thomas_chains: t4,
+                variant,
+            },
+            1,
+        ),
+    };
+    let launch = |mut gpu: Gpu<T>| {
+        let inputs = src.each_ref().map(|v| gpu.alloc_from(v).unwrap());
+        let out: Vec<_> = (0..outputs)
+            .map(|_| gpu.alloc_from(&vec![sentinel; total]).unwrap())
+            .collect();
+        let verdict = op
+            .describe(m, n)
+            .launch(&mut gpu, &inputs, &out)
+            .map(|_| ())
+            .map_err(|e| format!("{e:?}"));
+        let stats = format!("{:?}", gpu.timeline());
+        let totals = gpu.timeline()[0].totals;
+        let bufs: Vec<Vec<T>> = out.iter().map(|&b| gpu.download(b).unwrap()).collect();
+        (verdict, stats, totals, gpu.elapsed_s().to_bits(), bufs)
+    };
+    let (verdict, stats, totals, clock, bufs) = launch(Gpu::new(DeviceSpec::gtx_470()));
+    let (verdict1, stats1, _, clock1, bufs1) = launch(Gpu::with_sanitizer(DeviceSpec::gtx_470()));
+    prop_assert_eq!(&verdict, &verdict1);
+    prop_assert_eq!(&stats, &stats1);
+    prop_assert_eq!(clock, clock1);
+
+    let mut want = [(); 4].map(|()| vec![sentinel; total]);
+    let (broken, short) = match t4 {
+        None => {
+            per_chain_stage2(&src, &mut want, &chains, steps);
+            (0, 0)
+        }
+        Some(t4) => per_chain_base(&src, &mut want[0], &chains, t4.min(chain_len)),
+    };
+    let failed = broken + short > 0;
+    prop_assert!(verdict.is_err() == failed, "{:?}", verdict);
+    let mut priced = op
+        .describe(m, n)
+        .price(&mut Gpu::<T>::new(DeviceSpec::gtx_470()))
+        .unwrap()
+        .totals;
+    priced.barriers -= broken as f64;
+    priced.gmem_write_bytes -= ((broken + short) * chain_len * std::mem::size_of::<T>()) as f64;
+    prop_assert_eq!(totals.barriers, priced.barriers);
+    prop_assert_eq!(totals.gmem_write_bytes, priced.gmem_write_bytes);
+    if !failed {
+        prop_assert_eq!(totals, priced);
+    }
+    if t4.is_some() && plant != Plant::None {
+        prop_assert!(failed, "the planted breakdown must fail the launch");
+    }
+    for (got, got1, want) in bufs
+        .iter()
+        .zip(&bufs1)
+        .zip(&want)
+        .map(|((g, g1), w)| (g, g1, w))
+    {
+        for i in 0..total {
+            prop_assert!(
+                same_bits(got[i], want[i]),
+                "element {}: {:?} vs {:?}",
+                i,
+                got[i],
+                want[i]
+            );
+            prop_assert!(same_bits(got1[i], want[i]), "sanitized element {}", i);
+        }
+    }
+    Ok(())
+}
+
+/// Decode one drawn case for [`chain_tiles_match`]: parents of at most
+/// 16K rows, `t4_log == 8` selecting stage 2, and `t4` and the step count
+/// clamped to the chain.
+#[allow(clippy::too_many_arguments)]
+fn chain_tile_case<T: GpuScalar>(
+    m: usize,
+    stride_log: u32,
+    len_log: u32,
+    steps: u32,
+    t4_log: u32,
+    strided: bool,
+    plant: u8,
+    seed: u64,
+) -> Result<(), String> {
+    let len_log = len_log.min(14 - stride_log);
+    let variant = if strided {
+        BaseVariant::Strided
+    } else {
+        BaseVariant::Coalesced
+    };
+    chain_tiles_match::<T>(
+        m,
+        1 << stride_log,
+        1 << len_log,
+        steps.min(len_log),
+        (t4_log < 8).then(|| 1 << t4_log.min(len_log)),
+        variant,
+        [Plant::None, Plant::ZeroRow, Plant::NanRhs][plant as usize],
+        seed,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn chain_tiles_match_per_chain_f32(
+        m in 1usize..=3,
+        stride_log in 0u32..=9,
+        len_log in 1u32..=7,
+        (steps, t4_log, strided) in (1u32..=4, 0u32..=8, prop::bool::ANY),
+        plant in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        chain_tile_case::<f32>(m, stride_log, len_log, steps, t4_log, strided, plant, seed)?;
+    }
+
+    #[test]
+    fn chain_tiles_match_per_chain_f64(
+        m in 1usize..=3,
+        stride_log in 0u32..=9,
+        len_log in 1u32..=7,
+        (steps, t4_log, strided) in (1u32..=4, 0u32..=8, prop::bool::ANY),
+        plant in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        chain_tile_case::<f64>(m, stride_log, len_log, steps, t4_log, strided, plant, seed)?;
     }
 }
