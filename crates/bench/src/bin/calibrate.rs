@@ -6,6 +6,7 @@
 
 use trisolve_bench::{experiments, report};
 use trisolve_gpu_sim::DeviceSpec;
+use trisolve_tridiag::workloads::WorkloadShape;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -55,7 +56,7 @@ fn main() {
     }
 
     println!("=== Figure 7: tuning comparison (grid shrink {shrink}) ===");
-    let grid = experiments::paper_grid(shrink);
+    let grid = WorkloadShape::shrunk_paper_grid(shrink);
     let mut all_cells = Vec::new();
     for dev in DeviceSpec::paper_devices() {
         let cells = experiments::fig7_device(&dev, &grid);

@@ -10,17 +10,16 @@
 
 use trisolve_bench::{experiments, report};
 use trisolve_gpu_sim::DeviceSpec;
+use trisolve_tridiag::workloads::WorkloadShape;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let trace = std::env::args().any(|a| a == "--trace");
     let shrink = if quick { 4 } else { 1 };
-    let grid = experiments::paper_grid(shrink);
+    let grid = WorkloadShape::shrunk_paper_grid(shrink);
     println!(
         "Figure 7 reproduction: workload grid {:?}, f32\n",
-        grid.iter()
-            .map(trisolve_tridiag::workloads::WorkloadShape::label)
-            .collect::<Vec<_>>()
+        grid.iter().map(WorkloadShape::label).collect::<Vec<_>>()
     );
 
     let mut all = Vec::new();

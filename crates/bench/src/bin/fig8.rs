@@ -8,6 +8,7 @@
 //! GTX 470 solve of the first grid workload to `target/fig8_trace.json`.
 
 use trisolve_bench::{experiments, report};
+use trisolve_tridiag::workloads::WorkloadShape;
 
 /// Paper Figure 8 values: (label, gpu_ms, cpu_ms, speedup label).
 const PAPER: [(&str, f64, f64, &str); 4] = [
@@ -21,7 +22,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let trace = std::env::args().any(|a| a == "--trace");
     let shrink = if quick { 4 } else { 1 };
-    let grid = experiments::paper_grid(shrink);
+    let grid = WorkloadShape::shrunk_paper_grid(shrink);
     println!("Figure 8 reproduction: GTX 470 (dynamically tuned) vs Core i5 MKL model, f32\n");
 
     let rows = experiments::fig8_comparison(&grid);

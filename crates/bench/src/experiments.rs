@@ -449,33 +449,3 @@ pub fn many_small_comparison(device: &DeviceSpec, shapes: &[WorkloadShape]) -> V
         })
         .collect()
 }
-
-/// The many-small workload grid, batch-shrunk for quick runs: system
-/// sizes stay as-is (they are already small — shrinking them would leave
-/// the regime under test), while the batch keeps the interleaved plan's
-/// 32-system floor.
-pub fn many_small_grid(shrink: usize) -> Vec<WorkloadShape> {
-    assert!(shrink >= 1);
-    WorkloadShape::many_small_grid()
-        .into_iter()
-        .map(|s| WorkloadShape::new((s.num_systems / shrink).max(32), s.system_size))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-
-/// The paper's Figure 7/8 workload grid, optionally scaled down by `shrink`
-/// (a power of two) for fast runs: each dimension of every workload is
-/// divided by `shrink`.
-pub fn paper_grid(shrink: usize) -> Vec<WorkloadShape> {
-    assert!(shrink >= 1);
-    WorkloadShape::paper_grid()
-        .into_iter()
-        .map(|s| {
-            WorkloadShape::new(
-                (s.num_systems / shrink).max(1),
-                (s.system_size / shrink).max(512),
-            )
-        })
-        .collect()
-}

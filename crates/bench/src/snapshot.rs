@@ -500,8 +500,8 @@ pub fn stability_section(dev: &DeviceSpec, many_small_grid: &[WorkloadShape]) ->
 /// and the stability-gate demonstration.
 pub fn snapshot_doc(quick: bool) -> serde_json::Value {
     let shrink = if quick { 4 } else { 1 };
-    let grid = experiments::paper_grid(shrink);
-    let many_small_grid = experiments::many_small_grid(shrink);
+    let grid = WorkloadShape::shrunk_paper_grid(shrink);
+    let many_small_grid = WorkloadShape::shrunk_many_small_grid(shrink);
 
     let mut devices = Vec::new();
     let mut pipelined_beats_staged = false;

@@ -294,12 +294,17 @@ pub fn fft_in_place(re: &mut [f64], im: &mut [f64], inverse: bool) {
 }
 
 /// Tune the four-step split `N1` for transforms of length `len` on this
-/// device, hill-climbing from the balanced machine-query seed.
+/// device, hill-climbing from the balanced machine-query seed. A transform
+/// that fits on chip runs as one kernel whatever `N1` says, so it has no
+/// split to search: it keeps the seed after zero evaluations.
 pub fn tune_fft(gpu: &mut Gpu<f64>, len: usize) -> (FftParams, usize) {
     assert!(len.is_power_of_two());
     let q = gpu.spec().queryable().clone();
     let cap = max_onchip_fft(&q);
     let seed = static_fft_params(&q, len);
+    if len <= cap {
+        return (seed, 0);
+    }
     let min_n1 = len.div_ceil(cap).next_power_of_two().max(2);
     let max_n1 = cap.min(len);
     let axis = Pow2Axis::new("fft_n1", min_n1, max_n1);
@@ -428,6 +433,18 @@ mod tests {
         // cap on the 8800 is 1024 (16 KB / 16 B); n1=8 leaves n2=2048 > cap.
         assert!(fft_on_gpu(&mut gpu, &re, &im, FftParams { n1: 8 }).is_err());
         assert!(fft_on_gpu(&mut gpu, &re, &im, FftParams { n1: 3 }).is_err());
+    }
+
+    #[test]
+    fn on_chip_lengths_need_no_split_search() {
+        let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
+        for n in [1usize, 2, 4] {
+            let (params, evals) = tune_fft(&mut gpu, n);
+            assert_eq!(evals, 0);
+            let (re, im) = signal(n);
+            let out = fft_on_gpu(&mut gpu, &re, &im, params).unwrap();
+            assert_eq!(out.re.len(), n);
+        }
     }
 
     #[test]

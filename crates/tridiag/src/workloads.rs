@@ -63,6 +63,42 @@ impl WorkloadShape {
         ]
     }
 
+    /// A [`Self::paper_grid`] shape shrunk by `k` for fast runs: both
+    /// dimensions divided by `k`, keeping at least one system of 512
+    /// equations so multi-stage plans still exercise every stage.
+    pub fn shrunk_paper(self, k: usize) -> Self {
+        let k = k.max(1);
+        Self::new(
+            (self.num_systems / k).max(1),
+            (self.system_size / k).max(512),
+        )
+    }
+
+    /// A [`Self::many_small_grid`] shape shrunk by `k`: the batch divided by
+    /// `k` down to the interleaved plan's 32-system floor, the system size
+    /// kept (it is already small; shrinking it would leave the regime under
+    /// test).
+    pub fn shrunk_many_small(self, k: usize) -> Self {
+        Self::new((self.num_systems / k.max(1)).max(32), self.system_size)
+    }
+
+    /// [`Self::paper_grid`] with every shape [shrunk](Self::shrunk_paper) by `k`.
+    pub fn shrunk_paper_grid(k: usize) -> Vec<WorkloadShape> {
+        Self::paper_grid()
+            .into_iter()
+            .map(|s| s.shrunk_paper(k))
+            .collect()
+    }
+
+    /// [`Self::many_small_grid`] with every shape
+    /// [shrunk](Self::shrunk_many_small) by `k`.
+    pub fn shrunk_many_small_grid(k: usize) -> Vec<WorkloadShape> {
+        Self::many_small_grid()
+            .into_iter()
+            .map(|s| s.shrunk_many_small(k))
+            .collect()
+    }
+
     /// Short label in the paper's notation (`1Kx1K`, `1x2M`, …).
     pub fn label(&self) -> String {
         fn fmt(v: usize) -> String {

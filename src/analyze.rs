@@ -64,22 +64,11 @@ use trisolve_tridiag::workloads::{
 };
 use trisolve_tridiag::{SolverError, TridiagonalSystem};
 
-use crate::sanitize::{shrunk_many_small, shrunk_paper_grid, solve_case};
-
-/// Outcome of one planted-defect fixture.
-#[derive(Debug, Clone)]
-pub struct ProofFixture {
-    /// Fixture name (what was planted).
-    pub name: &'static str,
-    /// Did the prover refuse to certify the planted defect?
-    pub refuted: bool,
-    /// The failed obligation the prover produced (or why refutation
-    /// failed).
-    pub detail: String,
-}
+use crate::harness::{many_small_shape, with_verdict, FixtureOutcome, HarnessOptions, Report};
+use crate::sanitize::{rendered_hazards, solve_case, static_params};
 
 /// Outcome of one certification-sweep case.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct AnalyzeCase {
     /// Human-readable case label (device, workload, precision, kernels).
     pub label: String,
@@ -93,13 +82,14 @@ pub struct AnalyzeCase {
     pub failures: Vec<String>,
 }
 
-/// Outcome of one cross-validation pairing: the static verdict next to
-/// the dynamic sanitizer's hazard list for the same case.
-#[derive(Debug, Clone)]
+/// Outcome of one cross-validation pairing: a static verdict (of the
+/// prover, or of the schedule certifier) next to the dynamic sanitizer's
+/// hazard list for the same executed case.
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct CrossCheck {
     /// Case label shared by both runs.
     pub label: String,
-    /// The static analyzer's verdict.
+    /// The static verdict.
     pub certified: bool,
     /// Hazards the dynamic sanitizer found (rendered).
     pub hazards: Vec<String>,
@@ -111,40 +101,41 @@ impl CrossCheck {
     pub fn is_sound(&self) -> bool {
         !self.certified || self.hazards.is_empty()
     }
-}
 
-/// Options for the certification sweep and cross-validation.
-#[derive(Debug, Clone)]
-pub struct AnalyzeOptions {
-    /// Devices to sweep (defaults to all three paper devices).
-    pub devices: Vec<DeviceSpec>,
-    /// Linear shrink applied to the paper's workload grid; 1 = the full
-    /// Figure 5–8 sizes. The static sweep is cheap, so the *analysis*
-    /// always covers the full grid — the shrink only bounds the
-    /// cross-validation solves.
-    pub shrink: usize,
-    /// Sweep f32 as well as f64.
-    pub both_precisions: bool,
-}
-
-impl AnalyzeOptions {
-    /// The full matrix: all devices, both precisions, full-size grid.
-    pub fn full() -> Self {
-        Self {
-            devices: DeviceSpec::paper_devices(),
-            shrink: 1,
-            both_precisions: true,
-        }
+    /// Static and dynamic verdicts agree in *both* directions: certified
+    /// schedules must run hazard-free, and the refuted-but-executable
+    /// schedule fixture must produce the race the prover predicted.
+    pub fn agrees(&self) -> bool {
+        self.certified == self.hazards.is_empty()
     }
+}
 
-    /// The CI smoke matrix: one device, f64 only, shrunk
-    /// cross-validation workloads.
-    pub fn quick() -> Self {
-        Self {
-            devices: vec![DeviceSpec::gtx_470()],
-            shrink: 16,
-            both_precisions: false,
-        }
+/// The full `trisolve analyze` matrix: [`HarnessOptions::full`] with the
+/// cross-validation solves at full size. The static sweeps always cover the
+/// full-size grid, whatever the shrink.
+pub fn full_options() -> HarnessOptions {
+    HarnessOptions {
+        shrink: 1,
+        ..HarnessOptions::full()
+    }
+}
+
+/// The Figure 5–8 grid plus the many-small grid at full size: what the
+/// static sweeps certify (certification is size-generic and cheap).
+fn static_grid() -> Vec<WorkloadShape> {
+    let mut shapes = WorkloadShape::paper_grid();
+    shapes.extend(WorkloadShape::many_small_grid());
+    shapes
+}
+
+/// The shrunk paper grid's corner shapes — many small systems, few large —
+/// the sample the dynamic cross-validations re-run.
+fn corner_shapes(shrink: usize) -> Vec<WorkloadShape> {
+    let shapes = WorkloadShape::shrunk_paper_grid(shrink);
+    match (shapes.first(), shapes.last()) {
+        (Some(&a), Some(&b)) if a != b => vec![a, b],
+        (Some(&a), _) => vec![a],
+        _ => Vec::new(),
     }
 }
 
@@ -152,16 +143,43 @@ impl AnalyzeOptions {
 // Fixture self-check
 // ---------------------------------------------------------------------------
 
-fn refutation(name: &'static str, refuted: bool, failures: Vec<String>) -> ProofFixture {
-    ProofFixture {
+fn refutation(name: &'static str, refuted: bool, failures: Vec<String>) -> FixtureOutcome {
+    FixtureOutcome {
         name,
-        refuted,
+        passed: refuted,
         detail: if failures.is_empty() {
             "planted defect was not refuted".into()
         } else {
             failures.join("; ")
         },
     }
+}
+
+/// Prove `summary` and refute fixture `name` on its failed obligations
+/// named `obligation*`.
+fn proof_refutation(
+    name: &'static str,
+    summary: &KernelAccessSummary,
+    cfg: &LaunchConfig,
+    obligation: &str,
+) -> FixtureOutcome {
+    let proof = prove_kernel(summary, cfg, 8);
+    let failures: Vec<String> = proof
+        .failures()
+        .filter(|o| o.name.starts_with(obligation))
+        .map(|o| format!("{}: {}", o.name, o.detail))
+        .collect();
+    refutation(name, !failures.is_empty(), failures)
+}
+
+/// The plan the plan fixtures start from: the reference device's untuned
+/// staged pipeline for `m` systems of 2048, which carries both PCR and
+/// Thomas phases.
+fn fixture_plan(m: usize, eb: usize) -> Result<SolvePlan, String> {
+    let q = DeviceSpec::gtx_470().queryable().clone();
+    let shape = WorkloadShape::new(m, 2048);
+    SolvePlan::build(shape, &SolverParams::default_untuned(), &q, eb)
+        .map_err(|e| format!("fixture plan failed to build: {e}"))
 }
 
 fn fixture_summary() -> (KernelAccessSummary, LaunchConfig) {
@@ -179,22 +197,16 @@ fn fixture_summary() -> (KernelAccessSummary, LaunchConfig) {
 
 /// Planted defect: the buffer is one element shorter than the access
 /// map's reach, so exactly one global access goes out of bounds.
-fn oob_fixture() -> ProofFixture {
+fn oob_fixture() -> FixtureOutcome {
     let (mut summary, cfg) = fixture_summary();
     summary.buffer_len -= 1;
-    let proof = prove_kernel(&summary, &cfg, 8);
-    let failures: Vec<String> = proof
-        .failures()
-        .filter(|o| o.name.starts_with("oob-global"))
-        .map(|o| format!("{}: {}", o.name, o.detail))
-        .collect();
-    refutation("out-of-bounds access map", !failures.is_empty(), failures)
+    proof_refutation("out-of-bounds access map", &summary, &cfg, "oob-global")
 }
 
 /// Planted defect: the base kernel's double sync is collapsed — the PCR
 /// read and write intervals merge, recreating the read/write race the
 /// real kernel's second barrier exists to prevent.
-fn race_fixture() -> ProofFixture {
+fn race_fixture() -> FixtureOutcome {
     let (mut summary, cfg) = fixture_summary();
     if summary.intervals.len() >= 2 {
         let second = summary.intervals.remove(1);
@@ -202,22 +214,14 @@ fn race_fixture() -> ProofFixture {
         first.label = format!("{}+{}", first.label, second.label);
         first.accesses.extend(second.accesses);
     }
-    let proof = prove_kernel(&summary, &cfg, 8);
-    let failures: Vec<String> = proof
-        .failures()
-        .filter(|o| o.name.starts_with("race-free"))
-        .map(|o| format!("{}: {}", o.name, o.detail))
-        .collect();
-    refutation("collapsed-barrier race", !failures.is_empty(), failures)
+    proof_refutation("collapsed-barrier race", &summary, &cfg, "race-free")
 }
 
 /// Planted defect: a valid plan with its stage ladder reversed, which
 /// the structural lints must flag as an error.
-fn lint_fixture() -> ProofFixture {
-    let q = DeviceSpec::gtx_470().queryable().clone();
-    let shape = WorkloadShape::new(16, 2048);
-    let params = SolverParams::default_untuned();
-    match SolvePlan::build(shape, &params, &q, 8) {
+fn lint_fixture() -> FixtureOutcome {
+    let name = "reversed stage ladder";
+    match fixture_plan(16, 8) {
         Ok(mut plan) => {
             plan.ops.reverse();
             let failures: Vec<String> = lint_plan(&plan)
@@ -225,13 +229,9 @@ fn lint_fixture() -> ProofFixture {
                 .filter(|l| l.level == LintLevel::Error)
                 .map(|l| format!("[{}] {}", l.code, l.message))
                 .collect();
-            refutation("reversed stage ladder", !failures.is_empty(), failures)
+            refutation(name, !failures.is_empty(), failures)
         }
-        Err(e) => refutation(
-            "reversed stage ladder",
-            false,
-            vec![format!("fixture plan failed to build: {e}")],
-        ),
+        Err(e) => refutation(name, false, vec![e]),
     }
 }
 
@@ -240,7 +240,7 @@ fn lint_fixture() -> ProofFixture {
 /// store (`(n-1)·m + (m-1)`) lands out of bounds. Exercises the prover on
 /// the interleaved access maps specifically — the `j·m + s` scatter is
 /// the family's characteristic pattern.
-fn interleave_oob_fixture() -> ProofFixture {
+fn interleave_oob_fixture() -> FixtureOutcome {
     let (m, n) = (64usize, 32usize);
     let pack = StageOp::InterleavePack {
         systems: m,
@@ -249,23 +249,14 @@ fn interleave_oob_fixture() -> ProofFixture {
     .describe(m, n);
     let mut summary = pack.access_summary();
     summary.buffer_len -= 1;
-    let proof = prove_kernel(&summary, &pack.config(8), 8);
-    let failures: Vec<String> = proof
-        .failures()
-        .filter(|o| o.name.starts_with("oob-global"))
-        .map(|o| format!("{}: {}", o.name, o.detail))
-        .collect();
-    refutation(
-        "interleaved-layout out-of-bounds scatter",
-        !failures.is_empty(),
-        failures,
-    )
+    let name = "interleaved-layout out-of-bounds scatter";
+    proof_refutation(name, &summary, &pack.config(8), "oob-global")
 }
 
 /// Planted defect: an on-chip size four times past the weakest device's
 /// capacity. Both the all-sizes budget proof and the tuner's rejection
 /// predicate must refuse it.
-fn budget_fixture() -> ProofFixture {
+fn budget_fixture() -> FixtureOutcome {
     let q = DeviceSpec::geforce_8800_gtx().queryable().clone();
     let params = SolverParams {
         onchip_size: 4096,
@@ -285,7 +276,7 @@ fn budget_fixture() -> ProofFixture {
 
 /// Run the five planted-defect fixtures. Each plants exactly one defect
 /// class; a sound prover refutes all five.
-pub fn fixture_checks() -> Vec<ProofFixture> {
+pub fn fixture_checks() -> Vec<FixtureOutcome> {
     vec![
         oob_fixture(),
         race_fixture(),
@@ -353,17 +344,8 @@ fn plan_case(
     eb: usize,
 ) -> AnalyzeCase {
     let q = dev.queryable();
-    let label = format!(
-        "{} {} {} {:?}",
-        dev.name(),
-        shape.label(),
-        precision,
-        variant
-    );
-    let params = SolverParams {
-        variant,
-        ..StaticTuner.params_for(shape, q, eb)
-    };
+    let label = format!("{} {} {precision} {variant:?}", dev.name(), shape.label());
+    let params = static_params(q, shape, variant, eb);
     match analyze_params(shape, &params, q, eb) {
         Ok(report) => AnalyzeCase {
             label,
@@ -422,41 +404,32 @@ fn baseline_case(dev: &DeviceSpec, precision: &str, eb: usize) -> AnalyzeCase {
     prove_standalone(label, dev, eb, &kernels)
 }
 
-fn sweep_device(
-    dev: &DeviceSpec,
-    shapes: &[WorkloadShape],
-    precision: &str,
-    eb: usize,
-    out: &mut Vec<AnalyzeCase>,
-) {
-    for &shape in shapes {
-        let mut variants = vec![BaseVariant::Strided, BaseVariant::Coalesced];
-        // The interleaved family joins wherever the plan builder admits
-        // it (the batch floor rules elsewhere, matching
-        // `prune_layout_axis`).
-        if shape.num_systems >= INTERLEAVED_MIN_SYSTEMS {
-            variants.push(BaseVariant::Interleaved);
-        }
-        for variant in variants {
-            out.push(plan_case(dev, shape, variant, precision, eb));
-        }
+/// The layout variants a sweep covers for `shape`: both staged layouts,
+/// plus the interleaved family wherever the plan builder admits it (the
+/// batch floor rules elsewhere, matching `prune_layout_axis`).
+fn layouts(shape: WorkloadShape) -> Vec<BaseVariant> {
+    let mut variants = vec![BaseVariant::Strided, BaseVariant::Coalesced];
+    if shape.num_systems >= INTERLEAVED_MIN_SYSTEMS {
+        variants.push(BaseVariant::Interleaved);
     }
-    out.push(repack_case(dev, precision, eb));
-    out.push(baseline_case(dev, precision, eb));
+    variants
 }
 
 /// Run the certification sweep: the Figure 5–8 grid plus the many-small
 /// grid × every admissible layout variant × devices (× precisions), plus
 /// the repack and baseline kernel sets per device. Every case is
 /// expected to certify.
-pub fn sweep(opts: &AnalyzeOptions) -> Vec<AnalyzeCase> {
-    let mut shapes = WorkloadShape::paper_grid();
-    shapes.extend(WorkloadShape::many_small_grid());
+pub fn sweep(opts: &HarnessOptions) -> Vec<AnalyzeCase> {
     let mut out = Vec::new();
     for dev in &opts.devices {
-        sweep_device(dev, &shapes, "f64", 8, &mut out);
-        if opts.both_precisions {
-            sweep_device(dev, &shapes, "f32", 4, &mut out);
+        for &(precision, eb) in opts.precisions() {
+            for shape in static_grid() {
+                for variant in layouts(shape) {
+                    out.push(plan_case(dev, shape, variant, precision, eb));
+                }
+            }
+            out.push(repack_case(dev, precision, eb));
+            out.push(baseline_case(dev, precision, eb));
         }
     }
     out
@@ -472,12 +445,8 @@ fn cross_check<T: GpuScalar>(
     variant: BaseVariant,
     precision: &str,
 ) -> Result<CrossCheck, String> {
-    let eb = elem_bytes::<T>();
-    let q = dev.queryable();
-    let params = SolverParams {
-        variant,
-        ..StaticTuner.params_for(shape, q, eb)
-    };
+    let (q, eb) = (dev.queryable(), elem_bytes::<T>());
+    let params = static_params(q, shape, variant, eb);
     let certified = analyze_params(shape, &params, q, eb).is_ok_and(|r| r.certified());
     let dynamic = solve_case::<T>(dev, shape, variant, precision)?;
     Ok(CrossCheck {
@@ -491,40 +460,22 @@ fn cross_check<T: GpuScalar>(
 /// each runtime hazard list with the static verdict. Workloads use the
 /// shrunk grid (static certification is size-generic; dynamic solves are
 /// not free). Any certified-but-hazardous pair is a soundness failure.
-pub fn cross_validate(opts: &AnalyzeOptions) -> Result<Vec<CrossCheck>, String> {
-    let shapes = shrunk_paper_grid(opts.shrink);
-    // Sample: the grid's corner shapes — many small systems, few large.
-    let sample: Vec<WorkloadShape> = match (shapes.first(), shapes.last()) {
-        (Some(&a), Some(&b)) if a != b => vec![a, b],
-        (Some(&a), _) => vec![a],
-        _ => Vec::new(),
-    };
-    let many_small = crate::sanitize::shrunk_many_small(opts.shrink);
+pub fn cross_validate(opts: &HarnessOptions) -> Result<Vec<CrossCheck>, String> {
+    // The grid's corner shapes in both staged layouts, then the interleaved
+    // fast path on a shrunk many-small batch.
+    let staged = [BaseVariant::Strided, BaseVariant::Coalesced];
+    let mut points: Vec<_> = corner_shapes(opts.shrink)
+        .into_iter()
+        .flat_map(|shape| staged.map(|variant| (shape, variant)))
+        .collect();
+    points.push((many_small_shape(opts.shrink), BaseVariant::Interleaved));
     let mut out = Vec::new();
     for dev in &opts.devices {
-        for &shape in &sample {
-            for variant in [BaseVariant::Strided, BaseVariant::Coalesced] {
-                out.push(cross_check::<f64>(dev, shape, variant, "f64")?);
-                if opts.both_precisions {
-                    out.push(cross_check::<f32>(dev, shape, variant, "f32")?);
-                }
+        for &(shape, variant) in &points {
+            out.push(cross_check::<f64>(dev, shape, variant, "f64")?);
+            if opts.both_precisions {
+                out.push(cross_check::<f32>(dev, shape, variant, "f32")?);
             }
-        }
-        // The interleaved fast path: certified statically, then re-run
-        // under the dynamic sanitizer on a shrunk many-small batch.
-        out.push(cross_check::<f64>(
-            dev,
-            many_small,
-            BaseVariant::Interleaved,
-            "f64",
-        )?);
-        if opts.both_precisions {
-            out.push(cross_check::<f32>(
-                dev,
-                many_small,
-                BaseVariant::Interleaved,
-                "f32",
-            )?);
         }
     }
     Ok(out)
@@ -543,23 +494,11 @@ const STABILITY_CLASSES: &[WorkloadClass] = &[
     WorkloadClass::NonDominant { dominance: 0.85 },
 ];
 
-/// The plan the stability fixtures certify against: a staged pipeline on
-/// the reference device, guaranteed to carry both PCR and Thomas phases.
-fn stability_fixture_plan(eb: usize) -> Result<SolvePlan, String> {
-    SolvePlan::build(
-        WorkloadShape::new(16, 2048),
-        &SolverParams::default_untuned(),
-        DeviceSpec::gtx_470().queryable(),
-        eb,
-    )
-    .map_err(|e| format!("fixture plan failed to build: {e}"))
-}
-
 /// Planted defect: a non-dominant batch (every interior row breaks
 /// dominance) claimed as `Dominant`. The class-claim audit measures the
 /// batch's actual worst row ratio against the generator's knob and must
 /// refute the classification — while accepting the honest one.
-fn misclassified_batch_fixture() -> ProofFixture {
+fn misclassified_batch_fixture() -> FixtureOutcome {
     let name = "non-dominant batch falsely classed dominant";
     let class = WorkloadClass::NonDominant { dominance: 0.85 };
     match class.generate::<f64>(WorkloadShape::new(32, 256), 2011) {
@@ -592,7 +531,7 @@ fn misclassified_batch_fixture() -> ProofFixture {
 /// class entering at the chain's measured ratio (≥ 1), and the serial
 /// Thomas solver must confirm the prediction with a zero pivot at the
 /// predicted row.
-fn zero_pivot_fixture() -> ProofFixture {
+fn zero_pivot_fixture() -> FixtureOutcome {
     let name = "zero-pivot Thomas chain";
     let (a, b, c, d) = (
         vec![0.0f64, 1.0, 0.5],
@@ -600,25 +539,16 @@ fn zero_pivot_fixture() -> ProofFixture {
         vec![1.0, 0.5, 0.0],
         vec![1.0, 1.0, 1.0],
     );
-    let sys = match TridiagonalSystem::new(a.clone(), b.clone(), c.clone(), d.clone()) {
-        Ok(s) => s,
-        Err(e) => {
-            return refutation(
-                name,
-                false,
-                vec![format!("fixture system failed to build: {e}")],
-            )
-        }
-    };
-    let batch = match trisolve_tridiag::SystemBatch::new(1, 3, a, b, c, d) {
-        Ok(x) => x,
-        Err(e) => {
-            return refutation(
-                name,
-                false,
-                vec![format!("fixture batch failed to build: {e}")],
-            )
-        }
+    let built = TridiagonalSystem::new(a.clone(), b.clone(), c.clone(), d.clone())
+        .map_err(|e| format!("fixture system failed to build: {e}"))
+        .and_then(|sys| {
+            let batch = trisolve_tridiag::SystemBatch::new(1, 3, a, b, c, d)
+                .map_err(|e| format!("fixture batch failed to build: {e}"))?;
+            Ok((sys, batch))
+        });
+    let (sys, batch) = match built {
+        Ok(built) => built,
+        Err(e) => return refutation(name, false, vec![e]),
     };
     // Row 1 has ratio (1 + 0.5)/1 = 1.5: dominance is broken, so the
     // static certificate for a class at this measured ratio must refuse
@@ -626,7 +556,7 @@ fn zero_pivot_fixture() -> ProofFixture {
     let measured = worst_dominance_ratio(&batch);
     let mut failures = Vec::new();
     let mut static_refuted = false;
-    match stability_fixture_plan(8) {
+    match fixture_plan(16, 8) {
         Ok(plan) => {
             let class = WorkloadClass::NonDominant {
                 dominance: 1.0 / measured,
@@ -665,10 +595,10 @@ fn zero_pivot_fixture() -> ProofFixture {
 /// the entry ratio is strictly below 1 — but the certified f32 bound blows
 /// through [`F32_SAFETY_THRESHOLD`] and the gate must refuse the candidate
 /// while the f64 path passes: a forced precision downgrade.
-fn f32_bound_violation_fixture() -> ProofFixture {
+fn f32_bound_violation_fixture() -> FixtureOutcome {
     let name = "ill-conditioned class violating the f32 bound";
     let class = WorkloadClass::IllConditioned { margin: 1e-6 };
-    let plan = match stability_fixture_plan(4) {
+    let plan = match fixture_plan(16, 4) {
         Ok(p) => p,
         Err(e) => return refutation(name, false, vec![e]),
     };
@@ -694,7 +624,7 @@ fn f32_bound_violation_fixture() -> ProofFixture {
 /// Run the three planted stability fixtures. Separate from
 /// [`fixture_checks`] (the memory/structural prover's five) so each
 /// prover's self-check stays independently pinned.
-pub fn stability_fixture_checks() -> Vec<ProofFixture> {
+pub fn stability_fixture_checks() -> Vec<FixtureOutcome> {
     vec![
         misclassified_batch_fixture(),
         zero_pivot_fixture(),
@@ -703,7 +633,7 @@ pub fn stability_fixture_checks() -> Vec<ProofFixture> {
 }
 
 /// Outcome of one stability-certification case.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct StabilityCase {
     /// Human-readable case label (device, workload, precision, layout,
     /// class).
@@ -744,18 +674,13 @@ fn stability_case(
 ) -> StabilityCase {
     let q = dev.queryable();
     let label = format!(
-        "{} {} {} {:?} {}",
+        "{} {} {precision} {variant:?} {}",
         dev.name(),
         shape.label(),
-        precision,
-        variant,
         class.label()
     );
     let expected_certified = class.dominance_ratio() < 1.0;
-    let params = SolverParams {
-        variant,
-        ..StaticTuner.params_for(shape, q, eb)
-    };
+    let params = static_params(q, shape, variant, eb);
     match SolvePlan::build(shape, &params, q, eb) {
         Ok(plan) => {
             let cert = certify_plan(&plan, class, eb);
@@ -785,40 +710,23 @@ fn stability_case(
     }
 }
 
-fn stability_sweep_device(
-    dev: &DeviceSpec,
-    shapes: &[WorkloadShape],
-    precision: &str,
-    eb: usize,
-    out: &mut Vec<StabilityCase>,
-) {
-    for &shape in shapes {
-        let mut variants = vec![BaseVariant::Strided, BaseVariant::Coalesced];
-        if shape.num_systems >= INTERLEAVED_MIN_SYSTEMS {
-            variants.push(BaseVariant::Interleaved);
-        }
-        for variant in variants {
-            for &class in STABILITY_CLASSES {
-                out.push(stability_case(dev, shape, variant, precision, eb, class));
-            }
-        }
-    }
-}
-
 /// Run the stability-certification sweep: the Figure 5–8 grid plus the
 /// many-small grid × every admissible layout variant × devices
 /// (× precisions) × the three campaign workload classes. Dominant and
 /// ill-conditioned cases must certify; non-dominant cases must be refuted
 /// — [`StabilityCase::passed`] checks the verdict against the expectation
 /// in both directions.
-pub fn stability_sweep(opts: &AnalyzeOptions) -> Vec<StabilityCase> {
-    let mut shapes = WorkloadShape::paper_grid();
-    shapes.extend(WorkloadShape::many_small_grid());
+pub fn stability_sweep(opts: &HarnessOptions) -> Vec<StabilityCase> {
     let mut out = Vec::new();
     for dev in &opts.devices {
-        stability_sweep_device(dev, &shapes, "f64", 8, &mut out);
-        if opts.both_precisions {
-            stability_sweep_device(dev, &shapes, "f32", 4, &mut out);
+        for &(precision, eb) in opts.precisions() {
+            for shape in static_grid() {
+                for variant in layouts(shape) {
+                    for &class in STABILITY_CLASSES {
+                        out.push(stability_case(dev, shape, variant, precision, eb, class));
+                    }
+                }
+            }
         }
     }
     out
@@ -837,24 +745,12 @@ const SCHEDULE_SEED: u64 = 47;
 /// double-buffer set-reuse edge (present from the third).
 const SCHEDULE_BATCHES: usize = 3;
 
-/// The plan the schedule fixtures mutate: the reference device's staged
-/// pipeline, matching the in-crate fixture tests.
-fn schedule_fixture_plan() -> Result<SolvePlan, String> {
-    SolvePlan::build(
-        WorkloadShape::new(8, 2048),
-        &SolverParams::default_untuned(),
-        DeviceSpec::gtx_470().queryable(),
-        4,
-    )
-    .map_err(|e| format!("fixture plan failed to build: {e}"))
-}
-
 /// Run the four planted schedule defects (deleted upload, stripped waits,
 /// reciprocal events, phantom wait). Each must be refuted *on its own
 /// obligation* — a certifier that flags the wrong hazard class has not
 /// understood the defect, so that counts as a miss.
-pub fn schedule_fixture_checks() -> Vec<ProofFixture> {
-    let plan = match schedule_fixture_plan() {
+pub fn schedule_fixture_checks() -> Vec<FixtureOutcome> {
+    let plan = match fixture_plan(8, 4) {
         Ok(p) => p,
         Err(e) => return vec![refutation("schedule fixture plan", false, vec![e])],
     };
@@ -870,7 +766,7 @@ pub fn schedule_fixture_checks() -> Vec<ProofFixture> {
 }
 
 /// Outcome of one schedule-certification case.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct ScheduleCase {
     /// Case label (device, workload, precision, batch count).
     pub label: String,
@@ -930,52 +826,16 @@ fn schedule_case(
 /// two-stream pipelined schedule and discharging all four happens-before
 /// obligations. Lowering and checking are purely static, so the sweep
 /// always covers the full-size grid regardless of the shrink factor.
-pub fn schedule_sweep(opts: &AnalyzeOptions) -> Vec<ScheduleCase> {
-    let mut shapes = WorkloadShape::paper_grid();
-    shapes.extend(WorkloadShape::many_small_grid());
+pub fn schedule_sweep(opts: &HarnessOptions) -> Vec<ScheduleCase> {
     let mut out = Vec::new();
     for dev in &opts.devices {
-        for &shape in &shapes {
-            out.push(schedule_case(dev, shape, "f64", 8, SCHEDULE_BATCHES));
-            if opts.both_precisions {
-                out.push(schedule_case(dev, shape, "f32", 4, SCHEDULE_BATCHES));
+        for shape in static_grid() {
+            for &(precision, eb) in opts.precisions() {
+                out.push(schedule_case(dev, shape, precision, eb, SCHEDULE_BATCHES));
             }
         }
     }
     out
-}
-
-/// One schedule cross-validation pairing: the static certifier's verdict
-/// next to the dynamic cross-stream tracker's hazard list for the same
-/// *executed* schedule.
-#[derive(Debug, Clone)]
-pub struct ScheduleCrossCheck {
-    /// Case label shared by both runs.
-    pub label: String,
-    /// The static certifier's verdict for the executed schedule.
-    pub certified: bool,
-    /// Hazards the dynamic sanitizer found while executing it (rendered).
-    pub hazards: Vec<String>,
-}
-
-impl ScheduleCrossCheck {
-    /// Prover and tracker agree in *both* directions: certified schedules
-    /// must run hazard-free, and the refuted-but-executable fixture must
-    /// produce the race the prover predicted.
-    pub fn agrees(&self) -> bool {
-        self.certified == self.hazards.is_empty()
-    }
-}
-
-fn rendered_hazards(report: &trisolve_gpu_sim::SanitizerReport) -> Vec<String> {
-    let mut hazards: Vec<String> = report.hazards.iter().map(ToString::to_string).collect();
-    if report.dropped > 0 {
-        hazards.push(format!(
-            "{} further hazards dropped past the cap",
-            report.dropped
-        ));
-    }
-    hazards
 }
 
 /// Execute the certified pipelined schedule for this case under the
@@ -985,7 +845,7 @@ fn pipelined_cross_check<T: GpuScalar>(
     dev: &DeviceSpec,
     shape: WorkloadShape,
     precision: &str,
-) -> Result<ScheduleCrossCheck, String> {
+) -> Result<CrossCheck, String> {
     let label = format!("{} {} {} pipelined", dev.name(), shape.label(), precision);
     let params = StaticTuner.params_for(shape, dev.queryable(), elem_bytes::<T>());
     let batches: Vec<_> = (0..SCHEDULE_BATCHES)
@@ -1003,7 +863,7 @@ fn pipelined_cross_check<T: GpuScalar>(
         .solve_pipelined(&mut gpu, &batches, &params)
         .map_err(|e| format!("{label}: {e}"))?;
     let report = gpu.take_sanitizer_report().expect("sanitizer is on");
-    Ok(ScheduleCrossCheck {
+    Ok(CrossCheck {
         label,
         certified,
         hazards: rendered_hazards(&report),
@@ -1014,7 +874,7 @@ fn pipelined_cross_check<T: GpuScalar>(
 /// the unchecked entry point under the sanitizer. The dynamic tracker must
 /// catch the same cross-stream race the certifier refuted — the second
 /// direction of the agreement contract.
-fn racy_fixture_cross_check(dev: &DeviceSpec) -> Result<ScheduleCrossCheck, String> {
+fn racy_fixture_cross_check(dev: &DeviceSpec) -> Result<CrossCheck, String> {
     let shape = WorkloadShape::new(8, 2048);
     let params = SolverParams::default_untuned();
     let label = format!("{} stripped-waits fixture f32", dev.name());
@@ -1035,7 +895,7 @@ fn racy_fixture_cross_check(dev: &DeviceSpec) -> Result<ScheduleCrossCheck, Stri
         .solve_scheduled_unchecked(&mut gpu, &batches, &params, fixture.schedule)
         .map_err(|e| format!("{label}: {e}"))?;
     let report = gpu.take_sanitizer_report().expect("sanitizer is on");
-    Ok(ScheduleCrossCheck {
+    Ok(CrossCheck {
         label,
         certified,
         hazards: rendered_hazards(&report),
@@ -1046,15 +906,10 @@ fn racy_fixture_cross_check(dev: &DeviceSpec) -> Result<ScheduleCrossCheck, Stri
 /// cross-stream tracker: certified pipelined schedules on the shrunk
 /// grid's corner shapes plus the many-small batch must run hazard-free,
 /// and the executable `stripped-waits` fixture must race dynamically.
-/// Any [`ScheduleCrossCheck`] that fails to agree indicts one side.
-pub fn schedule_cross_validate(opts: &AnalyzeOptions) -> Result<Vec<ScheduleCrossCheck>, String> {
-    let shapes = shrunk_paper_grid(opts.shrink);
-    let sample: Vec<WorkloadShape> = match (shapes.first(), shapes.last()) {
-        (Some(&a), Some(&b)) if a != b => vec![a, b],
-        (Some(&a), _) => vec![a],
-        _ => Vec::new(),
-    };
-    let many_small = shrunk_many_small(opts.shrink);
+/// Any [`CrossCheck`] that fails to agree indicts one side.
+pub fn schedule_cross_validate(opts: &HarnessOptions) -> Result<Vec<CrossCheck>, String> {
+    let sample = corner_shapes(opts.shrink);
+    let many_small = many_small_shape(opts.shrink);
     let mut out = Vec::new();
     for dev in &opts.devices {
         for &shape in &sample {
@@ -1071,6 +926,200 @@ pub fn schedule_cross_validate(opts: &AnalyzeOptions) -> Result<Vec<ScheduleCros
     Ok(out)
 }
 
+// ---------------------------------------------------------------------------
+// The three `trisolve analyze` runs
+// ---------------------------------------------------------------------------
+
+/// The `trisolve analyze` run: the planted-defect fixtures, the
+/// certification sweep, then the cross-validation against the dynamic
+/// sanitizer.
+pub fn run(opts: &HarnessOptions) -> Result<Report, String> {
+    let fixtures = fixture_checks();
+    let cases = sweep(opts);
+    let checks = cross_validate(opts)?;
+    let obligations: usize = cases.iter().map(|c| c.obligations).sum();
+    let mut r = Report::new("certified");
+    r.fixtures(
+        "fixture self-check (each plants one defect the prover must refute):",
+        ("refuted", "MISSED", 32),
+        &fixtures,
+        |n| format!("analyzer failed its self-check: {n} fixture(s) unrefuted"),
+    );
+    let cross: Vec<_> = checks
+        .iter()
+        .map(|c| with_verdict(c, "sound", c.is_sound()))
+        .collect();
+    r.fields(serde_json::json!({
+        "cases": cases,
+        "cross_checks": cross,
+        "obligations_checked": obligations,
+    }));
+    r.line(format_args!(
+        "\ncertification sweep ({} cases, {obligations} obligations):",
+        cases.len()
+    ));
+    for c in &cases {
+        let verdict = if c.certified { "proven" } else { "UNPROVEN" };
+        r.line(format_args!(
+            "  [{verdict:^8}] {:<44} {:>3} obligations, worst bank degree {}",
+            c.label, c.obligations, c.worst_bank_degree
+        ));
+        r.details(&c.failures);
+    }
+    r.line("\ncross-validation against the dynamic sanitizer:");
+    for c in &checks {
+        let verdict = if !c.is_sound() {
+            "UNSOUND"
+        } else if c.certified {
+            "agrees"
+        } else {
+            "uncertified"
+        };
+        r.line(format_args!("  [{verdict:^11}] {:<44}", c.label));
+        r.details(&c.hazards);
+    }
+    let unproven = cases.iter().filter(|c| !c.certified).count();
+    r.fail(unproven, format!("{unproven} sweep case(s) left unproven"));
+    let unsound = checks.iter().filter(|c| !c.is_sound()).count();
+    r.fail(
+        unsound,
+        format!("{unsound} statically-certified case(s) produced dynamic hazards"),
+    );
+    Ok(r)
+}
+
+/// The `trisolve analyze --stability` run: the planted stability fixtures,
+/// then the stability sweep, judged for false proofs and false
+/// refutations.
+pub fn run_stability(opts: &HarnessOptions) -> Report {
+    let fixtures = stability_fixture_checks();
+    let cases = stability_sweep(opts);
+    let count = |pred: fn(&StabilityCase) -> bool| cases.iter().filter(|c| pred(c)).count();
+    let false_proofs = count(|c| c.certified && !c.expected_certified);
+    let false_refutations = count(|c| !c.certified && c.expected_certified);
+    let certified = count(|c| c.certified);
+    let refuted = cases.len() - certified;
+    let downgrades = count(|c| c.certified && !c.precision_safe);
+    let mut r = Report::new("sound");
+    r.fixtures(
+        "stability fixture self-check (each plants one numerical defect):",
+        ("refuted", "MISSED", 44),
+        &fixtures,
+        |n| format!("certifier failed its self-check: {n} stability fixture(s) unrefuted"),
+    );
+    r.fields(serde_json::json!({
+        "cases": cases,
+        "certified": certified,
+        "refuted": refuted,
+        "precision_downgrades": downgrades,
+        "false_proofs": false_proofs,
+        "false_refutations": false_refutations,
+    }));
+    r.line(format_args!(
+        "\nstability sweep ({} cases: {certified} certified, {refuted} refuted, \
+         {downgrades} f32 downgrades):",
+        cases.len()
+    ));
+    for c in &cases {
+        let verdict = if !c.passed() {
+            "WRONG"
+        } else if c.certified && !c.precision_safe {
+            "downgrade"
+        } else if c.certified {
+            "certified"
+        } else {
+            "refuted"
+        };
+        if c.certified {
+            r.line(format_args!(
+                "  [{verdict:^9}] {:<56} bound {:.1e} ({:.1e} ulps)",
+                c.label, c.bound_rel, c.bound_ulps
+            ));
+        } else {
+            let failed: Vec<&str> = c
+                .failures
+                .iter()
+                .map(|f| f.split(':').next().unwrap_or(f))
+                .collect();
+            r.line(format_args!(
+                "  [{verdict:^9}] {:<56} {}",
+                c.label,
+                failed.join(", ")
+            ));
+        }
+    }
+    r.fail(
+        false_proofs,
+        format!("{false_proofs} non-dominant case(s) falsely certified"),
+    );
+    r.fail(
+        false_refutations,
+        format!("{false_refutations} certifiable case(s) falsely refuted"),
+    );
+    r
+}
+
+/// The `trisolve analyze --schedule` run: the planted schedule defects,
+/// the schedule-certification sweep, then the cross-validation against the
+/// dynamic cross-stream tracker.
+pub fn run_schedule(opts: &HarnessOptions) -> Result<Report, String> {
+    let fixtures = schedule_fixture_checks();
+    let cases = schedule_sweep(opts);
+    let checks = schedule_cross_validate(opts)?;
+    let nodes: usize = cases.iter().map(|c| c.nodes).sum();
+    let mut r = Report::new("certified");
+    r.fixtures(
+        "schedule fixture self-check (each plants one ordering defect):",
+        ("refuted", "MISSED", 20),
+        &fixtures,
+        |n| format!("certifier failed its self-check: {n} schedule fixture(s) unrefuted"),
+    );
+    let cross: Vec<_> = checks
+        .iter()
+        .map(|c| with_verdict(c, "agrees", c.agrees()))
+        .collect();
+    r.fields(serde_json::json!({
+        "cases": cases,
+        "cross_checks": cross,
+        "nodes_checked": nodes,
+    }));
+    r.line(format_args!(
+        "\nschedule certification sweep ({} schedules, {nodes} DAG nodes):",
+        cases.len()
+    ));
+    for c in &cases {
+        let verdict = if c.certified { "certified" } else { "REFUTED" };
+        r.line(format_args!(
+            "  [{verdict:^9}] {:<44} {:>3} nodes on {} streams",
+            c.label, c.nodes, c.streams
+        ));
+        r.details(&c.failures);
+    }
+    r.line("\ncross-validation against the dynamic cross-stream tracker:");
+    for c in &checks {
+        let verdict = if !c.agrees() {
+            "DISAGREES"
+        } else if c.certified {
+            "clean"
+        } else {
+            "races"
+        };
+        r.line(format_args!("  [{verdict:^9}] {:<44}", c.label));
+        r.details(c.hazards.iter().take(3));
+    }
+    let uncertified = cases.iter().filter(|c| !c.certified).count();
+    r.fail(
+        uncertified,
+        format!("{uncertified} lowered schedule(s) left uncertified"),
+    );
+    let disagreeing = checks.iter().filter(|c| !c.agrees()).count();
+    r.fail(
+        disagreeing,
+        format!("{disagreeing} cross-check(s) where prover and tracker disagree"),
+    );
+    Ok(r)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1078,13 +1127,13 @@ mod tests {
     #[test]
     fn all_fixtures_refuted() {
         for f in fixture_checks() {
-            assert!(f.refuted, "{}: {}", f.name, f.detail);
+            assert!(f.passed, "{}: {}", f.name, f.detail);
         }
     }
 
     #[test]
     fn quick_sweep_certifies_every_case() {
-        for case in sweep(&AnalyzeOptions::quick()) {
+        for case in sweep(&HarnessOptions::quick()) {
             assert!(
                 case.certified,
                 "{}: {}",
@@ -1100,13 +1149,13 @@ mod tests {
         let fixtures = stability_fixture_checks();
         assert_eq!(fixtures.len(), 3);
         for f in fixtures {
-            assert!(f.refuted, "{}: {}", f.name, f.detail);
+            assert!(f.passed, "{}: {}", f.name, f.detail);
         }
     }
 
     #[test]
     fn quick_stability_sweep_has_no_false_verdicts() {
-        let cases = stability_sweep(&AnalyzeOptions::quick());
+        let cases = stability_sweep(&HarnessOptions::quick());
         assert!(!cases.is_empty());
         for c in &cases {
             assert!(
@@ -1126,7 +1175,7 @@ mod tests {
 
     #[test]
     fn cross_validation_is_sound_on_the_quick_matrix() {
-        let checks = cross_validate(&AnalyzeOptions::quick()).unwrap();
+        let checks = cross_validate(&HarnessOptions::quick()).unwrap();
         assert!(!checks.is_empty());
         for c in checks {
             assert!(c.is_sound(), "{}: {}", c.label, c.hazards.join("; "));
@@ -1139,13 +1188,13 @@ mod tests {
         let fixtures = schedule_fixture_checks();
         assert_eq!(fixtures.len(), 4);
         for f in fixtures {
-            assert!(f.refuted, "{}: {}", f.name, f.detail);
+            assert!(f.passed, "{}: {}", f.name, f.detail);
         }
     }
 
     #[test]
     fn quick_schedule_sweep_certifies_every_case() {
-        let cases = schedule_sweep(&AnalyzeOptions::quick());
+        let cases = schedule_sweep(&HarnessOptions::quick());
         assert!(!cases.is_empty());
         for c in cases {
             assert!(c.certified, "{}: {}", c.label, c.failures.join("; "));
@@ -1156,7 +1205,7 @@ mod tests {
 
     #[test]
     fn schedule_cross_validation_agrees_both_ways() {
-        let checks = schedule_cross_validate(&AnalyzeOptions::quick()).unwrap();
+        let checks = schedule_cross_validate(&HarnessOptions::quick()).unwrap();
         assert!(!checks.is_empty());
         for c in &checks {
             assert!(

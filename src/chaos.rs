@@ -31,13 +31,15 @@ use trisolve_analyze::certify_plan;
 use trisolve_autotune::{StaticTuner, Tuner};
 use trisolve_core::engine::SolveSession;
 use trisolve_core::kernels::{elem_bytes, GpuScalar};
-use trisolve_core::{BaseVariant, RecoveryAction, ResiliencePolicy, SolvePlan, SolverParams};
+use trisolve_core::{
+    BaseVariant, RecoveryAction, ResiliencePolicy, ResilientOutcome, SolvePlan, SolverParams,
+};
 use trisolve_gpu_sim::{DeviceSpec, FaultLog, FaultPlan, Gpu};
 use trisolve_tridiag::cpu_batch::{solve_batch_sequential, BatchAlgorithm};
 use trisolve_tridiag::workloads::{random_dominant, WorkloadClass, WorkloadShape};
 use trisolve_tridiag::SystemBatch;
 
-use crate::sanitize::{shrunk_many_small, shrunk_paper_grid};
+use crate::harness::{many_small_shape, FixtureOutcome, HarnessOptions, Report};
 
 /// Base seed for campaign fault plans and workloads (the paper's
 /// publication year, like the bench and sanitize harnesses).
@@ -47,19 +49,8 @@ pub const CHAOS_SEED: u64 = 2011;
 /// injects spurious OOM during session construction.
 const SESSION_ALLOC_ATTEMPTS: usize = 4;
 
-/// Outcome of one forced-fault fixture.
-#[derive(Debug, Clone)]
-pub struct FixtureOutcome {
-    /// Fixture name (which recovery mechanism it forces).
-    pub name: &'static str,
-    /// Did the resilience layer behave exactly as required?
-    pub passed: bool,
-    /// What happened (recovery narrative or why the check failed).
-    pub detail: String,
-}
-
 /// Outcome of one campaign case.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct ChaosCase {
     /// Human-readable case label (device, workload, precision, class).
     pub label: String,
@@ -85,56 +76,26 @@ pub struct ChaosCase {
     pub error: Option<String>,
 }
 
-/// Options for the campaign sweep.
-#[derive(Debug, Clone)]
-pub struct ChaosOptions {
-    /// Devices to sweep (defaults to all three paper devices).
-    pub devices: Vec<DeviceSpec>,
-    /// Linear shrink applied to the paper's workload grid so the sweep
-    /// stays fast; 1 = the full Figure 5–8 sizes.
-    pub shrink: usize,
-    /// Sweep f32 as well as f64.
-    pub both_precisions: bool,
-    /// Base seed for per-case fault plans and workloads.
-    pub seed: u64,
-}
-
-impl ChaosOptions {
-    /// The full matrix: all devices, both precisions, moderately shrunk.
-    pub fn full() -> Self {
-        Self {
-            devices: DeviceSpec::paper_devices(),
-            shrink: 8,
-            both_precisions: true,
-            seed: CHAOS_SEED,
-        }
-    }
-
-    /// The CI smoke matrix: one device, f64 only, heavily shrunk.
-    pub fn quick() -> Self {
-        Self {
-            devices: vec![DeviceSpec::gtx_470()],
-            shrink: 16,
-            both_precisions: false,
-            seed: CHAOS_SEED,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Fixture self-check
 // ---------------------------------------------------------------------------
 
-/// A device with the fixture's fault plan armed, a prepared session, and
-/// the workload the fixtures drive.
-type FixtureRig = (Gpu<f64>, SolveSession<f64>, SystemBatch<f64>);
+/// The fixtures' workload, solved resiliently (untuned parameters, the
+/// f64 policy) on a device with `plan` armed; returned with that device.
+type FixtureRun = (ResilientOutcome<f64>, Gpu<f64>, SystemBatch<f64>);
 
-fn fixture_setup(plan: FaultPlan) -> Result<FixtureRig, String> {
-    let shape = WorkloadShape::new(4, 512);
-    let batch = random_dominant::<f64>(shape, 42).map_err(|e| e.to_string())?;
+/// The shape of the fixtures' workload.
+const FIXTURE_SHAPE: WorkloadShape = WorkloadShape::new(4, 512);
+
+fn resilient_fixture(plan: FaultPlan) -> Result<FixtureRun, String> {
+    let batch = random_dominant::<f64>(FIXTURE_SHAPE, 42).map_err(|e| e.to_string())?;
     let mut gpu: Gpu<f64> = Gpu::with_faults(DeviceSpec::gtx_470(), plan);
-    let session = SolveSession::new(&mut gpu, shape).map_err(|e| e.to_string())?;
-    Ok((gpu, session, batch))
+    let mut session = SolveSession::new(&mut gpu, FIXTURE_SHAPE).map_err(|e| e.to_string())?;
+    let policy = ResiliencePolicy::for_elem_bytes(8);
+    let r = session
+        .solve_resilient(&mut gpu, &batch, &SolverParams::default_untuned(), &policy)
+        .map_err(|e| e.to_string())?;
+    Ok((r, gpu, batch))
 }
 
 fn retry_fixture() -> Result<FixtureOutcome, String> {
@@ -143,12 +104,7 @@ fn retry_fixture() -> Result<FixtureOutcome, String> {
     let plan = FaultPlan::seeded(7)
         .with_launch_failures(1.0)
         .with_max_faults(2);
-    let (mut gpu, mut session, batch) = fixture_setup(plan)?;
-    let params = SolverParams::default_untuned();
-    let policy = ResiliencePolicy::for_elem_bytes(8);
-    let r = session
-        .solve_resilient(&mut gpu, &batch, &params, &policy)
-        .map_err(|e| e.to_string())?;
+    let (r, ..) = resilient_fixture(plan)?;
     let passed = r.recovered_by == "tuned-plan" && r.retries == 2 && r.fallbacks == 0;
     Ok(FixtureOutcome {
         name: "transient launch failures absorbed by retries",
@@ -164,12 +120,7 @@ fn degradation_fixture() -> Result<FixtureOutcome, String> {
     // Unbounded forced launch failures: no GPU plan can run; the chain
     // must walk all the way down to the CPU LU reference.
     let plan = FaultPlan::seeded(3).with_launch_failures(1.0);
-    let (mut gpu, mut session, batch) = fixture_setup(plan)?;
-    let params = SolverParams::default_untuned();
-    let policy = ResiliencePolicy::for_elem_bytes(8);
-    let r = session
-        .solve_resilient(&mut gpu, &batch, &params, &policy)
-        .map_err(|e| e.to_string())?;
+    let (r, ..) = resilient_fixture(plan)?;
     let passed = r.recovered_by == "cpu-reference" && r.fallbacks >= 1;
     Ok(FixtureOutcome {
         name: "persistent faults degrade to the CPU reference",
@@ -188,17 +139,13 @@ fn bit_flip_fixture() -> Result<FixtureOutcome, String> {
     // hits a low-order mantissa bit are accepted outright — correctly so;
     // that is why the fixture pins the seed.)
     let plan = FaultPlan::seeded(0).with_bit_flips(1.0).with_max_faults(1);
-    let (mut gpu, mut session, batch) = fixture_setup(plan)?;
-    let params = SolverParams::default_untuned();
-    let policy = ResiliencePolicy::for_elem_bytes(8);
-    let r = session
-        .solve_resilient(&mut gpu, &batch, &params, &policy)
-        .map_err(|e| e.to_string())?;
+    let (r, ..) = resilient_fixture(plan)?;
     let rejected = r
         .events
         .iter()
         .any(|e| e.action == RecoveryAction::ResidualReject);
-    let passed = rejected && r.retries == 1 && r.residual <= policy.residual_tolerance;
+    let tolerance = ResiliencePolicy::for_elem_bytes(8).residual_tolerance;
+    let passed = rejected && r.retries == 1 && r.residual <= tolerance;
     Ok(FixtureOutcome {
         name: "silent bit flip caught by residual verification",
         passed,
@@ -213,18 +160,12 @@ fn disabled_plan_fixture() -> Result<FixtureOutcome, String> {
     // The no-op contract, from the harness's own angle: a disabled fault
     // plan plus the resilience wrapper must reproduce the plain solve
     // bit-for-bit, simulated timings included.
-    let params = SolverParams::default_untuned();
-    let policy = ResiliencePolicy::for_elem_bytes(8);
-    let (mut gpu, mut session, batch) = fixture_setup(FaultPlan::disabled())?;
-    let r = session
-        .solve_resilient(&mut gpu, &batch, &params, &policy)
-        .map_err(|e| e.to_string())?;
-
-    let shape = WorkloadShape::new(4, 512);
+    let (r, gpu, batch) = resilient_fixture(FaultPlan::disabled())?;
     let mut plain_gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
-    let mut plain_session = SolveSession::new(&mut plain_gpu, shape).map_err(|e| e.to_string())?;
+    let mut plain_session =
+        SolveSession::new(&mut plain_gpu, FIXTURE_SHAPE).map_err(|e| e.to_string())?;
     let plain = plain_session
-        .solve(&mut plain_gpu, &batch, &params)
+        .solve(&mut plain_gpu, &batch, &SolverParams::default_untuned())
         .map_err(|e| e.to_string())?;
 
     let bits_equal = plain.x == r.outcome.x
@@ -271,14 +212,6 @@ const CLASSES: &[WorkloadClass] = &[
     WorkloadClass::IllConditioned { margin: 1e-3 },
     WorkloadClass::NonDominant { dominance: 0.85 },
 ];
-
-fn class_batch<T: GpuScalar>(
-    class: WorkloadClass,
-    shape: WorkloadShape,
-    seed: u64,
-) -> Result<SystemBatch<T>, String> {
-    class.generate(shape, seed).map_err(|e| e.to_string())
-}
 
 /// Residual acceptance threshold per class and element width. Dominant
 /// systems use the standard precision-matched tolerance; the stress
@@ -359,7 +292,9 @@ fn run_case<T: GpuScalar>(
         precision,
         class.label()
     );
-    let batch = class_batch::<T>(class, shape, case_seed)?;
+    let batch: SystemBatch<T> = class
+        .generate(shape, case_seed)
+        .map_err(|e| e.to_string())?;
     let reference =
         solve_batch_sequential(&batch, BatchAlgorithm::Lu).map_err(|e| e.to_string())?;
     let mut params = StaticTuner.params_for(shape, dev.queryable(), elem_bytes::<T>());
@@ -394,14 +329,16 @@ fn run_case<T: GpuScalar>(
         ));
     };
 
-    let case = match session.solve_resilient(&mut gpu, &batch, &params, &policy) {
+    let solved = session.solve_resilient(&mut gpu, &batch, &params, &policy);
+    let faults_injected = gpu.fault_log().map_or(0, FaultLog::injected);
+    Ok(match solved {
         Ok(r) => ChaosCase {
             label,
             recovered: true,
             recovered_by: r.recovered_by.to_string(),
             residual: r.residual,
             vs_reference: deviation_from(&r.outcome.x, &reference),
-            faults_injected: gpu.fault_log().map_or(0, FaultLog::injected),
+            faults_injected,
             attempts: r.attempts,
             retries: r.retries,
             fallbacks: r.fallbacks,
@@ -409,84 +346,100 @@ fn run_case<T: GpuScalar>(
         },
         Err(e) => ChaosCase {
             label,
-            recovered: false,
-            recovered_by: String::new(),
             residual: f64::NAN,
             vs_reference: f64::NAN,
-            faults_injected: gpu.fault_log().map_or(0, FaultLog::injected),
-            attempts: 0,
-            retries: 0,
-            fallbacks: 0,
+            faults_injected,
             error: Some(e.to_string()),
+            ..ChaosCase::default()
         },
-    };
-    Ok(case)
+    })
 }
 
-fn sweep_device<T: GpuScalar>(
-    dev: &DeviceSpec,
-    shapes: &[WorkloadShape],
-    many_small: WorkloadShape,
-    precision: &str,
-    base_seed: u64,
-    case_idx: &mut u64,
-    out: &mut Vec<ChaosCase>,
-) -> Result<(), String> {
-    for &shape in shapes {
-        for &class in CLASSES {
-            let seed = base_seed.wrapping_add(*case_idx);
-            *case_idx += 1;
-            out.push(run_case::<T>(dev, shape, class, precision, seed, None)?);
-        }
-    }
-    // The interleaved batched-Thomas fast path under fault injection:
-    // its degradation chain starts by falling back to the staged strided
+/// Run the campaign sweep with per-case fault plans and workloads seeded
+/// from `seed`. Every returned case says whether the resilient pipeline
+/// recovered it; unrecovered cases carry the structured failure.
+pub fn campaign(opts: &HarnessOptions, seed: u64) -> Result<Vec<ChaosCase>, String> {
+    // Every class over the shrunk paper grid, then over the many-small
+    // batch with the interleaved batched-Thomas fast path forced: its
+    // degradation chain starts by falling back to the staged strided
     // pipeline, so persistent faults still reach the CPU reference.
-    for &class in CLASSES {
-        let seed = base_seed.wrapping_add(*case_idx);
-        *case_idx += 1;
-        out.push(run_case::<T>(
-            dev,
-            many_small,
-            class,
-            precision,
-            seed,
-            Some(BaseVariant::Interleaved),
-        )?);
-    }
-    Ok(())
-}
-
-/// Run the campaign sweep. Every returned case says whether the resilient
-/// pipeline recovered it; unrecovered cases carry the structured failure.
-pub fn campaign(opts: &ChaosOptions) -> Result<Vec<ChaosCase>, String> {
-    let shapes = shrunk_paper_grid(opts.shrink);
-    let many_small = shrunk_many_small(opts.shrink);
+    let mut points: Vec<_> = WorkloadShape::shrunk_paper_grid(opts.shrink)
+        .into_iter()
+        .map(|shape| (shape, None))
+        .collect();
+    points.push((
+        many_small_shape(opts.shrink),
+        Some(BaseVariant::Interleaved),
+    ));
     let mut out = Vec::new();
-    let mut case_idx = 0u64;
     for dev in &opts.devices {
-        sweep_device::<f64>(
-            dev,
-            &shapes,
-            many_small,
-            "f64",
-            opts.seed,
-            &mut case_idx,
-            &mut out,
-        )?;
-        if opts.both_precisions {
-            sweep_device::<f32>(
-                dev,
-                &shapes,
-                many_small,
-                "f32",
-                opts.seed,
-                &mut case_idx,
-                &mut out,
-            )?;
+        for &(precision, eb) in opts.precisions() {
+            for &(shape, layout) in &points {
+                for &class in CLASSES {
+                    // Case `i` of the campaign runs under seed `seed + i`.
+                    let case_seed = seed.wrapping_add(out.len() as u64);
+                    out.push(if eb == 8 {
+                        run_case::<f64>(dev, shape, class, precision, case_seed, layout)?
+                    } else {
+                        run_case::<f32>(dev, shape, class, precision, case_seed, layout)?
+                    });
+                }
+            }
         }
     }
     Ok(out)
+}
+
+/// The `trisolve chaos` run: the forced-fault fixtures, then the campaign
+/// seeded from `seed`.
+pub fn run(opts: &HarnessOptions, seed: u64) -> Result<Report, String> {
+    let fixtures = fixture_checks()?;
+    let cases = campaign(opts, seed)?;
+    let faults: usize = cases.iter().map(|c| c.faults_injected).sum();
+    let retries: usize = cases.iter().map(|c| c.retries).sum();
+    let fallbacks: usize = cases.iter().map(|c| c.fallbacks).sum();
+    let mut r = Report::new("all_recovered");
+    r.fields(serde_json::json!({ "seed": seed }));
+    r.fixtures(
+        "fixture self-check (each forces one recovery mechanism):",
+        ("passed", "FAILED", 52),
+        &fixtures,
+        |n| format!("resilience layer failed its self-check: {n} fixture(s)"),
+    );
+    r.fields(serde_json::json!({
+        "cases": cases,
+        "faults_injected": faults,
+        "retries": retries,
+        "fallbacks": fallbacks,
+    }));
+    r.line(format_args!(
+        "\nfault campaign (seed {seed}, {} cases, {faults} faults injected):",
+        cases.len()
+    ));
+    for c in &cases {
+        if c.recovered {
+            r.line(format_args!(
+                "  [recovered] {:<44} via {:<16} residual {:.1e}  \
+                 faults {} retries {} fallbacks {}",
+                c.label, c.recovered_by, c.residual, c.faults_injected, c.retries, c.fallbacks
+            ));
+        } else {
+            r.line(format_args!(
+                "  [ DEAD    ] {:<44} {}",
+                c.label,
+                c.error.as_deref().unwrap_or("unknown failure")
+            ));
+        }
+    }
+    r.line(format_args!(
+        "\ntotals: {faults} faults | {retries} retries | {fallbacks} fallbacks"
+    ));
+    let unrecovered = cases.iter().filter(|c| !c.recovered).count();
+    r.fail(
+        unrecovered,
+        format!("{unrecovered} campaign case(s) did not recover"),
+    );
+    Ok(r)
 }
 
 #[cfg(test)]

@@ -22,6 +22,9 @@
 //! * [`analysis`] — the static kernel & plan analyzer: affine
 //!   access-pattern proofs (OOB- and race-freedom), bank-conflict and
 //!   coalescing classification, plan lints and tuner search-space pruning;
+//! * [`harness`] — the skeleton the self-checking commands share: one
+//!   options type, one fixture verdict, one report with its JSON printer
+//!   and exit rule, and the typed option parser of the `trisolve` binary;
 //! * [`sanitize`] — the `trisolve sanitize` harness: injected-hazard
 //!   fixtures plus the shipping-kernel sweep under the dynamic sanitizer;
 //! * [`analyze`] — the `trisolve analyze` harness: planted-defect proof
@@ -69,6 +72,7 @@
 
 pub mod analyze;
 pub mod chaos;
+pub mod harness;
 pub mod report;
 pub mod sanitize;
 pub mod serve_sim;

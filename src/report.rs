@@ -19,6 +19,7 @@ use trisolve_bench::snapshot::{self, FamilyObs};
 use trisolve_gpu_sim::DeviceSpec;
 use trisolve_obs::roofline::{DevicePeaks, LimiterVerdict};
 use trisolve_obs::MetricsRegistry;
+use trisolve_tridiag::workloads::WorkloadShape;
 
 /// The observatory rollup for one device: family stats and latency
 /// series merged across every workload in the sweep.
@@ -114,7 +115,7 @@ impl DeviceReport {
 /// and latency registries across workloads.
 pub fn run(devices: &[DeviceSpec], quick: bool) -> Vec<DeviceReport> {
     let shrink = if quick { 4 } else { 1 };
-    let grid = trisolve_bench::experiments::paper_grid(shrink);
+    let grid = WorkloadShape::shrunk_paper_grid(shrink);
     let budget = if quick { 2 } else { grid.len() };
     devices
         .iter()

@@ -28,28 +28,20 @@ use trisolve_core::kernels::{
 };
 use trisolve_core::{BaseVariant, SolverParams};
 use trisolve_gpu_sim::{
-    validate_launch, DeviceSpec, Gpu, HazardKind, LaunchConfig, OutMode, SanitizerReport,
+    validate_launch, BufferId, DeviceSpec, Gpu, HazardKind, LaunchConfig, OutMode, QueryableProps,
+    SanitizerReport,
 };
 use trisolve_tridiag::norms::batch_worst_relative_residual;
 use trisolve_tridiag::workloads::{random_dominant, WorkloadShape};
+
+use crate::harness::{many_small_shape, FixtureOutcome, HarnessOptions, Report};
 
 /// Deterministic seed for sweep workloads (the paper's publication year,
 /// like the bench harness).
 pub const SANITIZE_SEED: u64 = 2011;
 
-/// Outcome of one injected-hazard fixture.
-#[derive(Debug, Clone)]
-pub struct FixtureOutcome {
-    /// Fixture name (what was planted).
-    pub name: &'static str,
-    /// Did the sanitizer detect and correctly classify the planted hazard?
-    pub detected: bool,
-    /// The diagnostic the sanitizer produced (or why detection failed).
-    pub detail: String,
-}
-
 /// Outcome of one shipping-kernel sweep case.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct CaseResult {
     /// Human-readable case label (device, workload, precision, kernel set).
     pub label: String,
@@ -66,62 +58,6 @@ impl CaseResult {
     pub fn is_clean(&self) -> bool {
         self.hazards.is_empty()
     }
-}
-
-/// Options for the shipping sweep.
-#[derive(Debug, Clone)]
-pub struct SweepOptions {
-    /// Devices to sweep (defaults to all three paper devices).
-    pub devices: Vec<DeviceSpec>,
-    /// Linear shrink applied to the paper's workload grid so the sweep
-    /// stays fast; 1 = the full Figure 5–8 sizes.
-    pub shrink: usize,
-    /// Sweep f32 as well as f64.
-    pub both_precisions: bool,
-}
-
-impl SweepOptions {
-    /// The full matrix: all devices, both precisions, moderately shrunk.
-    pub fn full() -> Self {
-        Self {
-            devices: DeviceSpec::paper_devices(),
-            shrink: 8,
-            both_precisions: true,
-        }
-    }
-
-    /// The CI smoke matrix: one device, f64 only, heavily shrunk.
-    pub fn quick() -> Self {
-        Self {
-            devices: vec![DeviceSpec::gtx_470()],
-            shrink: 16,
-            both_precisions: false,
-        }
-    }
-}
-
-/// The canonical many-small workload (64K systems of 32 unknowns),
-/// batch-shrunk for dynamic solves. The system size stays 32 — already
-/// minimal — and the batch keeps the interleaved plan's 32-system floor,
-/// so the shrunk shape still builds the `interleave → ithomas →
-/// deinterleave` pipeline.
-pub fn shrunk_many_small(shrink: usize) -> WorkloadShape {
-    let full = WorkloadShape::new(64 * 1024, 32);
-    WorkloadShape::new((full.num_systems / shrink.max(1)).max(32), full.system_size)
-}
-
-/// The Figure 5–8 workload grid, linearly shrunk (system sizes keep a 512
-/// floor so multi-stage plans still exercise every stage).
-pub fn shrunk_paper_grid(shrink: usize) -> Vec<WorkloadShape> {
-    WorkloadShape::paper_grid()
-        .into_iter()
-        .map(|s| {
-            WorkloadShape::new(
-                (s.num_systems / shrink).max(1),
-                (s.system_size / shrink).max(512),
-            )
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -156,7 +92,7 @@ fn oob_fixture() -> Result<FixtureOutcome, String> {
     let (detected, detail) = first_of(&report, &[HazardKind::OutOfBounds]);
     Ok(FixtureOutcome {
         name: "out-of-bounds load",
-        detected: detected && detail.contains("99"),
+        passed: detected && detail.contains("99"),
         detail,
     })
 }
@@ -177,10 +113,10 @@ fn uninit_fixture() -> Result<FixtureOutcome, String> {
     )
     .map_err(|e| e.to_string())?;
     let report = gpu.take_sanitizer_report().expect("sanitizer is on");
-    let (detected, detail) = first_of(&report, &[HazardKind::UninitializedRead]);
+    let (passed, detail) = first_of(&report, &[HazardKind::UninitializedRead]);
     Ok(FixtureOutcome {
         name: "uninitialized read",
-        detected,
+        passed,
         detail,
     })
 }
@@ -204,13 +140,13 @@ fn race_fixture() -> Result<FixtureOutcome, String> {
     )
     .map_err(|e| e.to_string())?;
     let report = gpu.take_sanitizer_report().expect("sanitizer is on");
-    let (detected, detail) = first_of(
+    let (passed, detail) = first_of(
         &report,
         &[HazardKind::RaceWriteWrite, HazardKind::RaceReadWrite],
     );
     Ok(FixtureOutcome {
         name: "inter-barrier shared-memory race",
-        detected,
+        passed,
         detail,
     })
 }
@@ -226,7 +162,7 @@ fn invalid_launch_fixture() -> FixtureOutcome {
     );
     FixtureOutcome {
         name: "invalid launch configuration",
-        detected: report.has_errors(),
+        passed: report.has_errors(),
         detail,
     }
 }
@@ -246,7 +182,9 @@ pub fn fixture_checks() -> Result<Vec<FixtureOutcome>, String> {
 // Shipping sweep
 // ---------------------------------------------------------------------------
 
-fn report_case(label: String, launches: usize, report: &SanitizerReport) -> CaseResult {
+/// Every hazard of `report` rendered, plus a line for any dropped past the
+/// cap.
+pub(crate) fn rendered_hazards(report: &SanitizerReport) -> Vec<String> {
     let mut hazards: Vec<String> = report.hazards.iter().map(ToString::to_string).collect();
     if report.dropped > 0 {
         hazards.push(format!(
@@ -254,10 +192,14 @@ fn report_case(label: String, launches: usize, report: &SanitizerReport) -> Case
             report.dropped
         ));
     }
+    hazards
+}
+
+fn report_case(label: String, report: &SanitizerReport) -> CaseResult {
     CaseResult {
         label,
-        launches,
-        hazards,
+        launches: report.launches_checked,
+        hazards: rendered_hazards(report),
         warnings: Vec::new(),
     }
 }
@@ -272,18 +214,9 @@ pub fn solve_case<T: GpuScalar>(
     variant: BaseVariant,
     precision: &str,
 ) -> Result<CaseResult, String> {
-    let label = format!(
-        "{} {} {} {:?}",
-        dev.name(),
-        shape.label(),
-        precision,
-        variant
-    );
+    let label = format!("{} {} {precision} {variant:?}", dev.name(), shape.label());
     let batch = random_dominant::<T>(shape, SANITIZE_SEED).map_err(|e| e.to_string())?;
-    let params = SolverParams {
-        variant,
-        ..StaticTuner.params_for(shape, dev.queryable(), elem_bytes::<T>())
-    };
+    let params = static_params(dev.queryable(), shape, variant, elem_bytes::<T>());
     let mut gpu: Gpu<T> = Gpu::with_sanitizer(dev.clone());
     let mut session = SolveSession::new(&mut gpu, shape).map_err(|e| format!("{label}: {e}"))?;
     let outcome = session
@@ -294,34 +227,53 @@ pub fn solve_case<T: GpuScalar>(
         return Err(format!("{label}: non-finite residual"));
     }
     let report = gpu.take_sanitizer_report().expect("sanitizer is on");
-    let mut case = report_case(label, report.launches_checked, &report);
+    let mut case = report_case(label, &report);
     if let Some(v) = session.validation_for(&params) {
         case.warnings = v.warnings().map(ToString::to_string).collect();
     }
     Ok(case)
 }
 
+/// The static tuner's parameters for `shape`, with the layout `variant`
+/// forced.
+pub(crate) fn static_params(
+    q: &QueryableProps,
+    shape: WorkloadShape,
+    variant: BaseVariant,
+    eb: usize,
+) -> SolverParams {
+    SolverParams {
+        variant,
+        ..StaticTuner.params_for(shape, q, eb)
+    }
+}
+
+/// A sanitized device holding an `m × n` random dominant batch's four
+/// coefficient arrays.
+fn sanitized_batch<T: GpuScalar>(
+    dev: &DeviceSpec,
+    m: usize,
+    n: usize,
+) -> Result<(Gpu<T>, [BufferId; 4]), String> {
+    let batch =
+        random_dominant::<T>(WorkloadShape::new(m, n), SANITIZE_SEED).map_err(|e| e.to_string())?;
+    let mut gpu: Gpu<T> = Gpu::with_sanitizer(dev.clone());
+    let mut upload = |v: &[T]| gpu.alloc_from(v).map_err(|e| e.to_string());
+    let src = [
+        upload(&batch.a)?,
+        upload(&batch.b)?,
+        upload(&batch.c)?,
+        upload(&batch.d)?,
+    ];
+    Ok((gpu, src))
+}
+
 /// The repack/unpack transpose passes under the sanitizer.
 fn repack_case<T: GpuScalar>(dev: &DeviceSpec, precision: &str) -> Result<CaseResult, String> {
     let (m, n, stride) = (4usize, 2048usize, 4usize);
-    let label = format!(
-        "{} repack/unpack {}x{}@{} {}",
-        dev.name(),
-        m,
-        n,
-        stride,
-        precision
-    );
-    let shape = WorkloadShape::new(m, n);
-    let batch = random_dominant::<T>(shape, SANITIZE_SEED).map_err(|e| e.to_string())?;
-    let mut gpu: Gpu<T> = Gpu::with_sanitizer(dev.clone());
+    let label = format!("{} repack/unpack {m}x{n}@{stride} {precision}", dev.name());
+    let (mut gpu, src) = sanitized_batch::<T>(dev, m, n)?;
     let err = |e: trisolve_gpu_sim::SimError| e.to_string();
-    let src = [
-        gpu.alloc_from(&batch.a).map_err(err)?,
-        gpu.alloc_from(&batch.b).map_err(err)?,
-        gpu.alloc_from(&batch.c).map_err(err)?,
-        gpu.alloc_from(&batch.d).map_err(err)?,
-    ];
     let dst = [
         gpu.alloc(m * n).map_err(err)?,
         gpu.alloc(m * n).map_err(err)?,
@@ -333,7 +285,7 @@ fn repack_case<T: GpuScalar>(dev: &DeviceSpec, precision: &str) -> Result<CaseRe
     let x_out = gpu.alloc(m * n).map_err(err)?;
     unpack_solution(&mut gpu, dst[3], x_out, m, n, stride).map_err(|e| format!("{label}: {e}"))?;
     let report = gpu.take_sanitizer_report().expect("sanitizer is on");
-    Ok(report_case(label, report.launches_checked, &report))
+    Ok(report_case(label, &report))
 }
 
 /// The three prior-art baseline kernels under the sanitizer. Baselines are
@@ -342,23 +294,9 @@ fn repack_case<T: GpuScalar>(dev: &DeviceSpec, precision: &str) -> Result<CaseRe
 fn baseline_case<T: GpuScalar>(dev: &DeviceSpec, precision: &str) -> Result<CaseResult, String> {
     let (m, n, stride) = (8usize, 256usize, 1usize);
     let chain_len = n / stride;
-    let label = format!(
-        "{} baselines {}@{} {}",
-        dev.name(),
-        chain_len,
-        stride,
-        precision
-    );
-    let shape = WorkloadShape::new(m, n);
-    let batch = random_dominant::<T>(shape, SANITIZE_SEED).map_err(|e| e.to_string())?;
-    let mut gpu: Gpu<T> = Gpu::with_sanitizer(dev.clone());
+    let label = format!("{} baselines {chain_len}@{stride} {precision}", dev.name());
+    let (mut gpu, src) = sanitized_batch::<T>(dev, m, n)?;
     let err = |e: trisolve_gpu_sim::SimError| e.to_string();
-    let src = [
-        gpu.alloc_from(&batch.a).map_err(err)?,
-        gpu.alloc_from(&batch.b).map_err(err)?,
-        gpu.alloc_from(&batch.c).map_err(err)?,
-        gpu.alloc_from(&batch.d).map_err(err)?,
-    ];
     for algo in [
         BaselineAlgo::Pcr,
         BaselineAlgo::Cr,
@@ -369,23 +307,25 @@ fn baseline_case<T: GpuScalar>(dev: &DeviceSpec, precision: &str) -> Result<Case
             .map_err(|e| format!("{label}: {e}"))?;
     }
     let report = gpu.take_sanitizer_report().expect("sanitizer is on");
-    Ok(report_case(label, report.launches_checked, &report))
+    Ok(report_case(label, &report))
 }
 
+/// Every shipping kernel set on one device in one precision: both staged
+/// layouts over the shrunk paper grid, the interleaved batched-Thomas fast
+/// path forced on a many-small batch (the only shape class whose plan
+/// admits the layout), the repack/unpack passes and the baselines.
 fn sweep_device<T: GpuScalar>(
     dev: &DeviceSpec,
-    shapes: &[WorkloadShape],
-    many_small: WorkloadShape,
+    shrink: usize,
     precision: &str,
     out: &mut Vec<CaseResult>,
 ) -> Result<(), String> {
-    for &shape in shapes {
+    for shape in WorkloadShape::shrunk_paper_grid(shrink) {
         for variant in [BaseVariant::Strided, BaseVariant::Coalesced] {
             out.push(solve_case::<T>(dev, shape, variant, precision)?);
         }
     }
-    // The interleaved batched-Thomas fast path, forced on a many-small
-    // batch — the only shape class whose plan admits the layout.
+    let many_small = many_small_shape(shrink);
     out.push(solve_case::<T>(
         dev,
         many_small,
@@ -399,17 +339,50 @@ fn sweep_device<T: GpuScalar>(
 
 /// Run the shipping sweep. Every returned case lists the hazards found;
 /// shipping kernels are expected to produce none.
-pub fn sweep(opts: &SweepOptions) -> Result<Vec<CaseResult>, String> {
-    let shapes = shrunk_paper_grid(opts.shrink);
-    let many_small = shrunk_many_small(opts.shrink);
+pub fn sweep(opts: &HarnessOptions) -> Result<Vec<CaseResult>, String> {
     let mut out = Vec::new();
     for dev in &opts.devices {
-        sweep_device::<f64>(dev, &shapes, many_small, "f64", &mut out)?;
+        sweep_device::<f64>(dev, opts.shrink, "f64", &mut out)?;
         if opts.both_precisions {
-            sweep_device::<f32>(dev, &shapes, many_small, "f32", &mut out)?;
+            sweep_device::<f32>(dev, opts.shrink, "f32", &mut out)?;
         }
     }
     Ok(out)
+}
+
+/// The `trisolve sanitize` run: the fixtures, then the shipping sweep.
+pub fn run(opts: &HarnessOptions) -> Result<Report, String> {
+    let fixtures = fixture_checks()?;
+    let cases = sweep(opts)?;
+    let launches: usize = cases.iter().map(|c| c.launches).sum();
+    let mut r = Report::new("clean");
+    r.fixtures(
+        "fixture self-check (each plants one hazard):",
+        ("detected", "MISSED", 32),
+        &fixtures,
+        |n| format!("sanitizer failed its self-check: {n} fixture(s) undetected"),
+    );
+    r.fields(serde_json::json!({"cases": cases, "launches_checked": launches}));
+    r.line(format_args!(
+        "\nshipping sweep ({} cases, {launches} launches):",
+        cases.len()
+    ));
+    for c in &cases {
+        let verdict = if c.is_clean() { "clean" } else { "HAZARDS" };
+        let warn = if c.warnings.is_empty() {
+            String::new()
+        } else {
+            format!("  ({} warnings)", c.warnings.len())
+        };
+        r.line(format_args!(
+            "  [{verdict:^7}] {:<44} {:>3} launches{warn}",
+            c.label, c.launches
+        ));
+        r.details(&c.hazards);
+    }
+    let dirty = cases.iter().filter(|c| !c.is_clean()).count();
+    r.fail(dirty, format!("{dirty} shipping case(s) produced hazards"));
+    Ok(r)
 }
 
 #[cfg(test)]
@@ -418,23 +391,23 @@ mod tests {
 
     #[test]
     fn shrunk_grid_keeps_shape_floors() {
-        let g = shrunk_paper_grid(1024);
+        let g = WorkloadShape::shrunk_paper_grid(1024);
         assert_eq!(g.len(), WorkloadShape::paper_grid().len());
         assert!(g.iter().all(|s| s.num_systems >= 1 && s.system_size >= 512));
     }
 
     #[test]
     fn shrunk_many_small_keeps_the_interleaved_batch_floor() {
-        assert_eq!(shrunk_many_small(16), WorkloadShape::new(4096, 32));
+        assert_eq!(many_small_shape(16), WorkloadShape::new(4096, 32));
         // Even an absurd shrink never drops below the plan builder's
         // 32-system floor for the interleaved layout.
-        assert_eq!(shrunk_many_small(1 << 20), WorkloadShape::new(32, 32));
+        assert_eq!(many_small_shape(1 << 20), WorkloadShape::new(32, 32));
     }
 
     #[test]
     fn all_fixtures_detected() {
         for f in fixture_checks().unwrap() {
-            assert!(f.detected, "{}: {}", f.name, f.detail);
+            assert!(f.passed, "{}: {}", f.name, f.detail);
         }
     }
 }

@@ -26,24 +26,19 @@
 //! integration tests and the CLI subcommand all run the same code.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+use serde_json::json;
 use trisolve_gpu_sim::FaultPlan;
-use trisolve_serve::{generate, LoadProfile, ServiceStats, SolveService, StormWindow};
+use trisolve_serve::{
+    generate, LatencyStats, LoadProfile, ServiceStats, SolveService, StormWindow,
+};
+
+use crate::harness::{FixtureOutcome, Report};
 
 /// Base seed for campaigns (the paper's publication year, like the bench,
 /// sanitize and chaos harnesses).
 pub const SERVE_SEED: u64 = 2011;
-
-/// Outcome of one forced-scenario fixture.
-#[derive(Debug, Clone)]
-pub struct FixtureOutcome {
-    /// Fixture name (which service mechanism it forces).
-    pub name: &'static str,
-    /// Did the service behave exactly as required?
-    pub passed: bool,
-    /// What happened (narrative or why the check failed).
-    pub detail: String,
-}
 
 /// Result of a service campaign: the warm-up ledger and the service's own
 /// proof counters.
@@ -385,13 +380,26 @@ fn breaker_storm_fixture() -> Result<FixtureOutcome, String> {
     })
 }
 
-/// Run the six forced-scenario fixtures. Each proves one service
+/// Run the five forced-scenario fixtures. Each proves one service
 /// mechanism (quarantine paths, warm restart, breaker lifecycle)
 /// end-to-end; a harness that cannot pass its own fixtures proves nothing
-/// about the campaign.
+/// about the campaign. The plan-database files live in a directory of
+/// their own per call (keyed by process id and a per-process counter, like
+/// `campaign_db_path`), so concurrent runs never share them.
 pub fn fixture_checks() -> Result<Vec<FixtureOutcome>, String> {
-    let dir = std::env::temp_dir().join("trisolve-serve-sim-fixtures");
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "trisolve-serve-sim-fixtures-{}-{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+    let fixtures = fixtures_in(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    fixtures
+}
+
+fn fixtures_in(dir: &Path) -> Result<Vec<FixtureOutcome>, String> {
     Ok(vec![
         truncated_db_fixture(&dir.join("truncated.json"))?,
         flipped_checksum_fixture(&dir.join("flipped.json"))?,
@@ -399,6 +407,140 @@ pub fn fixture_checks() -> Result<Vec<FixtureOutcome>, String> {
         warm_restart_fixture(&dir.join("warm.json"))?,
         breaker_storm_fixture()?,
     ])
+}
+
+/// A latency summary as its JSON object.
+fn latency_json(l: &LatencyStats) -> serde_json::Value {
+    json!({
+        "count": l.count, "mean_ms": l.mean_ms, "p50_ms": l.p50_ms,
+        "p90_ms": l.p90_ms, "p99_ms": l.p99_ms, "max_ms": l.max_ms,
+    })
+}
+
+/// The `trisolve serve-sim` run: the forced-scenario fixtures, then the
+/// campaign for `profile` judged by [`gate`].
+pub fn run(profile: &LoadProfile) -> Result<Report, String> {
+    let fixtures = fixture_checks()?;
+    let outcome = campaign(profile)?;
+    let violations = gate(&outcome);
+    let s = &outcome.stats;
+    let mut r = Report::new("passed");
+    r.fields(json!({
+        "seed": profile.seed,
+        "requests": profile.requests,
+        "load_scale": profile.load_scale,
+        "chaos": profile.chaos,
+    }));
+    r.fixtures(
+        "fixture self-check (each forces one service mechanism):",
+        ("passed", "FAILED", 52),
+        &fixtures,
+        |n| format!("service failed its self-check: {n} fixture(s)"),
+    );
+    let devices: Vec<_> = s
+        .devices
+        .iter()
+        .map(|d| {
+            json!({
+                "name": d.name, "requests": d.requests, "batches": d.batches,
+                "busy_s": d.busy_s, "trips": d.trips,
+                "recoveries": d.recoveries, "breaker": d.final_breaker_state,
+                "admits_after_cooldown": d.admits_after_cooldown,
+            })
+        })
+        .collect();
+    r.fields(json!({
+        "completed": s.completed,
+        "shed": json!({
+            "total": s.shed_total(),
+            "queue_full": s.shed_queue_full,
+            "deadline": s.shed_deadline,
+            "breaker": s.shed_breaker,
+            "exhausted": s.shed_exhausted,
+        }),
+        "lost": s.lost(),
+        "deadline_misses": s.deadline_misses,
+        "batches": s.batches,
+        "coalesced": s.coalesced,
+        "breaker": json!({
+            "trips": s.breaker_trips,
+            "recoveries": s.breaker_recoveries,
+            "reopens": s.breaker_reopens,
+        }),
+        "faults": s.faults,
+        "cpu_recoveries": s.cpu_recoveries,
+        "warm_evals": outcome.warm_evals,
+        "campaign_tuner_evals": s.tuner_evals,
+        "restart_warm_evals": outcome.restart_warm_evals,
+        "plan_db_entries": outcome.db_len,
+        "worst_residual": s.worst_residual,
+        "makespan_s": s.makespan_s,
+        "throughput_rps": s.throughput_rps,
+        "queue_ms": latency_json(&s.queue_ms),
+        "solve_ms": latency_json(&s.solve_ms),
+        "e2e_ms": latency_json(&s.e2e_ms),
+        "devices": devices,
+        "violations": violations,
+    }));
+    r.line(format_args!(
+        "\nservice campaign (seed {}, {} requests, load x{}{}):",
+        profile.seed,
+        profile.requests,
+        profile.load_scale,
+        if profile.chaos { ", chaos" } else { "" }
+    ));
+    r.line(format_args!(
+        "  dispositions : {} completed, {} shed ({} queue-full / {} deadline / \
+         {} breaker / {} exhausted), {} lost",
+        s.completed,
+        s.shed_total(),
+        s.shed_queue_full,
+        s.shed_deadline,
+        s.shed_breaker,
+        s.shed_exhausted,
+        s.lost()
+    ));
+    r.line(format_args!(
+        "  batching     : {} batches ({} requests coalesced into shared windows)",
+        s.batches, s.coalesced
+    ));
+    r.line(format_args!(
+        "  breaker      : {} trip(s), {} recovery(ies), {} reopen(s); {} faults injected",
+        s.breaker_trips, s.breaker_recoveries, s.breaker_reopens, s.faults
+    ));
+    r.line(format_args!(
+        "  plan db      : {} warm-up evals, {} in-campaign evals, {} after restart \
+         ({} entries)",
+        outcome.warm_evals, s.tuner_evals, outcome.restart_warm_evals, outcome.db_len
+    ));
+    r.line(format_args!(
+        "  latency (ms) : queue p50 {:.3} p99 {:.3} | solve p50 {:.3} p99 {:.3} | \
+         e2e p99 {:.3} max {:.3}",
+        s.queue_ms.p50_ms,
+        s.queue_ms.p99_ms,
+        s.solve_ms.p50_ms,
+        s.solve_ms.p99_ms,
+        s.e2e_ms.p99_ms,
+        s.e2e_ms.max_ms
+    ));
+    r.line(format_args!(
+        "  throughput   : {:.0} req/s over {:.2} simulated s, worst residual {:.1e}",
+        s.throughput_rps, s.makespan_s, s.worst_residual
+    ));
+    for d in &s.devices {
+        r.line(format_args!(
+            "    {:<18} {:>6} requests {:>5} batches  busy {:>7.2}s  breaker `{}`",
+            d.name, d.requests, d.batches, d.busy_s, d.final_breaker_state
+        ));
+    }
+    for v in &violations {
+        r.line(format_args!("  VIOLATION: {v}"));
+    }
+    r.fail(
+        violations.len(),
+        format!("campaign violated {} invariant(s)", violations.len()),
+    );
+    Ok(r)
 }
 
 #[cfg(test)]

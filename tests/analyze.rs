@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use trisolve::analysis::{analyze_params, statically_rejected};
 use trisolve::analyze;
+use trisolve::harness::HarnessOptions;
 use trisolve::prelude::*;
 use trisolve::sanitize;
 use trisolve::solver::kernels::elem_bytes;
@@ -17,14 +18,14 @@ fn planted_defect_fixtures_all_refuted() {
     let fixtures = analyze::fixture_checks();
     assert_eq!(fixtures.len(), 5);
     for f in &fixtures {
-        assert!(f.refuted, "{} not refuted: {}", f.name, f.detail);
+        assert!(f.passed, "{} not refuted: {}", f.name, f.detail);
         assert!(!f.detail.is_empty());
     }
 }
 
 #[test]
 fn full_matrix_certifies_on_every_device_in_both_precisions() {
-    let cases = analyze::sweep(&analyze::AnalyzeOptions::full());
+    let cases = analyze::sweep(&HarnessOptions::full());
     // Per device and precision: every grid shape (paper + many-small) x
     // its admissible layout variants (the interleaved family joins at
     // the 32-system batch floor), plus the repack and baseline kernel
@@ -56,7 +57,7 @@ fn full_matrix_certifies_on_every_device_in_both_precisions() {
 
 #[test]
 fn cross_validation_finds_no_soundness_gap() {
-    let checks = analyze::cross_validate(&analyze::AnalyzeOptions::quick()).unwrap();
+    let checks = analyze::cross_validate(&HarnessOptions::quick()).unwrap();
     assert!(!checks.is_empty());
     for c in &checks {
         assert!(c.certified, "{}: sample did not certify", c.label);
@@ -80,7 +81,7 @@ proptest! {
         strided in any::<bool>(),
     ) {
         let dev = &devices()[dev_idx];
-        let shapes = sanitize::shrunk_paper_grid(16);
+        let shapes = WorkloadShape::shrunk_paper_grid(16);
         let shape = shapes[shape_idx % shapes.len()];
         let variant = if strided { BaseVariant::Strided } else { BaseVariant::Coalesced };
         let params = SolverParams {

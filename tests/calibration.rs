@@ -116,7 +116,7 @@ fn fig5_280_sizes_256_and_512_are_close() {
 
 #[test]
 fn fig7_dynamic_never_loses_static_usually_wins() {
-    let grid = experiments::paper_grid(4);
+    let grid = WorkloadShape::shrunk_paper_grid(4);
     let mut cells = Vec::new();
     for device in DeviceSpec::paper_devices() {
         cells.extend(experiments::fig7_device(&device, &grid));
@@ -184,7 +184,7 @@ fn fig7_default_parameters_are_8800_baseline() {
 
 #[test]
 fn fig8_gpu_wins_parallel_workloads() {
-    let grid = experiments::paper_grid(4); // 256x512 ... (parallel rows)
+    let grid = WorkloadShape::shrunk_paper_grid(4); // 256x512 ... (parallel rows)
     let rows = experiments::fig8_comparison(&grid[..3]);
     for r in &rows {
         assert!(

@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 use trisolve::chaos;
+use trisolve::harness::HarnessOptions;
 use trisolve::prelude::*;
 use trisolve::tridiag::cpu_batch::{solve_batch_sequential, BatchAlgorithm};
 use trisolve::tridiag::workloads::{ill_conditioned, non_dominant};
@@ -157,7 +158,7 @@ fn recovery_rolls_up_into_the_metrics_report() {
 /// The quick campaign (the CI smoke) must fully recover.
 #[test]
 fn quick_campaign_recovers_every_case() {
-    let cases = chaos::campaign(&chaos::ChaosOptions::quick()).unwrap();
+    let cases = chaos::campaign(&HarnessOptions::quick(), chaos::CHAOS_SEED).unwrap();
     assert!(!cases.is_empty());
     for c in &cases {
         assert!(

@@ -111,7 +111,100 @@ fn solve_rejects_a_bad_seed_in_both_precisions() {
         ]);
         assert!(!ok, "{precision}: bad seed must fail, got:\n{stdout}");
         assert!(stderr.contains("--seed must be a number"), "{stderr}");
+
+        let (ok, stdout, stderr) = run(&[
+            "solve",
+            "--systems",
+            "4",
+            "--size",
+            "256",
+            "--tuner",
+            "bogus",
+            "--precision",
+            precision,
+        ]);
+        assert!(!ok, "{precision}: bad tuner must fail, got:\n{stdout}");
+        assert!(stderr.contains("unknown tuner `bogus`"), "{stderr}");
     }
+}
+
+/// The f64 path runs through the same code as f32: `--json`, `--tuner`
+/// and `--workload` all reach it.
+#[test]
+fn f64_solve_honours_json_tuner_and_workload() {
+    let residual = |workload: &str| {
+        let (ok, stdout, stderr) = run(&[
+            "solve",
+            "--systems",
+            "4",
+            "--size",
+            "1024",
+            "--precision",
+            "f64",
+            "--tuner",
+            "static",
+            "--workload",
+            workload,
+            "--json",
+        ]);
+        assert!(ok, "{stderr}");
+        let v: serde_json::Value = serde_json::from_str(&stdout).expect("valid JSON");
+        assert_eq!(v["tuner"], "static");
+        let residual = v["worst_relative_residual"].as_f64().unwrap();
+        assert!(residual < 1e-10, "{workload}: {residual}");
+        residual
+    };
+    assert_ne!(residual("random"), residual("poisson"));
+}
+
+#[test]
+fn malformed_input_fails_with_a_typed_error() {
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["solve", "--systems", "2", "--size", "64", "--bogus", "3"],
+            "`solve` does not accept `--bogus`",
+        ),
+        (
+            &["tune", "--systems", "0", "--size", "8"],
+            "--systems must be a positive integer",
+        ),
+        (
+            &["serve-sim", "--quick", "--scale", "nan"],
+            "--scale must be",
+        ),
+        (&["serve-sim", "--quick", "--scale", "0"], "--scale must be"),
+        (
+            &["serve-sim", "--quick", "--scale", "-1"],
+            "--scale must be",
+        ),
+    ];
+    for (args, message) in cases {
+        let (ok, stdout, stderr) = run(args);
+        assert!(!ok, "{args:?} must fail, got:\n{stdout}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+}
+
+/// Transforms that fit on chip have no split to tune; even one point runs.
+#[test]
+fn fft_runs_on_chip_lengths() {
+    for len in ["1", "2", "4"] {
+        let (ok, stdout, stderr) = run(&["fft", "--len", len]);
+        assert!(ok, "--len {len}: {stderr}");
+        assert!(stdout.contains(&format!("FFT of {len} points")), "{stdout}");
+    }
+}
+
+/// One exit rule: the exit status agrees with the JSON verdict.
+#[test]
+fn stability_exit_status_agrees_with_its_verdict() {
+    let out = Command::new(env!("CARGO_BIN_EXE_trisolve"))
+        .args(["analyze", "--stability", "--quick", "--json"])
+        .output()
+        .expect("binary runs");
+    let v: serde_json::Value =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
+    assert_eq!(v["sound"].as_bool(), Some(out.status.success()));
 }
 
 #[test]

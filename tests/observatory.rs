@@ -18,7 +18,7 @@ fn roofline_verdict_agrees_with_simulator_across_fig5_8_sweep() {
     let mut launches = 0u64;
     let mut families = std::collections::BTreeSet::new();
     for dev in DeviceSpec::paper_devices() {
-        for shape in experiments::paper_grid(1) {
+        for shape in WorkloadShape::shrunk_paper_grid(1) {
             let batch: SystemBatch<f32> =
                 random_dominant(shape, experiments::EXPERIMENT_SEED).unwrap();
             let params = StaticTuner.params_for(shape, dev.queryable(), 4);

@@ -193,11 +193,10 @@ fn out_of_memory_is_reported_not_panicked() {
 /// label and geometry, in plan order, for every op of every plan over the
 /// shrunk paper grid × devices × layouts × precisions.
 fn described_launches_are_executed<T: trisolve::solver::kernels::GpuScalar>() {
-    use trisolve::sanitize::shrunk_paper_grid;
     use trisolve::solver::params::INTERLEAVED_MIN_SYSTEMS;
     let eb = trisolve::solver::kernels::elem_bytes::<T>();
     for device in DeviceSpec::paper_devices() {
-        for shape in shrunk_paper_grid(16) {
+        for shape in WorkloadShape::shrunk_paper_grid(16) {
             let batch = random_dominant::<T>(shape, 7).unwrap();
             let mut variants = vec![BaseVariant::Strided, BaseVariant::Coalesced];
             if shape.num_systems >= INTERLEAVED_MIN_SYSTEMS {

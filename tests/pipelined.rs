@@ -5,9 +5,9 @@
 //! export's stream rows, and the admission gate rejecting an uncertified
 //! schedule before any launch.
 
+use trisolve::harness::many_small_shape;
 use trisolve::obs::Phase;
 use trisolve::prelude::*;
-use trisolve::sanitize::{shrunk_many_small, shrunk_paper_grid};
 use trisolve::solver::{lower_schedule, CoreError};
 
 /// Batches per pipelined run: three exercises both event-edge families of
@@ -60,8 +60,8 @@ macro_rules! assert_pipelined_bit_identical {
 /// many-small batch, in both precisions.
 #[test]
 fn pipelined_matches_sync_bit_for_bit_across_the_grids() {
-    let mut shapes = shrunk_paper_grid(16);
-    shapes.push(shrunk_many_small(16));
+    let mut shapes = WorkloadShape::shrunk_paper_grid(16);
+    shapes.push(many_small_shape(16));
     shapes.dedup();
     for (i, &shape) in shapes.iter().enumerate() {
         assert_pipelined_bit_identical!(f32, shape, 100 + i as u64);

@@ -19,7 +19,6 @@ use trisolve::autotune::Microbench;
 use trisolve::gpu::KernelStats;
 use trisolve::prelude::*;
 use trisolve::solver::kernels::{elem_bytes, GpuScalar};
-use trisolve_bench::experiments::{many_small_grid, paper_grid};
 
 /// Grid shrink factor: the `--quick` grid of the figure binaries.
 const SHRINK: usize = 4;
@@ -88,9 +87,9 @@ fn check_device<T: GpuScalar>(dev: &DeviceSpec) -> usize {
     let q = dev.queryable().clone();
     let eb = elem_bytes::<T>();
     let mut points = 0;
-    let shapes = paper_grid(SHRINK)
+    let shapes = WorkloadShape::shrunk_paper_grid(SHRINK)
         .into_iter()
-        .chain(many_small_grid(SHRINK));
+        .chain(WorkloadShape::shrunk_many_small_grid(SHRINK));
     for shape in shapes {
         let base = clamp_to_device(StaticTuner.params_for(shape, &q, eb), &q, eb);
         // A fresh harness per shape holds one tuning batch at a time.
@@ -128,7 +127,8 @@ fn check_device_both_precisions(dev: DeviceSpec) {
     let f32_points = check_device::<f32>(&dev);
     let f64_points = check_device::<f64>(&dev);
     // Every shape admits at least the staged layouts.
-    let shapes = paper_grid(SHRINK).len() + many_small_grid(SHRINK).len();
+    let shapes = WorkloadShape::shrunk_paper_grid(SHRINK).len()
+        + WorkloadShape::shrunk_many_small_grid(SHRINK).len();
     assert!(f32_points >= 2 * shapes, "{f32_points} f32 points");
     assert!(f64_points >= 2 * shapes, "{f64_points} f64 points");
 }

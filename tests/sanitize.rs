@@ -3,6 +3,7 @@
 //! precisions and both layout variants, and enabling the sanitizer must not
 //! change a solve's results or simulated timing by a single bit.
 
+use trisolve::harness::HarnessOptions;
 use trisolve::prelude::*;
 use trisolve::sanitize;
 
@@ -11,14 +12,14 @@ fn injected_hazard_fixtures_all_detected() {
     let fixtures = sanitize::fixture_checks().unwrap();
     assert_eq!(fixtures.len(), 4);
     for f in &fixtures {
-        assert!(f.detected, "{} not detected: {}", f.name, f.detail);
+        assert!(f.passed, "{} not detected: {}", f.name, f.detail);
         assert!(!f.detail.is_empty());
     }
 }
 
 #[test]
 fn shipping_kernels_sweep_clean_in_both_precisions() {
-    let opts = sanitize::SweepOptions {
+    let opts = HarnessOptions {
         devices: vec![DeviceSpec::gtx_470()],
         shrink: 16,
         both_precisions: true,

@@ -8,9 +8,9 @@
 
 use proptest::prelude::*;
 use trisolve::analysis::certify_plan;
-use trisolve::analyze::{stability_fixture_checks, stability_sweep, AnalyzeOptions};
+use trisolve::analyze::{stability_fixture_checks, stability_sweep};
+use trisolve::harness::{many_small_shape, HarnessOptions};
 use trisolve::prelude::*;
-use trisolve::sanitize::{shrunk_many_small, shrunk_paper_grid};
 use trisolve::solver::kernels::{elem_bytes, GpuScalar};
 use trisolve::tridiag::workloads::WorkloadClass;
 
@@ -26,8 +26,8 @@ const CLASSES: &[WorkloadClass] = &[
 /// Fig. 5–8 shapes (shrunk) plus the many-small regime — the matrix the
 /// soundness property samples from.
 fn property_grid() -> Vec<WorkloadShape> {
-    let mut grid = shrunk_paper_grid(4);
-    grid.push(shrunk_many_small(4));
+    let mut grid = WorkloadShape::shrunk_paper_grid(4);
+    grid.push(many_small_shape(4));
     grid
 }
 
@@ -36,7 +36,7 @@ fn stability_fixtures_are_exactly_three_and_all_refuted() {
     let fixtures = stability_fixture_checks();
     assert_eq!(fixtures.len(), 3);
     for f in &fixtures {
-        assert!(f.refuted, "{} not refuted: {}", f.name, f.detail);
+        assert!(f.passed, "{} not refuted: {}", f.name, f.detail);
         assert!(!f.detail.is_empty());
     }
 }
@@ -46,7 +46,7 @@ fn stability_fixtures_are_exactly_three_and_all_refuted() {
 /// (a dominant class refused), and both verdict kinds must occur.
 #[test]
 fn full_stability_sweep_has_no_false_verdicts() {
-    let cases = stability_sweep(&AnalyzeOptions::full());
+    let cases = stability_sweep(&HarnessOptions::full());
     assert!(!cases.is_empty());
     for c in &cases {
         assert!(
