@@ -3,9 +3,8 @@
 
 use crate::cache::TuningCache;
 use crate::tuners::{DynamicTuner, TunedConfig};
-use trisolve_core::engine::{Backend, GpuBackend};
 use trisolve_core::kernels::{elem_bytes, GpuScalar};
-use trisolve_core::{Result, SolveOutcome};
+use trisolve_core::{solve_batch_on_gpu, Result, SolveOutcome};
 use trisolve_gpu_sim::Gpu;
 use trisolve_tridiag::workloads::WorkloadShape;
 use trisolve_tridiag::SystemBatch;
@@ -24,9 +23,7 @@ pub fn solve_auto<T: GpuScalar>(
 ) -> Result<SolveOutcome<T>> {
     let shape = WorkloadShape::new(batch.num_systems, batch.system_size);
     let params = ensure_tuned(gpu, shape, cache).params_for(shape);
-    let mut backend = GpuBackend::new(gpu);
-    let mut session = backend.prepare(shape, &params)?;
-    backend.solve(&mut session, batch, &params)
+    solve_batch_on_gpu(gpu, batch, &params)
 }
 
 /// Fetch the cached configuration for this device, element width and

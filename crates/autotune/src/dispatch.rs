@@ -13,9 +13,9 @@ use crate::microbench::Microbench;
 use crate::tuners::{DynamicTuner, TunedConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use trisolve_core::engine::{Backend, CpuBackend, GpuBackend};
 use trisolve_core::kernels::{elem_bytes, GpuScalar};
-use trisolve_core::{CoreError, SolveOutcome, SolvePlan};
+use trisolve_core::reference::solve_on_host;
+use trisolve_core::{solve_batch_on_gpu, CoreError, SolveOutcome, SolvePlan};
 use trisolve_gpu_sim::{CpuSpec, Gpu};
 use trisolve_tridiag::workloads::WorkloadShape;
 use trisolve_tridiag::SystemBatch;
@@ -107,11 +107,10 @@ impl Dispatcher {
         verdict
     }
 
-    /// Solve on whichever engine the (cached) verdict prefers, routed
-    /// through the matching [`Backend`]: the CPU path really solves on the
-    /// host (sequential LU, like MKL) under the calibrated timing model,
-    /// with `outcome.plan` recording what the GPU *would* have run; the GPU
-    /// path runs the tuned multi-stage solver.
+    /// Solve on whichever engine the (cached) verdict prefers: the CPU path
+    /// really solves on the host (sequential LU, like MKL) under the
+    /// calibrated timing model, with `outcome.plan` recording what the GPU
+    /// *would* have run; the GPU path runs the tuned multi-stage solver.
     pub fn solve<T: GpuScalar>(
         &mut self,
         gpu: &mut Gpu<T>,
@@ -121,18 +120,10 @@ impl Dispatcher {
         let verdict = self.decide(gpu, shape);
         let params = verdict.gpu_config.params_for(shape);
         match verdict.engine {
-            Engine::Gpu => {
-                let mut backend = GpuBackend::new(gpu);
-                let mut session = backend.prepare(shape, &params)?;
-                let outcome = backend.solve(&mut session, batch, &params)?;
-                Ok((outcome, Engine::Gpu))
-            }
+            Engine::Gpu => Ok((solve_batch_on_gpu(gpu, batch, &params)?, Engine::Gpu)),
             Engine::Cpu => {
-                let mut backend = CpuBackend::new(self.cpu_spec())
-                    .with_reference_device(gpu.spec().queryable().clone());
-                let mut session =
-                    <CpuBackend as Backend<T>>::prepare(&mut backend, shape, &params)?;
-                let outcome = backend.solve(&mut session, batch, &params)?;
+                let outcome =
+                    solve_on_host(batch, &params, gpu.spec().queryable(), &self.cpu_spec())?;
                 Ok((outcome, Engine::Cpu))
             }
         }

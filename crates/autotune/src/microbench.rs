@@ -331,7 +331,9 @@ mod tests {
         let t_session = mb.measure(&mut gpu, shape, &p);
         let batch = random_dominant::<f64>(shape, TUNING_SEED).unwrap();
         let mut fresh: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
-        let t_one_shot = solver::measure_solve_time(&mut fresh, &batch, &p).unwrap();
+        let t_one_shot = solver::solve_batch_on_gpu(&mut fresh, &batch, &p)
+            .unwrap()
+            .sim_time_s;
         assert_eq!(t_session, t_one_shot);
     }
 

@@ -201,6 +201,20 @@ impl Deserialize for TunedConfig {
             usize::from_value(v.get(k).unwrap_or(&serde::Value::Null))
                 .map_err(|e| serde::DeError::msg(format!("TunedConfig.{k}: {e}")))
         };
+        // The switch points are nonzero powers of two: the only values the
+        // tuner writes and `SolverParams::validate` accepts. Anything else
+        // (a zero `onchip_size` divides by zero in `params_for`) is refused
+        // here, so a damaged plan file is quarantined, not served.
+        let switch_point = |k: &'static str| {
+            let x = required(k)?;
+            if x.is_power_of_two() {
+                Ok(x)
+            } else {
+                Err(serde::DeError::msg(format!(
+                    "TunedConfig.{k}: {x} is not a nonzero power of two"
+                )))
+            }
+        };
         let defaulted = |k: &'static str| match v.get(k) {
             None | Some(serde::Value::Null) => Ok(0usize),
             Some(x) => usize::from_value(x)
@@ -219,8 +233,8 @@ impl Deserialize for TunedConfig {
         }
         Ok(TunedConfig {
             version: TUNED_CONFIG_VERSION,
-            onchip_size: required("onchip_size")?,
-            thomas_switch: required("thomas_switch")?,
+            onchip_size: switch_point("onchip_size")?,
+            thomas_switch: switch_point("thomas_switch")?,
             strided_from_stride: required("strided_from_stride")?,
             interleaved_below_size: defaulted("interleaved_below_size")?,
             interleaved_from_systems: defaulted("interleaved_from_systems")?,
@@ -874,6 +888,7 @@ pub fn clamp_to_device(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use trisolve_gpu_sim::DeviceSpec;
 
     #[test]
@@ -1257,5 +1272,50 @@ mod tests {
         clamped
             .validate(DeviceSpec::geforce_8800_gtx().queryable(), 4)
             .unwrap();
+    }
+
+    /// A field value: zero, a power of two, a small integer or a large one.
+    fn field() -> impl Strategy<Value = usize> {
+        (0u64..4, any::<u64>()).prop_map(|(kind, r)| match kind {
+            0 => 0,
+            1 => 1 << (r % 40),
+            2 => (r % 4096) as usize,
+            _ => (r % (1 << 50)) as usize,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decoded_configs_serve_every_shape(
+            onchip in field(),
+            thomas in field(),
+            (strided, below, from, stage1) in (field(), field(), field(), field()),
+            (elem, evals) in (field(), field()),
+        ) {
+            let doc = serde_json::json!({
+                "onchip_size": onchip,
+                "thomas_switch": thomas,
+                "strided_from_stride": strided,
+                "interleaved_below_size": below,
+                "interleaved_from_systems": from,
+                "stage1_target_systems": stage1,
+                "elem_bytes": elem,
+                "evaluations": evals
+            });
+            let decoded = TunedConfig::from_value(&doc);
+            let switch_points_valid = onchip.is_power_of_two() && thomas.is_power_of_two();
+            prop_assert_eq!(decoded.is_ok(), switch_points_valid);
+            if let Ok(cfg) = decoded {
+                for m in [1, 3, 64, 1 << 16] {
+                    for n in [1, 5, 64, 1000, 1 << 21] {
+                        let p = cfg.params_for(WorkloadShape::new(m, n));
+                        prop_assert_eq!(p.onchip_size, onchip);
+                        prop_assert!(p.thomas_switch <= thomas);
+                    }
+                }
+            }
+        }
     }
 }

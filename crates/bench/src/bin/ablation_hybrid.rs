@@ -32,7 +32,9 @@ fn time_base_kernel<T: GpuScalar>(device: &DeviceSpec, m: usize, n: usize, t4: u
         thomas_switch: t4,
         variant: trisolve_core::BaseVariant::Strided,
     };
-    solver::measure_solve_time(&mut gpu, &batch, &params).unwrap() * 1e3
+    solver::solve_batch_on_gpu(&mut gpu, &batch, &params)
+        .unwrap()
+        .sim_time_ms()
 }
 
 fn time_baseline<T: GpuScalar>(

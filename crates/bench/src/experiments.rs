@@ -6,7 +6,7 @@
 //! reproduction targets (see EXPERIMENTS.md).
 
 use trisolve_autotune::{DefaultTuner, DynamicTuner, StaticTuner, Tuner};
-use trisolve_core::engine::{Backend, GpuBackend, StageTimeline};
+use trisolve_core::engine::StageTimeline;
 use trisolve_core::kernels::GpuScalar;
 use trisolve_core::{solver, SolveOutcome, SolverParams};
 use trisolve_gpu_sim::{CpuSpec, DeviceSpec, Gpu};
@@ -24,24 +24,18 @@ pub fn solve_ms<T: GpuScalar>(
     params: &SolverParams,
 ) -> f64 {
     let mut gpu: Gpu<T> = Gpu::new(device.clone());
-    match solver::measure_solve_time(&mut gpu, batch, params) {
-        Ok(t) => t * 1e3,
-        Err(_) => f64::INFINITY,
-    }
+    solver::solve_batch_on_gpu(&mut gpu, batch, params).map_or(f64::INFINITY, |o| o.sim_time_ms())
 }
 
-/// Solve one configuration on one device through the [`GpuBackend`] engine,
-/// returning the full outcome (`None` if the configuration cannot run).
+/// Solve one configuration on one device, returning the full outcome
+/// (`None` if the configuration cannot run).
 pub fn solve_outcome<T: GpuScalar>(
     device: &DeviceSpec,
     batch: &SystemBatch<T>,
     params: &SolverParams,
 ) -> Option<SolveOutcome<T>> {
     let mut gpu: Gpu<T> = Gpu::new(device.clone());
-    let shape = WorkloadShape::new(batch.num_systems, batch.system_size);
-    let mut backend = GpuBackend::new(&mut gpu);
-    let mut session = backend.prepare(shape, params).ok()?;
-    backend.solve(&mut session, batch, params).ok()
+    solver::solve_batch_on_gpu(&mut gpu, batch, params).ok()
 }
 
 /// The per-stage [`StageTimeline`] of one configuration on one device
@@ -64,12 +58,7 @@ pub fn traced_chrome_trace<T: GpuScalar>(
 ) -> Option<String> {
     let mut gpu: Gpu<T> = Gpu::new(device.clone());
     gpu.set_tracer(trisolve_obs::Tracer::enabled());
-    let shape = WorkloadShape::new(batch.num_systems, batch.system_size);
-    {
-        let mut backend = GpuBackend::new(&mut gpu);
-        let mut session = backend.prepare(shape, params).ok()?;
-        backend.solve(&mut session, batch, params).ok()?;
-    }
+    solver::solve_batch_on_gpu(&mut gpu, batch, params).ok()?;
     let tracer = gpu.tracer();
     Some(trisolve_obs::chrome_trace(
         &tracer.events(),

@@ -13,8 +13,11 @@
 //!   match the baseline to float noise (1e-9 relative) in *either*
 //!   direction: any drift is a cost-model, tuning or lowering change that
 //!   must re-snapshot the baseline, and a planted 1% regression fails.
-//! - **tuner evaluations** — the dynamic tuner's search cost, compared
-//!   exactly (the search is deterministic too).
+//! - **tuner evaluations, launches and payload bytes** — the dynamic
+//!   tuner's search cost, the solve's and the run's kernel launches
+//!   (`solve_launches`, `total_launches`) and the global-memory payload
+//!   (`gmem_payload_bytes`), compared exactly in either direction: all
+//!   are deterministic counts.
 //! - **recovery counters** — `faults_injected`, `retries`, `fallbacks`
 //!   with zero tolerance: a clean benchmark run must stay clean.
 //!
@@ -195,13 +198,18 @@ pub fn compare_case(
             }
         }
     }
-    if let Some(b) = num("tuner_evaluations") {
-        checks.push(exact(
-            "tuner_evaluations",
-            b,
-            rec.tuner_evaluations as f64,
-            0.0,
-        ));
+    // Search cost, launch counts and payload bytes are deterministic
+    // counts: gated exactly. Each is absent from some older baselines.
+    let counts: [(&'static str, f64); 4] = [
+        ("tuner_evaluations", rec.tuner_evaluations as f64),
+        ("solve_launches", rec.solve_launches as f64),
+        ("total_launches", rec.total_launches as f64),
+        ("gmem_payload_bytes", rec.gmem_payload_bytes as f64),
+    ];
+    for (name, current) in counts {
+        if let Some(b) = num(name) {
+            checks.push(exact(name, b, current, 0.0));
+        }
     }
     let counters: [(&'static str, u64); 3] = [
         ("faults_injected", rec.faults_injected),

@@ -82,13 +82,16 @@ fn gate_fails_on_planted_one_percent_regressions() {
     let shape = WorkloadShape::new(64, 512);
     let rec = measure_workload(&dev, shape);
     let tol = Tolerances::default();
-    let row = |dynamic_ms: f64, pipelined_ms: f64, evals: usize| {
+    let row = |dynamic_ms: f64, pipelined_ms: f64, evals: usize, counts: (usize, u64, u64)| {
         serde_json::json!({
             "systems": 64,
             "size": 512,
             "dynamic_ms": dynamic_ms,
             "pipelined_ms": pipelined_ms,
             "tuner_evaluations": evals,
+            "solve_launches": counts.0,
+            "total_launches": counts.1,
+            "gmem_payload_bytes": counts.2,
         })
     };
     let regressed = |doc: serde_json::Value| -> Vec<&'static str> {
@@ -96,15 +99,31 @@ fn gate_fails_on_planted_one_percent_regressions() {
         report.regressions().iter().map(|(_, k)| k.metric).collect()
     };
     let (d, p, e) = (rec.dynamic_ms, rec.pipelined_ms, rec.tuner_evaluations);
+    let (sl, tl, b) = (
+        rec.solve_launches,
+        rec.total_launches,
+        rec.gmem_payload_bytes,
+    );
+    let c = (sl, tl, b);
 
-    assert!(regressed(row(d, p, e)).is_empty());
+    assert!(regressed(row(d, p, e, c)).is_empty());
     // Each deterministic metric 1% worse than its baseline fails the gate.
-    assert_eq!(regressed(row(d / 1.01, p, e)), ["dynamic_ms"]);
-    assert_eq!(regressed(row(d, p / 1.01, e)), ["pipelined_ms"]);
-    assert_eq!(regressed(row(d, p, e - 1)), ["tuner_evaluations"]);
+    assert_eq!(regressed(row(d / 1.01, p, e, c)), ["dynamic_ms"]);
+    assert_eq!(regressed(row(d, p / 1.01, e, c)), ["pipelined_ms"]);
+    assert_eq!(regressed(row(d, p, e - 1, c)), ["tuner_evaluations"]);
+    // One launch more or fewer, and 1% more payload bytes, fail too.
+    assert_eq!(regressed(row(d, p, e, (sl - 1, tl, b))), ["solve_launches"]);
+    assert_eq!(regressed(row(d, p, e, (sl + 1, tl, b))), ["solve_launches"]);
+    assert_eq!(regressed(row(d, p, e, (sl, tl - 1, b))), ["total_launches"]);
+    assert_eq!(regressed(row(d, p, e, (sl, tl + 1, b))), ["total_launches"]);
+    let fewer_bytes = (b as f64 / 1.01) as u64;
+    assert_eq!(
+        regressed(row(d, p, e, (sl, tl, fewer_bytes))),
+        ["gmem_payload_bytes"]
+    );
     // Drift the other way is a behaviour change too: re-snapshot it.
     assert_eq!(
-        regressed(row(d * 1.01, p, e + 1)),
+        regressed(row(d * 1.01, p, e + 1, c)),
         ["dynamic_ms", "tuner_evaluations"]
     );
 }

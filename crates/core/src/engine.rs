@@ -1,13 +1,7 @@
-//! The execution engine: *where* a batch is solved, behind one interface.
+//! The execution engine: how a batch is solved on the simulated device.
 //!
-//! Three pieces compose here:
+//! Two pieces compose here:
 //!
-//! * [`Backend`] — the trait both execution targets implement. The
-//!   [`GpuBackend`] runs the multi-stage plan on the simulated device; the
-//!   [`CpuBackend`] runs the host reference solvers of
-//!   `trisolve_tridiag::cpu_batch` under the calibrated CPU timing model.
-//!   Callers that dispatch between engines (`trisolve-autotune`) program
-//!   against the trait, not against either implementation.
 //! * [`SolveSession`] — a reusable per-shape context. Repeated solves of
 //!   the same workload shape (the dynamic tuner's micro-benchmark loop,
 //!   Criterion benches) skip plan construction, padded-staging allocation
@@ -16,10 +10,16 @@
 //!   [`DeviceBuffer`](trisolve_gpu_sim::DeviceBuffer) guards, and caches
 //!   built [`SolvePlan`]s per parameter point. Dropping the session frees
 //!   everything — including on kernel-error paths, where no manual
-//!   `gpu.free()` bookkeeping exists to get wrong.
+//!   `gpu.free()` bookkeeping exists to get wrong. One-shot callers use
+//!   [`solve_batch_on_gpu`](crate::solver::solve_batch_on_gpu), which is a
+//!   fresh session plus one solve.
 //! * [`StageTimeline`] — a serialisable per-stage profile aggregated from
 //!   the launch-by-launch [`KernelStats`], replacing ad-hoc accounting in
 //!   the reporting binaries.
+//!
+//! The host engine, sequential pivoted LU under the calibrated CPU timing
+//! model, is one function:
+//! [`solve_on_host`](crate::reference::solve_on_host).
 
 use crate::kernels::{elem_bytes, BufferRole, CoeffBuffers, GpuScalar};
 use crate::params::SolverParams;
@@ -31,11 +31,10 @@ use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use trisolve_gpu_sim::{
-    overlap_ratio, serial_time_s, wall_time_s, BufferId, CpuSpec, DeviceBuffer, DeviceSpec, Gpu,
-    KernelStats, QueryableProps, ValidationReport,
+    overlap_ratio, serial_time_s, wall_time_s, BufferId, DeviceBuffer, Gpu, KernelStats,
+    QueryableProps, ValidationReport,
 };
 use trisolve_obs::{arg, Phase, TraceEvent};
-use trisolve_tridiag::cpu_batch::{solve_batch_sequential, BatchAlgorithm};
 use trisolve_tridiag::workloads::WorkloadShape;
 use trisolve_tridiag::{Scalar, SystemBatch};
 
@@ -324,6 +323,19 @@ impl SharedPlanCache {
     }
 }
 
+/// [`CoreError::BadParams`] unless `batch` has exactly `shape`.
+pub(crate) fn check_shape<T: Scalar>(shape: WorkloadShape, batch: &SystemBatch<T>) -> Result<()> {
+    if (batch.num_systems, batch.system_size) != (shape.num_systems, shape.system_size) {
+        return Err(CoreError::BadParams {
+            detail: format!(
+                "session prepared for {}x{} systems, got {}x{}",
+                shape.num_systems, shape.system_size, batch.num_systems, batch.system_size
+            ),
+        });
+    }
+    Ok(())
+}
+
 impl<T: GpuScalar> SolveSession<T> {
     /// Allocate a session's device buffers for `shape` on `gpu`.
     pub fn new(gpu: &mut Gpu<T>, shape: WorkloadShape) -> Result<Self> {
@@ -457,23 +469,6 @@ impl<T: GpuScalar> SolveSession<T> {
     /// inspect warnings such as low occupancy).
     pub fn validation_for(&self, params: &SolverParams) -> Option<&ValidationReport> {
         self.validation.get(params)
-    }
-
-    fn check_batch(&self, batch: &SystemBatch<T>) -> Result<()> {
-        if batch.num_systems != self.shape.num_systems
-            || batch.system_size != self.shape.system_size
-        {
-            return Err(CoreError::BadParams {
-                detail: format!(
-                    "session prepared for {}x{} systems, got {}x{}",
-                    self.shape.num_systems,
-                    self.shape.system_size,
-                    batch.num_systems,
-                    batch.system_size
-                ),
-            });
-        }
-        Ok(())
     }
 
     /// Upload the batch's four coefficient arrays into `targets`, padding
@@ -761,7 +756,7 @@ impl<T: GpuScalar> SolveSession<T> {
         params: &SolverParams,
     ) -> Result<SolvePlan> {
         for batch in batches {
-            self.check_batch(batch)?;
+            check_shape(self.shape, batch)?;
         }
         Ok(self.plan_for(params)?.clone())
     }
@@ -950,234 +945,6 @@ pub struct PipelinedOutcome<T: Scalar> {
     pub plan: SolvePlan,
     /// The certified schedule that was executed.
     pub schedule: Schedule,
-}
-
-// ---------------------------------------------------------------------------
-// Backend trait and implementations
-// ---------------------------------------------------------------------------
-
-/// An execution target for batched tridiagonal solves.
-///
-/// Both engines — the simulated-GPU multi-stage solver and the host
-/// reference solver — expose the same three-step protocol: `prepare` a
-/// reusable session for a workload shape (validating the parameter point),
-/// then `solve` or `measure` through it as many times as needed.
-pub trait Backend<T: GpuScalar> {
-    /// The reusable per-shape context this backend hands out.
-    type Session;
-
-    /// Short engine name, for reports.
-    fn name(&self) -> &'static str;
-
-    /// Build a session for `shape`, validating `params` eagerly (the plan
-    /// for `params` is built and cached).
-    fn prepare(&mut self, shape: WorkloadShape, params: &SolverParams) -> Result<Self::Session>;
-
-    /// Solve a batch through a prepared session.
-    fn solve(
-        &mut self,
-        session: &mut Self::Session,
-        batch: &SystemBatch<T>,
-        params: &SolverParams,
-    ) -> Result<SolveOutcome<T>>;
-
-    /// Report the simulated time of solving `batch` through `session`.
-    fn measure(
-        &mut self,
-        session: &mut Self::Session,
-        batch: &SystemBatch<T>,
-        params: &SolverParams,
-    ) -> Result<f64>;
-}
-
-/// The simulated-GPU engine: multi-stage plan execution on a borrowed
-/// device.
-#[derive(Debug)]
-pub struct GpuBackend<'g, T: GpuScalar> {
-    gpu: &'g mut Gpu<T>,
-}
-
-impl<'g, T: GpuScalar> GpuBackend<'g, T> {
-    /// Wrap a device.
-    pub fn new(gpu: &'g mut Gpu<T>) -> Self {
-        Self { gpu }
-    }
-
-    /// The underlying device (e.g. to inspect the timeline after solves).
-    pub fn gpu(&mut self) -> &mut Gpu<T> {
-        self.gpu
-    }
-}
-
-impl<T: GpuScalar> Backend<T> for GpuBackend<'_, T> {
-    type Session = SolveSession<T>;
-
-    fn name(&self) -> &'static str {
-        "gpu"
-    }
-
-    fn prepare(&mut self, shape: WorkloadShape, params: &SolverParams) -> Result<Self::Session> {
-        let mut session = SolveSession::new(self.gpu, shape)?;
-        session.plan_for(params)?;
-        Ok(session)
-    }
-
-    fn solve(
-        &mut self,
-        session: &mut Self::Session,
-        batch: &SystemBatch<T>,
-        params: &SolverParams,
-    ) -> Result<SolveOutcome<T>> {
-        session.solve(self.gpu, batch, params)
-    }
-
-    fn measure(
-        &mut self,
-        session: &mut Self::Session,
-        batch: &SystemBatch<T>,
-        params: &SolverParams,
-    ) -> Result<f64> {
-        session.measure(self.gpu, batch, params)
-    }
-}
-
-/// A [`CpuBackend`] session: the workload shape plus the record-keeping
-/// plans (what the GPU *would* have run, so engine-agnostic callers can
-/// still inspect `outcome.plan`).
-#[derive(Debug)]
-pub struct CpuSession {
-    shape: WorkloadShape,
-    plans: HashMap<SolverParams, SolvePlan>,
-}
-
-impl CpuSession {
-    /// The workload shape this session was prepared for.
-    pub fn shape(&self) -> WorkloadShape {
-        self.shape
-    }
-}
-
-/// The host engine: batched reference solves (sequential LU by default, the
-/// MKL analogue) timed by the calibrated [`CpuSpec`] model.
-#[derive(Debug, Clone)]
-pub struct CpuBackend {
-    cpu: CpuSpec,
-    algorithm: BatchAlgorithm,
-    /// Reference device the record-keeping plans are built against.
-    device: QueryableProps,
-}
-
-impl CpuBackend {
-    /// A CPU engine with the given timing model, solving with sequential LU
-    /// (partial pivoting — the robust path the paper compares against).
-    /// Record-keeping plans are built against the paper's GTX 470 unless
-    /// overridden with [`CpuBackend::with_reference_device`].
-    pub fn new(cpu: CpuSpec) -> Self {
-        Self {
-            cpu,
-            algorithm: BatchAlgorithm::Lu,
-            device: DeviceSpec::gtx_470().queryable().clone(),
-        }
-    }
-
-    /// Build the record-keeping plans against this device instead (useful
-    /// when dispatching against a specific GPU, so `outcome.plan` records
-    /// what *that* device would have run).
-    pub fn with_reference_device(mut self, device: QueryableProps) -> Self {
-        self.device = device;
-        self
-    }
-
-    /// A session seeded with an already-built plan: no re-validation, and
-    /// `outcome.plan` reproduces `plan` exactly. The way to cross-check a
-    /// finished GPU outcome whose plan may target a different device.
-    pub fn prepare_with_plan(&self, plan: SolvePlan) -> CpuSession {
-        let shape = plan.shape;
-        let mut plans = HashMap::new();
-        plans.insert(plan.params, plan);
-        CpuSession { shape, plans }
-    }
-
-    /// Override the batch algorithm (e.g. [`BatchAlgorithm::Thomas`]).
-    pub fn with_algorithm(mut self, algorithm: BatchAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// The CPU timing model in use.
-    pub fn cpu_spec(&self) -> &CpuSpec {
-        &self.cpu
-    }
-
-    /// Modelled seconds for a whole batch (threads chosen automatically).
-    fn model_time(&self, shape: WorkloadShape) -> f64 {
-        self.cpu
-            .time_batch_lu_auto(shape.num_systems, shape.system_size)
-            .0
-    }
-}
-
-impl<T: GpuScalar> Backend<T> for CpuBackend {
-    type Session = CpuSession;
-
-    fn name(&self) -> &'static str {
-        "cpu"
-    }
-
-    fn prepare(&mut self, shape: WorkloadShape, params: &SolverParams) -> Result<Self::Session> {
-        let plan = SolvePlan::build(shape, params, &self.device, elem_bytes::<T>())?;
-        let mut plans = HashMap::new();
-        plans.insert(*params, plan);
-        Ok(CpuSession { shape, plans })
-    }
-
-    fn solve(
-        &mut self,
-        session: &mut Self::Session,
-        batch: &SystemBatch<T>,
-        params: &SolverParams,
-    ) -> Result<SolveOutcome<T>> {
-        let shape = WorkloadShape::new(batch.num_systems, batch.system_size);
-        if shape != session.shape {
-            return Err(CoreError::BadParams {
-                detail: format!(
-                    "session prepared for {}x{} systems, got {}x{}",
-                    session.shape.num_systems,
-                    session.shape.system_size,
-                    shape.num_systems,
-                    shape.system_size
-                ),
-            });
-        }
-        let plan = match session.plans.entry(*params) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => v.insert(SolvePlan::build(
-                shape,
-                params,
-                &self.device,
-                elem_bytes::<T>(),
-            )?),
-        }
-        .clone();
-        let x = solve_batch_sequential(batch, self.algorithm)?;
-        Ok(SolveOutcome {
-            x,
-            sim_time_s: self.model_time(shape),
-            kernel_stats: Vec::new(),
-            plan,
-        })
-    }
-
-    fn measure(
-        &mut self,
-        session: &mut Self::Session,
-        _batch: &SystemBatch<T>,
-        _params: &SolverParams,
-    ) -> Result<f64> {
-        // The CPU side's timing is an analytic model: no need to actually
-        // factorise to read the clock.
-        Ok(self.model_time(session.shape))
-    }
 }
 
 #[cfg(test)]
@@ -1523,8 +1290,11 @@ mod tests {
         session.solve(&mut gpu, &batch, &p1).unwrap();
         session.solve(&mut gpu, &batch, &p1).unwrap();
         assert_eq!(session.cached_plans(), 1);
-        session.measure(&mut gpu, &batch, &p2).unwrap();
+        let t = session.measure(&mut gpu, &batch, &p2).unwrap();
         assert_eq!(session.cached_plans(), 2);
+        let out = session.solve(&mut gpu, &batch, &p2).unwrap();
+        assert!(batch_worst_relative_residual(&batch, &out.x).unwrap() < 1e-9);
+        assert_eq!(t, out.sim_time_s, "deterministic simulation");
     }
 
     #[test]
@@ -1546,36 +1316,6 @@ mod tests {
         let batch = random_dominant::<f64>(WorkloadShape::new(2, 512), 1).unwrap();
         let err = session.solve(&mut gpu, &batch, &params(16, 256, 32));
         assert!(matches!(err, Err(CoreError::BadParams { .. })));
-    }
-
-    #[test]
-    fn gpu_backend_routes_through_sessions() {
-        let shape = WorkloadShape::new(8, 1024);
-        let p = params(16, 256, 32);
-        let batch = random_dominant::<f64>(shape, 4).unwrap();
-        let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
-        let mut backend = GpuBackend::new(&mut gpu);
-        assert_eq!(Backend::<f64>::name(&backend), "gpu");
-        let mut session = backend.prepare(shape, &p).unwrap();
-        let out = backend.solve(&mut session, &batch, &p).unwrap();
-        assert!(batch_worst_relative_residual(&batch, &out.x).unwrap() < 1e-9);
-        let t = backend.measure(&mut session, &batch, &p).unwrap();
-        assert_eq!(t, out.sim_time_s, "deterministic simulation");
-    }
-
-    #[test]
-    fn cpu_backend_solves_on_host() {
-        let shape = WorkloadShape::new(4, 300);
-        let p = params(16, 256, 32);
-        let batch = random_dominant::<f64>(shape, 11).unwrap();
-        let mut backend = CpuBackend::new(CpuSpec::core_i5_dual_3_4ghz());
-        let mut session = Backend::<f64>::prepare(&mut backend, shape, &p).unwrap();
-        let out = backend.solve(&mut session, &batch, &p).unwrap();
-        assert!(batch_worst_relative_residual(&batch, &out.x).unwrap() < 1e-10);
-        assert!(out.kernel_stats.is_empty(), "no kernel launches on the CPU");
-        assert!(out.sim_time_s > 0.0);
-        let t = backend.measure(&mut session, &batch, &p).unwrap();
-        assert_eq!(t, out.sim_time_s);
     }
 
     #[test]

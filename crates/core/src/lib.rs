@@ -36,8 +36,7 @@ pub mod schedule;
 pub mod solver;
 
 pub use engine::{
-    Backend, CpuBackend, CpuSession, GpuBackend, PipelinedOutcome, SharedPlanCache, SolveSession,
-    StageTimeline, StageTimelineEntry,
+    PipelinedOutcome, SharedPlanCache, SolveSession, StageTimeline, StageTimelineEntry,
 };
 pub use error::CoreError;
 pub use params::{BaseVariant, SolverParams, BASE_KERNEL_REGS_PER_THREAD};

@@ -1,34 +1,54 @@
-//! CPU cross-checks for the GPU solver: verify outcomes against the
-//! pivoting LU reference (routed through the [`CpuBackend`] engine) and
-//! replay a plan's algebra on the host.
+//! The host side of the solver: the sequential pivoted-LU engine the
+//! paper compares against ([`solve_on_host`]), cross-checks of GPU
+//! outcomes against it, and a host replay of a plan's algebra.
 
-use crate::engine::{Backend, CpuBackend};
-use crate::kernels::GpuScalar;
+use crate::engine::check_shape;
+use crate::kernels::{elem_bytes, GpuScalar};
+use crate::params::SolverParams;
 use crate::plan::{SolvePlan, StageOp};
 use crate::solver::SolveOutcome;
 use crate::Result;
-use trisolve_gpu_sim::CpuSpec;
+use trisolve_gpu_sim::{CpuSpec, QueryableProps};
+use trisolve_tridiag::cpu_batch::{solve_batch_sequential, BatchAlgorithm};
 use trisolve_tridiag::norms;
+use trisolve_tridiag::workloads::WorkloadShape;
 use trisolve_tridiag::{Scalar, SystemBatch};
 
-/// Worst relative residual of a GPU outcome over every system of the batch.
-pub fn verify_outcome<T: Scalar>(batch: &SystemBatch<T>, outcome: &SolveOutcome<T>) -> Result<f64> {
-    Ok(norms::batch_worst_relative_residual(batch, &outcome.x)?)
+/// Solve a batch on the host with sequential pivoted LU (the MKL analogue
+/// of Fig. 8), timed by the calibrated `cpu` model.
+///
+/// `outcome.plan` records what `device` *would* have run for this batch
+/// under `params`, so callers that pick an engine can still inspect it.
+/// The outcome reports no kernel launches.
+pub fn solve_on_host<T: GpuScalar>(
+    batch: &SystemBatch<T>,
+    params: &SolverParams,
+    device: &QueryableProps,
+    cpu: &CpuSpec,
+) -> Result<SolveOutcome<T>> {
+    let shape = WorkloadShape::new(batch.num_systems, batch.system_size);
+    let plan = SolvePlan::build(shape, params, device, elem_bytes::<T>())?;
+    let x = solve_batch_sequential(batch, BatchAlgorithm::Lu)?;
+    Ok(SolveOutcome {
+        x,
+        sim_time_s: cpu
+            .time_batch_lu_auto(shape.num_systems, shape.system_size)
+            .0,
+        kernel_stats: Vec::new(),
+        plan,
+    })
 }
 
-/// Worst component-wise deviation between a GPU outcome and the LU
-/// reference solution, obtained through the [`CpuBackend`] engine (the same
-/// path `autotune` dispatches host solves to).
-pub fn compare_with_lu<T: GpuScalar>(
+/// Worst component-wise deviation between a GPU outcome and the sequential
+/// pivoted-LU reference solution. A batch whose shape differs from the
+/// outcome's plan is [`CoreError::BadParams`](crate::CoreError::BadParams).
+pub fn compare_with_lu<T: Scalar>(
     batch: &SystemBatch<T>,
     outcome: &SolveOutcome<T>,
 ) -> Result<f64> {
-    let mut backend = CpuBackend::new(CpuSpec::core_i5_dual_3_4ghz());
-    // Seed the session with the outcome's own plan: no re-validation
-    // against a reference device the solve never ran on.
-    let mut session = backend.prepare_with_plan(outcome.plan.clone());
-    let reference = backend.solve(&mut session, batch, &outcome.plan.params)?;
-    Ok(norms::max_abs_diff(&outcome.x, &reference.x))
+    check_shape(outcome.plan.shape, batch)?;
+    let reference = solve_batch_sequential(batch, BatchAlgorithm::Lu)?;
+    Ok(norms::max_abs_diff(&outcome.x, &reference))
 }
 
 /// Replay a plan's stage algebra entirely on the CPU: the same PCR split
@@ -109,6 +129,7 @@ mod tests {
     use super::*;
     use crate::params::{BaseVariant, SolverParams};
     use crate::solver::solve_batch_on_gpu;
+    use crate::CoreError;
     use trisolve_gpu_sim::{DeviceSpec, Gpu};
     use trisolve_tridiag::workloads::{random_dominant, WorkloadShape};
 
@@ -142,7 +163,47 @@ mod tests {
         let params = SolverParams::default_untuned();
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_280());
         let out = solve_batch_on_gpu(&mut gpu, &batch, &params).unwrap();
-        assert!(verify_outcome(&batch, &out).unwrap() < 1e-10);
+        assert!(norms::batch_worst_relative_residual(&batch, &out.x).unwrap() < 1e-10);
         assert!(compare_with_lu(&batch, &out).unwrap() < 1e-8);
+    }
+
+    #[test]
+    fn solve_on_host_records_the_plan_and_no_launches() {
+        let shape = WorkloadShape::new(4, 300);
+        let params = SolverParams {
+            stage1_target_systems: 16,
+            onchip_size: 256,
+            thomas_switch: 32,
+            variant: BaseVariant::Strided,
+        };
+        let device = DeviceSpec::gtx_470();
+        let plan = SolvePlan::build(shape, &params, device.queryable(), 8).unwrap();
+        let cpu = CpuSpec::core_i5_dual_3_4ghz();
+        let batch = random_dominant::<f64>(shape, 11).unwrap();
+        let out = solve_on_host(&batch, &params, device.queryable(), &cpu).unwrap();
+        assert!(norms::batch_worst_relative_residual(&batch, &out.x).unwrap() < 1e-10);
+        assert!(
+            out.kernel_stats.is_empty(),
+            "no kernel launches on the host"
+        );
+        assert_eq!(out.sim_time_s, cpu.time_batch_lu_auto(4, 300).0);
+        assert!(out.sim_time_s > 0.0);
+        assert_eq!((out.plan.shape, out.plan.params), (shape, params));
+        assert_eq!(out.plan.summary(), plan.summary());
+    }
+
+    #[test]
+    fn compare_with_lu_refuses_a_batch_of_another_shape() {
+        let params = SolverParams::default_untuned();
+        let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_280());
+        let batch = random_dominant::<f64>(WorkloadShape::new(2, 300), 3).unwrap();
+        let out = solve_batch_on_gpu(&mut gpu, &batch, &params).unwrap();
+        // Same element count, different shape: not comparable.
+        let other = random_dominant::<f64>(WorkloadShape::new(4, 150), 3).unwrap();
+        let err = compare_with_lu(&other, &out);
+        assert!(matches!(err, Err(CoreError::BadParams { .. })));
+        let shorter = random_dominant::<f64>(WorkloadShape::new(1, 300), 3).unwrap();
+        let err = compare_with_lu(&shorter, &out);
+        assert!(matches!(err, Err(CoreError::BadParams { .. })));
     }
 }

@@ -29,10 +29,11 @@
 //! `residual_failures` counters, all rolled up by
 //! [`trisolve_obs::MetricsReport`].
 
-use crate::engine::{Backend, CpuBackend, SolveSession};
+use crate::engine::{check_shape, SolveSession};
 use crate::error::CoreError;
 use crate::kernels::GpuScalar;
 use crate::params::{BaseVariant, SolverParams};
+use crate::reference::solve_on_host;
 use crate::solver::SolveOutcome;
 use crate::Result;
 use trisolve_gpu_sim::{CpuSpec, Gpu};
@@ -90,24 +91,10 @@ impl ResiliencePolicy {
         }
     }
 
-    /// Set the retry budget per chain step.
-    #[must_use]
-    pub fn with_max_retries(mut self, retries: usize) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
     /// Set the residual acceptance threshold.
     #[must_use]
     pub fn with_residual_tolerance(mut self, tol: f64) -> Self {
         self.residual_tolerance = tol;
-        self
-    }
-
-    /// Set the base backoff charged to the simulated clock per retry.
-    #[must_use]
-    pub fn with_backoff_base_s(mut self, seconds: f64) -> Self {
-        self.backoff_base_s = seconds;
         self
     }
 
@@ -126,13 +113,6 @@ impl ResiliencePolicy {
         if bound.is_finite() && bound > 0.0 {
             self.residual_tolerance = self.residual_tolerance.min(bound);
         }
-        self
-    }
-
-    /// Enable or disable the CPU last-resort step.
-    #[must_use]
-    pub fn with_cpu_fallback(mut self, enabled: bool) -> Self {
-        self.cpu_fallback = enabled;
         self
     }
 
@@ -385,11 +365,10 @@ impl<T: GpuScalar> SolveSession<T> {
         gpu: &Gpu<T>,
         batch: &SystemBatch<T>,
     ) -> Result<SolveOutcome<T>> {
-        let mut cpu = CpuBackend::new(CpuSpec::core_i5_dual_3_4ghz())
-            .with_reference_device(gpu.spec().queryable().clone());
+        check_shape(self.shape(), batch)?;
         let p = SolverParams::default_untuned();
-        let mut session = Backend::<T>::prepare(&mut cpu, self.shape(), &p)?;
-        Backend::<T>::solve(&mut cpu, &mut session, batch, &p)
+        let cpu = CpuSpec::core_i5_dual_3_4ghz();
+        solve_on_host(batch, &p, gpu.spec().queryable(), &cpu)
     }
 }
 

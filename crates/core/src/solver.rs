@@ -2,7 +2,7 @@
 //! [`SolveSession`](crate::engine::SolveSession): pad, upload, execute the
 //! plan's stage sequence with double-buffered coefficient arrays, download
 //! and unpad. Callers that solve the same shape repeatedly should hold a
-//! session (or a [`crate::engine::Backend`]) instead.
+//! session instead.
 
 use crate::engine::SolveSession;
 use crate::kernels::GpuScalar;
@@ -50,16 +50,6 @@ pub fn solve_batch_on_gpu<T: GpuScalar>(
     session.solve(gpu, batch, params)
     // The session drops here: its RAII buffer guards release every device
     // allocation — on the error path too, with no cleanup bookkeeping.
-}
-
-/// Solve and report only the simulated time — the measurement primitive the
-/// dynamic tuner's micro-benchmarks use.
-pub fn measure_solve_time<T: GpuScalar>(
-    gpu: &mut Gpu<T>,
-    batch: &SystemBatch<T>,
-    params: &SolverParams,
-) -> Result<f64> {
-    Ok(solve_batch_on_gpu(gpu, batch, params)?.sim_time_s)
 }
 
 #[cfg(test)]
@@ -200,17 +190,5 @@ mod tests {
             .map(trisolve_gpu_sim::KernelStats::total_time_s)
             .sum();
         assert!((sum - out.sim_time_s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn measure_matches_solve() {
-        let shape = WorkloadShape::new(16, 1024);
-        let p = params(16, 256, 64, BaseVariant::Strided);
-        let batch = workloads::random_dominant::<f64>(shape, 5).unwrap();
-        let mut g1: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
-        let mut g2: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
-        let t1 = measure_solve_time(&mut g1, &batch, &p).unwrap();
-        let t2 = solve_batch_on_gpu(&mut g2, &batch, &p).unwrap().sim_time_s;
-        assert_eq!(t1, t2); // deterministic simulation
     }
 }

@@ -114,12 +114,6 @@ pub struct DeviceSpec {
 }
 
 impl DeviceSpec {
-    /// Assemble a device from its two halves (used by presets and by the
-    /// calibration tests).
-    pub fn from_parts(query: QueryableProps, hidden: HiddenProps) -> Self {
-        Self { query, hidden }
-    }
-
     /// The runtime-queryable properties — all a static tuner may see.
     pub fn queryable(&self) -> &QueryableProps {
         &self.query
@@ -134,11 +128,6 @@ impl DeviceSpec {
     /// in `trisolve-autotune` take [`QueryableProps`] only.
     pub fn hidden(&self) -> &HiddenProps {
         &self.hidden
-    }
-
-    /// Mutable access to the hidden constants, for calibration experiments.
-    pub fn hidden_mut(&mut self) -> &mut HiddenProps {
-        &mut self.hidden
     }
 
     /// Short device name.

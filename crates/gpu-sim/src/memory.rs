@@ -724,11 +724,6 @@ impl<E: Element> Gpu<E> {
         self.elapsed_s
     }
 
-    /// Simulated time elapsed on this device, in milliseconds.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.elapsed_s * 1e3
-    }
-
     /// Reset the simulated clock and the launch profile (buffers survive).
     /// Stream engine state resets too — per-stream ready times, engine
     /// free times, the interval log, and recorded event times (events
@@ -745,11 +740,6 @@ impl<E: Element> Gpu<E> {
     /// The per-launch profile since the last [`Gpu::reset_clock`].
     pub fn timeline(&self) -> &[KernelStats] {
         &self.timeline
-    }
-
-    /// Stats of the most recent launch.
-    pub fn last_stats(&self) -> Option<&KernelStats> {
-        self.timeline.last()
     }
 
     /// Launch a kernel.

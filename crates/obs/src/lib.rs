@@ -70,4 +70,4 @@ pub use hist::{Histogram, Percentiles};
 pub use metrics::{KernelSummary, MetricsReport};
 pub use registry::MetricsRegistry;
 pub use roofline::{verdict_from_components, DevicePeaks, LimiterVerdict, RooflineSample};
-pub use sink::{TraceBuffer, TraceSink, Tracer};
+pub use sink::{TraceBuffer, Tracer};

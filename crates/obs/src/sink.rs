@@ -15,32 +15,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use crate::event::{ArgValue, Phase, TraceEvent};
 use crate::registry::MetricsRegistry;
 
-/// Where trace events go. Implemented by [`TraceBuffer`]; instrumented
-/// code talks to the [`Tracer`] handle instead of the trait so the
-/// disabled path stays a branch-and-return.
-pub trait TraceSink: std::fmt::Debug + Send + Sync {
-    /// Record one event. The sink assigns the sequence number.
-    fn record(
-        &self,
-        phase: Phase,
-        cat: &'static str,
-        name: String,
-        ts_us: f64,
-        dur_us: f64,
-        args: Vec<(&'static str, ArgValue)>,
-    );
-
-    /// Add `delta` to the named monotonic counter.
-    fn counter_add(&self, name: &'static str, delta: u64);
-
-    /// Advance the simulated-time gauge (monotonic: stale values are kept).
-    fn set_clock_us(&self, ts_us: f64);
-
-    /// Current value of the simulated-time gauge, in microseconds.
-    fn clock_us(&self) -> f64;
-}
-
-/// The standard in-memory sink: an append-only event buffer plus named
+/// The in-memory trace sink: an append-only event buffer plus named
 /// atomic counters and a monotonic simulated-clock gauge.
 #[derive(Debug, Default)]
 pub struct TraceBuffer {
@@ -90,10 +65,9 @@ impl TraceBuffer {
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
-}
 
-impl TraceSink for TraceBuffer {
-    fn record(
+    /// Record one event. The buffer assigns the sequence number.
+    pub fn record(
         &self,
         phase: Phase,
         cat: &'static str,
@@ -115,7 +89,8 @@ impl TraceSink for TraceBuffer {
         self.events.lock().expect("trace buffer poisoned").push(ev);
     }
 
-    fn counter_add(&self, name: &'static str, delta: u64) {
+    /// Add `delta` to the named monotonic counter.
+    pub fn counter_add(&self, name: &'static str, delta: u64) {
         {
             let map = self.counters.read().expect("counter map poisoned");
             if let Some(c) = map.get(name) {
@@ -129,7 +104,8 @@ impl TraceSink for TraceBuffer {
             .fetch_add(delta, Ordering::Relaxed);
     }
 
-    fn set_clock_us(&self, ts_us: f64) {
+    /// Advance the simulated-time gauge (monotonic: stale values are kept).
+    pub fn set_clock_us(&self, ts_us: f64) {
         // Monotonic max over f64 bit patterns; non-negative floats order
         // the same as their bit patterns, so a CAS loop on bits suffices.
         let new_bits = ts_us.to_bits();
@@ -147,7 +123,8 @@ impl TraceSink for TraceBuffer {
         }
     }
 
-    fn clock_us(&self) -> f64 {
+    /// Current value of the simulated-time gauge, in microseconds.
+    pub fn clock_us(&self) -> f64 {
         f64::from_bits(self.clock_us_bits.load(Ordering::Relaxed))
     }
 }

@@ -473,6 +473,58 @@ mod tests {
     }
 
     #[test]
+    fn zero_onchip_size_entry_quarantines() {
+        // `params_for` divides by the on-chip size: an entry with 0 must
+        // never load, or the service would panic on its first batch.
+        let path = tmp("zero-onchip.json");
+        let mut db = PlanDb::open(&path);
+        db.put(PlanDb::key("d", 4, 64, "dominant", "auto"), cfg(0));
+        db.save().unwrap();
+        let reopened = PlanDb::open(&path);
+        match reopened.origin() {
+            DbOrigin::Quarantined { reason, .. } => {
+                assert!(reason.contains("onchip_size"), "reason: {reason}");
+            }
+            other => panic!("expected quarantine, got {other:?}"),
+        }
+        assert!(reopened.is_empty());
+    }
+
+    #[test]
+    fn deeply_nested_file_quarantines() {
+        let path = tmp("deeply-nested.json");
+        let depth = 100_000;
+        std::fs::write(&path, "[".repeat(depth) + &"]".repeat(depth)).unwrap();
+        let reopened = PlanDb::open(&path);
+        match reopened.origin() {
+            DbOrigin::Quarantined { reason, .. } => {
+                assert!(reason.contains("recursion limit"), "reason: {reason}");
+            }
+            other => panic!("expected quarantine, got {other:?}"),
+        }
+        assert!(reopened.is_empty());
+    }
+
+    #[test]
+    fn json_nesting_limit_is_exact() {
+        use serde::value::MAX_DEPTH;
+        assert_eq!(MAX_DEPTH, 128);
+        let arrays = |k: usize| "[".repeat(k) + &"]".repeat(k);
+        let objects = |k: usize| "{\"k\":".repeat(k) + "null" + &"}".repeat(k);
+        for depth in [MAX_DEPTH, MAX_DEPTH + 1] {
+            for text in [arrays(depth), objects(depth)] {
+                let parsed = serde_json::from_str::<serde_json::Value>(&text);
+                if depth == MAX_DEPTH {
+                    assert!(parsed.is_ok(), "depth {depth}: {parsed:?}");
+                } else {
+                    let err = parsed.unwrap_err().to_string();
+                    assert!(err.contains("recursion limit exceeded"), "{err}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn in_memory_db_saves_as_noop() {
         let mut db = PlanDb::in_memory();
         db.put("k".to_owned(), cfg(8));

@@ -173,13 +173,6 @@ pub enum Disposition {
     Shed(Rejection),
 }
 
-impl Disposition {
-    /// True for completed requests.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, Disposition::Completed(_))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,7 +8,7 @@
 //! the same property the paper's evaluation workloads rely on.
 
 use crate::scalar::Scalar;
-use crate::system::{SystemBatch, TridiagonalSystem};
+use crate::system::SystemBatch;
 use crate::Result;
 use rand::distributions::{Distribution, Uniform};
 use rand::SeedableRng;
@@ -390,12 +390,6 @@ pub fn non_dominant<T: Scalar>(
         }
     }
     SystemBatch::new(shape.num_systems, n, a, b, c, d)
-}
-
-/// Extract a single [`TridiagonalSystem`] convenience generator (system 0 of a
-/// one-system batch) for examples and docs.
-pub fn single_random_dominant<T: Scalar>(n: usize, seed: u64) -> Result<TridiagonalSystem<T>> {
-    random_dominant(WorkloadShape::new(1, n), seed)?.system(0)
 }
 
 /// A numerically characterised workload class: one of the three families the

@@ -6,7 +6,6 @@
 
 use trisolve::gpu::DeviceSpec;
 use trisolve::prelude::*;
-use trisolve::solver::solver::measure_solve_time;
 
 fn main() {
     // A workload with real tension between the switch points: a few big
@@ -36,7 +35,8 @@ fn main() {
 
         for (name, p) in [("default", p_def), ("static", p_sta), ("dynamic", p_dyn)] {
             let mut gpu: Gpu<f32> = Gpu::new(device.clone());
-            let ms = measure_solve_time(&mut gpu, &batch, &p).map_or(f64::INFINITY, |t| t * 1e3);
+            let ms =
+                solve_batch_on_gpu(&mut gpu, &batch, &p).map_or(f64::INFINITY, |o| o.sim_time_ms());
             println!(
                 "  {name:<8} S3={:<5} T4={:<4} P1={:<4} {:<10} -> {ms:8.3} ms",
                 p.onchip_size,

@@ -209,11 +209,7 @@ fn cmd_solve<T: GpuScalar>(o: &CliOptions) -> Result<(), String> {
     let tuner = o.tuner.unwrap_or(TunerKind::Dynamic);
     let (params, evals) = pick_params(tuner, &mut Gpu::<T>::new(dev.clone()), shape);
     let mut gpu: Gpu<T> = Gpu::new(dev.clone());
-    let mut backend = GpuBackend::new(&mut gpu);
-    let mut session = backend.prepare(shape, &params).map_err(|e| e.to_string())?;
-    let outcome = backend
-        .solve(&mut session, &batch, &params)
-        .map_err(|e| e.to_string())?;
+    let outcome = solve_batch_on_gpu(&mut gpu, &batch, &params).map_err(|e| e.to_string())?;
     let residual = batch_worst_relative_residual(&batch, &outcome.x).map_err(|e| e.to_string())?;
     let timeline = StageTimeline::from_outcome(&outcome);
 
@@ -291,8 +287,8 @@ fn cmd_compare(o: &CliOptions) -> Result<(), String> {
             .map(|tuner| {
                 let (params, _) = pick_params(tuner, &mut Gpu::<f32>::new(dev.clone()), shape);
                 let mut gpu: Gpu<f32> = Gpu::new(dev.clone());
-                trisolve::solver::solver::measure_solve_time(&mut gpu, &batch, &params)
-                    .map_or(f64::INFINITY, |t| t * 1e3)
+                solve_batch_on_gpu(&mut gpu, &batch, &params)
+                    .map_or(f64::INFINITY, |o| o.sim_time_ms())
             })
             .collect();
         rows.push((dev.name().to_string(), times));
@@ -332,13 +328,7 @@ fn cmd_trace(o: &CliOptions) -> Result<(), String> {
     let tuner = o.tuner.unwrap_or(TunerKind::Dynamic);
     let (params, _) = pick_params(tuner, &mut gpu, shape);
 
-    let outcome = {
-        let mut backend = GpuBackend::new(&mut gpu);
-        let mut session = backend.prepare(shape, &params).map_err(|e| e.to_string())?;
-        backend
-            .solve(&mut session, &batch, &params)
-            .map_err(|e| e.to_string())?
-    };
+    let outcome = solve_batch_on_gpu(&mut gpu, &batch, &params).map_err(|e| e.to_string())?;
     let residual = batch_worst_relative_residual(&batch, &outcome.x).map_err(|e| e.to_string())?;
 
     let tracer = gpu.tracer().clone();

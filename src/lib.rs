@@ -93,8 +93,8 @@ pub mod prelude {
         TuningCache,
     };
     pub use trisolve_core::{
-        solve_batch_on_gpu, Backend, BaseVariant, CpuBackend, GpuBackend, ResiliencePolicy,
-        ResilientOutcome, SolveOutcome, SolvePlan, SolveSession, SolverParams, StageTimeline,
+        solve_batch_on_gpu, BaseVariant, ResiliencePolicy, ResilientOutcome, SolveOutcome,
+        SolvePlan, SolveSession, SolverParams, StageTimeline,
     };
     pub use trisolve_gpu_sim::{CpuSpec, DeviceSpec, FaultPlan, Gpu, QueryableProps};
     pub use trisolve_obs::{chrome_trace, jsonl, MetricsReport, TraceEvent, Tracer};

@@ -259,6 +259,34 @@ fn tune_writes_a_cache_file() {
     std::fs::remove_file(&cache).unwrap();
 }
 
+/// A file of 100 000 nested arrays is a parse error (exit 1), not a
+/// stack overflow that aborts the process.
+#[test]
+fn deeply_nested_json_files_fail_with_a_parse_error() {
+    let dir = std::env::temp_dir().join("trisolve-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let deep = dir.join(format!("deep-{}.json", std::process::id()));
+    std::fs::write(&deep, "[".repeat(100_000) + &"]".repeat(100_000)).unwrap();
+    let path = deep.to_str().unwrap();
+    let cases: [&[&str]; 2] = [
+        &["tune", "--systems", "8", "--size", "4096", "--cache", path],
+        &["report", "--regress", path, "--quick"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_trisolve"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("recursion limit exceeded"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&deep).unwrap();
+}
+
 #[test]
 fn dnc_subcommands_run() {
     let (ok, stdout, _) = run(&["sort", "--len", "16384", "--device", "8800"]);
