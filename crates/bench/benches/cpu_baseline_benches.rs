@@ -54,8 +54,11 @@ const LADDER_ROWS: usize = 1 << 16;
 /// inputs: a 64K-row system over steps 0–7, and the 512-row chains the
 /// `batch-1Kx1K` base kernel splits (each the stride-2 chain of a 1024-row
 /// system after one step, 128 chains per sample) over their steps 0–6.
-/// The off-diagonals reach the f32 subnormal range on the late steps,
-/// where x86 pays a microcode assist per instruction (DESIGN §3.17).
+/// The off-diagonals reach the f32 subnormal range on the late steps
+/// (64K steps 5–6, 512 steps 4–5), where x86 pays a microcode assist per
+/// instruction that touches a subnormal. Those steps run the row update in
+/// `f64`, which takes no assist, so they cost about 7 ns/row instead of
+/// 9–15 (DESIGN §3.17).
 fn bench_pcr_ladder(c: &mut Criterion) {
     println!("pcr_ladder: {} row kernel", row_kernel_width());
     let mut group = c.benchmark_group("pcr_ladder");

@@ -9,7 +9,13 @@
 //! Simulated metrics are deterministic (fixed seed, simulated clock);
 //! the `*_wall_ms` columns are host wall-clock and vary run to run.
 //!
+//! The process counts its heap allocations, for the tuned solve's
+//! `host_allocs` and `host_alloc_bytes` columns.
+//!
 //! `cargo run --release -p trisolve-bench --bin snapshot [-- --quick]`
+
+#[global_allocator]
+static ALLOC: trisolve_bench::alloc::CountingAlloc = trisolve_bench::alloc::CountingAlloc;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -7,6 +7,7 @@
 //! benches. Every function returns plain data so callers can print, assert
 //! or serialise it.
 
+pub mod alloc;
 pub mod experiments;
 pub mod regress;
 pub mod report;

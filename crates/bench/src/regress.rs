@@ -18,6 +18,10 @@
 //!   (`solve_launches`, `total_launches`) and the global-memory payload
 //!   (`gmem_payload_bytes`), compared exactly in either direction: all
 //!   are deterministic counts.
+//! - **heap allocations** — the tuned solve's `host_allocs` and
+//!   `host_alloc_bytes`, compared exactly in either direction when both
+//!   the baseline and this process counted them ([`crate::alloc`]; the
+//!   `trisolve` CLI and the `snapshot` binary do).
 //! - **recovery counters** — `faults_injected`, `retries`, `fallbacks`
 //!   with zero tolerance: a clean benchmark run must stay clean.
 //!
@@ -209,6 +213,17 @@ pub fn compare_case(
     for (name, current) in counts {
         if let Some(b) = num(name) {
             checks.push(exact(name, b, current, 0.0));
+        }
+    }
+    // Heap allocations are exact counts too, but only a process running
+    // the counting allocator has them.
+    let allocs: [(&'static str, Option<u64>); 2] = [
+        ("host_allocs", rec.host_allocs.map(|c| c.allocs)),
+        ("host_alloc_bytes", rec.host_allocs.map(|c| c.bytes)),
+    ];
+    for (name, current) in allocs {
+        if let (Some(b), Some(current)) = (num(name), current) {
+            checks.push(exact(name, b, current as f64, 0.0));
         }
     }
     let counters: [(&'static str, u64); 3] = [

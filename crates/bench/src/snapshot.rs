@@ -23,6 +23,7 @@ use trisolve_obs::{Histogram, MetricsRegistry, Phase, TraceEvent, Tracer};
 use trisolve_tridiag::workloads::{random_dominant, WorkloadClass, WorkloadShape};
 use trisolve_tridiag::SystemBatch;
 
+use crate::alloc::{self, AllocCounts};
 use crate::experiments;
 
 /// Per-kernel-family observability rollup of one traced run: launch
@@ -192,6 +193,10 @@ pub struct WorkloadRecord {
     pub static_wall_ms: f64,
     /// Host wall-clock ms spent on dynamic tuning plus the tuned solve.
     pub dynamic_wall_ms: f64,
+    /// Heap allocations of the tuned solve (session and resilient solve,
+    /// as `dynamic_ms` measures it); `None` when the process does not
+    /// count allocations ([`crate::alloc`]).
+    pub host_allocs: Option<AllocCounts>,
     /// Micro-benchmark evaluations the dynamic tuner performed.
     pub tuner_evaluations: usize,
     /// `tuner_evals` counter from the trace (must agree).
@@ -265,7 +270,7 @@ pub fn measure_workload(dev: &DeviceSpec, shape: WorkloadShape) -> WorkloadRecor
     // bit-identical to the plain solve).
     let policy = ResiliencePolicy::for_elem_bytes(4);
     let mut recovered_by = String::from("unrecovered");
-    let dynamic_ms = match SolveSession::new(&mut gpu, shape) {
+    let (dynamic_ms, host_allocs) = alloc::counting(|| match SolveSession::new(&mut gpu, shape) {
         Ok(mut session) => session
             .solve_resilient(&mut gpu, &batch, &params, &policy)
             .map_or(f64::INFINITY, |r| {
@@ -273,7 +278,7 @@ pub fn measure_workload(dev: &DeviceSpec, shape: WorkloadShape) -> WorkloadRecor
                 r.outcome.sim_time_ms()
             }),
         Err(_) => f64::INFINITY,
-    };
+    });
     let dynamic_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
 
     // The pipelined point: three batches through the certified two-stream
@@ -323,6 +328,7 @@ pub fn measure_workload(dev: &DeviceSpec, shape: WorkloadShape) -> WorkloadRecor
         untuned_wall_ms,
         static_wall_ms,
         dynamic_wall_ms,
+        host_allocs,
         tuner_evaluations: cfg.evaluations,
         traced_tuner_evals: counter("tuner_evals"),
         solve_launches,
@@ -391,6 +397,8 @@ pub fn workload_json(rec: &WorkloadRecord, peaks: &DevicePeaks) -> serde_json::V
         "untuned_wall_ms": rec.untuned_wall_ms,
         "static_wall_ms": rec.static_wall_ms,
         "dynamic_wall_ms": rec.dynamic_wall_ms,
+        "host_allocs": rec.host_allocs.map(|c| c.allocs),
+        "host_alloc_bytes": rec.host_allocs.map(|c| c.bytes),
         "tuner_evaluations": rec.tuner_evaluations,
         "traced_tuner_evals": rec.traced_tuner_evals,
         "solve_launches": rec.solve_launches,

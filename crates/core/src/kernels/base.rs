@@ -20,8 +20,9 @@
 //!
 //! The variants differ in their meters only. On the host, blocks whose
 //! chains sit at least one cache line of elements apart are taken in tiles
-//! of that many adjacent chains (`chain_tile`): the tile gathers and
-//! stores whole rows, its PCR steps are one step on lane-interleaved
+//! of that many adjacent chains, and blocks whose chains sit closer in
+//! tiles of every chain of their parent (`chain_tile`): the tile gathers
+//! and stores whole rows, its PCR steps are one step on lane-interleaved
 //! arrays, and its Thomas phase is one lane-wise sweep over every
 //! sub-chain of every block. Each block keeps its own meters, verdict and
 //! store (DESIGN §3.20).

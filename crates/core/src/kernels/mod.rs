@@ -203,11 +203,14 @@ const CACHE_LINE_BYTES: usize = 64;
 /// How many adjacent chain blocks stage 2 and the base kernel take per
 /// tile: one cache line of elements (16 `f32`, 8 `f64`) when chains at
 /// `stride` are that far apart, so each gathered or stored row fills a
-/// line; otherwise 1. The tile width divides `stride`, so a tile's chains
-/// share one parent system.
+/// line; every chain of a parent when `stride` is narrower than a line, so
+/// the tile is the parent's contiguous layout; otherwise 1. The tile width
+/// divides `stride`, so a tile's chains share one parent system.
 pub(crate) fn chain_tile(stride: usize, elem_bytes: usize) -> usize {
     let line = CACHE_LINE_BYTES / elem_bytes;
-    if stride >= line && stride.is_multiple_of(line) {
+    if stride < line {
+        stride
+    } else if stride.is_multiple_of(line) {
         line
     } else {
         1
@@ -236,9 +239,14 @@ impl<T: GpuScalar> ChainTile<T> {
     /// Gather the `lanes` chains starting at `first` from the four
     /// `inputs`, one `lanes`-element run per row.
     pub(crate) fn gather(first: &ChainView, lanes: usize, inputs: &[&[T]]) -> Self {
-        // One lane is the chain itself, gathered element by element (a
-        // run copy per element would cost a `memcpy` call each).
         let rows = |input: &[T]| {
+            // Every chain of the parent: the rows are contiguous, and the
+            // tile is one copy of the parent.
+            if lanes == first.stride {
+                return input[first.offset..][..first.len * lanes].to_vec();
+            }
+            // One lane is the chain itself, gathered element by element (a
+            // run copy per element would cost a `memcpy` call each).
             if lanes == 1 {
                 return first.gather(input);
             }

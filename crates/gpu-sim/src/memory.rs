@@ -1210,7 +1210,11 @@ impl<E: Element> Gpu<E> {
                         .collect()
                 })
                 .collect();
-            per_tile.into_iter().flatten().collect()
+            let mut per_block = Vec::with_capacity(grid);
+            for outcomes in per_tile {
+                per_block.extend(outcomes);
+            }
+            per_block
         };
 
         // Who wrote what, per scattered output: every block's runs, in

@@ -34,7 +34,6 @@ pub mod hybrid;
 pub mod lu;
 pub mod norms;
 pub mod pcr;
-pub mod rd;
 pub mod scalar;
 pub mod system;
 pub mod thomas;

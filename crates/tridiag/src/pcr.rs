@@ -60,15 +60,36 @@ pub fn pcr_step<T: Scalar>(
 ///
 /// The kernel is compiled twice: once for the baseline target and once
 /// with `avx512f`, 16 `f32` lanes wide, which one call picks when the host
-/// supports it ([`row_kernel_width`]). Subnormal operands cost x86 a
-/// microcode assist per instruction, not per lane, so the wider kernel
-/// pays far fewer of them on the late PCR steps.
+/// supports it ([`row_kernel_width`]). For `f32`, a run of rows whose
+/// off-diagonals are tiny is evaluated in `f64` and rounded back onto the
+/// `f32` grid after every operation ([`Scalar::pcr_row_update`]), which
+/// gives the same bits without ever handing the CPU an `f32` subnormal,
+/// and so without its microcode assists.
 ///
 /// The slices are separate parameters, not arrays, on purpose: only
 /// reference parameters carry the no-alias guarantee that lets the
 /// compiler vectorise the kernel without runtime overlap checks.
 #[allow(clippy::too_many_arguments)]
 pub fn pcr_rows<T: Scalar>(
+    stride: usize,
+    lo: usize,
+    sa: &[T],
+    sb: &[T],
+    sc: &[T],
+    sd: &[T],
+    da: &mut [T],
+    db: &mut [T],
+    dc: &mut [T],
+    dd: &mut [T],
+) {
+    pcr_rows_with::<T, Dispatched>(stride, lo, sa, sb, sc, sd, da, db, dc, dd);
+}
+
+/// [`pcr_rows`] with the row update `K`, in the widest instantiation the
+/// host runs.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn pcr_rows_with<T: Scalar, K: RowKernel<T>>(
     stride: usize,
     lo: usize,
     sa: &[T],
@@ -87,11 +108,11 @@ pub fn pcr_rows<T: Scalar>(
         // that the host supports its features, and `avx512f` was just
         // detected at run time.
         unsafe {
-            pcr_rows_avx512f(stride, lo, sa, sb, sc, sd, da, db, dc, dd);
+            pcr_rows_avx512f::<T, K>(stride, lo, sa, sb, sc, sd, da, db, dc, dd);
         }
         return;
     }
-    pcr_rows_body(stride, lo, sa, sb, sc, sd, da, db, dc, dd);
+    pcr_rows_body::<T, K>(stride, lo, sa, sb, sc, sd, da, db, dc, dd);
 }
 
 /// Which instantiation of the PCR row kernel [`pcr_rows`] runs on this
@@ -115,7 +136,7 @@ fn has_avx512f() -> bool {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-fn pcr_rows_avx512f<T: Scalar>(
+fn pcr_rows_avx512f<T: Scalar, K: RowKernel<T>>(
     stride: usize,
     lo: usize,
     sa: &[T],
@@ -127,16 +148,53 @@ fn pcr_rows_avx512f<T: Scalar>(
     dc: &mut [T],
     dd: &mut [T],
 ) {
-    pcr_rows_body(stride, lo, sa, sb, sc, sd, da, db, dc, dd);
+    pcr_rows_body::<T, K>(stride, lo, sa, sb, sc, sd, da, db, dc, dd);
+}
+
+/// A row update over equal-length runs: own rows, their `−stride`
+/// neighbours and their `+stride` neighbours, into the four outputs. An
+/// associated function rather than a closure: a closure is called through
+/// a shim that need not inline, and a kernel left outside the `avx512f`
+/// instantiation is compiled for the baseline target.
+trait RowKernel<T> {
+    #[allow(clippy::too_many_arguments)]
+    fn update(
+        own: Rows<'_, T>,
+        m: Rows<'_, T>,
+        p: Rows<'_, T>,
+        oa: &mut [T],
+        ob: &mut [T],
+        oc: &mut [T],
+        od: &mut [T],
+    );
+}
+
+/// The element type's own row update, [`Scalar::pcr_row_update`].
+struct Dispatched;
+
+impl<T: Scalar> RowKernel<T> for Dispatched {
+    #[inline(always)]
+    fn update(
+        own: Rows<'_, T>,
+        m: Rows<'_, T>,
+        p: Rows<'_, T>,
+        oa: &mut [T],
+        ob: &mut [T],
+        oc: &mut [T],
+        od: &mut [T],
+    ) {
+        T::pcr_row_update(own, m, p, oa, ob, oc, od);
+    }
 }
 
 /// Rows of identity coefficients one kernel call takes for a missing
 /// neighbour; an edge run longer than this is fed chunk by chunk.
 const IDENTITY_ROWS: usize = 64;
 
-/// The four coefficient arrays of a run of rows.
-#[derive(Clone, Copy)]
-struct Rows<'a, T> {
+/// The four coefficient arrays of a run of rows, as [`pcr_rows`] hands
+/// them to [`Scalar::pcr_row_update`].
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a, T> {
     a: &'a [T],
     b: &'a [T],
     c: &'a [T],
@@ -168,7 +226,7 @@ impl<'a, T> Rows<'a, T> {
 /// outright when both exist.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn pcr_rows_body<T: Scalar>(
+fn pcr_rows_body<T: Scalar, K: RowKernel<T>>(
     stride: usize,
     lo: usize,
     sa: &[T],
@@ -227,7 +285,7 @@ fn pcr_rows_body<T: Scalar>(
                 identity.window(0, len)
             };
             let o = start - lo;
-            row_kernel(
+            K::update(
                 src.window(start, len),
                 minus,
                 plus,
@@ -241,9 +299,10 @@ fn pcr_rows_body<T: Scalar>(
 }
 
 /// One PCR row update over equal-length runs: own rows, their `−stride`
-/// neighbours and their `+stride` neighbours, into `oa..od`.
+/// neighbours and their `+stride` neighbours, into `oa..od`, in the
+/// element type's own arithmetic.
 #[inline(always)]
-fn row_kernel<T: Scalar>(
+pub(crate) fn row_kernel<T: Scalar>(
     own: Rows<'_, T>,
     m: Rows<'_, T>,
     p: Rows<'_, T>,
@@ -262,6 +321,167 @@ fn row_kernel<T: Scalar>(
         ob[j] = own.b[j] + alpha * m.c[j] + gamma * p.a[j];
         oc[j] = gamma * p.c[j];
         od[j] = own.d[j] + alpha * m.d[j] + gamma * p.d[j];
+    }
+}
+
+/// The `f32` row update: [`row_kernel_f64`] on runs whose first
+/// [`PROBE_ROWS`] own off-diagonals hold a nonzero magnitude below
+/// [`TINY`], the native [`row_kernel`] elsewhere. Both give the same bits,
+/// so the test only decides speed.
+#[inline(always)]
+pub(crate) fn row_update_f32(
+    own: Rows<'_, f32>,
+    m: Rows<'_, f32>,
+    p: Rows<'_, f32>,
+    oa: &mut [f32],
+    ob: &mut [f32],
+    oc: &mut [f32],
+    od: &mut [f32],
+) {
+    let probe = own.window(0, own.a.len().min(PROBE_ROWS));
+    if has_tiny(probe.a) || has_tiny(probe.c) {
+        row_kernel_f64(own, m, p, oa, ob, oc, od);
+    } else {
+        row_kernel(own, m, p, oa, ob, oc, od);
+    }
+}
+
+/// Off-diagonal magnitude below which a run goes down the `f64` path:
+/// 2^−75, whose square lies below the `f32` subnormal range, so a step on
+/// such rows handles subnormals. Picked by measuring the `pcr_ladder`
+/// steps and the PCR call sites of `batch-1Kx1K` and `single-512K` (DESIGN
+/// §3.17): 2^−63, below which a step's products can go subnormal, also
+/// sent step 4 of the 64K ladder, which takes no assist, down the slower
+/// path.
+const TINY: f32 = f32::from_bits((127 - 75) << 23);
+
+/// Rows of a run the path test reads. A step shrinks the off-diagonals of
+/// every row alike, so the first rows stand for the run; scanning all of
+/// it cost the normal steps of the 64K ladder 10–20%.
+const PROBE_ROWS: usize = 64;
+
+/// Whether any element of `xs` is nonzero and smaller in magnitude than
+/// [`TINY`]: a branch-free scan of the bits.
+#[inline(always)]
+fn has_tiny(xs: &[f32]) -> bool {
+    let limit = TINY.to_bits();
+    xs.iter().fold(false, |any, x| {
+        any | ((x.to_bits() & !SIGN32).wrapping_sub(1) < limit - 1)
+    })
+}
+
+/// The sign bit of an `f32`.
+const SIGN32: u32 = 1 << 31;
+/// The sign bit of an `f64`.
+const SIGN64: u64 = 1 << 63;
+/// 2^−126, the smallest normal `f32`, as an `f64`.
+const MIN_NORMAL_F32: f64 = f32::MIN_POSITIVE as f64;
+/// 2^−97: its `f64` ulp is 2^−149, the spacing of the `f32` subnormals.
+/// `|x| + SUBNORMAL_GRID` rounds a magnitude below 2^−126 onto that grid,
+/// and the low 24 bits of the sum are the `f32` bits of the result (up to
+/// and including 2^−126 itself, at `0x0080_0000`).
+const SUBNORMAL_GRID: f64 = f64::from_bits((1023 - 97) << 52);
+/// The exponent field of 1.0 in an `f64`. OR-ed into a magnitude below
+/// 2^−126 it gives a value in `[1, 2)`, which the hardware converts to
+/// `f32` without an assist.
+const ONE_EXPONENT: u64 = 0x3ff << 52;
+
+// The lanes that must not reach a hardware conversion are changed by
+// integer operations (`|` with a mask, never a select of a constant), so
+// the compiler cannot hoist the conversion above the change: it would, for
+// a select with a constant arm.
+
+/// `x` as an `f64`, exactly, without a hardware conversion: a zero
+/// exponent gives `mantissa · 2^−149`, from the bits of 2^−97 +
+/// `mantissa` · 2^−149; any other exponent is re-biased in the bits, to
+/// 2047 for infinities and NaNs.
+#[inline(always)]
+pub(crate) fn widen(x: f32) -> f64 {
+    let bits = x.to_bits();
+    let magnitude = bits & !SIGN32;
+    let small = f64::from_bits(SUBNORMAL_GRID.to_bits() | u64::from(magnitude)) - SUBNORMAL_GRID;
+    let bias: u64 = if magnitude >= 0x7f80_0000 {
+        (2047 - 255) << 52
+    } else {
+        (1023 - 127) << 52
+    };
+    let wide = if magnitude < 0x0080_0000 {
+        small.to_bits()
+    } else {
+        (u64::from(magnitude) << 29) + bias
+    };
+    f64::from_bits(wide | (u64::from(bits & SIGN32) << 32))
+}
+
+/// `x` made safe for the hardware `f64 → f32` converter: a magnitude
+/// below 2^−126 (which would convert to a subnormal) becomes a value in
+/// `[1, 2)`; the caller discards that lane's conversion.
+#[inline(always)]
+fn convertible(x: f64, tiny: bool) -> f64 {
+    f64::from_bits(x.to_bits() | (u64::from(tiny) * ONE_EXPONENT))
+}
+
+/// `x` rounded to the nearest `f32` (ties to even, overflow to infinity),
+/// kept as an `f64`: a magnitude below 2^−126 is rounded onto the
+/// subnormal grid by [`SUBNORMAL_GRID`], every other value by the hardware
+/// converters.
+#[inline(always)]
+pub(crate) fn round(x: f64) -> f64 {
+    let tiny = x.abs() < MIN_NORMAL_F32;
+    let small = (x.abs() + SUBNORMAL_GRID) - SUBNORMAL_GRID;
+    let small = f64::from_bits(small.to_bits() | (x.to_bits() & SIGN64));
+    let normal = f64::from(convertible(x, tiny) as f32);
+    if tiny {
+        small
+    } else {
+        normal
+    }
+}
+
+/// `x` rounded to the nearest `f32`, as [`round`] does, and returned as
+/// one: the grid sum's low bits are the subnormal result.
+#[inline(always)]
+pub(crate) fn narrow(x: f64) -> f32 {
+    let tiny = x.abs() < MIN_NORMAL_F32;
+    let small = ((x.abs() + SUBNORMAL_GRID).to_bits() & 0x00ff_ffff) as u32;
+    let small = small | ((x.to_bits() >> 32) as u32 & SIGN32);
+    let normal = (convertible(x, tiny) as f32).to_bits();
+    f32::from_bits(if tiny { small } else { normal })
+}
+
+/// [`row_kernel`] for `f32`, evaluated in `f64` on operands widened by
+/// [`widen`], each operation's result rounded back onto the `f32` grid by
+/// [`round`] (the last one of each output by [`narrow`]).
+///
+/// Every `f32` value, subnormals included, is a normal `f64`, and so is
+/// every intermediate: a product of two `f32` values is exact in `f64`,
+/// and sums and quotients, rounded first to `f64` and then to `f32`, are
+/// rounded correctly because 53 ≥ 2·24 + 2. Neither `widen` nor the
+/// rounding converts an `f32` subnormal in hardware, so the path takes no
+/// subnormal assist, and its results are bit for bit those of
+/// [`row_kernel`].
+#[inline(always)]
+pub(crate) fn row_kernel_f64(
+    own: Rows<'_, f32>,
+    m: Rows<'_, f32>,
+    p: Rows<'_, f32>,
+    oa: &mut [f32],
+    ob: &mut [f32],
+    oc: &mut [f32],
+    od: &mut [f32],
+) {
+    let len = oa.len();
+    let (own, m, p) = (own.window(0, len), m.window(0, len), p.window(0, len));
+    let (ob, oc, od) = (&mut ob[..len], &mut oc[..len], &mut od[..len]);
+    for j in 0..len {
+        let alpha = round(-widen(own.a[j]) / widen(m.b[j]));
+        let gamma = round(-widen(own.c[j]) / widen(p.b[j]));
+        oa[j] = narrow(alpha * widen(m.a[j]));
+        let b = round(widen(own.b[j]) + round(alpha * widen(m.c[j])));
+        ob[j] = narrow(b + round(gamma * widen(p.a[j])));
+        oc[j] = narrow(gamma * widen(p.c[j]));
+        let d = round(widen(own.d[j]) + round(alpha * widen(m.d[j])));
+        od[j] = narrow(d + round(gamma * widen(p.d[j])));
     }
 }
 
@@ -451,6 +671,16 @@ mod tests {
         /// Smallest positive normal value, widened.
         const MIN_NORMAL: f64;
         fn bits(self) -> u64;
+
+        /// [`assert_rows_match`] with every row update of the type: the
+        /// dispatched one and, for `f32`, each of its two paths forced.
+        fn assert_kernels_match(
+            widest: bool,
+            stride: usize,
+            src: &[Vec<Self>; 4],
+            want: &[Vec<Self>; 4],
+            what: &str,
+        );
     }
 
     impl Bits for f32 {
@@ -462,6 +692,18 @@ mod tests {
                 u64::from(self.to_bits())
             }
         }
+
+        fn assert_kernels_match(
+            widest: bool,
+            stride: usize,
+            src: &[Vec<f32>; 4],
+            want: &[Vec<f32>; 4],
+            what: &str,
+        ) {
+            assert_rows_match::<f32, Dispatched>(widest, stride, src, want, what);
+            assert_rows_match::<f32, Native>(widest, stride, src, want, what);
+            assert_rows_match::<f32, F64Path>(widest, stride, src, want, what);
+        }
     }
 
     impl Bits for f64 {
@@ -472,6 +714,16 @@ mod tests {
             } else {
                 self.to_bits()
             }
+        }
+
+        fn assert_kernels_match(
+            widest: bool,
+            stride: usize,
+            src: &[Vec<f64>; 4],
+            want: &[Vec<f64>; 4],
+            what: &str,
+        ) {
+            assert_rows_match::<f64, Dispatched>(widest, stride, src, want, what);
         }
     }
 
@@ -503,9 +755,46 @@ mod tests {
         sys
     }
 
-    /// `pcr_rows` over `lo..hi` against the oracle, bit for bit: the
-    /// dispatched call (`widest`) or the baseline instantiation.
-    fn assert_rows_match<T: Bits>(
+    /// The native row kernel, forced.
+    struct Native;
+
+    impl<T: Scalar> RowKernel<T> for Native {
+        #[inline(always)]
+        fn update(
+            own: Rows<'_, T>,
+            m: Rows<'_, T>,
+            p: Rows<'_, T>,
+            oa: &mut [T],
+            ob: &mut [T],
+            oc: &mut [T],
+            od: &mut [T],
+        ) {
+            row_kernel(own, m, p, oa, ob, oc, od);
+        }
+    }
+
+    /// The `f32` row kernel evaluated in `f64`, forced.
+    struct F64Path;
+
+    impl RowKernel<f32> for F64Path {
+        #[inline(always)]
+        fn update(
+            own: Rows<'_, f32>,
+            m: Rows<'_, f32>,
+            p: Rows<'_, f32>,
+            oa: &mut [f32],
+            ob: &mut [f32],
+            oc: &mut [f32],
+            od: &mut [f32],
+        ) {
+            row_kernel_f64(own, m, p, oa, ob, oc, od);
+        }
+    }
+
+    /// `pcr_rows` over `lo..hi` with the row update `K` against the
+    /// oracle, bit for bit, in the widest instantiation the host runs
+    /// (`widest`) or the baseline one.
+    fn assert_rows_match<T: Bits, K: RowKernel<T>>(
         widest: bool,
         stride: usize,
         src: &[Vec<T>; 4],
@@ -526,20 +815,32 @@ mod tests {
             let [ga, gb, gc, gd] = &mut got;
             let [sa, sb, sc, sd] = src.each_ref().map(Vec::as_slice);
             if widest {
-                pcr_rows(stride, lo, sa, sb, sc, sd, ga, gb, gc, gd);
+                pcr_rows_with::<T, K>(stride, lo, sa, sb, sc, sd, ga, gb, gc, gd);
             } else {
-                pcr_rows_body(stride, lo, sa, sb, sc, sd, ga, gb, gc, gd);
+                pcr_rows_body::<T, K>(stride, lo, sa, sb, sc, sd, ga, gb, gc, gd);
             }
             for k in 0..4 {
                 for (j, (g, w)) in got[k].iter().zip(&want[k][lo..hi]).enumerate() {
                     assert_eq!(
                         g.bits(),
                         w.bits(),
-                        "{what} widest={widest} stride={stride} rows {lo}..{hi}: array {k} row {}: {g} vs {w}",
+                        "{what} {} widest={widest} stride={stride} rows {lo}..{hi}: array {k} row {}: {g} vs {w}",
+                        std::any::type_name::<K>(),
                         lo + j
                     );
                 }
             }
+        }
+    }
+
+    /// The instantiations to check: the baseline one and, when the host
+    /// has `avx512f`, the wide one.
+    fn widths(what: &str) -> Vec<bool> {
+        if has_avx512f() {
+            vec![false, true]
+        } else {
+            eprintln!("{what}: skipped the avx512f instantiation: host lacks avx512f");
+            vec![false]
         }
     }
 
@@ -572,15 +873,7 @@ mod tests {
     fn rows_match_scalar_oracle<T: Bits>() {
         let sizes = [1usize, 2, 3, 5, 64, 1000, 1024];
         assert!(sizes.iter().any(|&n| n > 3 * IDENTITY_ROWS));
-        let mut widths = vec![false];
-        if has_avx512f() {
-            widths.push(true);
-        } else {
-            eprintln!(
-                "{}: skipped the avx512f instantiation: host lacks avx512f",
-                T::NAME
-            );
-        }
+        let widths = widths(T::NAME);
         let specials = [
             (0, 2, f64::NAN),
             (1, 5, f64::INFINITY),
@@ -594,7 +887,7 @@ mod tests {
                     for stride in 1..=n + 1 {
                         let want = scalar_step(stride, &sys);
                         for &widest in &widths {
-                            assert_rows_match(widest, stride, &sys, &want, &what);
+                            T::assert_kernels_match(widest, stride, &sys, &want, &what);
                         }
                     }
                 }
@@ -624,6 +917,134 @@ mod tests {
             }
         }
         assert!(subnormal && zero, "{}", T::NAME);
+    }
+
+    /// Adversarial `f32` operands, both signs of each: at every exponent,
+    /// the power of two, its successor and 1.5 times it, so that sums and
+    /// products land on exact ties; odd multiples of 2^−149, whose halves
+    /// are ties on the subnormal grid; the neighbours of 2^−126; `f32::MAX`
+    /// and the factors 18 631 · 1801·2^103 = (2 − 2^−24)·2^127, the
+    /// overflow threshold, with their successors and predecessors; ±0,
+    /// ±inf and NaN.
+    fn adversarial_f32() -> Vec<f32> {
+        let mut v = vec![
+            0.0,
+            f32::INFINITY,
+            f32::NAN,
+            f32::MAX,
+            18_631.0,
+            1801.0 * 2f32.powi(103),
+        ];
+        for e in -149i32..=127 {
+            let bits = if e >= -126 {
+                ((e + 127) as u32) << 23
+            } else {
+                1 << (e + 149)
+            };
+            let half = if e >= -126 { 1 << 22 } else { bits >> 1 };
+            v.push(f32::from_bits(bits));
+            v.push(f32::from_bits(bits + 1));
+            v.push(f32::from_bits(bits | half));
+        }
+        for k in [0u32, 1, 2, 3, 7, (1 << 22) - 1, (1 << 22) + 1] {
+            v.push(f32::from_bits(2 * k + 1));
+        }
+        let edges: Vec<f32> = [
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            18_631.0,
+            1801.0 * 2f32.powi(103),
+        ]
+        .iter()
+        .flat_map(|x| [x.to_bits() - 1, x.to_bits() + 1])
+        .map(f32::from_bits)
+        .collect();
+        v.extend(edges);
+        let negatives: Vec<f32> = v.iter().map(|x| -x).collect();
+        v.extend(negatives);
+        v
+    }
+
+    /// One `f32` operation evaluated as the `f64` path evaluates it, against
+    /// the native result: [`widen`] is exact, [`round`] gives the native
+    /// result as an `f64`, [`narrow`] gives its bits.
+    fn assert_op_matches(x: f32, y: f32) {
+        let nan_as_nan = |v: f64| if v.is_nan() { u64::MAX } else { v.to_bits() };
+        assert_eq!(
+            nan_as_nan(widen(x)),
+            nan_as_nan(f64::from(x)),
+            "widen {x:e}"
+        );
+        let (wx, wy) = (widen(x), widen(y));
+        for (op, native, wide) in [
+            ('+', x + y, wx + wy),
+            ('-', x - y, wx - wy),
+            ('*', x * y, wx * wy),
+            ('/', x / y, wx / wy),
+        ] {
+            let what = || format!("{x:e} {op} {y:e} = {native:e}");
+            assert_eq!(narrow(wide).bits(), native.bits(), "narrow: {}", what());
+            let want = nan_as_nan(f64::from(native));
+            assert_eq!(nan_as_nan(round(wide)), want, "round: {}", what());
+        }
+    }
+
+    #[test]
+    fn f64_path_helpers_match_native_ops_on_adversarial_pairs() {
+        let v = adversarial_f32();
+        for &x in &v {
+            for &y in &v {
+                assert_op_matches(x, y);
+            }
+        }
+    }
+
+    /// Seeded random bit patterns: half of the operands drawn anywhere, the
+    /// other half with an exponent field below 40, so that sums, products
+    /// and quotients land in and around the subnormal range.
+    #[test]
+    fn f64_path_helpers_match_native_ops_on_random_bits() {
+        let mut s = 2011u64;
+        let mut next = || {
+            s = s
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let bits = (s >> 32) as u32;
+            if s & 1 == 0 {
+                f32::from_bits(bits)
+            } else {
+                f32::from_bits((bits & 0x807f_ffff) | ((bits >> 8) % 40) << 23)
+            }
+        };
+        for _ in 0..1 << 21 {
+            let (x, y) = (next(), next());
+            assert_op_matches(x, y);
+        }
+    }
+
+    /// Rows made of [`adversarial_f32`] values, every row update of `f32`
+    /// against the oracle at several strides and in both instantiations.
+    #[test]
+    fn adversarial_rows_match_scalar_oracle_f32() {
+        let v = adversarial_f32();
+        let mut s = 7u64;
+        let mut pick = || {
+            s = s
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            v[(s >> 33) as usize % v.len()]
+        };
+        let n = 3 * IDENTITY_ROWS + 17;
+        for round in 0..32 {
+            let sys: [Vec<f32>; 4] = [(); 4].map(|()| (0..n).map(|_| pick()).collect());
+            for stride in [1, 2, 3, 16, n / 2, n] {
+                let want = scalar_step(stride, &sys);
+                for widest in widths("f32") {
+                    let what = format!("adversarial round {round}");
+                    f32::assert_kernels_match(widest, stride, &sys, &want, &what);
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! We deliberately avoid pulling in `num-traits`: the handful of operations
 //! the solvers need is small and fixed.
 
+use crate::pcr::{self, Rows};
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -52,6 +53,22 @@ pub trait Scalar:
     /// True if the value is finite (not NaN/inf).
     fn is_finite(self) -> bool;
 
+    /// One PCR row update over equal-length runs of rows, the kernel of
+    /// [`crate::pcr::pcr_rows`]: own rows and their `−stride` and
+    /// `+stride` neighbours, into the four outputs. `f32` evaluates runs
+    /// with tiny off-diagonals in `f64`, for the same bits without
+    /// subnormal assists.
+    #[allow(clippy::too_many_arguments)]
+    fn pcr_row_update(
+        own: Rows<'_, Self>,
+        minus: Rows<'_, Self>,
+        plus: Rows<'_, Self>,
+        oa: &mut [Self],
+        ob: &mut [Self],
+        oc: &mut [Self],
+        od: &mut [Self],
+    );
+
     /// `max` that is total on non-NaN inputs.
     fn max_s(self, other: Self) -> Self {
         if self > other {
@@ -72,7 +89,7 @@ pub trait Scalar:
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $name:literal) => {
+    ($t:ty, $name:literal, $row_update:path) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -103,12 +120,24 @@ macro_rules! impl_scalar {
             fn is_finite(self) -> bool {
                 <$t>::is_finite(self)
             }
+            #[inline(always)]
+            fn pcr_row_update(
+                own: Rows<'_, Self>,
+                minus: Rows<'_, Self>,
+                plus: Rows<'_, Self>,
+                oa: &mut [Self],
+                ob: &mut [Self],
+                oc: &mut [Self],
+                od: &mut [Self],
+            ) {
+                $row_update(own, minus, plus, oa, ob, oc, od);
+            }
         }
     };
 }
 
-impl_scalar!(f32, "f32");
-impl_scalar!(f64, "f64");
+impl_scalar!(f32, "f32", pcr::row_update_f32);
+impl_scalar!(f64, "f64", pcr::row_kernel);
 
 #[cfg(test)]
 mod tests {

@@ -21,6 +21,12 @@ cargo test -q
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
+# The vendored stand-ins are not workspace members; run their own tests.
+for crate in serde serde_json rayon; do
+    echo "== cargo test (vendor/$crate) =="
+    cargo test -q --offline --manifest-path "vendor/$crate/Cargo.toml"
+done
+
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 

@@ -23,6 +23,11 @@ use trisolve::serve::LoadProfile;
 use trisolve::solver::kernels::{elem_bytes, GpuScalar};
 use trisolve::{analyze, chaos, sanitize, serve_sim};
 
+/// Counts heap allocations, so `report --regress` can gate the tuned
+/// solve's `host_allocs` and `host_alloc_bytes` exactly.
+#[global_allocator]
+static ALLOC: trisolve_bench::alloc::CountingAlloc = trisolve_bench::alloc::CountingAlloc;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
@@ -130,7 +135,7 @@ USAGE:
                    (bench-regression gate: re-measure the cases a
                     committed BENCH_<n>.json recorded and fail on
                     significant regressions in dynamic-tuned ms, tuner
-                    evaluations or recovery counters)
+                    evaluations, heap allocations or recovery counters)
   trisolve sort    --len N [--device ...]     (SVI-C merge-sort demo)
   trisolve fft     --len N [--device ...]     (SVI-C four-step FFT demo)
   trisolve quicksort --len N [--device ...]   (SVII multi-stage quicksort demo)
