@@ -12,7 +12,8 @@
 //!   device properties only (§IV-C);
 //! * [`tuners::DynamicTuner`] — the self-tuner (§IV-D): seeded by the static
 //!   guess, it searches the **decoupled** parameter groups with
-//!   micro-benchmarks and caches the result for future runs.
+//!   micro-benchmarks and saves the result for future runs in the
+//!   [`plandb::PlanDb`] ([`auto::solve_auto`] tunes on first use).
 //!
 //! The two pruning ideas the paper contributes are first-class here:
 //!
@@ -24,17 +25,17 @@
 //!    the optimum of the (empirically near-unimodal) search space.
 
 pub mod auto;
-pub mod cache;
 pub mod dispatch;
 pub mod microbench;
+pub mod plandb;
 pub mod search;
 pub mod space;
 pub mod tuners;
 
 pub use auto::{ensure_tuned, solve_auto};
-pub use cache::TuningCache;
 pub use dispatch::{Dispatcher, Engine};
 pub use microbench::Microbench;
+pub use plandb::{DbOrigin, PlanDb, PLANDB_FORMAT_VERSION};
 pub use search::{
     exhaustive_pow2, exhaustive_pow2_traced, hill_climb_pow2, hill_climb_pow2_traced, SearchStats,
 };

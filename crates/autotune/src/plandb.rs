@@ -1,10 +1,14 @@
-//! Crash-safe persistent plan database.
+//! Crash-safe persistent plan database: the one on-disk store of tuned
+//! configurations ("we then save this switch point parameter for future
+//! runs", §IV-D).
 //!
-//! The service pays the dynamic tuner's ~14–18 microbench evaluations at
-//! most **once per workload class**: tuned configurations are keyed by
-//! `device × precision × size-bucket × class × layout` and persisted to
-//! disk, so a restarted service warm-starts with zero tuner evaluations
-//! for every class it has seen before.
+//! [`crate::solve_auto`], `trisolve tune --cache` and the solver service
+//! all read and write it, so the dynamic tuner's ~14–18 microbench
+//! evaluations are paid at most **once per workload class**: tuned
+//! configurations are keyed by `device × precision × size-bucket × class ×
+//! layout` ([`PlanDb::key`]) and persisted to disk, so a restarted process
+//! warm-starts with zero tuner evaluations for every class it has seen
+//! before.
 //!
 //! The file is JSON with an explicit `format_version` and an FNV-1a-64
 //! checksum over the canonical (key-sorted) serialisation of the entries.
@@ -12,11 +16,11 @@
 //! fresh database; a truncated, corrupt, checksum-flipped, or
 //! version-skewed file (either the container's `format_version` or an
 //! entry's `TunedConfig` schema version from the future) is *quarantined*
-//! — renamed aside to `<path>.quarantined` — and the service rebuilds an
-//! empty database in its place. A bad plan file therefore costs a re-tune,
+//! — renamed aside to `<path>.quarantined` — and an empty database is
+//! rebuilt in its place. A bad plan file therefore costs a re-tune,
 //! never an outage, and never serves a wrong plan (entries are only
-//! trusted when both checksum and per-entry decode succeed; solves are
-//! additionally residual-verified downstream).
+//! trusted when both checksum and per-entry decode succeed; the service
+//! additionally residual-verifies its solves downstream).
 //!
 //! Saves are atomic: write to `<path>.tmp`, then rename over the target,
 //! so a crash mid-save leaves either the old file or the new one — not a
@@ -26,15 +30,15 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::tuners::TunedConfig;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use trisolve_autotune::TunedConfig;
 
 /// Schema version of the database container file.
 ///
 /// Bumped when the envelope layout changes; files from a *newer* version
 /// are quarantined rather than misread. (Entry payloads carry their own
-/// [`trisolve_autotune::TUNED_CONFIG_VERSION`].)
+/// [`crate::TUNED_CONFIG_VERSION`].)
 pub const PLANDB_FORMAT_VERSION: u64 = 1;
 
 /// How the database came up when opened.
@@ -115,20 +119,25 @@ impl PlanDb {
         }
     }
 
-    /// Database key for one workload class on one device.
+    /// Database key for one workload class on one device:
+    /// `device/fNN/n<log2 padded size>/<class>/<layout>`.
     ///
-    /// The system-count bucket is deliberately **absent**: request
-    /// coalescing grows `m` at dispatch time, and plans tuned for the
-    /// class must keep hitting regardless of how many compatible requests
-    /// rode along. `size_bucket` is `log2` of the padded system size.
+    /// The system-count bucket is deliberately **absent**: the service's
+    /// request coalescing grows `m` at dispatch time, and plans tuned for
+    /// the class must keep hitting regardless of how many compatible
+    /// requests rode along. The size bucket is `log2` of `system_size`
+    /// padded to a power of two.
     pub fn key(
         device: &str,
         elem_bytes: usize,
-        padded_n: usize,
+        system_size: usize,
         class_label: &str,
         layout_label: &str,
     ) -> String {
-        let bucket = padded_n.max(1).ilog2();
+        let bucket = system_size
+            .max(1)
+            .checked_next_power_of_two()
+            .map_or(usize::BITS, usize::ilog2);
         format!(
             "{device}/f{}/n{bucket}/{class_label}/{layout_label}",
             elem_bytes * 8
@@ -301,7 +310,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trisolve_autotune::TUNED_CONFIG_VERSION;
+    use crate::tuners::TUNED_CONFIG_VERSION;
+    use proptest::prelude::*;
 
     fn cfg(onchip: usize) -> TunedConfig {
         TunedConfig {
@@ -323,6 +333,33 @@ mod tests {
         dir.join(name)
     }
 
+    /// A database created afresh at `tmp(name)`, holding `entries`, saved.
+    fn saved(
+        name: &str,
+        entries: impl IntoIterator<Item = (String, TunedConfig)>,
+    ) -> (PathBuf, PlanDb) {
+        let path = tmp(name);
+        let _ = std::fs::remove_file(&path);
+        let mut db = PlanDb::open(&path);
+        for (key, cfg) in entries {
+            db.put(key, cfg);
+        }
+        db.save().unwrap();
+        (path, db)
+    }
+
+    fn one_entry(cfg: TunedConfig) -> [(String, TunedConfig); 1] {
+        [(PlanDb::key("d", 4, 64, "dominant", "auto"), cfg)]
+    }
+
+    /// Why `db` was quarantined; panics unless it was, and empty.
+    fn quarantine_reason(db: &PlanDb) -> &str {
+        match db.origin() {
+            DbOrigin::Quarantined { reason, .. } if db.is_empty() => reason,
+            other => panic!("expected an empty quarantined database, got {other:?}"),
+        }
+    }
+
     #[test]
     fn missing_file_is_fresh() {
         let path = tmp("never-written.json");
@@ -334,11 +371,13 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_entries_and_counts_hits() {
-        let path = tmp("roundtrip.json");
-        let _ = std::fs::remove_file(&path);
-        let mut db = PlanDb::open(&path);
         let key = PlanDb::key("GTX 480", 4, 512, "dominant", "auto");
         assert_eq!(key, "GTX 480/f32/n9/dominant/auto");
+        // The size bucket is log2 of the padded size.
+        assert_eq!(key, PlanDb::key("GTX 480", 4, 300, "dominant", "auto"));
+        assert!(PlanDb::key("d", 8, 0, "c", "l").starts_with("d/f64/n0/"));
+        assert!(PlanDb::key("d", 4, usize::MAX, "c", "l").contains("/n64/"));
+        let (path, mut db) = saved("roundtrip.json", []);
         assert!(db.get(&key).is_none());
         db.put(key.clone(), cfg(256));
         db.save().unwrap();
@@ -355,24 +394,14 @@ mod tests {
 
     #[test]
     fn truncated_file_quarantines_and_rebuilds() {
-        let path = tmp("truncated.json");
-        let mut db = PlanDb::open(&path);
-        db.put(PlanDb::key("d", 4, 64, "dominant", "auto"), cfg(32));
-        db.save().unwrap();
+        let (path, _) = saved("truncated.json", one_entry(cfg(32)));
         let full = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
 
         let reopened = PlanDb::open(&path);
-        assert!(
-            matches!(reopened.origin(), DbOrigin::Quarantined { .. }),
-            "origin: {:?}",
-            reopened.origin()
-        );
-        assert!(reopened.is_empty());
+        quarantine_reason(&reopened);
         assert!(!path.exists(), "bad file must be moved aside");
-        let mut q = path.as_os_str().to_owned();
-        q.push(".quarantined");
-        assert!(PathBuf::from(q).exists());
+        assert!(path.with_extension("json.quarantined").exists());
         // The rebuilt database saves over the old path cleanly.
         reopened.save().unwrap();
         assert_eq!(*PlanDb::open(&path).origin(), DbOrigin::Loaded);
@@ -380,114 +409,62 @@ mod tests {
 
     #[test]
     fn flipped_checksum_quarantines() {
-        let path = tmp("checksum.json");
-        let mut db = PlanDb::open(&path);
-        db.put(PlanDb::key("d", 4, 64, "dominant", "auto"), cfg(32));
-        db.save().unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
+        let (path, _) = saved("checksum.json", one_entry(cfg(32)));
         // Flip one hex digit of the stored checksum.
-        let idx = text.find("\"checksum\":\"").unwrap() + "\"checksum\":\"".len();
-        let mut bytes = text.into_bytes();
-        bytes[idx] = if bytes[idx] == b'0' { b'1' } else { b'0' };
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = String::from_utf8_lossy(&bytes)
+            .find("\"checksum\":\"")
+            .unwrap()
+            + 12;
+        bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
         std::fs::write(&path, bytes).unwrap();
-
-        let reopened = PlanDb::open(&path);
-        match reopened.origin() {
-            DbOrigin::Quarantined { reason, .. } => {
-                assert!(reason.contains("checksum"), "reason: {reason}");
-            }
-            other => panic!("expected quarantine, got {other:?}"),
-        }
-        assert!(reopened.is_empty());
+        let reason = quarantine_reason(&PlanDb::open(&path)).to_owned();
+        assert!(reason.contains("checksum"), "reason: {reason}");
     }
 
     #[test]
     fn tampered_entry_fails_checksum() {
-        let path = tmp("tampered-entry.json");
-        let mut db = PlanDb::open(&path);
-        db.put(PlanDb::key("d", 4, 64, "dominant", "auto"), cfg(32));
-        db.save().unwrap();
+        let (path, _) = saved("tampered-entry.json", one_entry(cfg(32)));
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"onchip_size\":32"));
         let text = text.replace("\"onchip_size\":32", "\"onchip_size\":33");
         std::fs::write(&path, text).unwrap();
-        let reopened = PlanDb::open(&path);
-        assert!(matches!(reopened.origin(), DbOrigin::Quarantined { .. }));
-        assert!(reopened.is_empty(), "tampered plan must not be served");
+        // The tampered plan is not served.
+        quarantine_reason(&PlanDb::open(&path));
     }
 
     #[test]
     fn future_format_version_quarantines() {
         let path = tmp("future-format.json");
-        std::fs::write(
-            &path,
-            format!(
-                "{{\"format_version\":{},\"checksum\":\"0\",\"entries\":{{}}}}",
-                PLANDB_FORMAT_VERSION + 1
-            ),
-        )
-        .unwrap();
-        let reopened = PlanDb::open(&path);
-        match reopened.origin() {
-            DbOrigin::Quarantined { reason, .. } => {
-                assert!(reason.contains("newer"), "reason: {reason}");
-            }
-            other => panic!("expected quarantine, got {other:?}"),
-        }
+        let doc = format!(
+            "{{\"format_version\":{},\"checksum\":\"0\",\"entries\":{{}}}}",
+            PLANDB_FORMAT_VERSION + 1
+        );
+        std::fs::write(&path, doc).unwrap();
+        let reason = quarantine_reason(&PlanDb::open(&path)).to_owned();
+        assert!(reason.contains("newer"), "reason: {reason}");
     }
 
     #[test]
     fn future_entry_schema_version_quarantines() {
-        let path = tmp("future-entry.json");
-        let mut db = PlanDb::open(&path);
-        db.put(PlanDb::key("d", 4, 64, "dominant", "auto"), cfg(32));
-        db.save().unwrap();
-        // Rewrite the entry with a from-the-future TunedConfig version and
-        // a recomputed (valid) envelope checksum, so only the per-entry
-        // schema gate can catch it.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let text = text.replace(
-            &format!("\"version\":{TUNED_CONFIG_VERSION}"),
-            "\"version\":99",
-        );
-        let doc: Value = serde_json::from_str(&text).unwrap();
-        let entries = recanonicalise(doc.get("entries").unwrap()).unwrap();
-        let checksum = format!("{:016x}", fnv1a64(entries.to_string().as_bytes()));
-        let doc = Value::Object(vec![
-            (
-                "format_version".to_owned(),
-                Value::Number(serde::value::Number::from_f64(PLANDB_FORMAT_VERSION as f64)),
-            ),
-            ("checksum".to_owned(), Value::String(checksum)),
-            ("entries".to_owned(), entries),
-        ]);
-        std::fs::write(&path, doc.to_string()).unwrap();
-
-        let reopened = PlanDb::open(&path);
-        match reopened.origin() {
-            DbOrigin::Quarantined { reason, .. } => {
-                assert!(reason.contains("newer"), "reason: {reason}");
-            }
-            other => panic!("expected quarantine, got {other:?}"),
-        }
+        // An entry from a future `TunedConfig` schema under a valid
+        // envelope checksum: only the per-entry schema gate can catch it.
+        let future = TunedConfig {
+            version: 99,
+            ..cfg(32)
+        };
+        let (path, _) = saved("future-entry.json", one_entry(future));
+        let reason = quarantine_reason(&PlanDb::open(&path)).to_owned();
+        assert!(reason.contains("newer"), "reason: {reason}");
     }
 
     #[test]
     fn zero_onchip_size_entry_quarantines() {
         // `params_for` divides by the on-chip size: an entry with 0 must
         // never load, or the service would panic on its first batch.
-        let path = tmp("zero-onchip.json");
-        let mut db = PlanDb::open(&path);
-        db.put(PlanDb::key("d", 4, 64, "dominant", "auto"), cfg(0));
-        db.save().unwrap();
-        let reopened = PlanDb::open(&path);
-        match reopened.origin() {
-            DbOrigin::Quarantined { reason, .. } => {
-                assert!(reason.contains("onchip_size"), "reason: {reason}");
-            }
-            other => panic!("expected quarantine, got {other:?}"),
-        }
-        assert!(reopened.is_empty());
+        let (path, _) = saved("zero-onchip.json", one_entry(cfg(0)));
+        let reason = quarantine_reason(&PlanDb::open(&path)).to_owned();
+        assert!(reason.contains("onchip_size"), "reason: {reason}");
     }
 
     #[test]
@@ -495,14 +472,8 @@ mod tests {
         let path = tmp("deeply-nested.json");
         let depth = 100_000;
         std::fs::write(&path, "[".repeat(depth) + &"]".repeat(depth)).unwrap();
-        let reopened = PlanDb::open(&path);
-        match reopened.origin() {
-            DbOrigin::Quarantined { reason, .. } => {
-                assert!(reason.contains("recursion limit"), "reason: {reason}");
-            }
-            other => panic!("expected quarantine, got {other:?}"),
-        }
-        assert!(reopened.is_empty());
+        let reason = quarantine_reason(&PlanDb::open(&path)).to_owned();
+        assert!(reason.contains("recursion limit"), "reason: {reason}");
     }
 
     #[test]
@@ -531,5 +502,78 @@ mod tests {
         db.save().unwrap();
         assert_eq!(db.path(), None);
         assert_eq!(db.len(), 1);
+    }
+
+    /// A valid entry: any key, switch points that are nonzero powers of
+    /// two, and every field an integer JSON holds exactly (at most 2^53).
+    fn entry() -> impl Strategy<Value = (String, TunedConfig)> {
+        let field = || (0..=1u64 << 53).prop_map(|x| x as usize);
+        let fields = (field(), field(), field(), field(), field(), field());
+        let key = prop::collection::vec(0u32..0x11_0000, 0..12);
+        (key, 0u32..54, 0u32..54, fields).prop_map(|(key, s3, t4, f)| {
+            let cfg = TunedConfig {
+                version: TUNED_CONFIG_VERSION,
+                onchip_size: 1 << s3,
+                thomas_switch: 1 << t4,
+                strided_from_stride: f.0,
+                interleaved_below_size: f.1,
+                interleaved_from_systems: f.2,
+                stage1_target_systems: f.3,
+                elem_bytes: f.4,
+                evaluations: f.5,
+            };
+            (key.into_iter().filter_map(char::from_u32).collect(), cfg)
+        })
+    }
+
+    /// Write `bytes` over `path` and open it: an existing file either
+    /// loads, serving only entries `TunedConfig` validation accepts, or is
+    /// quarantined and the database starts empty.
+    fn open_bytes(path: &Path, bytes: &[u8]) -> Result<(), String> {
+        std::fs::write(path, bytes).unwrap();
+        let db = PlanDb::open(path);
+        match db.origin() {
+            DbOrigin::Loaded => {
+                for (key, cfg) in &db.entries {
+                    let revalidated = TunedConfig::from_value(&cfg.to_value());
+                    prop_assert!(revalidated.is_ok(), "{key:?}: {cfg:?}");
+                }
+            }
+            DbOrigin::Quarantined { .. } => prop_assert!(db.is_empty() && !path.exists()),
+            DbOrigin::Fresh => prop_assert!(false, "an existing file opened as fresh"),
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_load_or_quarantine(
+            bytes in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            open_bytes(&tmp("arbitrary-bytes.json"), &bytes)?;
+        }
+
+        #[test]
+        fn one_byte_mutations_load_or_quarantine(
+            entries in prop::collection::vec(entry(), 0..4),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let (path, _) = saved("mutated.json", entries);
+            let mut bytes = std::fs::read(&path).unwrap();
+            let at = at % bytes.len();
+            bytes[at] = byte;
+            open_bytes(&path, &bytes)?;
+        }
+
+        #[test]
+        fn valid_entries_round_trip(entries in prop::collection::vec(entry(), 0..6)) {
+            let (path, db) = saved("round-trip.json", entries);
+            let reopened = PlanDb::open(&path);
+            prop_assert_eq!(reopened.origin(), &DbOrigin::Loaded);
+            prop_assert_eq!(&reopened.entries, &db.entries);
+        }
     }
 }

@@ -402,7 +402,7 @@ impl DynamicTuner {
         Self::default()
     }
 
-    /// Wrap a previously saved configuration (from the tuning cache).
+    /// Wrap a previously saved configuration (from the plan database).
     pub fn from_config(config: TunedConfig) -> Self {
         Self {
             config: Some(config),
@@ -910,6 +910,9 @@ mod tests {
         assert_eq!(migrated.interleaved_below_size, 0);
         assert_eq!(migrated.interleaved_from_systems, 0);
         assert_eq!(migrated.onchip_size, 512);
+        // Even a deep many-small batch stays on the staged pipeline.
+        let p = migrated.params_for(WorkloadShape::new(1 << 16, 32));
+        assert_ne!(p.variant, BaseVariant::Interleaved);
 
         // Round trip: the current schema writes its version explicitly
         // and reparses to an identical config.

@@ -176,7 +176,7 @@ impl fmt::Display for FaultLog {
 /// optional budget. All rates are probabilities in `[0, 1]`; a rate of
 /// `0.0` never rolls the PRNG for that site, so partially-enabled plans
 /// stay deterministic per site.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct FaultPlan {
     /// PRNG seed; equal seeds (and equal op sequences) inject equal faults.
     pub seed: u64,

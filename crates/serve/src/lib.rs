@@ -20,10 +20,10 @@
 //! 4. **Circuit breaker** ([`breaker`]): consecutive fault-heavy or
 //!    exhausted windows trip a per-device breaker; its backlog re-routes,
 //!    and the device rejoins via a half-open probe after a cooldown.
-//! 5. **Plan database** ([`plandb`]): tuned configurations persist to a
-//!    checksummed, versioned on-disk database keyed by
-//!    `device × precision × size-bucket × class × layout`, warm-starting
-//!    the dynamic tuner across service restarts. Corrupt or
+//! 5. **Plan database** ([`trisolve_autotune::PlanDb`]): tuned
+//!    configurations persist to a checksummed, versioned on-disk database
+//!    keyed by `device × precision × size-bucket × class × layout`,
+//!    warm-starting the dynamic tuner across service restarts. Corrupt or
 //!    version-skewed files are quarantined, never fatal.
 //!
 //! Everything runs on the simulated clock, so a whole campaign — sheds,
@@ -32,14 +32,12 @@
 pub mod admission;
 pub mod breaker;
 pub mod loadgen;
-pub mod plandb;
 pub mod request;
 pub mod service;
 
 pub use admission::{AdmissionPolicy, CostModel};
 pub use breaker::{BreakerPolicy, BreakerState, CircuitBreaker, SolveSignal};
 pub use loadgen::{generate, LoadProfile, Workload};
-pub use plandb::{DbOrigin, PlanDb, PLANDB_FORMAT_VERSION};
 pub use request::{
     Completion, Disposition, LayoutPref, Precision, Rejection, ShedReason, SolveRequest,
 };

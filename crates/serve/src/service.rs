@@ -21,7 +21,7 @@
 use std::collections::{BinaryHeap, VecDeque};
 use std::path::PathBuf;
 
-use trisolve_autotune::{DynamicTuner, Microbench, TunedConfig};
+use trisolve_autotune::{ensure_tuned, DynamicTuner, Microbench, PlanDb};
 use trisolve_core::kernels::{elem_bytes, GpuScalar};
 use trisolve_core::{BaseVariant, ResiliencePolicy, SharedPlanCache, SolveSession, SolverParams};
 use trisolve_gpu_sim::{DeviceSpec, FaultPlan, Gpu};
@@ -31,7 +31,6 @@ use trisolve_tridiag::workloads::{WorkloadClass, WorkloadShape};
 
 use crate::admission::{AdmissionPolicy, CostModel};
 use crate::breaker::{BreakerPolicy, CircuitBreaker, SolveSignal};
-use crate::plandb::PlanDb;
 use crate::request::{
     Completion, Disposition, LayoutPref, Precision, Rejection, ShedReason, SolveRequest,
 };
@@ -176,39 +175,13 @@ impl<T: GpuScalar> WorkerCore<T> {
         Err(last_err)
     }
 
-    /// Ensure the plan database holds a tuned configuration for this
-    /// core's precision and the given workload class; tune and persist if
-    /// cold. Returns the evaluations spent (0 on a warm key).
-    fn ensure_tuned(
-        &mut self,
-        db: &mut PlanDb,
-        device_name: &str,
-        system_size: usize,
-        class: WorkloadClass,
-        layout: LayoutPref,
-    ) -> u64 {
-        let key = plan_key_parts(device_name, elem_bytes::<T>(), system_size, class, layout);
-        if db.get(&key).is_some() {
-            return 0;
-        }
-        let (cfg, evals, tainted) = self.tune(system_size, class);
-        if !tainted {
-            db.put(key, cfg);
-            let _ = db.save();
-        }
-        evals
-    }
-
-    /// Run the dynamic tuner on the canonical tuning workload for
-    /// `system_size` under `class`. Returns the configuration, the
-    /// evaluations spent, and whether any measurement was faulted (a
-    /// storm-tainted configuration is not worth persisting).
-    fn tune(&mut self, system_size: usize, class: WorkloadClass) -> (TunedConfig, u64, bool) {
-        let mut mb: Microbench<T> = Microbench::new().with_stability_class(class);
-        let mut tuner = DynamicTuner::new();
-        let shape = WorkloadShape::new(TUNE_SYSTEMS, system_size);
-        let cfg = tuner.tune_for_with(&mut self.gpu, shape, &mut mb);
-        (cfg, mb.measurements as u64, mb.faulted_measurements > 0)
+    /// [`ensure_tuned`] for `key` with the service's tuning harness: the
+    /// canonical tuning workload for size `n`, gated by `class`. Returns
+    /// the evaluations spent (0 on a warm key).
+    fn tune_on_miss(&mut self, db: &mut PlanDb, key: &str, n: usize, class: WorkloadClass) -> u64 {
+        let mut mb = tuning_bench(class);
+        ensure_tuned(&mut self.gpu, db, key, tuning_shape(n), &mut mb);
+        mb.measurements as u64
     }
 
     /// Solve one coalesced batch end to end: arm the window's fault
@@ -233,14 +206,18 @@ impl<T: GpuScalar> WorkerCore<T> {
 
         // Plan: warm from the database, or pay the tuner once per key.
         let tune_begin_s = self.gpu.elapsed_s();
-        let tuner_evals = self.ensure_tuned(db, device_name, n, head.class, head.layout);
-        let key = plan_key_parts(device_name, eb, n, head.class, head.layout);
+        let key = PlanDb::key(device_name, eb, n, head.class.label(), head.layout.label());
+        let tuner_evals = self.tune_on_miss(db, &key, n, head.class);
         let cfg = db.get(&key).unwrap_or_else(|| {
             // Storm-tainted tuning was not persisted: tune again next
             // window; for now fall back to a fresh (possibly tainted)
             // configuration so this window can still complete on the
             // resilience chain.
-            self.tune(n, head.class).0
+            DynamicTuner::new().tune_for_with(
+                &mut self.gpu,
+                tuning_shape(n),
+                &mut tuning_bench(head.class),
+            )
         });
         let tuning_s = self.gpu.elapsed_s() - tune_begin_s;
 
@@ -344,6 +321,17 @@ pub fn class_tolerance(class_label: &str, eb: usize) -> f64 {
     }
 }
 
+/// Whether the class's workload generator accepts its parameter: the
+/// ill-conditioned margin and the non-dominant dominance must be positive
+/// and finite (the generators assert it).
+fn class_is_generable(class: WorkloadClass) -> bool {
+    match class {
+        WorkloadClass::Dominant => true,
+        WorkloadClass::IllConditioned { margin: p }
+        | WorkloadClass::NonDominant { dominance: p } => p > 0.0 && p.is_finite(),
+    }
+}
+
 fn apply_layout(mut params: SolverParams, layout: LayoutPref) -> SolverParams {
     match layout {
         LayoutPref::Auto => {}
@@ -354,20 +342,15 @@ fn apply_layout(mut params: SolverParams, layout: LayoutPref) -> SolverParams {
     params
 }
 
-fn plan_key_parts(
-    device: &str,
-    eb: usize,
-    system_size: usize,
-    class: WorkloadClass,
-    layout: LayoutPref,
-) -> String {
-    PlanDb::key(
-        device,
-        eb,
-        system_size.next_power_of_two(),
-        class.label(),
-        layout.label(),
-    )
+/// The canonical tuning workload for a cold plan-database key of system
+/// size `n`.
+fn tuning_shape(n: usize) -> WorkloadShape {
+    WorkloadShape::new(TUNE_SYSTEMS, n)
+}
+
+/// A fresh measurement harness gated by the request's stability class.
+fn tuning_bench<T: GpuScalar>(class: WorkloadClass) -> Microbench<T> {
+    Microbench::new().with_stability_class(class)
 }
 
 /// One admitted queue entry: the request index plus the worst-case bound
@@ -420,12 +403,12 @@ impl DeviceWorker {
     /// included when its plan-database key is absent.
     fn request_bound_s(&self, db: &PlanDb, req: &SolveRequest) -> f64 {
         let mut bound = self.cost.solve_bound_s(req.equations());
-        let key = plan_key_parts(
+        let key = PlanDb::key(
             &self.name,
             req.precision.elem_bytes(),
             req.shape.system_size,
-            req.class,
-            req.layout,
+            req.class.label(),
+            req.layout.label(),
         );
         if !db.contains(&key) {
             let tune_eqs = TUNE_SYSTEMS * req.shape.system_size.next_power_of_two();
@@ -731,15 +714,21 @@ impl SolveService {
         for w in &mut self.workers {
             for &(n, precision, class, layout) in combos {
                 // Warm-up runs fault-free regardless of chaos windows.
-                let name = w.name.clone();
+                let key = PlanDb::key(
+                    &w.name,
+                    precision.elem_bytes(),
+                    n,
+                    class.label(),
+                    layout.label(),
+                );
                 evals += match precision {
                     Precision::F32 => {
                         w.core32.gpu.enable_faults(FaultPlan::disabled());
-                        w.core32.ensure_tuned(&mut self.db, &name, n, class, layout)
+                        w.core32.tune_on_miss(&mut self.db, &key, n, class)
                     }
                     Precision::F64 => {
                         w.core64.gpu.enable_faults(FaultPlan::disabled());
-                        w.core64.ensure_tuned(&mut self.db, &name, n, class, layout)
+                        w.core64.tune_on_miss(&mut self.db, &key, n, class)
                     }
                 };
             }
@@ -783,6 +772,13 @@ impl SolveService {
     /// completion that meets the deadline, or shed with a reason.
     fn admit(&mut self, c: &mut Campaign, requests: &[SolveRequest], i: usize, t: f64) {
         let req = &requests[i];
+        if !class_is_generable(req.class) {
+            // No device can ever build this workload: answer it now.
+            let reason = ShedReason::SolverExhausted;
+            self.metrics.counter_add(shed_counter_name(reason), 1);
+            c.shed(i, reason, t, 0.0);
+            return;
+        }
         let mut best: Option<(usize, f64, f64)> = None; // (device, done, bound)
         let mut any_breaker_ok = false;
         let mut any_depth_ok = false;
@@ -918,12 +914,12 @@ impl SolveService {
         // Deadline re-check under the *current* cost model (it may have
         // ratcheted since admission): anyone who can no longer make it is
         // shed now, before burning device time.
-        let key = plan_key_parts(
+        let key = PlanDb::key(
             &w.name,
             head.precision.elem_bytes(),
             head.shape.system_size,
-            head.class,
-            head.layout,
+            head.class.label(),
+            head.layout.label(),
         );
         loop {
             let total_eqs: usize = batch_entries

@@ -5,9 +5,16 @@
 //!    the simulated clock, and every submission gets a disposition.
 //! 2. **Shed monotonicity** — the shed rate is monotone (non-decreasing)
 //!    in offered load for the same request mix.
+//! 3. **Arbitrary requests** — NaN, infinite or negative arrival times and
+//!    deadlines, zero or large shapes and any class parameter never panic
+//!    the service, and every request still gets exactly one disposition.
 
 use proptest::prelude::*;
-use trisolve_serve::{generate, Disposition, LoadProfile, SolveService};
+use trisolve_serve::{
+    generate, Disposition, LayoutPref, LoadProfile, Precision, ServiceConfig, SolveRequest,
+    SolveService,
+};
+use trisolve_tridiag::workloads::{WorkloadClass, WorkloadShape};
 
 fn run_campaign(requests: usize, seed: u64, load_scale: f64, chaos: bool) -> CampaignCheck {
     let profile = LoadProfile {
@@ -92,5 +99,68 @@ proptest! {
             rates[rates.len() - 1] > rates[0],
             "64× more offered load must shed strictly more: {rates:?}"
         );
+    }
+}
+
+/// A time or class parameter: NaN, ±inf, zero, negative or (half the
+/// time) an ordinary positive value.
+fn any_f64() -> impl Strategy<Value = f64> {
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 0.0];
+    (0usize..10, 0.0f64..100.0)
+        .prop_map(move |(pick, x)| specials.get(pick).map_or(x, |s| s * x.max(1.0)))
+}
+
+/// A request with arbitrary field values: any time, class parameter,
+/// precision and layout, and a shape of at most 2^22 equations, zero
+/// systems and zero size included.
+fn any_request() -> impl Strategy<Value = SolveRequest> {
+    let shape = (0u32..=22, 0u8..4, 0usize..=1 << 22, 0usize..=1 << 22);
+    let kind = (0usize..2, 0usize..4, 0u8..3, any_f64());
+    (shape, kind, any_f64(), any_f64(), any::<u64>()).prop_map(
+        |((log_n, pick, rn, rm), (precision, layout, class, p), arrival_s, deadline_s, seed)| {
+            let n = [0, 1 << log_n]
+                .get(usize::from(pick))
+                .copied()
+                .unwrap_or(rn >> (22 - log_n));
+            let m = if pick == 3 {
+                0
+            } else {
+                rm % ((1 << 22) / n.max(1) + 1)
+            };
+            SolveRequest {
+                id: seed,
+                shape: WorkloadShape::new(m, n),
+                precision: [Precision::F32, Precision::F64][precision],
+                layout: [
+                    LayoutPref::Auto,
+                    LayoutPref::Strided,
+                    LayoutPref::Coalesced,
+                    LayoutPref::Interleaved,
+                ][layout],
+                class: match class {
+                    0 => WorkloadClass::Dominant,
+                    1 => WorkloadClass::IllConditioned { margin: p },
+                    _ => WorkloadClass::NonDominant { dominance: p },
+                },
+                arrival_s,
+                deadline_s,
+                seed,
+            }
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn arbitrary_requests_each_get_one_disposition(
+        requests in prop::collection::vec(any_request(), 1..5),
+    ) {
+        let report = SolveService::new(ServiceConfig::paper_fleet()).run(&requests);
+        prop_assert_eq!(report.dispositions.len(), requests.len());
+        prop_assert_eq!(report.stats.lost(), 0);
+        let answered = report.stats.completed + report.stats.shed_total();
+        prop_assert_eq!(answered, requests.len() as u64);
     }
 }

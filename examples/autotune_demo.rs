@@ -52,31 +52,36 @@ fn main() {
     }
 
     // Persist the tuned configurations the way a long-running application
-    // would ("save those results for future runs", §IV-D).
-    let mut cache = TuningCache::new();
+    // would ("save those results for future runs", §IV-D): `solve_auto`
+    // tunes on first use and saves to the plan database.
+    let path = std::env::temp_dir().join(format!(
+        "trisolve-autotune-demo-{}.json",
+        std::process::id()
+    ));
+    let mut db = PlanDb::open(&path);
     for device in DeviceSpec::paper_devices() {
-        let mut gpu: Gpu<f32> = Gpu::new(device.clone());
-        let mut dynamic = DynamicTuner::new();
-        let config = dynamic.tune_for(&mut gpu, shape);
-        cache.insert(device.name(), config);
+        let mut gpu: Gpu<f32> = Gpu::new(device);
+        solve_auto(&mut gpu, &batch, &mut db).expect("tuned solve");
     }
-    let path = std::env::temp_dir().join("trisolve-tuning-cache.json");
-    cache.save(&path).expect("cache is writable");
     println!(
         "saved {} tuned configurations to {}",
-        cache.len(),
+        db.len(),
         path.display()
     );
-    let reloaded = TuningCache::load(&path).expect("cache reloads");
-    assert_eq!(reloaded.len(), cache.len());
-    let restored = DynamicTuner::from_config(
-        reloaded
-            .get("GeForce GTX 470", 4)
-            .expect("470 config cached")
-            .clone(),
-    );
+
+    // A restart: the reopened file serves every device without tuning.
+    let mut reloaded = PlanDb::open(&path);
+    assert_eq!(reloaded.origin().label(), "loaded");
+    assert_eq!(reloaded.len(), db.len());
+    for device in DeviceSpec::paper_devices() {
+        let mut gpu: Gpu<f32> = Gpu::new(device);
+        solve_auto(&mut gpu, &batch, &mut reloaded).expect("warm solve");
+    }
+    assert_eq!((reloaded.hits(), reloaded.misses()), (3, 0));
     println!(
-        "reloaded 470 config: on-chip size {}",
-        restored.config().unwrap().onchip_size
+        "reloaded: {} hits, {} misses (no re-tuning)",
+        reloaded.hits(),
+        reloaded.misses()
     );
+    std::fs::remove_file(&path).expect("plan database written");
 }

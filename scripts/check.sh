@@ -48,6 +48,9 @@ cargo run -q --release --bin trisolve -- chaos --quick
 echo "== solver-service smoke run (nonzero exit on lost request, deadline miss, or breaker deadlock) =="
 cargo run -q --release --bin trisolve -- serve-sim --quick --chaos
 
+echo "== autotune demo (nonzero exit unless the plan database reloads every tuned configuration) =="
+cargo run -q --release --example autotune_demo
+
 # The gate replays two snapshots: the pinned BENCH_10.json, which only an
 # edit here can move, and the newest (highest-numbered) BENCH_<n>.json.
 newest="$(ls BENCH_*.json | sort -V | tail -n 1)"

@@ -14,6 +14,7 @@
 //! output to machine-readable JSON.
 
 use std::process::ExitCode;
+use trisolve::autotune::{DbOrigin, PlanDb};
 use trisolve::harness::{
     exit_rule, parse_args, print_json, CliError, CliOptions, HarnessOptions, Precision, Report,
     TraceFormat, TunerKind, WorkloadKind,
@@ -21,6 +22,7 @@ use trisolve::harness::{
 use trisolve::prelude::*;
 use trisolve::serve::LoadProfile;
 use trisolve::solver::kernels::{elem_bytes, GpuScalar};
+use trisolve::tridiag::workloads::WorkloadClass;
 use trisolve::{analyze, chaos, sanitize, serve_sim};
 
 /// Counts heap allocations, so `report --regress` can gate the tuned
@@ -261,11 +263,24 @@ fn cmd_tune(o: &CliOptions) -> Result<(), String> {
     let cfg = DynamicTuner::new().tune_for(&mut gpu, shape);
 
     if let Some(path) = &o.cache {
-        let path = std::path::Path::new(path);
-        let mut cache = TuningCache::load(path).map_err(|e| e.to_string())?;
-        cache.insert(dev.name(), cfg.clone());
-        cache.save(path).map_err(|e| e.to_string())?;
-        println!("saved to {} ({} entries)", path.display(), cache.len());
+        let mut db = PlanDb::open(path);
+        if let DbOrigin::Quarantined { reason, moved_to } = db.origin() {
+            let to = moved_to
+                .as_ref()
+                .map_or(String::new(), |p| format!(" to {}", p.display()));
+            eprintln!("warning: {path} quarantined{to}: {reason}");
+        }
+        // The key `solve_auto` reads for this device, width and size.
+        let key = PlanDb::key(
+            dev.name(),
+            cfg.elem_bytes,
+            shape.system_size,
+            WorkloadClass::Dominant.label(),
+            "auto",
+        );
+        db.put(key, cfg.clone());
+        db.save().map_err(|e| format!("{path}: {e}"))?;
+        println!("saved to {path} ({} entries)", db.len());
     }
     if o.json {
         return print_json(&cfg);

@@ -16,7 +16,8 @@
 //! * [`solver`] — the paper's multi-stage solver (stage kernels, plans,
 //!   driver);
 //! * [`autotune`] — default / machine-query / self-tuned parameter
-//!   selection, the pruned-search framework, and the tuning cache;
+//!   selection, the pruned-search framework, and the plan database that
+//!   stores tuned configurations;
 //! * [`dnc`] — the §VI-C divide-and-conquer generalisation (auto-tuned
 //!   multi-stage merge sort);
 //! * [`analysis`] — the static kernel & plan analyzer: affine
@@ -89,8 +90,8 @@ pub use trisolve_tridiag as tridiag;
 /// The most common imports in one place.
 pub mod prelude {
     pub use trisolve_autotune::{
-        solve_auto, DefaultTuner, DynamicTuner, StaticTuner, TunedConfig, Tuner, TuningBudget,
-        TuningCache,
+        solve_auto, DefaultTuner, DynamicTuner, PlanDb, StaticTuner, TunedConfig, Tuner,
+        TuningBudget,
     };
     pub use trisolve_core::{
         solve_batch_on_gpu, BaseVariant, ResiliencePolicy, ResilientOutcome, SolveOutcome,

@@ -2,6 +2,8 @@
 //! exposes its path via `CARGO_BIN_EXE_trisolve`).
 
 use std::process::Command;
+use trisolve::autotune::DbOrigin;
+use trisolve::prelude::*;
 
 fn run(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_trisolve"))
@@ -259,32 +261,98 @@ fn tune_writes_a_cache_file() {
     std::fs::remove_file(&cache).unwrap();
 }
 
-/// A file of 100 000 nested arrays is a parse error (exit 1), not a
-/// stack overflow that aborts the process.
+/// Run `trisolve tune --cache path` over a damaged `path` holding `bytes`:
+/// it exits 0, prints why the file was quarantined, moves it to
+/// `path.quarantined`, and rewrites `path` as a clean one-entry database.
+fn assert_tune_quarantines(path: &std::path::Path, bytes: &[u8], reason: &str) {
+    let quarantined = path.with_extension("json.quarantined");
+    std::fs::write(path, bytes).unwrap();
+    let cache = path.to_str().unwrap();
+    let (ok, _, stderr) = run(&["tune", "--systems", "8", "--size", "4096", "--cache", cache]);
+    assert!(ok && stderr.contains("quarantined"), "{stderr}");
+    assert!(stderr.contains(reason), "{reason:?} not in: {stderr}");
+    assert_eq!(std::fs::read(&quarantined).unwrap(), bytes);
+    let db = PlanDb::open(path);
+    assert!(matches!(db.origin(), DbOrigin::Loaded), "{:?}", db.origin());
+    assert_eq!(db.len(), 1);
+    std::fs::remove_file(&quarantined).unwrap();
+}
+
+/// A file of 100 000 nested arrays is a parse error, not a stack overflow
+/// that aborts the process: `report --regress` exits 1 with it, and
+/// `tune --cache` quarantines it and rewrites the file.
 #[test]
 fn deeply_nested_json_files_fail_with_a_parse_error() {
     let dir = std::env::temp_dir().join("trisolve-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let deep = dir.join(format!("deep-{}.json", std::process::id()));
-    std::fs::write(&deep, "[".repeat(100_000) + &"]".repeat(100_000)).unwrap();
-    let path = deep.to_str().unwrap();
-    let cases: [&[&str]; 2] = [
-        &["tune", "--systems", "8", "--size", "4096", "--cache", path],
-        &["report", "--regress", path, "--quick"],
-    ];
-    for args in cases {
-        let out = Command::new(env!("CARGO_BIN_EXE_trisolve"))
-            .args(args)
-            .output()
-            .expect("binary runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(
-            stderr.contains("recursion limit exceeded"),
-            "{args:?}: {stderr}"
-        );
-    }
+    let text = "[".repeat(100_000) + &"]".repeat(100_000);
+    std::fs::write(&deep, &text).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_trisolve"))
+        .args(["report", "--regress", deep.to_str().unwrap(), "--quick"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("recursion limit exceeded"), "{stderr}");
+    assert_tune_quarantines(&deep, text.as_bytes(), "recursion limit exceeded");
     std::fs::remove_file(&deep).unwrap();
+}
+
+/// `tune --cache` writes the store `solve_auto` reads: a configuration the
+/// CLI tuned for 8×4096 on the GTX 470 serves `solve_auto` on an 8×4096
+/// f32 batch with zero tuner evaluations. A truncated or checksum-flipped
+/// file is quarantined and rewritten, never fatal.
+#[test]
+fn tune_cache_serves_solve_auto_and_quarantines_damage() {
+    let dir = std::env::temp_dir().join("trisolve-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("shared-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let cache = path.to_str().unwrap();
+    let (ok, _, stderr) = run(&[
+        "tune",
+        "--device",
+        "470",
+        "--systems",
+        "8",
+        "--size",
+        "4096",
+        "--cache",
+        cache,
+    ]);
+    assert!(ok, "{stderr}");
+    let valid = std::fs::read(&path).unwrap();
+
+    let batch = random_dominant::<f32>(WorkloadShape::new(8, 4096), 5).unwrap();
+    let evals = |db: &mut PlanDb| {
+        let tracer = Tracer::enabled();
+        let mut gpu: Gpu<f32> = Gpu::new(DeviceSpec::gtx_470());
+        gpu.set_tracer(tracer.clone());
+        let out = solve_auto(&mut gpu, &batch, db).unwrap();
+        assert!(batch_worst_relative_residual(&batch, &out.x).unwrap() < 1e-4);
+        let counters = tracer.counters();
+        counters
+            .iter()
+            .find(|(k, _)| *k == "tuner_evals")
+            .map_or(0, |c| c.1)
+    };
+    // Control: an empty store pays the tuner.
+    assert!(evals(&mut PlanDb::in_memory()) > 0);
+    let mut db = PlanDb::open(&path);
+    assert!(matches!(db.origin(), DbOrigin::Loaded), "{:?}", db.origin());
+    assert_eq!(evals(&mut db), 0);
+    assert_eq!((db.hits(), db.misses()), (1, 0));
+
+    assert_tune_quarantines(&path, &valid[..valid.len() / 2], "parse error");
+    let at = String::from_utf8_lossy(&valid)
+        .find("\"checksum\":\"")
+        .unwrap()
+        + 12;
+    let mut flipped = valid;
+    flipped[at] = if flipped[at] == b'0' { b'1' } else { b'0' };
+    assert_tune_quarantines(&path, &flipped, "checksum mismatch");
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

@@ -139,26 +139,24 @@ fn application_workloads_solve_accurately() {
 fn tuning_cache_round_trips_through_solver() {
     let shape = WorkloadShape::new(16, 8192);
     let device = DeviceSpec::gtx_470();
-    let mut cache = TuningCache::new();
+    let path = std::env::temp_dir().join(format!("trisolve-pipeline-{}.json", std::process::id()));
+    let key = PlanDb::key(device.name(), 4, shape.system_size, "dominant", "auto");
     {
+        let mut db = PlanDb::open(&path);
         let mut gpu: Gpu<f32> = Gpu::new(device.clone());
-        let mut tuner = DynamicTuner::new();
-        let cfg = tuner.tune_for(&mut gpu, shape);
-        cache.insert(device.name(), cfg);
+        let cfg = DynamicTuner::new().tune_for(&mut gpu, shape);
+        db.put(key.clone(), cfg);
+        db.save().unwrap();
     }
-    let json = cache.to_json();
-    let reloaded = TuningCache::from_json(&json).expect("valid cache JSON");
-    let restored = DynamicTuner::from_config(
-        reloaded
-            .get(device.name(), 4)
-            .expect("config cached")
-            .clone(),
-    );
+    let mut reloaded = PlanDb::open(&path);
+    assert_eq!(reloaded.origin().label(), "loaded");
+    let restored = DynamicTuner::from_config(reloaded.get(&key).expect("config stored"));
     let batch = random_dominant::<f32>(shape, 77).unwrap();
     let mut gpu: Gpu<f32> = Gpu::new(device.clone());
     let params = restored.params_for(shape, gpu.spec().queryable(), 4);
     let outcome = solve_batch_on_gpu(&mut gpu, &batch, &params).unwrap();
     assert!(batch_worst_relative_residual(&batch, &outcome.x).unwrap() < 1e-4);
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! actually trip and recover the breakers, and a damaged plan-database
 //! file must never take the service down.
 
-use trisolve::serve::{generate, DbOrigin, LoadProfile, PlanDb, SolveService};
+use trisolve::autotune::{DbOrigin, PlanDb};
+use trisolve::serve::{generate, LoadProfile, SolveService};
 use trisolve::serve_sim;
 
 fn temp_path(name: &str) -> std::path::PathBuf {
