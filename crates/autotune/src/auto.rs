@@ -7,31 +7,25 @@ use crate::tuners::{DynamicTuner, TunedConfig};
 use trisolve_core::kernels::{elem_bytes, GpuScalar};
 use trisolve_core::{solve_batch_on_gpu, Result, SolveOutcome};
 use trisolve_gpu_sim::Gpu;
-use trisolve_tridiag::workloads::{WorkloadClass, WorkloadShape};
+use trisolve_tridiag::workloads::WorkloadShape;
 use trisolve_tridiag::SystemBatch;
 
 /// Solve a batch with dynamically tuned parameters, tuning on first use and
 /// storing the result in `db` (the paper's "save those results for future
 /// runs" loop, packaged).
 ///
-/// The configuration is tuned on the batch's own shape and stored under
-/// [`PlanDb::key`] for this device, element width and system-size bucket,
-/// class `dominant` (the tuner measures on random dominant batches) and
-/// layout `auto` — the key `trisolve tune --cache` writes. Pass the same
-/// `db` across calls, or reopen its file, to amortise tuning completely.
+/// The configuration is tuned on the batch's own shape, with no stability
+/// gate, and stored under [`PlanDb::ungated_key`] for this device, element
+/// width and system-size bucket — the key `trisolve tune --cache` writes.
+/// Pass the same `db` across calls, or reopen its file, to amortise tuning
+/// completely.
 pub fn solve_auto<T: GpuScalar>(
     gpu: &mut Gpu<T>,
     batch: &SystemBatch<T>,
     db: &mut PlanDb,
 ) -> Result<SolveOutcome<T>> {
     let shape = WorkloadShape::new(batch.num_systems, batch.system_size);
-    let key = PlanDb::key(
-        gpu.spec().name(),
-        elem_bytes::<T>(),
-        shape.system_size,
-        WorkloadClass::Dominant.label(),
-        "auto",
-    );
+    let key = PlanDb::ungated_key(gpu.spec().name(), elem_bytes::<T>(), shape.system_size);
     let cfg = ensure_tuned(gpu, db, &key, shape, &mut Microbench::new());
     solve_batch_on_gpu(gpu, batch, &cfg.params_for(shape))
 }
@@ -80,7 +74,7 @@ mod tests {
 
         let out1 = solve_auto(&mut gpu, &batch, &mut db).unwrap();
         assert_eq!((db.len(), db.hits(), db.misses()), (1, 0, 1));
-        let key = PlanDb::key("GeForce GTX 280", 4, 2048, "dominant", "auto");
+        let key = PlanDb::key("GeForce GTX 280", 4, 2048, "ungated", "auto");
         assert!(db.contains(&key));
 
         // Second call: a hit, no re-tuning, same result.
@@ -93,7 +87,7 @@ mod tests {
     #[test]
     fn store_is_per_device_and_width() {
         let shape = WorkloadShape::new(8, 1024);
-        let key = |device: &str, eb| PlanDb::key(device, eb, 1024, "dominant", "auto");
+        let key = |device: &str, eb| PlanDb::ungated_key(device, eb, 1024);
         let mut db = PlanDb::in_memory();
         let mut g32: Gpu<f32> = Gpu::new(DeviceSpec::gtx_470());
         let mut g64: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());

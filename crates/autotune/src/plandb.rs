@@ -144,6 +144,16 @@ impl PlanDb {
         )
     }
 
+    /// The key of an *ungated* tuning of one device, width and size
+    /// bucket: class `ungated`, layout `auto`. [`crate::solve_auto`] and
+    /// `trisolve tune --cache` store and read the dynamic tuner's result
+    /// here. The service's keys carry a workload class whose tunings
+    /// passed the stability gate, so a file both write never serves one
+    /// kind for the other.
+    pub fn ungated_key(device: &str, elem_bytes: usize, system_size: usize) -> String {
+        Self::key(device, elem_bytes, system_size, "ungated", "auto")
+    }
+
     /// Look up a stored configuration, counting hits and misses.
     pub fn get(&mut self, key: &str) -> Option<TunedConfig> {
         match self.entries.get(key) {

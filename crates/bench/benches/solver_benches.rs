@@ -116,7 +116,9 @@ fn bench_tuned_solve<T: GpuScalar>(c: &mut Criterion, shape: WorkloadShape, prec
 /// `1×512K` and `2×65536` run strided chains (stride 64 and 512 on
 /// `1×512K`), which tiles of adjacent chains gather and store a cache line
 /// at a time. `256×256` runs stride-1 chains only, so it is the control
-/// that tiles must not move.
+/// that tiles must not move. `1K×1K` f32 is the two-clock benchmark's
+/// `batch-1Kx1K` solve: contiguous tiles (stage 2 at stride 1, the base
+/// kernel at stride 2), read in place and stored as one copy each.
 fn bench_strided_chains(c: &mut Criterion) {
     for shape in [
         WorkloadShape::new(1, 512 * 1024),
@@ -126,6 +128,7 @@ fn bench_strided_chains(c: &mut Criterion) {
         bench_tuned_solve::<f32>(c, shape, "f32");
         bench_tuned_solve::<f64>(c, shape, "f64");
     }
+    bench_tuned_solve::<f32>(c, WorkloadShape::new(1024, 1024), "f32");
 }
 
 criterion_group!(

@@ -581,8 +581,7 @@ impl<T: GpuScalar> SolveSession<T> {
     ) -> Result<SolveOutcome<T>> {
         let (plan, sim_time_s, kernel_stats) =
             self.upload_and_execute(gpu, batch, params, "solve")?;
-        let mut x = Vec::new();
-        self.unpad_into(&gpu.download(self.x.id())?, &mut x);
+        let x = self.download_solution(gpu)?;
         Ok(SolveOutcome {
             x,
             sim_time_s,
@@ -622,15 +621,12 @@ impl<T: GpuScalar> SolveSession<T> {
         Ok((plan, sim_time_s, kernel_stats))
     }
 
-    /// The padded solution `x_padded` with each system cut back to its
-    /// original size, into `out`.
-    fn unpad_into(&self, x_padded: &[T], out: &mut Vec<T>) {
+    /// Download the solution with each system cut back to its original
+    /// size: one copy of the payload rows, which is the whole buffer when
+    /// no system is padded.
+    fn download_solution(&self, gpu: &mut Gpu<T>) -> Result<Vec<T>> {
         let (n, np) = (self.shape.system_size, self.padded_size);
-        out.clear();
-        out.reserve(self.shape.num_systems * n);
-        for s in 0..self.shape.num_systems {
-            out.extend_from_slice(&x_padded[s * np..s * np + n]);
-        }
+        Ok(gpu.download_rows(self.x.id(), np, n)?)
     }
 
     /// Price `params` from the kernels' cost meters without running the
@@ -835,7 +831,7 @@ impl<T: GpuScalar> SolveSession<T> {
                         )?;
                     }
                     NodeAction::D2h { batch } => {
-                        session.unpad_into(&gpu.download(x)?, &mut xs[batch]);
+                        xs[batch] = session.download_solution(gpu)?;
                     }
                 }
                 gpu.set_stream(None);
@@ -954,7 +950,8 @@ mod tests {
     use crate::schedule::lower_schedule;
     use crate::solver::solve_batch_on_gpu;
     use crate::StageOp;
-    use trisolve_gpu_sim::DeviceSpec;
+    use trisolve_gpu_sim::{DeviceSpec, FaultPlan};
+    use trisolve_obs::Tracer;
     use trisolve_tridiag::norms::batch_worst_relative_residual;
     use trisolve_tridiag::workloads::random_dominant;
 
@@ -1276,6 +1273,77 @@ mod tests {
             assert_eq!(from_session.x, one_shot.x, "seed {seed}");
             assert_eq!(from_session.sim_time_s, one_shot.sim_time_s);
             assert_eq!(from_session.kernel_stats.len(), one_shot.kernel_stats.len());
+        }
+    }
+
+    /// The solve downloads its solution once, payload rows only, and a D2H
+    /// fault stays what downloading the padded buffer and then cutting the
+    /// padding made of it: the same draw over the padded buffer, the same
+    /// fault record and trace, and a flip that reaches `x` only when it
+    /// lands in a system's payload.
+    #[test]
+    fn one_copy_download_matches_download_then_unpad_under_d2h_faults() {
+        let p = params(16, 256, 32);
+        for (shape, padded) in [
+            (WorkloadShape::new(4, 100), true),
+            (WorkloadShape::new(4, 128), false),
+        ] {
+            let (n, np) = (shape.system_size, shape.system_size.next_power_of_two());
+            let (mut in_payload, mut in_padding) = (0, 0);
+            for seed in 0..48 {
+                let batch = random_dominant::<f64>(shape, seed).unwrap();
+                let run = |one_copy: bool| {
+                    // Every transfer flips a bit: the four uploads and the
+                    // download draw in the same order on both paths.
+                    let plan = FaultPlan::seeded(seed).with_transfer_corruption(1.0);
+                    let mut gpu: Gpu<f64> = Gpu::with_faults(DeviceSpec::gtx_470(), plan);
+                    gpu.set_tracer(Tracer::enabled());
+                    let mut session = SolveSession::new(&mut gpu, shape).unwrap();
+                    let x = if one_copy {
+                        session.solve(&mut gpu, &batch, &p).map(|o| o.x)
+                    } else {
+                        session.measure(&mut gpu, &batch, &p).and_then(|_| {
+                            let x_padded = gpu.download(session.x.id())?;
+                            Ok(x_padded.chunks(np).flat_map(|r| r[..n].to_vec()).collect())
+                        })
+                    };
+                    let bits = x.map(|x| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+                    // The outer span is named after the entry point; the
+                    // rest of the trace must match event for event.
+                    let events: Vec<String> = gpu
+                        .tracer()
+                        .events()
+                        .iter()
+                        .filter(|e| {
+                            !(e.cat == "engine" && (e.name == "solve" || e.name == "measure"))
+                        })
+                        .map(|e| format!("{} {} {} {:?}", e.cat, e.name, e.ts_us, e.args))
+                        .collect();
+                    (
+                        bits.map_err(|e| e.to_string()),
+                        gpu.take_fault_log(),
+                        events,
+                    )
+                };
+                let (one, two) = (run(true), run(false));
+                assert_eq!(one, two, "{shape:?} seed {seed}");
+                let (Ok(_), Some(log), _) = &one else {
+                    continue;
+                };
+                let d2h = log
+                    .records
+                    .iter()
+                    .find(|r| r.site == "d2h")
+                    .expect("d2h flip");
+                let index: usize = d2h.detail.rsplit(' ').next().unwrap().parse().unwrap();
+                if index % np < n {
+                    in_payload += 1;
+                } else {
+                    in_padding += 1;
+                }
+            }
+            assert!(in_payload > 0, "{shape:?}: no flip landed in a payload");
+            assert_eq!(in_padding > 0, padded, "{shape:?}: flips in the padding");
         }
     }
 

@@ -33,13 +33,13 @@ use crate::kernels::access::{
 };
 use crate::kernels::stage1::PCR_OPS_PER_EQ;
 use crate::kernels::{
-    block_chain, chain_tile, elem_bytes, launch_or_price_tiles, BufferRole, BufferRoles, ChainTile,
-    Family, GpuScalar, LaunchIo, RecurrenceKind, CUR,
+    block_chain, chain_tile, chain_tile_scratch, elem_bytes, launch_or_price_tiles, BufferRole,
+    BufferRoles, ChainTile, Family, GpuScalar, LaunchIo, RecurrenceKind, CUR,
 };
 use crate::params::{BaseVariant, BASE_KERNEL_REGS_PER_THREAD};
 use crate::Result;
 use std::sync::atomic::{AtomicBool, Ordering};
-use trisolve_gpu_sim::{store_tile, Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_gpu_sim::{store_tile, Gpu, KernelStats, LaunchConfig};
 use trisolve_tridiag::system::ChainView;
 use trisolve_tridiag::thomas::{self, LaneView};
 
@@ -235,8 +235,8 @@ impl Family for Base {
 
         let tile = chain_tile(stride, elem_bytes::<T>());
         let failed = AtomicBool::new(false);
-        let stats = launch_or_price_tiles(gpu, &cfg, io, OutMode::Scattered, tile, |ctxs, ios| {
-            let lanes = ctxs.len();
+        let stats = launch_or_price_tiles(gpu, &cfg, io, tile, |scratch, ctxs, ios| {
+            let (lanes, inputs) = (ctxs.len(), ios[0].inputs);
             let first = block_chain(ctxs[0].block_id as usize, n, stride);
 
             // ---- Numerics, for the whole tile -----------------------------
@@ -245,44 +245,45 @@ impl Family for Base {
             // ...` of its chain. In the tile, row `i` of lane `g` sits at
             // `i·lanes + g`, so sub-chain `t` of lane `g` is lane `t·lanes + g`
             // of one sweep at row stride `t4·lanes`, and the sweep's compact
-            // output is the tile's own layout.
-            //
-            // Per block, the verdict is `None` when its sweep broke down, else
-            // how many elements it stores: all of them, or those before its
-            // first non-finite one. Verdicts are listed only when some block
-            // falls short; a priced launch computes nothing and stores
-            // everything. The working arrays live as long as the closure,
-            // as the per-chain kernel's did.
-            let mut coeffs = None;
-            let (mut lx, mut verdicts) = (Vec::new(), Vec::new());
-            if !ctxs[0].pricing() {
-                let coeffs = coeffs.insert(ChainTile::gather(&first, lanes, &ios[0].inputs));
+            // output `lx` is the tile's own layout. The working arrays, `lx`
+            // and the sweep's flags live in the launch's scratch; a priced
+            // launch computes nothing.
+            let solved = if ctxs[0].pricing() {
+                None
+            } else {
+                let len = chain_len * lanes;
+                let (work, broke) = scratch.get(chain_tile_scratch(len) + 2 * len, t4 * lanes);
+                let (tile_work, rest) = work.split_at_mut(chain_tile_scratch(len));
+                let (lx, cp) = rest.split_at_mut(len);
+                let mut coeffs = ChainTile::new(&first, lanes, inputs, tile_work);
                 for step in 0..pcr_steps {
                     coeffs.pcr_step(1 << step);
                 }
-                lx.resize(chain_len * lanes, T::ZERO);
                 let sweep = LaneView {
                     offset: 0,
                     row_stride: t4 * lanes,
                     lanes: t4 * lanes,
                     len: chain_len / t4,
                 };
-                let [a, b, c, d] = &coeffs.cur;
-                let flags = thomas::solve_thomas_lanes(&sweep, a, b, c, d, &mut lx);
-                if flags.contains(&true) || !lx.iter().all(|v| v.is_finite()) {
-                    verdicts = (0..lanes)
-                        .map(|g| {
-                            // Block `g`'s sweep lanes are `t·lanes + g`.
-                            if flags.iter().skip(g).step_by(lanes).any(|&b| b) {
-                                return None;
-                            }
-                            let bad = (0..chain_len).position(|i| !lx[i * lanes + g].is_finite());
-                            Some(bad.unwrap_or(chain_len))
-                        })
-                        .collect();
+                let [a, b, c, d] = coeffs.cur();
+                thomas::solve_thomas_lanes(&sweep, a, b, c, d, lx, cp, broke);
+                let clean = !broke.contains(&true) && lx.iter().all(|v| v.is_finite());
+                Some((&*lx, &*broke, clean))
+            };
+            // Per block, the verdict is `None` when its sweep broke down, else
+            // how many elements it stores: all of them, or those before its
+            // first non-finite one. A priced launch stores everything.
+            let verdict = |g: usize| match solved {
+                Some((lx, broke, false)) => {
+                    // Block `g`'s sweep lanes are `t·lanes + g`.
+                    if broke.iter().skip(g).step_by(lanes).any(|&b| b) {
+                        return None;
+                    }
+                    let bad = (0..chain_len).position(|i| !lx[i * lanes + g].is_finite());
+                    Some(bad.unwrap_or(chain_len))
                 }
-            }
-            let verdict = |g: usize| verdicts.get(g).copied().unwrap_or(Some(chain_len));
+                _ => Some(chain_len),
+            };
 
             // ---- Per block: meters and sanitizer replays, in kernel order --
             for (g, (ctx, io)) in ctxs.iter_mut().zip(ios.iter()).enumerate() {
@@ -388,9 +389,9 @@ impl Family for Base {
             // ---- Store phase ----------------------------------------------
             // Each block stores its verdict's elements, then fails if that
             // was not all of them.
-            if !lx.is_empty() {
+            if let Some((lx, _, _)) = solved {
                 let count = |g| verdict(g).unwrap_or(0);
-                store_tile(ios, 0, first.offset, stride, count, &lx, "base::store");
+                store_tile(ios, 0, first.offset, stride, count, lx, "base::store");
             }
             for (g, ctx) in ctxs.iter_mut().enumerate() {
                 match verdict(g) {

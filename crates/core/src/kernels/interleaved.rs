@@ -31,8 +31,8 @@ use crate::kernels::access::{
 use crate::kernels::base::THOMAS_OPS_PER_EQ;
 use crate::kernels::repack::{meter_transpose, transpose_config, TRANSPOSE_SMEM_PER_EQ};
 use crate::kernels::{
-    elem_bytes, launch_or_price, BufferRole, BufferRoles, Family, GpuScalar, LaunchIo,
-    RecurrenceKind, CUR, DOUBLE_BUFFERED,
+    elem_bytes, launch_or_price, launch_or_price_tiles, BufferRole, BufferRoles, Family, GpuScalar,
+    LaunchIo, RecurrenceKind, CUR, DOUBLE_BUFFERED,
 };
 use crate::Result;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -175,7 +175,8 @@ impl Family for IThomas {
         let block = cfg.block_threads;
 
         let failed = AtomicBool::new(false);
-        let stats = launch_or_price(gpu, &cfg, io, OutMode::Scattered, |ctx, io| {
+        let stats = launch_or_price_tiles(gpu, &cfg, io, 1, |scratch, ctx, io| {
+            let (ctx, io) = (&mut ctx[0], &mut io[0]);
             let first = ctx.block_id as usize * block;
             let count = block.min(m.saturating_sub(first));
             if count == 0 {
@@ -191,8 +192,9 @@ impl Family for IThomas {
                     len: n,
                 };
                 let [a, b, c, d] = [0, 1, 2, 3].map(|k| io.inputs[k]);
-                let mut lx = vec![T::ZERO; n * count];
-                let broke = thomas::solve_thomas_lanes(&lanes, a, b, c, d, &mut lx);
+                let (work, broke) = scratch.get(2 * n * count, count);
+                let (lx, cp) = work.split_at_mut(n * count);
+                thomas::solve_thomas_lanes(&lanes, a, b, c, d, lx, cp, broke);
                 // Replay system by system, as one thread per system would
                 // run: its tracked loads, then its stores, stopping at the
                 // first system that broke down or produced a non-finite

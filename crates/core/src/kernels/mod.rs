@@ -41,7 +41,7 @@ pub use repack::{repack_chains, repack_config, unpack_config, unpack_solution};
 
 use crate::Result;
 use trisolve_gpu_sim::{
-    BlockCtx, BlockIo, BufferId, Element, Gpu, KernelStats, LaunchConfig, OutMode,
+    BlockCtx, BlockIo, BufferId, Element, Gpu, KernelStats, LaunchConfig, OutMode, TileScratch,
 };
 use trisolve_tridiag::pcr;
 use trisolve_tridiag::system::ChainView;
@@ -161,28 +161,35 @@ where
 }
 
 /// [`launch_or_price`] for a kernel that takes its blocks in tiles of
-/// `tile` adjacent blocks ([`Gpu::launch_tiles`]). Pricing runs one block
-/// per tile.
+/// `tile` adjacent blocks, with a [`TileScratch`] for its working arrays
+/// ([`Gpu::launch_tiles`]), and writes every output scattered. Pricing
+/// runs one block per tile, on an empty scratch it never grows.
 pub(crate) fn launch_or_price_tiles<T, F>(
     gpu: &mut Gpu<T>,
     cfg: &LaunchConfig,
     io: Option<LaunchIo<'_>>,
-    mode: OutMode,
     tile: usize,
     kernel: F,
 ) -> Result<KernelStats>
 where
     T: GpuScalar,
-    F: Fn(&mut [BlockCtx], &mut [BlockIo<'_, T>]) + Sync,
+    F: Fn(&mut TileScratch<T>, &mut [BlockCtx], &mut [BlockIo<'_, T>]) + Sync,
 {
     Ok(match io {
         Some((inputs, outputs)) => {
-            let outputs: Vec<_> = outputs.iter().map(|&b| (b, mode)).collect();
+            let outputs: Vec<_> = outputs.iter().map(|&b| (b, OutMode::Scattered)).collect();
             gpu.launch_tiles(cfg, tile, inputs, &outputs, kernel)?
         }
-        None => gpu.price(cfg, |ctx, io| {
-            kernel(std::slice::from_mut(ctx), std::slice::from_mut(io));
-        })?,
+        None => {
+            let mut scratch = TileScratch::default();
+            gpu.price(cfg, |ctx, io| {
+                kernel(
+                    &mut scratch,
+                    std::slice::from_mut(ctx),
+                    std::slice::from_mut(io),
+                );
+            })?
+        }
     })
 }
 
@@ -217,9 +224,9 @@ pub(crate) fn chain_tile(stride: usize, elem_bytes: usize) -> usize {
     }
 }
 
-/// The chains of one tile of adjacent blocks, gathered lane-interleaved
-/// and double-buffered for PCR steps. Lane `g` is the chain at parent
-/// offset `first.offset + g`; its row `j` sits at `j·lanes + g`.
+/// The chains of one tile of adjacent blocks, lane-interleaved and
+/// double-buffered for PCR steps. Lane `g` is the chain at parent offset
+/// `first.offset + g`; its row `j` sits at `j·lanes + g`.
 ///
 /// One PCR step at local stride `s` on every lane is one step at stride
 /// `s·lanes` on the flat arrays: the neighbours of row `j` of lane `g` sit
@@ -227,49 +234,91 @@ pub(crate) fn chain_tile(stride: usize, elem_bytes: usize) -> usize {
 /// its flat index is below `s·lanes` (within `s·lanes` of the end). Every
 /// lane therefore gets the operations, in the order, that one chain alone
 /// gets.
-pub(crate) struct ChainTile<T> {
+///
+/// A tile of every chain of its parent (`lanes == stride`) is already in
+/// this layout in the launch input, so it is read where it lies: the first
+/// step reads the input and writes the working arrays, and a tile that
+/// takes no step is the input itself. Any other tile is gathered, one
+/// `lanes`-element run per row. The working arrays are borrowed from the
+/// launch's [`TileScratch`] and never cleared: the gather or the first
+/// step writes every row before any is read.
+pub(crate) struct ChainTile<'a, T> {
     /// Chains in the tile.
     lanes: usize,
-    /// The current `(a, b, c, d)`.
-    pub cur: [Vec<T>; 4],
-    next: [Vec<T>; 4],
+    /// The tile's `(a, b, c, d)` in the launch input, while it is read
+    /// where it lies and no step has run.
+    input: Option<[&'a [T]; 4]>,
+    cur: [&'a mut [T]; 4],
+    next: [&'a mut [T]; 4],
 }
 
-impl<T: GpuScalar> ChainTile<T> {
-    /// Gather the `lanes` chains starting at `first` from the four
-    /// `inputs`, one `lanes`-element run per row.
-    pub(crate) fn gather(first: &ChainView, lanes: usize, inputs: &[&[T]]) -> Self {
-        let rows = |input: &[T]| {
-            // Every chain of the parent: the rows are contiguous, and the
-            // tile is one copy of the parent.
-            if lanes == first.stride {
-                return input[first.offset..][..first.len * lanes].to_vec();
+/// Working elements a [`ChainTile`] of `elems` elements borrows.
+pub(crate) const fn chain_tile_scratch(elems: usize) -> usize {
+    8 * elems
+}
+
+impl<'a, T: GpuScalar> ChainTile<'a, T> {
+    /// The `lanes` chains starting at `first` in the four `inputs`, with
+    /// `work` (at least [`chain_tile_scratch`] of `first.len · lanes`
+    /// elements) as working memory.
+    pub(crate) fn new(
+        first: &ChainView,
+        lanes: usize,
+        inputs: &[&'a [T]],
+        work: &'a mut [T],
+    ) -> Self {
+        let len = first.len * lanes;
+        let mut arrays = work.chunks_exact_mut(len);
+        let mut four = || [(); 4].map(|()| arrays.next().expect("eight working arrays"));
+        let (mut cur, next) = (four(), four());
+        let input = (lanes == first.stride)
+            .then(|| [0, 1, 2, 3].map(|k| &inputs[k][first.offset..][..len]));
+        if input.is_none() {
+            for (dst, src) in cur.iter_mut().zip(inputs) {
+                if lanes == 1 {
+                    // One lane is the chain itself, gathered element by
+                    // element (a run copy per element would cost a
+                    // `memcpy` call each).
+                    for (j, v) in dst.iter_mut().enumerate() {
+                        *v = src[first.index(j)];
+                    }
+                } else {
+                    for (j, row) in dst.chunks_exact_mut(lanes).enumerate() {
+                        row.copy_from_slice(&src[first.index(j)..][..lanes]);
+                    }
+                }
             }
-            // One lane is the chain itself, gathered element by element (a
-            // run copy per element would cost a `memcpy` call each).
-            if lanes == 1 {
-                return first.gather(input);
-            }
-            let mut flat = Vec::with_capacity(first.len * lanes);
-            for j in 0..first.len {
-                flat.extend_from_slice(&input[first.index(j)..][..lanes]);
-            }
-            flat
-        };
+        }
         Self {
             lanes,
-            cur: [0, 1, 2, 3].map(|k| rows(inputs[k])),
-            next: [(); 4].map(|()| vec![T::ZERO; first.len * lanes]),
+            input,
+            cur,
+            next,
         }
     }
 
     /// One PCR step at local stride `s` on every lane; the result becomes
     /// current.
     pub(crate) fn pcr_step(&mut self, s: usize) {
-        let [a, b, c, d] = &self.cur;
-        let [oa, ob, oc, od] = &mut self.next;
-        pcr::pcr_step(s * self.lanes, a, b, c, d, oa, ob, oc, od);
-        std::mem::swap(&mut self.cur, &mut self.next);
+        let stride = s * self.lanes;
+        match self.input.take() {
+            Some([a, b, c, d]) => {
+                let [oa, ob, oc, od] = &mut self.cur;
+                pcr::pcr_step(stride, a, b, c, d, oa, ob, oc, od);
+            }
+            None => {
+                let [a, b, c, d] = &self.cur;
+                let [oa, ob, oc, od] = &mut self.next;
+                pcr::pcr_step(stride, a, b, c, d, oa, ob, oc, od);
+                std::mem::swap(&mut self.cur, &mut self.next);
+            }
+        }
+    }
+
+    /// The current `(a, b, c, d)`.
+    pub(crate) fn cur(&self) -> [&[T]; 4] {
+        self.input
+            .unwrap_or_else(|| self.cur.each_ref().map(|v| &v[..]))
     }
 }
 

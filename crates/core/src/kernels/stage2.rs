@@ -28,12 +28,12 @@ use crate::kernels::stage1::{
     PCR_UNIQUE_LOADS_PER_EQ,
 };
 use crate::kernels::{
-    block_chain, chain_tile, elem_bytes, launch_or_price_tiles, BufferRoles, ChainTile, Family,
-    GpuScalar, LaunchIo, RecurrenceKind, DOUBLE_BUFFERED,
+    block_chain, chain_tile, chain_tile_scratch, elem_bytes, launch_or_price_tiles, BufferRoles,
+    ChainTile, Family, GpuScalar, LaunchIo, RecurrenceKind, DOUBLE_BUFFERED,
 };
 use crate::params::{SPLIT_KERNEL_REGS_PER_THREAD, SPLIT_KERNEL_THREADS};
 use crate::Result;
-use trisolve_gpu_sim::{store_tile, Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_gpu_sim::{store_tile, Gpu, KernelStats, LaunchConfig};
 
 /// The independent splitting stage.
 ///
@@ -117,13 +117,15 @@ impl Family for Stage2 {
         let chain_len = n / stride_in;
         let cfg = self.config(elem_bytes::<T>());
         let tile = chain_tile(stride_in, elem_bytes::<T>());
-        launch_or_price_tiles(gpu, &cfg, io, OutMode::Scattered, tile, |ctxs, ios| {
+        launch_or_price_tiles(gpu, &cfg, io, tile, |scratch, ctxs, ios| {
+            let (lanes, inputs) = (ctxs.len(), ios[0].inputs);
             let first = block_chain(ctxs[0].block_id as usize, n, stride_in);
-            // Numerics, for the whole tile: gather its chains into
-            // lane-interleaved working arrays and apply the steps. Only an
-            // executed launch computes.
+            // Numerics, for the whole tile: its chains as lane-interleaved
+            // working arrays (read in place when the tile is contiguous),
+            // and the steps. Only an executed launch computes.
             let coeffs = (!ctxs[0].pricing()).then(|| {
-                let mut coeffs = ChainTile::gather(&first, ctxs.len(), &ios[0].inputs);
+                let (work, _) = scratch.get(chain_tile_scratch(chain_len * lanes), 0);
+                let mut coeffs = ChainTile::new(&first, lanes, inputs, work);
                 for step in 0..steps {
                     coeffs.pcr_step(1 << step);
                 }
@@ -161,7 +163,7 @@ impl Family for Stage2 {
             }
             // Scatter the final coefficients to the chains' parent positions.
             if let Some(coeffs) = coeffs {
-                for (k, vals) in coeffs.cur.iter().enumerate() {
+                for (k, vals) in coeffs.cur().into_iter().enumerate() {
                     store_tile(
                         ios,
                         k,

@@ -18,11 +18,12 @@
 //! pays one *launch* per split; the simulator enforces that structure.
 //!
 //! [`crate::Gpu::launch_tiles`] hands a kernel its blocks in *tiles* of
-//! adjacent blocks — one `BlockCtx` and one `BlockIo` per block — so the
-//! host can run their numerics together; [`store_tile`] stores a tile's
-//! lane-interleaved rows and logs each block's writes as its own. The
-//! simulated launch, its meters and its race check do not depend on the
-//! tile width.
+//! adjacent blocks — one `BlockCtx` and one `BlockIo` per block, plus a
+//! [`TileScratch`] for working arrays the device reuses from tile to tile
+//! and launch to launch — so the host can run their numerics together;
+//! [`store_tile`] stores a tile's lane-interleaved rows and logs each
+//! block's writes as its own. The simulated launch, its meters and its
+//! race check do not depend on the tile width.
 //!
 //! Scattered outputs are race-checked, always: each [`ScatterWriter`] logs
 //! its block's writes as affine runs `(start, stride, count)`, and after
@@ -51,7 +52,7 @@ use crate::device::DeviceSpec;
 use crate::sanitizer::{BlockShadow, InitMask, Region};
 use crate::writelog::WriteLog;
 use crate::Element;
-use std::cell::RefCell;
+use parking_lot::Mutex;
 
 /// Configuration of one kernel launch.
 #[derive(Debug, Clone)]
@@ -126,7 +127,7 @@ pub struct BlockCtx<'a> {
     /// Sanitizer shadow state, present only under `Gpu::with_sanitizer`.
     /// Kept strictly apart from the cost counters so tracking can never
     /// perturb a simulated timing.
-    shadow: Option<&'a RefCell<BlockShadow>>,
+    shadow: Option<&'a Mutex<BlockShadow>>,
     /// True inside [`crate::Gpu::price`]: the block has no buffers and
     /// must only feed its meters.
     pricing: bool,
@@ -150,7 +151,7 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    pub(crate) fn attach_shadow(&mut self, cell: &'a RefCell<BlockShadow>) {
+    pub(crate) fn attach_shadow(&mut self, cell: &'a Mutex<BlockShadow>) {
         self.shadow = Some(cell);
     }
 
@@ -182,7 +183,7 @@ impl<'a> BlockCtx<'a> {
     /// same-interval conflicts with other threads (racecheck).
     pub fn track_smem_read(&mut self, idx: usize, tid: usize, site: &'static str) {
         let Some(cell) = self.shadow else { return };
-        let mut s = cell.borrow_mut();
+        let mut s = cell.lock();
         let elems = s.smem_elems();
         if elems == 0 {
             return;
@@ -201,7 +202,7 @@ impl<'a> BlockCtx<'a> {
     /// element `idx` at source site `site` (see [`BlockCtx::track_smem_read`]).
     pub fn track_smem_write(&mut self, idx: usize, tid: usize, site: &'static str) {
         let Some(cell) = self.shadow else { return };
-        let mut s = cell.borrow_mut();
+        let mut s = cell.lock();
         let elems = s.smem_elems();
         if elems == 0 {
             return;
@@ -359,7 +360,7 @@ impl<'a> BlockCtx<'a> {
     pub fn sync(&mut self) {
         self.counters.barriers += 1.0;
         if let Some(cell) = self.shadow {
-            cell.borrow_mut().barrier();
+            with_shadow(cell, BlockShadow::barrier);
         }
     }
 
@@ -377,6 +378,15 @@ impl<'a> BlockCtx<'a> {
     pub(crate) fn into_counters(self) -> CostCounters {
         self.counters
     }
+}
+
+/// Run `f` on a sanitized block's shadow. Out of line, so that the
+/// tracked accessors and [`BlockCtx::sync`] stay as small as the plain
+/// ones on every unsanitized launch, priced launches included.
+#[cold]
+#[inline(never)]
+fn with_shadow<R>(cell: &Mutex<BlockShadow>, f: impl FnOnce(&mut BlockShadow) -> R) -> R {
+    f(&mut cell.lock())
 }
 
 /// One scattered output buffer during one launch: a raw pointer every
@@ -420,7 +430,8 @@ impl<E: Element> SharedOut<E> {
         }
     }
 
-    /// Store `vals[j]` at `start + j·stride`: one bounds check, one loop.
+    /// Store `vals[j]` at `start + j·stride`: one bounds check, then one
+    /// copy at stride 1, else one loop.
     #[inline]
     fn store_strided(&self, start: usize, stride: usize, vals: &[E]) {
         let Some(last) = vals.len().checked_sub(1) else {
@@ -435,11 +446,19 @@ impl<E: Element> SharedOut<E> {
             "scattered write out of bounds: {start} + {last} x {stride} >= {}",
             self.len
         );
-        for (j, &v) in vals.iter().enumerate() {
-            // SAFETY: the last (largest) index was bounds-checked above;
-            // disjointness per the write-log check that follows the grid.
-            unsafe {
-                *self.ptr.add(start + j * stride) = v;
+        // SAFETY: the last (largest) index was bounds-checked above;
+        // disjointness per the write-log check that follows the grid. `vals`
+        // never overlaps the buffer: the launch has taken the buffer out of
+        // the device, which stays mutably borrowed until the grid is done,
+        // and an output is neither an input nor a second output, so the
+        // only way into the buffer is this pointer.
+        unsafe {
+            if stride == 1 {
+                std::ptr::copy_nonoverlapping(vals.as_ptr(), self.ptr.add(start), vals.len());
+            } else {
+                for (j, &v) in vals.iter().enumerate() {
+                    *self.ptr.add(start + j * stride) = v;
+                }
             }
         }
     }
@@ -451,7 +470,7 @@ pub struct ScatterWriter<'a, E: Element> {
     /// Position of this buffer among the launch's scattered outputs, for
     /// hazard reports.
     pub(crate) slot: usize,
-    pub(crate) shadow: Option<&'a RefCell<BlockShadow>>,
+    pub(crate) shadow: Option<&'a Mutex<BlockShadow>>,
     /// This block's writes, checked against the other blocks' after the
     /// grid has run.
     pub(crate) log: WriteLog,
@@ -485,19 +504,18 @@ impl<E: Element> ScatterWriter<'_, E> {
     #[inline]
     pub fn set_at(&self, idx: usize, v: E, tid: usize, site: &'static str) {
         if let Some(cell) = self.shadow {
-            let mut s = cell.borrow_mut();
-            if idx >= self.out.len {
-                s.record_oob(
-                    Region::ScatteredOut(self.slot),
-                    idx,
-                    self.out.len,
-                    tid,
-                    site,
-                    true,
-                );
+            let (region, len) = (Region::ScatteredOut(self.slot), self.out.len);
+            let in_bounds = with_shadow(cell, |s| {
+                if idx >= len {
+                    s.record_oob(region, idx, len, tid, site, true);
+                    return false;
+                }
+                s.record_access(region, idx, tid, site, true);
+                true
+            });
+            if !in_bounds {
                 return;
             }
-            s.record_access(Region::ScatteredOut(self.slot), idx, tid, site, true);
         }
         self.set(idx, v);
     }
@@ -539,7 +557,9 @@ impl<E: Element> ScatterWriter<'_, E> {
 /// `start + g + j·stride`. Each block logs exactly the run `(start + g,
 /// stride, count(g))` that [`ScatterWriter::set_strided`] would log for
 /// its lane, so the race check sees the same writes. Rows that every lane
-/// stores are written `lanes` contiguous elements at a time.
+/// stores are written `lanes` contiguous elements at a time, and a tile
+/// whose lanes are every chain (`lanes == stride`) and all store every
+/// row is written as one copy.
 ///
 /// Panics, before anything is stored, if an index is out of bounds. With
 /// one lane this is exactly `set_strided`, sanitizer tracking included;
@@ -558,13 +578,18 @@ pub fn store_tile<E: Element>(
         ios[0].scattered[out].set_strided(start, stride, &vals[..count(0)], site);
         return;
     }
-    let counts: Vec<usize> = (0..lanes).map(count).collect();
     let shared = ios[0].scattered[out].out;
     debug_assert!(ios.iter().all(|io| {
         let w = &io.scattered[out];
         std::ptr::eq(w.out, shared) && w.shadow.is_none()
     }));
-    for (g, &count) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
+    let (mut full, mut longest) = (usize::MAX, 0);
+    for g in 0..lanes {
+        let count = count(g);
+        (full, longest) = (full.min(count), longest.max(count));
+        if count == 0 {
+            continue;
+        }
         let end = (count - 1)
             .checked_mul(stride)
             .and_then(|o| o.checked_add(start))
@@ -577,26 +602,65 @@ pub fn store_tile<E: Element>(
             shared.len
         );
     }
-    let full = counts.iter().copied().min().unwrap_or(0);
-    let longest = counts.iter().copied().max().unwrap_or(0);
-    for (j, row) in vals.chunks_exact(lanes).take(longest).enumerate() {
-        if j < full {
-            shared.store_strided(start + j * stride, 1, row);
-        } else {
-            for (g, &v) in row.iter().enumerate().filter(|&(g, _)| j < counts[g]) {
-                shared.store(start + g + j * stride, v);
+    if lanes == stride && full == longest {
+        shared.store_strided(start, 1, &vals[..full * lanes]);
+    } else {
+        for (j, row) in vals.chunks_exact(lanes).take(longest).enumerate() {
+            if j < full {
+                shared.store_strided(start + j * stride, 1, row);
+            } else {
+                for (g, &v) in row.iter().enumerate().filter(|&(g, _)| j < count(g)) {
+                    shared.store(start + g + j * stride, v);
+                }
             }
         }
     }
-    for (g, (io, count)) in ios.iter().zip(counts).enumerate() {
-        io.scattered[out].log.record_run(start + g, stride, count);
+    for (g, io) in ios.iter().enumerate() {
+        io.scattered[out]
+            .log
+            .record_run(start + g, stride, count(g));
+    }
+}
+
+/// Host working memory of one tile of [`crate::Gpu::launch_tiles`]. A
+/// launch hands its tiles a fixed number of these, each reused tile after
+/// tile, and the device keeps them from launch to launch, so a kernel's
+/// working arrays are allocated when they first grow, not per block.
+#[derive(Debug)]
+pub struct TileScratch<E> {
+    elems: Vec<E>,
+    flags: Vec<bool>,
+}
+
+impl<E> Default for TileScratch<E> {
+    fn default() -> Self {
+        Self {
+            elems: Vec::new(),
+            flags: Vec::new(),
+        }
+    }
+}
+
+impl<E: Element> TileScratch<E> {
+    /// `elems` elements and `flags` flags of working memory, holding
+    /// whatever the previous tile left there: the kernel writes before it
+    /// reads. Grows when asked for more than any earlier tile, and never
+    /// shrinks.
+    pub fn get(&mut self, elems: usize, flags: usize) -> (&mut [E], &mut [bool]) {
+        if self.elems.len() < elems {
+            self.elems.resize(elems, E::default());
+        }
+        if self.flags.len() < flags {
+            self.flags.resize(flags, false);
+        }
+        (&mut self.elems[..elems], &mut self.flags[..flags])
     }
 }
 
 /// Per-block sanitizer wiring carried by [`BlockIo`]: the shadow cell plus
 /// views of the launch inputs' global-memory init masks.
 pub(crate) struct ShadowHandle<'a> {
-    pub(crate) cell: &'a RefCell<BlockShadow>,
+    pub(crate) cell: &'a Mutex<BlockShadow>,
     pub(crate) input_init: &'a [&'a InitMask],
 }
 
@@ -605,11 +669,11 @@ pub(crate) struct ShadowHandle<'a> {
 /// [`crate::Gpu::launch`] or [`crate::Gpu::launch_tiles`].
 pub struct BlockIo<'a, E: Element> {
     /// Read-only full views of the input buffers.
-    pub inputs: Vec<&'a [E]>,
+    pub inputs: &'a [&'a [E]],
     /// This block's exclusive read-write chunk of each `Chunked` output.
-    pub owned: Vec<&'a mut [E]>,
+    pub owned: &'a mut [&'a mut [E]],
     /// Writers for each `Scattered` output.
-    pub scattered: Vec<ScatterWriter<'a, E>>,
+    pub scattered: &'a mut [ScatterWriter<'a, E>],
     pub(crate) shadow: Option<ShadowHandle<'a>>,
 }
 
@@ -637,21 +701,19 @@ impl<'a, E: Element> BlockIo<'a, E> {
     pub fn load(&self, input: usize, idx: usize, tid: usize, site: &'static str) -> E {
         let arr = self.inputs[input];
         if let Some(h) = &self.shadow {
-            if idx >= arr.len() {
-                h.cell.borrow_mut().record_oob(
-                    Region::Input(input),
-                    idx,
-                    arr.len(),
-                    tid,
-                    site,
-                    false,
-                );
+            let (len, init) = (arr.len(), h.input_init[input]);
+            let in_bounds = with_shadow(h.cell, |s| {
+                if idx >= len {
+                    s.record_oob(Region::Input(input), idx, len, tid, site, false);
+                    return false;
+                }
+                if !init.get(idx) {
+                    s.record_uninit(Region::Input(input), idx, tid, site);
+                }
+                true
+            });
+            if !in_bounds {
                 return E::default();
-            }
-            if !h.input_init[input].get(idx) {
-                h.cell
-                    .borrow_mut()
-                    .record_uninit(Region::Input(input), idx, tid, site);
             }
         }
         arr[idx]
@@ -668,13 +730,18 @@ impl<'a, E: Element> BlockIo<'a, E> {
     pub fn store(&mut self, out: usize, idx: usize, v: E, tid: usize, site: &'static str) {
         let chunk_len = self.owned[out].len();
         if let Some(h) = &self.shadow {
-            let mut s = h.cell.borrow_mut();
-            if idx >= chunk_len {
-                s.record_oob(Region::ChunkedOut(out), idx, chunk_len, tid, site, true);
+            let in_bounds = with_shadow(h.cell, |s| {
+                if idx >= chunk_len {
+                    s.record_oob(Region::ChunkedOut(out), idx, chunk_len, tid, site, true);
+                    return false;
+                }
+                s.record_access(Region::ChunkedOut(out), idx, tid, site, true);
+                s.mark_owned_write(out, idx, chunk_len);
+                true
+            });
+            if !in_bounds {
                 return;
             }
-            s.record_access(Region::ChunkedOut(out), idx, tid, site, true);
-            s.mark_owned_write(out, idx, chunk_len);
         }
         self.owned[out][idx] = v;
     }
@@ -761,7 +828,7 @@ mod tests {
         writer.set(3, 1.0);
         writer.set(3, 2.0); // same block rewriting: one element
         writer.set_strided(5, 2, &[3.0, 4.0], "test"); // continues 3, 5, 7
-        assert_eq!(writer.log.into_runs().len(), 1);
+        assert_eq!(crate::writelog::tests::runs(writer.log).len(), 1);
         assert_eq!(buf, [0.0, 0.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0]);
     }
 

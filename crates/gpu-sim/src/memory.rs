@@ -6,7 +6,7 @@ use crate::device::DeviceSpec;
 use crate::error::SimError;
 use crate::fault::{FaultInjector, FaultLog, FaultPlan, FaultRecord};
 use crate::launch::{
-    BlockCtx, BlockIo, LaunchConfig, OutMode, ScatterWriter, ShadowHandle, SharedOut,
+    BlockCtx, BlockIo, LaunchConfig, OutMode, ScatterWriter, ShadowHandle, SharedOut, TileScratch,
 };
 use crate::sanitizer::{BlockShadow, Hazard, InitMask, SanitizerReport};
 use crate::stream::{
@@ -18,7 +18,6 @@ use crate::writelog::{self, Run, WriteLog};
 use crate::Element;
 use parking_lot::Mutex;
 use rayon::prelude::*;
-use std::cell::RefCell;
 use std::sync::Arc;
 use trisolve_obs::{arg, Tracer};
 
@@ -123,7 +122,16 @@ pub struct Gpu<E: Element> {
     /// Stream the next `launch`/`upload`/`download` is issued on (`None` =
     /// synchronous, the default stream).
     active_stream: Option<Stream>,
+    /// One [`TileScratch`] per tile group of a launch, kept from launch to
+    /// launch (see [`TILE_GROUPS`]).
+    scratch: Vec<TileScratch<E>>,
 }
+
+/// How many groups of adjacent tiles a launch runs in parallel, each on
+/// one of the device's [`TileScratch`]es. A constant, not the host's CPU
+/// count, so what a launch allocates does not depend on the host; the
+/// vendored pool spreads the groups over its threads.
+const TILE_GROUPS: usize = 16;
 
 /// Device-side sanitizer state: a global-memory init shadow per buffer slot
 /// (parallel to `Gpu::buffers`; slots are never reused) plus the accumulated
@@ -134,10 +142,6 @@ struct SanitizerState {
     report: SanitizerReport,
 }
 
-/// What one block of a launch leaves behind: its cost counters, its
-/// sanitizer shadow, and the runs it wrote to each scattered output.
-type BlockOutcome = (CostCounters, Option<BlockShadow>, Vec<Vec<Run>>);
-
 /// What one sanitized launch learned, to be folded into [`SanitizerState`]
 /// after the output buffers are restored.
 struct LaunchAudit {
@@ -146,73 +150,6 @@ struct LaunchAudit {
     /// `(buffer slot, written-mask)` per output: which elements this launch
     /// initialised.
     output_inits: Vec<(usize, InitMask)>,
-}
-
-/// Where output `i`, in the caller's order, comes from in a block's
-/// [`BlockIo`]: its owned chunk, or the `j`-th scattered output.
-enum OutSlot {
-    Chunked,
-    Scattered(usize),
-}
-
-/// What every block of one launch sees: the device, the input views (and
-/// their init masks under the sanitizer), and the outputs in caller order.
-struct LaunchViews<'a, E: Element> {
-    cfg: &'a LaunchConfig,
-    spec: &'a DeviceSpec,
-    inputs: &'a [&'a [E]],
-    input_masks: Option<&'a [&'a InitMask]>,
-    order: &'a [OutSlot],
-    scattered: &'a [SharedOut<E>],
-}
-
-impl<'a, E: Element> LaunchViews<'a, E> {
-    /// Block `b`'s context and views: its owned chunks and one fresh
-    /// write log per scattered output, tracked through `cell` under the
-    /// sanitizer.
-    fn open<'b>(
-        &self,
-        b: usize,
-        owned: Vec<&'b mut [E]>,
-        cell: Option<&'b RefCell<BlockShadow>>,
-    ) -> (BlockCtx<'b>, BlockIo<'b, E>)
-    where
-        'a: 'b,
-    {
-        let mut ctx = BlockCtx::new(b as u32, self.cfg.block_threads, self.spec, E::BYTES);
-        if let Some(cell) = cell {
-            ctx.attach_shadow(cell);
-        }
-        let mut owned = owned.into_iter();
-        let mut io = BlockIo {
-            inputs: self.inputs.to_vec(),
-            owned: Vec::new(),
-            scattered: Vec::new(),
-            shadow: cell
-                .zip(self.input_masks)
-                .map(|(cell, input_init)| ShadowHandle { cell, input_init }),
-        };
-        for slot in self.order {
-            match slot {
-                OutSlot::Chunked => io.owned.push(owned.next().expect("chunk per output")),
-                OutSlot::Scattered(j) => io.scattered.push(ScatterWriter {
-                    out: &self.scattered[*j],
-                    slot: *j,
-                    shadow: cell,
-                    log: WriteLog::default(),
-                }),
-            }
-        }
-        (ctx, io)
-    }
-}
-
-/// A block's counters and its runs per scattered output, once it has run
-/// (the caller fills in the shadow once the block's borrows have ended).
-fn close_block<E: Element>(ctx: BlockCtx<'_>, mut io: BlockIo<'_, E>) -> BlockOutcome {
-    let logs = io.scattered.drain(..).map(|w| w.log.into_runs()).collect();
-    drop(io);
-    (ctx.into_counters(), None, logs)
 }
 
 impl<E: Element> Gpu<E> {
@@ -230,6 +167,7 @@ impl<E: Element> Gpu<E> {
             faults: None,
             streams: None,
             active_stream: None,
+            scratch: Vec::new(),
         }
     }
 
@@ -603,18 +541,49 @@ impl<E: Element> Gpu<E> {
     /// device buffer itself is untouched by a D2H fault) — with no
     /// campaign attached the call is read-only in effect.
     pub fn download(&mut self, id: BufferId) -> Result<Vec<E>, SimError> {
-        let mut out = self.view(id)?.to_vec();
+        let len = self.view(id)?.len();
+        self.download_rows(id, len.max(1), len)
+    }
+
+    /// Copy a buffer back to the host, keeping the first `keep` elements
+    /// of every `row`-element row: the rows of a padded batch without
+    /// their padding, copied once. The transfer is the whole buffer, as
+    /// for [`Gpu::download`]: a D2H fault draws its element from the whole
+    /// buffer, is recorded and traced the same way, and flips the host's
+    /// copy of that element only if the host keeps it. With `keep == row`
+    /// this is [`Gpu::download`]. Panics unless `0 < row` and
+    /// `keep <= row`.
+    pub fn download_rows(
+        &mut self,
+        id: BufferId,
+        row: usize,
+        keep: usize,
+    ) -> Result<Vec<E>, SimError> {
+        assert!(
+            0 < row && keep <= row,
+            "download keeps {keep} of {row} elements per row"
+        );
+        let buf = self.view(id)?;
+        let len = buf.len();
+        let mut out = Vec::with_capacity(len / row * keep + (len % row).min(keep));
+        for r in buf.chunks(row) {
+            out.extend_from_slice(&r[..keep.min(r.len())]);
+        }
         let fault = self
             .faults
             .as_mut()
-            .and_then(|f| f.next_transfer_fault("d2h", out.len(), 8 * E::BYTES as u32));
+            .and_then(|f| f.next_transfer_fault("d2h", len, 8 * E::BYTES as u32));
         if let Some((index, bit, rec)) = fault {
-            out[index] = out[index].flip_bit(bit);
+            let (r, col) = (index / row, index % row);
+            if col < keep {
+                let kept = &mut out[r * keep + col];
+                *kept = kept.flip_bit(bit);
+            }
             self.trace_fault(&rec);
         }
         match self.active_stream {
-            None => self.trace_transfer("d2h", id, out.len()),
-            Some(stream) => self.async_transfer(stream, "d2h", id, out.len()),
+            None => self.trace_transfer("d2h", id, len),
+            Some(stream) => self.async_transfer(stream, "d2h", id, len),
         }
         Ok(out)
     }
@@ -763,7 +732,7 @@ impl<E: Element> Gpu<E> {
     where
         F: Fn(&mut BlockCtx, &mut BlockIo<'_, E>) + Sync,
     {
-        self.launch_tiles(cfg, 1, inputs, outputs, |ctxs, ios| {
+        self.launch_tiles(cfg, 1, inputs, outputs, |_, ctxs, ios| {
             kernel(&mut ctxs[0], &mut ios[0]);
         })
     }
@@ -771,10 +740,13 @@ impl<E: Element> Gpu<E> {
     /// Launch a kernel whose blocks are handed to it in *tiles* of `tile`
     /// adjacent blocks: `kernel` runs once per tile with one [`BlockCtx`]
     /// and one [`BlockIo`] per block, in block order (the last tile may be
-    /// shorter). The simulated launch is the same as [`Gpu::launch`]'s:
-    /// every block keeps its own meters, owned chunks and scattered-write
-    /// log, so the [`KernelStats`], the race check and its report do not
-    /// depend on the tile width. A tile lets the host run its blocks'
+    /// shorter), plus a [`TileScratch`] for its working arrays. The tiles
+    /// run in a fixed number of groups of adjacent tiles, each group in
+    /// order on one scratch that the device keeps across launches. The
+    /// simulated launch is the same as [`Gpu::launch`]'s: every block
+    /// keeps its own meters, owned chunks and scattered-write log, so the
+    /// [`KernelStats`], the race check and its report do not depend on the
+    /// tile width. A tile lets the host run its blocks'
     /// numerics together, e.g. adjacent strided chains as SIMD lanes
     /// ([`crate::launch::store_tile`] stores them).
     ///
@@ -789,7 +761,7 @@ impl<E: Element> Gpu<E> {
         kernel: F,
     ) -> Result<KernelStats, SimError>
     where
-        F: Fn(&mut [BlockCtx], &mut [BlockIo<'_, E>]) + Sync,
+        F: Fn(&mut TileScratch<E>, &mut [BlockCtx], &mut [BlockIo<'_, E>]) + Sync,
     {
         self.reclaim();
 
@@ -844,7 +816,9 @@ impl<E: Element> Gpu<E> {
         } else {
             tile.max(1)
         };
-        let result = self.run_tiles(cfg, tile, inputs, &mut taken, kernel);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let result = self.run_tiles(cfg, tile, inputs, &mut taken, &mut scratch, kernel);
+        self.scratch = scratch;
         for (oid, _, buf) in taken {
             self.buffers[oid.0] = Some(buf);
         }
@@ -886,9 +860,9 @@ impl<E: Element> Gpu<E> {
     /// the clock, profile and trace advance exactly as for a launch. No
     /// fault is injected and nothing is sanitized, so callers that need
     /// either execute instead.
-    pub fn price<F>(&mut self, cfg: &LaunchConfig, kernel: F) -> Result<KernelStats, SimError>
+    pub fn price<F>(&mut self, cfg: &LaunchConfig, mut kernel: F) -> Result<KernelStats, SimError>
     where
-        F: Fn(&mut BlockCtx, &mut BlockIo<'_, E>),
+        F: FnMut(&mut BlockCtx, &mut BlockIo<'_, E>),
     {
         self.reclaim();
         timing::residency(&self.spec, cfg)?;
@@ -897,9 +871,9 @@ impl<E: Element> Gpu<E> {
                 let mut ctx = BlockCtx::new(b as u32, cfg.block_threads, &self.spec, E::BYTES);
                 ctx.set_pricing();
                 let mut io = BlockIo {
-                    inputs: Vec::new(),
-                    owned: Vec::new(),
-                    scattered: Vec::new(),
+                    inputs: &[],
+                    owned: &mut [],
+                    scattered: &mut [],
                     shadow: None,
                 };
                 kernel(&mut ctx, &mut io);
@@ -1085,16 +1059,22 @@ impl<E: Element> Gpu<E> {
         }
     }
 
+    /// Run every tile of a launch and check its writes. Everything a block
+    /// gets is allocated once per launch, for the whole grid: the blocks'
+    /// contexts and views, their chunks and their write logs. The tiles
+    /// run in at most [`TILE_GROUPS`] groups of adjacent tiles, group `i`
+    /// on `scratch[i]`.
     fn run_tiles<F>(
         &self,
         cfg: &LaunchConfig,
         tile: usize,
         inputs: &[BufferId],
         taken: &mut [(BufferId, OutMode, Vec<E>)],
+        scratch: &mut Vec<TileScratch<E>>,
         kernel: F,
     ) -> Result<(KernelStats, Option<LaunchAudit>), SimError>
     where
-        F: Fn(&mut [BlockCtx], &mut [BlockIo<'_, E>]) + Sync,
+        F: Fn(&mut TileScratch<E>, &mut [BlockCtx], &mut [BlockIo<'_, E>]) + Sync,
     {
         let grid = cfg.grid_blocks;
         let input_views: Vec<&[E]> = inputs
@@ -1110,14 +1090,12 @@ impl<E: Element> Gpu<E> {
 
         // Partition chunked outputs into per-block slices and build the
         // shared scattered outputs.
-        let mut chunk_iters: Vec<(usize, std::slice::ChunksMut<'_, E>)> = Vec::new();
+        let mut chunk_iters: Vec<std::slice::ChunksMut<'_, E>> = Vec::new();
         let mut scattered: Vec<SharedOut<E>> = Vec::new();
         // Buffer slot + chunk + full length per chunked output, and buffer
         // slot + length per scattered output, for the sanitizer audit.
         let mut chunked_meta: Vec<(usize, usize, usize)> = Vec::new();
         let mut scattered_meta: Vec<(usize, usize)> = Vec::new();
-        // Order map so BlockIo presents outputs in caller order.
-        let mut order: Vec<OutSlot> = Vec::with_capacity(taken.len());
         for (oid, mode, buf) in taken.iter_mut() {
             match mode {
                 OutMode::Chunked { chunk } => {
@@ -1130,108 +1108,100 @@ impl<E: Element> Gpu<E> {
                             ),
                         });
                     }
-                    order.push(OutSlot::Chunked);
                     chunked_meta.push((oid.0, *chunk, buf.len()));
-                    chunk_iters.push((*chunk, buf.chunks_mut(*chunk)));
+                    chunk_iters.push(buf.chunks_mut(*chunk));
                 }
                 OutMode::Scattered => {
-                    order.push(OutSlot::Scattered(scattered.len()));
                     scattered_meta.push((oid.0, buf.len()));
                     scattered.push(SharedOut::new(buf));
                 }
             }
         }
+        let (n_chunked, n_scattered) = (chunk_iters.len(), scattered.len());
 
-        // Assemble per-block owned chunks (sequentially; they are disjoint).
-        let mut per_block_owned: Vec<Vec<&mut [E]>> = (0..grid).map(|_| Vec::new()).collect();
-        for (_, iter) in &mut chunk_iters {
-            for (b, chunk) in iter.by_ref().take(grid).enumerate() {
-                per_block_owned[b].push(chunk);
+        // Per block, block-major: its sanitizer shadow, its chunk of each
+        // chunked output, and its writer of each scattered output.
+        let shadows: Vec<Mutex<BlockShadow>> = match input_masks {
+            Some(_) => (0..grid)
+                .map(|_| Mutex::new(BlockShadow::new(smem_elems, n_chunked)))
+                .collect(),
+            None => Vec::new(),
+        };
+        let mut owned: Vec<&mut [E]> = Vec::with_capacity(grid * n_chunked);
+        let mut writers: Vec<ScatterWriter<'_, E>> = Vec::with_capacity(grid * n_scattered);
+        for b in 0..grid {
+            for iter in &mut chunk_iters {
+                owned.push(iter.next().expect("chunk per block"));
+            }
+            for (slot, out) in scattered.iter().enumerate() {
+                writers.push(ScatterWriter {
+                    out,
+                    slot,
+                    shadow: shadows.get(b),
+                    log: WriteLog::default(),
+                });
             }
         }
-
-        let launch = LaunchViews {
-            cfg,
-            spec: &self.spec,
-            inputs: &input_views,
-            input_masks: input_masks.as_deref(),
-            order: &order,
-            scattered: &scattered,
-        };
-        let launch = &launch;
-        let kernel = &kernel;
-        let mut per_block: Vec<BlockOutcome> = if tile == 1 {
-            // One block per parallel item: every `Gpu::launch`, and every
-            // launch under the sanitizer.
-            per_block_owned
-                .into_par_iter()
-                .enumerate()
-                .map(move |(b, owned)| {
-                    // The shadow cell must be declared before `ctx`/`io` so
-                    // the borrows they hold end first.
-                    let cell = launch
-                        .input_masks
-                        .is_some()
-                        .then(|| RefCell::new(BlockShadow::new(smem_elems, owned.len())));
-                    let (mut ctx, mut io) = launch.open(b, owned, cell.as_ref());
-                    kernel(
-                        std::slice::from_mut(&mut ctx),
-                        std::slice::from_mut(&mut io),
-                    );
-                    let mut outcome = close_block(ctx, io);
-                    outcome.1 = cell.map(RefCell::into_inner);
-                    outcome
-                })
-                .collect()
-        } else {
-            // Tiles of adjacent blocks, one per parallel item. The
-            // sanitizer never gets here, so no block has a shadow.
-            debug_assert!(launch.input_masks.is_none());
-            let mut tiles: Vec<Vec<Vec<&mut [E]>>> = Vec::with_capacity(grid.div_ceil(tile));
-            for (b, owned) in per_block_owned.into_iter().enumerate() {
-                if b % tile == 0 {
-                    tiles.push(Vec::with_capacity(tile));
+        let mut ctxs: Vec<BlockCtx<'_>> = (0..grid)
+            .map(|b| {
+                let mut ctx = BlockCtx::new(b as u32, cfg.block_threads, &self.spec, E::BYTES);
+                if let Some(cell) = shadows.get(b) {
+                    ctx.attach_shadow(cell);
                 }
-                tiles.last_mut().expect("tile started").push(owned);
-            }
-            let per_tile: Vec<Vec<BlockOutcome>> = tiles
-                .into_par_iter()
-                .enumerate()
-                .map(move |(t, tile_owned)| {
-                    let (mut ctxs, mut ios): (Vec<_>, Vec<_>) = tile_owned
-                        .into_iter()
-                        .enumerate()
-                        .map(|(g, owned)| launch.open(t * tile + g, owned, None))
-                        .unzip();
-                    kernel(&mut ctxs, &mut ios);
-                    ctxs.into_iter()
-                        .zip(ios)
-                        .map(|(ctx, io)| close_block(ctx, io))
-                        .collect()
-                })
-                .collect();
-            let mut per_block = Vec::with_capacity(grid);
-            for outcomes in per_tile {
-                per_block.extend(outcomes);
-            }
-            per_block
-        };
+                ctx
+            })
+            .collect();
+        let (mut owned_rest, mut writers_rest) = (&mut owned[..], &mut writers[..]);
+        let mut ios: Vec<BlockIo<'_, E>> = Vec::with_capacity(grid);
+        for b in 0..grid {
+            let (own, rest) = std::mem::take(&mut owned_rest).split_at_mut(n_chunked);
+            owned_rest = rest;
+            let (writers, rest) = std::mem::take(&mut writers_rest).split_at_mut(n_scattered);
+            writers_rest = rest;
+            ios.push(BlockIo {
+                inputs: &input_views,
+                owned: own,
+                scattered: writers,
+                shadow: shadows
+                    .get(b)
+                    .zip(input_masks.as_deref())
+                    .map(|(cell, input_init)| ShadowHandle { cell, input_init }),
+            });
+        }
+
+        // Groups of adjacent tiles, one per parallel item; a group runs
+        // its tiles in order on its own scratch.
+        let tiles = grid.div_ceil(tile);
+        let groups = tiles.min(TILE_GROUPS);
+        if scratch.len() < groups {
+            scratch.resize_with(groups, TileScratch::default);
+        }
+        let per_group = (tiles.div_ceil(groups.max(1)) * tile).max(1);
+        let kernel = &kernel;
+        let work: Vec<_> = ctxs
+            .chunks_mut(per_group)
+            .zip(ios.chunks_mut(per_group))
+            .zip(scratch.iter_mut())
+            .collect();
+        let _: Vec<()> = work
+            .into_par_iter()
+            .map(|((ctxs, ios), scratch)| {
+                for (ctxs, ios) in ctxs.chunks_mut(tile).zip(ios.chunks_mut(tile)) {
+                    kernel(scratch, ctxs, ios);
+                }
+            })
+            .collect();
 
         // Who wrote what, per scattered output: every block's runs, in
         // block order. One check per output proves the blocks disjoint.
-        let scattered_runs: Vec<Vec<(u32, Run)>> = (0..scattered.len())
-            .map(|j| {
-                per_block
-                    .iter_mut()
-                    .enumerate()
-                    .flat_map(|(b, (_, _, logs))| {
-                        std::mem::take(&mut logs[j])
-                            .into_iter()
-                            .map(move |run| (b as u32, run))
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut scattered_runs: Vec<Vec<(u32, Run)>> =
+            (0..n_scattered).map(|_| Vec::with_capacity(grid)).collect();
+        for (b, io) in ios.iter_mut().enumerate() {
+            for (runs, writer) in scattered_runs.iter_mut().zip(io.scattered.iter_mut()) {
+                writer.log.drain_into(b as u32, runs);
+            }
+        }
+        let counters: Vec<CostCounters> = ctxs.into_iter().map(BlockCtx::into_counters).collect();
         for (runs, &(_, len)) in scattered_runs.iter().zip(&scattered_meta) {
             if let Some((index, first_block, second_block)) = writelog::find_race(len, runs) {
                 return Err(SimError::WriteRace {
@@ -1245,14 +1215,13 @@ impl<E: Element> Gpu<E> {
         let audit = input_masks.is_some().then(|| {
             self.build_audit(
                 cfg,
-                &mut per_block,
+                shadows.into_iter().map(Mutex::into_inner),
                 &chunked_meta,
                 &scattered_meta,
                 &scattered_runs,
             )
         });
 
-        let counters: Vec<CostCounters> = per_block.into_iter().map(|(c, _, _)| c).collect();
         let stats = timing::kernel_time(&self.spec, cfg, &counters)?;
         Ok((stats, audit))
     }
@@ -1263,7 +1232,7 @@ impl<E: Element> Gpu<E> {
     fn build_audit(
         &self,
         cfg: &LaunchConfig,
-        per_block: &mut [BlockOutcome],
+        shadows: impl Iterator<Item = BlockShadow>,
         chunked_meta: &[(usize, usize, usize)],
         scattered_meta: &[(usize, usize)],
         scattered_runs: &[Vec<(u32, Run)>],
@@ -1274,10 +1243,7 @@ impl<E: Element> Gpu<E> {
             .iter()
             .map(|&(_, _, len)| InitMask::new_uninit(len))
             .collect();
-        for (b, (_, shadow, _)) in per_block.iter_mut().enumerate() {
-            let Some(shadow) = shadow.take() else {
-                continue;
-            };
+        for (b, shadow) in shadows.enumerate() {
             let (block_hazards, owned_writes, block_dropped) = shadow.into_parts();
             dropped += block_dropped;
             for h in block_hazards {
@@ -1636,7 +1602,7 @@ mod tests {
             tile,
             &[],
             &[(dst, OutMode::Scattered)],
-            |ctxs, ios| {
+            |_, ctxs, ios| {
                 let first = ctxs[0].block_id as usize;
                 let lanes = ctxs.len();
                 let vals: Vec<f32> = (0..len * lanes)

@@ -145,16 +145,16 @@ impl WriteLog {
         self.last.set(i);
     }
 
-    /// The logged runs.
-    pub(crate) fn into_runs(self) -> Vec<Run> {
-        let mut runs = self.closed.into_inner();
-        runs.extend(
-            self.lanes
-                .map(Cell::into_inner)
-                .into_iter()
-                .filter(|r| r.count > 0),
-        );
-        runs
+    /// Move the logged runs onto `out`, each tagged with `block`, and
+    /// leave the log empty.
+    pub(crate) fn drain_into(&mut self, block: u32, out: &mut Vec<(u32, Run)>) {
+        out.extend(self.closed.get_mut().drain(..).map(|r| (block, r)));
+        for lane in &mut self.lanes {
+            let run = std::mem::take(lane.get_mut());
+            if run.count > 0 {
+                out.push((block, run));
+            }
+        }
     }
 }
 
@@ -303,7 +303,7 @@ pub(crate) fn written_mask(len: usize, runs: &[(u32, Run)]) -> InitMask {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// One block's writes: single elements or strided bulk stores.
@@ -317,11 +317,18 @@ mod tests {
         },
     }
 
+    /// The runs one log holds.
+    pub(crate) fn runs(mut log: WriteLog) -> Vec<Run> {
+        let mut out = Vec::new();
+        log.drain_into(0, &mut out);
+        out.into_iter().map(|(_, r)| r).collect()
+    }
+
     /// Fold each block's writes through a `WriteLog`, in block order.
     fn logged(blocks: &[Vec<Write>]) -> Vec<(u32, Run)> {
         let mut runs = Vec::new();
         for (b, writes) in blocks.iter().enumerate() {
-            let log = WriteLog::default();
+            let mut log = WriteLog::default();
             for w in writes {
                 match *w {
                     Write::At(i) => log.record(i),
@@ -332,7 +339,7 @@ mod tests {
                     } => log.record_run(start, stride, count),
                 }
             }
-            runs.extend(log.into_runs().into_iter().map(|r| (b as u32, r)));
+            log.drain_into(b as u32, &mut runs);
         }
         runs
     }
@@ -518,7 +525,7 @@ mod tests {
                     hi += 1;
                 }
             }
-            assert_eq!(log.into_runs().len(), 2, "descending: {descending}");
+            assert_eq!(runs(log).len(), 2, "descending: {descending}");
         }
     }
 
@@ -531,7 +538,7 @@ mod tests {
         log.record_run(3 + 64 * 100, 64, 28);
         log.record(3 + 64 * 127); // rewrite of the last element
         assert_eq!(
-            log.into_runs(),
+            runs(log),
             vec![Run {
                 start: 3,
                 stride: 64,

@@ -170,10 +170,12 @@ pub struct LaneView {
 /// The solution lands in `x` lane-interleaved and compact: element `k` of
 /// lane `t` at `k·lanes + t`.
 ///
-/// Returns one flag per lane, `true` where `solve_thomas_chain` fails on
-/// that chain (a pivot below the threshold or non-finite, or an empty
-/// chain). A failed lane keeps sweeping; its entries of `x` are
+/// `cp` is working space of at least `len·lanes` elements, whatever they
+/// hold. `broke` gets one flag per lane, `true` where `solve_thomas_chain`
+/// fails on that chain (a pivot below the threshold or non-finite, or an
+/// empty chain). A failed lane keeps sweeping; its entries of `x` are
 /// unspecified.
+#[allow(clippy::too_many_arguments)]
 pub fn solve_thomas_lanes<T: Scalar>(
     view: &LaneView,
     a: &[T],
@@ -181,7 +183,9 @@ pub fn solve_thomas_lanes<T: Scalar>(
     c: &[T],
     d: &[T],
     x: &mut [T],
-) -> Vec<bool> {
+    cp: &mut [T],
+    broke: &mut [bool],
+) {
     let LaneView {
         offset,
         row_stride,
@@ -189,11 +193,12 @@ pub fn solve_thomas_lanes<T: Scalar>(
         len,
     } = *view;
     debug_assert!(len <= 1 || row_stride >= lanes);
-    let mut broke = vec![len == 0; lanes];
+    let broke = &mut broke[..lanes];
+    broke.fill(len == 0);
     if len == 0 {
-        return broke;
+        return;
     }
-    let mut cp = vec![T::ZERO; len * lanes];
+    let cp = &mut cp[..len * lanes];
     let dp = &mut x[..len * lanes];
     // Row `k` of every lane; slicing once lets the lane loops index it
     // without bounds checks.
@@ -226,7 +231,6 @@ pub fn solve_thomas_lanes<T: Scalar>(
             dp_k[t] -= cp_k[t] * next;
         }
     }
-    broke
 }
 
 #[inline]

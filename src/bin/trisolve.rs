@@ -22,7 +22,6 @@ use trisolve::harness::{
 use trisolve::prelude::*;
 use trisolve::serve::LoadProfile;
 use trisolve::solver::kernels::{elem_bytes, GpuScalar};
-use trisolve::tridiag::workloads::WorkloadClass;
 use trisolve::{analyze, chaos, sanitize, serve_sim};
 
 /// Counts heap allocations, so `report --regress` can gate the tuned
@@ -271,13 +270,7 @@ fn cmd_tune(o: &CliOptions) -> Result<(), String> {
             eprintln!("warning: {path} quarantined{to}: {reason}");
         }
         // The key `solve_auto` reads for this device, width and size.
-        let key = PlanDb::key(
-            dev.name(),
-            cfg.elem_bytes,
-            shape.system_size,
-            WorkloadClass::Dominant.label(),
-            "auto",
-        );
+        let key = PlanDb::ungated_key(dev.name(), cfg.elem_bytes, shape.system_size);
         db.put(key, cfg.clone());
         db.save().map_err(|e| format!("{path}: {e}"))?;
         println!("saved to {path} ({} entries)", db.len());

@@ -341,6 +341,12 @@ fn tune_cache_serves_solve_auto_and_quarantines_damage() {
     assert!(evals(&mut PlanDb::in_memory()) > 0);
     let mut db = PlanDb::open(&path);
     assert!(matches!(db.origin(), DbOrigin::Loaded), "{:?}", db.origin());
+    // Ungated tunings have their own class: the service's stability-gated
+    // key for the same device, width, size and layout stays free.
+    let device = DeviceSpec::gtx_470();
+    assert!(db.contains(&PlanDb::ungated_key(device.name(), 4, 4096)));
+    assert!(!db.contains(&PlanDb::key(device.name(), 4, 4096, "dominant", "auto")));
+    assert_eq!(db.len(), 1);
     assert_eq!(evals(&mut db), 0);
     assert_eq!((db.hits(), db.misses()), (1, 0));
 

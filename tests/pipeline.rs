@@ -140,7 +140,7 @@ fn tuning_cache_round_trips_through_solver() {
     let shape = WorkloadShape::new(16, 8192);
     let device = DeviceSpec::gtx_470();
     let path = std::env::temp_dir().join(format!("trisolve-pipeline-{}.json", std::process::id()));
-    let key = PlanDb::key(device.name(), 4, shape.system_size, "dominant", "auto");
+    let key = PlanDb::ungated_key(device.name(), 4, shape.system_size);
     {
         let mut db = PlanDb::open(&path);
         let mut gpu: Gpu<f32> = Gpu::new(device.clone());

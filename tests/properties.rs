@@ -372,9 +372,12 @@ fn lanes_match_chains<T: Scalar>(
         lanes,
         len,
     };
-    let mut x = vec![T::ZERO; len * lanes];
-    let broke = solve_thomas_lanes(&view, &a, &b, &c, &d, &mut x);
-    prop_assert_eq!(broke.len(), lanes);
+    // Working space left dirty by an earlier sweep: the sweep must not
+    // read it before writing it.
+    let mut x = vec![T::from_f64(f64::NAN); len * lanes];
+    let mut cp = vec![T::from_f64(f64::NAN); len * lanes];
+    let mut broke = vec![true; lanes];
+    solve_thomas_lanes(&view, &a, &b, &c, &d, &mut x, &mut cp, &mut broke);
 
     let mut chain_x = vec![T::ZERO; size];
     let mut chain_scratch = ChainScratch::new();
@@ -487,9 +490,10 @@ fn per_chain_base<T: GpuScalar>(
             lanes: t4,
             len: len / t4,
         };
-        let mut lx = vec![T::ZERO; len];
+        let (mut lx, mut cp, mut broke) = (vec![T::ZERO; len], vec![T::ZERO; len], vec![false; t4]);
         let [a, b, c, d] = &cur;
-        if solve_thomas_lanes(&lanes, a, b, c, d, &mut lx).contains(&true) {
+        solve_thomas_lanes(&lanes, a, b, c, d, &mut lx, &mut cp, &mut broke);
+        if broke.contains(&true) {
             broken += 1;
             continue;
         }
@@ -635,6 +639,46 @@ fn chain_tiles_match<T: GpuScalar>(
         }
     }
     Ok(())
+}
+
+/// The contiguous tiles, where a tile is every chain of its parent
+/// (`lanes == stride`: strides below one cache line, stride 1 included)
+/// and is read from the launch input in place, each case on purpose
+/// rather than by draw: stage 2 at every step count, and the base kernel
+/// with and without PCR steps, clean and with a failing block. A block
+/// whose sweep breaks stores nothing and one with a non-finite element
+/// stores the rows before it, so those tiles take the per-row store; the
+/// others store the whole tile as one copy.
+#[test]
+fn contiguous_chain_tiles_match_per_chain() {
+    let check = |stride, steps, t4, variant, plant, seed| {
+        chain_tiles_match::<f32>(3, stride, 64, steps, t4, variant, plant, seed).unwrap();
+        chain_tiles_match::<f64>(3, stride, 64, steps, t4, variant, plant, seed).unwrap();
+    };
+    for (seed, stride) in [1, 2, 4, 8].into_iter().enumerate() {
+        for plant in [Plant::None, Plant::ZeroRow, Plant::NanRhs] {
+            for steps in 1..=3 {
+                check(
+                    stride,
+                    steps,
+                    None,
+                    BaseVariant::Strided,
+                    plant,
+                    seed as u64,
+                );
+            }
+            for t4 in [1, 4] {
+                check(
+                    stride,
+                    1,
+                    Some(t4),
+                    BaseVariant::Coalesced,
+                    plant,
+                    seed as u64,
+                );
+            }
+        }
+    }
 }
 
 /// Decode one drawn case for [`chain_tiles_match`]: parents of at most
