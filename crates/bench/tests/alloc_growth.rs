@@ -5,6 +5,7 @@
 use trisolve_bench::alloc::{self, CountingAlloc};
 use trisolve_core::{BaseVariant, SolveSession, SolverParams};
 use trisolve_gpu_sim::{DeviceSpec, Gpu};
+use trisolve_tridiag::norms::batch_worst_relative_residual;
 use trisolve_tridiag::workloads::{random_dominant, WorkloadShape};
 
 #[global_allocator]
@@ -35,6 +36,15 @@ fn reused_session_solve_allocations_do_not_grow_with_blocks() {
         let again = again.unwrap();
         assert_eq!(again.x, first.x);
         assert_eq!(again.kernel_stats.len(), 2);
+        // Checking the solve reads the batch in place.
+        let (residual, checked) =
+            alloc::counting(|| batch_worst_relative_residual(&batch, &again.x));
+        assert!(residual.unwrap() < 1e-4);
+        assert_eq!(
+            checked.map(|c| c.allocs),
+            Some(0),
+            "the residual check allocated"
+        );
         counts.expect("this process counts allocations").allocs
     };
     let (quarter, half, full) = (allocs(256), allocs(512), allocs(1024));

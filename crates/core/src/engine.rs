@@ -21,18 +21,20 @@
 //! model, is one function:
 //! [`solve_on_host`](crate::reference::solve_on_host).
 
-use crate::kernels::{elem_bytes, BufferRole, CoeffBuffers, GpuScalar};
+use crate::kernels::{elem_bytes, CoeffBuffers, GpuScalar};
 use crate::params::SolverParams;
 use crate::plan::SolvePlan;
-use crate::schedule::{pipelined_schedule, resolve, BufKey, NodeAction, Schedule, ScheduleNode};
+use crate::schedule::{
+    lower_schedule, pipelined_schedule, BufKey, NodeAction, Schedule, ScheduleNode,
+};
 use crate::solver::SolveOutcome;
 use crate::{CoreError, Result};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use trisolve_gpu_sim::{
-    overlap_ratio, serial_time_s, wall_time_s, BufferId, DeviceBuffer, Gpu, KernelStats,
-    QueryableProps, ValidationReport,
+    overlap_ratio, serial_time_s, wall_time_s, BufferId, DeviceBuffer, Event, Gpu, KernelStats,
+    QueryableProps, Stream, ValidationReport,
 };
 use trisolve_obs::{arg, Phase, TraceEvent};
 use trisolve_tridiag::workloads::WorkloadShape;
@@ -208,15 +210,21 @@ impl StageTimeline {
 /// stages consume them) but skip padding-buffer allocation, device
 /// allocation and plan construction.
 ///
+/// Every entry point runs a [`Schedule`] through one executor: the
+/// synchronous ones run the plan's one-batch, one-stream lowering on the
+/// device's default stream, the pipelined ones a multi-batch lowering on
+/// created streams.
+///
 /// A session is tied to the [`Gpu`] it was prepared on; using it with a
 /// different device is a logic error and surfaces as an invalid-buffer
 /// device error.
 #[derive(Debug)]
 pub struct SolveSession<T: GpuScalar> {
-    shape: WorkloadShape,
-    padded_size: usize,
     device: QueryableProps,
-    plans: HashMap<SolverParams, SolvePlan>,
+    /// Built plans, each with its one-batch, one-stream lowering (the
+    /// schedule a synchronous solve runs) once a solve or measurement has
+    /// run it: lowered once per plan, never per solve.
+    plans: HashMap<SolverParams, (SolvePlan, Option<Schedule>)>,
     /// Optional cross-session plan store (multi-tenant service fronts):
     /// `plan_for` publishes every plan it builds here and consults it
     /// before building, so tenants sharing a cache pay plan construction
@@ -226,6 +234,15 @@ pub struct SolveSession<T: GpuScalar> {
     /// Static launch-validation reports, one per parameter point ever
     /// requested (clean reports included, so callers can surface warnings).
     validation: HashMap<SolverParams, ValidationReport>,
+    ws: Workspace<T>,
+}
+
+/// Everything a schedule's nodes run on: the workload layout, the host
+/// padding scratch and the session's device buffers.
+#[derive(Debug)]
+struct Workspace<T> {
+    shape: WorkloadShape,
+    padded_size: usize,
     /// Host-side padding scratch (empty while `padded_size == system_size`,
     /// where uploads borrow straight from the batch).
     staging: Vec<T>,
@@ -361,16 +378,18 @@ impl<T: GpuScalar> SolveSession<T> {
             );
         }
         Ok(Self {
-            shape,
-            padded_size,
             device: gpu.spec().queryable().clone(),
             plans: HashMap::new(),
             shared: None,
             validation: HashMap::new(),
-            staging: Vec::new(),
-            src,
-            dst,
-            x,
+            ws: Workspace {
+                shape,
+                padded_size,
+                staging: Vec::new(),
+                src,
+                dst,
+                x,
+            },
         })
     }
 
@@ -390,12 +409,12 @@ impl<T: GpuScalar> SolveSession<T> {
 
     /// The workload shape this session was prepared for.
     pub fn shape(&self) -> WorkloadShape {
-        self.shape
+        self.ws.shape
     }
 
     /// The padded (power-of-two) per-system size.
     pub fn padded_size(&self) -> usize {
-        self.padded_size
+        self.ws.padded_size
     }
 
     /// Number of distinct parameter points with a cached plan.
@@ -416,16 +435,13 @@ impl<T: GpuScalar> SolveSession<T> {
     /// full report stays readable via [`SolveSession::validation_for`].
     pub fn plan_for(&mut self, params: &SolverParams) -> Result<&SolvePlan> {
         match self.plans.entry(*params) {
-            std::collections::hash_map::Entry::Occupied(e) => Ok(e.into_mut()),
+            std::collections::hash_map::Entry::Occupied(e) => Ok(&e.into_mut().0),
             std::collections::hash_map::Entry::Vacant(v) => {
-                let shared_key = self.shared.as_ref().map(|_| {
-                    (
-                        self.device.name.clone(),
-                        self.shape,
-                        elem_bytes::<T>(),
-                        *params,
-                    )
-                });
+                let shape = self.ws.shape;
+                let shared_key = self
+                    .shared
+                    .as_ref()
+                    .map(|_| (self.device.name.clone(), shape, elem_bytes::<T>(), *params));
                 // A shared hit replays another tenant's admission verbatim —
                 // it is a pure function of the key, so this is bit-identical
                 // to admitting locally.
@@ -436,7 +452,7 @@ impl<T: GpuScalar> SolveSession<T> {
                     Some(hit) => hit,
                     None => {
                         let admitted =
-                            SolvePlan::admit(self.shape, params, &self.device, elem_bytes::<T>());
+                            SolvePlan::admit(shape, params, &self.device, elem_bytes::<T>());
                         // Accepted and rejected plans are published;
                         // build errors are not.
                         let built = matches!(admitted, Ok(_) | Err(CoreError::PlanRejected { .. }));
@@ -451,7 +467,7 @@ impl<T: GpuScalar> SolveSession<T> {
                 match admitted {
                     Ok((plan, report)) => {
                         self.validation.insert(*params, report);
-                        Ok(v.insert(plan))
+                        Ok(&v.insert((plan, None)).0)
                     }
                     Err(e) => {
                         if let CoreError::PlanRejected { report } = &e {
@@ -469,6 +485,369 @@ impl<T: GpuScalar> SolveSession<T> {
     /// inspect warnings such as low occupancy).
     pub fn validation_for(&self, params: &SolverParams) -> Option<&ValidationReport> {
         self.validation.get(params)
+    }
+
+    /// Solve `batch` with `params`, reusing the session's buffers and plan
+    /// cache. Identical results (bit-for-bit) and simulated timings to a
+    /// one-shot [`crate::solver::solve_batch_on_gpu`] call.
+    pub fn solve(
+        &mut self,
+        gpu: &mut Gpu<T>,
+        batch: &SystemBatch<T>,
+        params: &SolverParams,
+    ) -> Result<SolveOutcome<T>> {
+        check_shape(self.ws.shape, batch)?;
+        let mut x = Vec::new();
+        let (sim_time_s, kernel_stats) =
+            self.run_synchronous(gpu, params, Some(batch), Some(&mut x), "solve")?;
+        Ok(SolveOutcome {
+            x,
+            sim_time_s,
+            kernel_stats,
+            plan: self.plans[params].0.clone(),
+        })
+    }
+
+    /// Solve and report only the simulated time — the tuner's measurement
+    /// primitive. Skips the solution download (which costs no simulated
+    /// time, so the reading is identical to [`SolveSession::solve`]'s
+    /// `sim_time_s`).
+    pub fn measure(
+        &mut self,
+        gpu: &mut Gpu<T>,
+        batch: &SystemBatch<T>,
+        params: &SolverParams,
+    ) -> Result<f64> {
+        check_shape(self.ws.shape, batch)?;
+        Ok(self
+            .run_synchronous(gpu, params, Some(batch), None, "measure")?
+            .0)
+    }
+
+    /// Price `params` from the kernels' cost meters without running the
+    /// numerics: no batch, no transfer, one O(blocks) pass per launch (see
+    /// [`Gpu::price`]). Returns the same simulated seconds as
+    /// [`SolveSession::measure`], and charges the device clock, profile
+    /// and trace identically, because every meter depends on the launch
+    /// geometry only.
+    ///
+    /// What pricing cannot see is a data-dependent failure: a zero pivot
+    /// or a non-finite solution that makes an executed solve return
+    /// [`CoreError::NumericalBreakdown`]. Callers price only plans whose
+    /// stability certificate rules that out for their data, and execute
+    /// otherwise. Pricing also bypasses fault injection and the
+    /// sanitizer.
+    pub fn price(&mut self, gpu: &mut Gpu<T>, params: &SolverParams) -> Result<f64> {
+        Ok(self.run_synchronous(gpu, params, None, None, "measure")?.0)
+    }
+
+    /// The body of [`SolveSession::solve`], [`SolveSession::measure`] and
+    /// [`SolveSession::price`]: run `params`' one-batch schedule on the
+    /// default stream — every node but the D2H on `batch` (priced without
+    /// one), each launch traced as an `"engine"` span of its stage, then
+    /// the outer `span`, then the D2H into `x` when asked for. Returns the
+    /// simulated time and the per-launch stats of this solve only.
+    fn run_synchronous(
+        &mut self,
+        gpu: &mut Gpu<T>,
+        params: &SolverParams,
+        batch: Option<&SystemBatch<T>>,
+        x: Option<&mut Vec<T>>,
+        span: &'static str,
+    ) -> Result<(f64, Vec<KernelStats>)> {
+        self.plan_for(params)?;
+        let (plan, cached) = self.plans.get_mut(params).expect("admitted above");
+        // Pricing runs on a throwaway lowering. The tuner prices each
+        // candidate once; a lowering kept per priced plan leaves small live
+        // allocations behind the tuning session's device buffers, so the
+        // allocator recycles those buffers' memory dirty and the next
+        // session pays to zero it (about 25 ms of twoclock's `batch-1Kx1K`
+        // set-up on a 2-vCPU Xeon with glibc malloc).
+        let priced;
+        let schedule = match batch {
+            Some(_) => cached.get_or_insert_with(|| lower_schedule(plan, 1, 1)),
+            None => {
+                priced = lower_schedule(plan, 1, 1);
+                &priced
+            }
+        };
+        let (body, d2h) = schedule.nodes.split_at(schedule.nodes.len() - 1);
+        let bindings = Bindings {
+            streams: &[Stream::DEFAULT],
+            events: &[],
+            src: &[ids(&self.ws.src)],
+            dst: &[ids(&self.ws.dst)],
+            x: self.ws.x.id(),
+        };
+        let batches = batch.map(std::slice::from_ref);
+        let begin_s = gpu.elapsed_s();
+        let mut kernel_stats = Vec::with_capacity(body.len());
+        let on_launch = |gpu: &Gpu<T>, stage, stage_begin_s, stats| {
+            kernel_stats.push(stats);
+            let tracer = gpu.tracer();
+            if tracer.is_enabled() {
+                let dur_s = gpu.elapsed_s() - stage_begin_s;
+                let args = vec![arg("launches", 1usize)];
+                tracer.span("engine", stage, stage_begin_s * 1e6, dur_s * 1e6, args);
+                tracer.observe(&format!("stage_ms/{stage}"), dur_s * 1e3);
+            }
+        };
+        self.ws
+            .run(gpu, body, &bindings, batches, &mut [], on_launch)?;
+        let tracer = gpu.tracer();
+        if tracer.is_enabled() {
+            let (shape, dur_s) = (self.ws.shape, gpu.elapsed_s() - begin_s);
+            let args = vec![
+                arg("systems", shape.num_systems),
+                arg("size", shape.system_size),
+                arg("padded_size", self.ws.padded_size),
+                arg("stage1_target", params.stage1_target_systems),
+                arg("onchip_size", params.onchip_size),
+                arg("thomas_switch", params.thomas_switch),
+                arg("variant", format!("{:?}", params.variant)),
+                arg("launches", kernel_stats.len()),
+            ];
+            tracer.span("engine", span, begin_s * 1e6, dur_s * 1e6, args);
+            // End-to-end latency histograms: one series per span kind
+            // ("solve" for user-facing solves, "measure" for tuner probes).
+            tracer.observe(&format!("{span}_ms"), dur_s * 1e3);
+        }
+        if let Some(x) = x {
+            let xs = std::slice::from_mut(x);
+            self.ws
+                .run(gpu, d2h, &bindings, batches, xs, |_, _, _, _| {})?;
+        }
+        // Left-fold over the launches in order: exactly what a fresh
+        // device clock accumulates, and — unlike an `elapsed_s()` delta —
+        // independent of whatever simulated time preceded this solve. The
+        // same parameter point therefore times identically on the first
+        // and the thousandth reuse of a session.
+        let sim_time_s = kernel_stats.iter().map(KernelStats::total_time_s).sum();
+        Ok((sim_time_s, kernel_stats))
+    }
+
+    /// Solve `batches` back-to-back through the two-stream pipelined path:
+    /// batch `k` runs on stream `k % 2` with its own coefficient buffer
+    /// set, so batch `k+1`'s upload and interleave-pack overlap batch `k`'s
+    /// solve and download on the other stream.
+    ///
+    /// The schedule comes from [`pipelined_schedule`], which lowers the
+    /// plan and certifies it: an uncertified schedule is rejected via
+    /// [`CoreError::ScheduleRejected`] *before any transfer or launch is
+    /// enqueued*, like [`SolveSession::plan_for`] rejects a plan. Results
+    /// are bit-identical to calling [`SolveSession::solve`] once per batch.
+    pub fn solve_pipelined(
+        &mut self,
+        gpu: &mut Gpu<T>,
+        batches: &[SystemBatch<T>],
+        params: &SolverParams,
+    ) -> Result<PipelinedOutcome<T>> {
+        if batches.is_empty() {
+            return Err(CoreError::BadParams {
+                detail: "pipelined solve needs at least one batch".into(),
+            });
+        }
+        let plan = self.plan_for_batches(batches, params)?;
+        let schedule = pipelined_schedule(&plan, batches.len())?;
+        self.run_on_streams(gpu, batches, plan, schedule)
+    }
+
+    /// Certify `schedule` with the happens-before checker, then execute it.
+    /// The certified object and the executed object are the same value —
+    /// prover and executor cannot drift. Rejection happens before any
+    /// launch or transfer touches the device.
+    pub fn solve_scheduled(
+        &mut self,
+        gpu: &mut Gpu<T>,
+        batches: &[SystemBatch<T>],
+        params: &SolverParams,
+        schedule: Schedule,
+    ) -> Result<PipelinedOutcome<T>> {
+        let plan = self.plan_for_batches(batches, params)?;
+        self.run_on_streams(gpu, batches, plan, schedule.certified()?)
+    }
+
+    /// Execute `schedule` **without** certifying it first.
+    ///
+    /// Exists solely so validation harnesses can cross-check the static
+    /// certifier against the dynamic cross-stream sanitizer on
+    /// deliberately defective fixtures (`trisolve analyze --schedule`).
+    /// Production callers use [`SolveSession::solve_pipelined`] or
+    /// [`SolveSession::solve_scheduled`], which refuse uncertified
+    /// schedules.
+    pub fn solve_scheduled_unchecked(
+        &mut self,
+        gpu: &mut Gpu<T>,
+        batches: &[SystemBatch<T>],
+        params: &SolverParams,
+        schedule: Schedule,
+    ) -> Result<PipelinedOutcome<T>> {
+        let plan = self.plan_for_batches(batches, params)?;
+        self.run_on_streams(gpu, batches, plan, schedule)
+    }
+
+    /// Check every batch against the session's shape, then admit `params`.
+    fn plan_for_batches(
+        &mut self,
+        batches: &[SystemBatch<T>],
+        params: &SolverParams,
+    ) -> Result<SolvePlan> {
+        for batch in batches {
+            check_shape(self.ws.shape, batch)?;
+        }
+        Ok(self.plan_for(params)?.clone())
+    }
+
+    /// Run a multi-batch schedule on freshly created streams, one per
+    /// schedule stream, with a second coefficient set for odd-parity
+    /// batches when the schedule names one, and report its overlap.
+    fn run_on_streams(
+        &mut self,
+        gpu: &mut Gpu<T>,
+        batches: &[SystemBatch<T>],
+        plan: SolvePlan,
+        schedule: Schedule,
+    ) -> Result<PipelinedOutcome<T>> {
+        // Odd-parity batches double-buffer into their own coefficient set;
+        // allocate it only when the schedule actually references set 1.
+        let needs_set1 = schedule.nodes.iter().any(|nd| {
+            nd.reads
+                .iter()
+                .chain(nd.writes.iter())
+                .any(|k| matches!(k, BufKey::Src { set: 1, .. } | BufKey::Dst { set: 1, .. }))
+        });
+        let total = self.ws.shape.num_systems * self.ws.padded_size;
+        let set1 = if needs_set1 {
+            Some((alloc4(gpu, total)?, alloc4(gpu, total)?))
+        } else {
+            None
+        };
+        let (src0, dst0) = (ids(&self.ws.src), ids(&self.ws.dst));
+        let (src1, dst1) = set1
+            .as_ref()
+            .map_or((src0, dst0), |(s, d)| (ids(s), ids(d)));
+        let begin_s = gpu.elapsed_s();
+        let streams = gpu.enable_streams(schedule.streams);
+        let events: Vec<_> = (0..schedule.events).map(|_| gpu.create_event()).collect();
+        let bindings = Bindings {
+            streams: &streams,
+            events: &events,
+            src: &[src0, src1],
+            dst: &[dst0, dst1],
+            x: self.ws.x.id(),
+        };
+        let mut xs: Vec<Vec<T>> = vec![Vec::new(); batches.len()];
+        self.ws.run(
+            gpu,
+            &schedule.nodes,
+            &bindings,
+            Some(batches),
+            &mut xs,
+            |_, _, _, _| {},
+        )?;
+
+        let intervals = gpu.stream_op_intervals();
+        let wall_s = wall_time_s(intervals);
+        let serial_s = serial_time_s(intervals);
+        let ratio = overlap_ratio(intervals);
+        let tracer = gpu.tracer();
+        if tracer.is_enabled() {
+            tracer.span(
+                "engine",
+                "pipelined",
+                begin_s * 1e6,
+                (gpu.elapsed_s() - begin_s) * 1e6,
+                vec![
+                    arg("batches", batches.len()),
+                    arg("streams", schedule.streams),
+                    arg("nodes", schedule.len()),
+                    arg("wall_ms", wall_s * 1e3),
+                    arg("serial_ms", serial_s * 1e3),
+                    arg("overlap_ratio", ratio),
+                ],
+            );
+            tracer.observe("pipelined_ms", wall_s * 1e3);
+        }
+        if let Some(reg) = tracer.registry() {
+            reg.set_gauge("overlap_ratio", ratio);
+        }
+        Ok(PipelinedOutcome {
+            xs,
+            wall_s,
+            serial_s,
+            overlap_ratio: ratio,
+            plan,
+            schedule,
+        })
+    }
+}
+
+impl<T: GpuScalar> Workspace<T> {
+    /// The one executor: run `nodes` in order, each on the stream its
+    /// schedule stream binds to, after the waits and before the records
+    /// its event edges name, then return to the default stream and join
+    /// the streams. Functional results are computed eagerly at enqueue (the
+    /// simulator is functional), so they depend only on node order — event
+    /// edges shape the simulated clock and the hazard tracking, never the
+    /// numerics. That is exactly why certified and uncertified schedules of
+    /// the same node list are bit-identical, why a pipelined solve is
+    /// bit-identical to one synchronous solve per batch, and why the
+    /// dynamic race check is about *ordering*, not corruption.
+    ///
+    /// An H2D node uploads its batch, an op node launches on the buffers
+    /// its certified keys name and hands its stage, pre-launch clock and
+    /// [`KernelStats`] to `on_launch`, and a D2H node downloads into
+    /// `xs[batch]`. With `batches` absent the op nodes are priced from
+    /// their meters instead and the transfers move nothing.
+    fn run(
+        &mut self,
+        gpu: &mut Gpu<T>,
+        nodes: &[ScheduleNode],
+        bindings: &Bindings<'_>,
+        batches: Option<&[SystemBatch<T>]>,
+        xs: &mut [Vec<T>],
+        mut on_launch: impl FnMut(&Gpu<T>, &'static str, f64, KernelStats),
+    ) -> Result<()> {
+        let (m, np) = (self.shape.num_systems, self.padded_size);
+        let (streams, events) = (bindings.streams, bindings.events);
+        let outcome = nodes.iter().try_for_each(|node| {
+            let stream = streams[node.stream.min(streams.len() - 1)];
+            for ev in node.waits.iter().filter_map(|&e| events.get(e)) {
+                gpu.wait_event(stream, *ev);
+            }
+            gpu.set_stream(stream);
+            match (node.action, batches) {
+                (NodeAction::H2d { batch }, Some(batches)) => {
+                    let set = match node.writes.first() {
+                        Some(BufKey::Src { set, .. } | BufKey::Dst { set, .. }) => *set % 2,
+                        _ => batch % 2,
+                    };
+                    self.upload_batch(gpu, &batches[batch], bindings.src[set])?;
+                }
+                (NodeAction::Op { op, .. }, _) => {
+                    let d = op.describe(m, np);
+                    let begin_s = gpu.elapsed_s();
+                    let stats = match batches {
+                        Some(_) => {
+                            d.launch(gpu, &bindings.ids(&node.reads), &bindings.ids(&node.writes))?
+                        }
+                        None => d.price(gpu)?,
+                    };
+                    on_launch(gpu, d.stage, begin_s, stats);
+                }
+                (NodeAction::D2h { batch }, Some(_)) => {
+                    xs[batch] = gpu.download_rows(bindings.x, np, self.shape.system_size)?;
+                }
+                (NodeAction::H2d { .. } | NodeAction::D2h { .. }, None) => {}
+            }
+            for ev in node.records.iter().filter_map(|&e| events.get(e)) {
+                gpu.record_event(stream, *ev);
+            }
+            Ok(())
+        });
+        gpu.set_stream(Stream::DEFAULT);
+        gpu.sync_streams();
+        outcome
     }
 
     /// Upload the batch's four coefficient arrays into `targets`, padding
@@ -514,379 +893,6 @@ impl<T: GpuScalar> SolveSession<T> {
         }
         Ok(())
     }
-
-    /// Run the plan's stage sequence on the session's buffers, or — with
-    /// `priced` — charge it from the kernels' meters alone. Returns the
-    /// simulated time and the per-launch stats of this solve only; both
-    /// are bit-identical between the two modes.
-    fn execute(
-        &self,
-        gpu: &mut Gpu<T>,
-        plan: &SolvePlan,
-        priced: bool,
-    ) -> Result<(f64, Vec<KernelStats>)> {
-        let sets = BufferSets {
-            src: &[ids(&self.src)],
-            dst: &[ids(&self.dst)],
-            x: self.x.id(),
-        };
-        let mut cur_is_src = true;
-
-        let tracer = gpu.tracer().clone();
-        let launches_before = gpu.timeline().len();
-        for d in plan.descriptors() {
-            let stage_begin_s = gpu.elapsed_s();
-            let stage_launches = gpu.timeline().len();
-            if priced {
-                d.price(gpu)?;
-            } else {
-                let bufs = |roles: &[BufferRole]| {
-                    sets.ids(roles.iter().map(|&r| resolve(r, 0, cur_is_src)))
-                };
-                d.launch(gpu, &bufs(d.roles.reads), &bufs(d.roles.writes))?;
-            }
-            cur_is_src ^= d.roles.swap;
-            if tracer.is_enabled() {
-                tracer.span(
-                    "engine",
-                    d.stage,
-                    stage_begin_s * 1e6,
-                    (gpu.elapsed_s() - stage_begin_s) * 1e6,
-                    vec![arg("launches", gpu.timeline().len() - stage_launches)],
-                );
-                tracer.observe(
-                    &format!("stage_ms/{}", d.stage),
-                    (gpu.elapsed_s() - stage_begin_s) * 1e3,
-                );
-            }
-        }
-        let kernel_stats = gpu.timeline()[launches_before..].to_vec();
-        // Left-fold over the launches in order: exactly what a fresh
-        // device clock accumulates, and — unlike an `elapsed_s()` delta —
-        // independent of whatever simulated time preceded this solve. The
-        // same parameter point therefore times identically on the first
-        // and the thousandth reuse of a session.
-        let sim_time_s = kernel_stats.iter().map(KernelStats::total_time_s).sum();
-        Ok((sim_time_s, kernel_stats))
-    }
-
-    /// Solve `batch` with `params`, reusing the session's buffers and plan
-    /// cache. Identical results (bit-for-bit) and simulated timings to a
-    /// one-shot [`crate::solver::solve_batch_on_gpu`] call.
-    pub fn solve(
-        &mut self,
-        gpu: &mut Gpu<T>,
-        batch: &SystemBatch<T>,
-        params: &SolverParams,
-    ) -> Result<SolveOutcome<T>> {
-        let (plan, sim_time_s, kernel_stats) =
-            self.upload_and_execute(gpu, batch, params, "solve")?;
-        let x = self.download_solution(gpu)?;
-        Ok(SolveOutcome {
-            x,
-            sim_time_s,
-            kernel_stats,
-            plan,
-        })
-    }
-
-    /// Solve and report only the simulated time — the tuner's measurement
-    /// primitive. Skips the solution download and unpadding (which cost no
-    /// simulated time, so the reading is identical to
-    /// [`SolveSession::solve`]'s `sim_time_s`).
-    pub fn measure(
-        &mut self,
-        gpu: &mut Gpu<T>,
-        batch: &SystemBatch<T>,
-        params: &SolverParams,
-    ) -> Result<f64> {
-        Ok(self.upload_and_execute(gpu, batch, params, "measure")?.1)
-    }
-
-    /// The body [`SolveSession::solve`] and [`SolveSession::measure`]
-    /// share: admit `params`, upload `batch`, run the plan, and emit the
-    /// outer `span`.
-    fn upload_and_execute(
-        &mut self,
-        gpu: &mut Gpu<T>,
-        batch: &SystemBatch<T>,
-        params: &SolverParams,
-        span: &'static str,
-    ) -> Result<(SolvePlan, f64, Vec<KernelStats>)> {
-        let plan = self.plan_for_batches(std::slice::from_ref(batch), params)?;
-        let begin_s = gpu.elapsed_s();
-        self.upload_batch(gpu, batch, ids(&self.src))?;
-        let (sim_time_s, kernel_stats) = self.execute(gpu, &plan, false)?;
-        self.trace_solve_span(gpu, span, params, begin_s, kernel_stats.len());
-        Ok((plan, sim_time_s, kernel_stats))
-    }
-
-    /// Download the solution with each system cut back to its original
-    /// size: one copy of the payload rows, which is the whole buffer when
-    /// no system is padded.
-    fn download_solution(&self, gpu: &mut Gpu<T>) -> Result<Vec<T>> {
-        let (n, np) = (self.shape.system_size, self.padded_size);
-        Ok(gpu.download_rows(self.x.id(), np, n)?)
-    }
-
-    /// Price `params` from the kernels' cost meters without running the
-    /// numerics: no batch, no upload, one O(blocks) pass per launch (see
-    /// [`Gpu::price`]). Returns the same simulated seconds as
-    /// [`SolveSession::measure`], and charges the device clock, profile
-    /// and trace identically, because every meter depends on the launch
-    /// geometry only.
-    ///
-    /// What pricing cannot see is a data-dependent failure: a zero pivot
-    /// or a non-finite solution that makes an executed solve return
-    /// [`CoreError::NumericalBreakdown`]. Callers price only plans whose
-    /// stability certificate rules that out for their data, and execute
-    /// otherwise. Pricing also bypasses fault injection and the
-    /// sanitizer.
-    pub fn price(&mut self, gpu: &mut Gpu<T>, params: &SolverParams) -> Result<f64> {
-        let plan = self.plan_for(params)?.clone();
-        let begin_s = gpu.elapsed_s();
-        let (sim_time_s, kernel_stats) = self.execute(gpu, &plan, true)?;
-        self.trace_solve_span(gpu, "measure", params, begin_s, kernel_stats.len());
-        Ok(sim_time_s)
-    }
-
-    /// Emit the outer solve/measure span covering upload through the last
-    /// stage. No-op when the device has no tracer attached.
-    fn trace_solve_span(
-        &self,
-        gpu: &Gpu<T>,
-        name: &'static str,
-        params: &SolverParams,
-        begin_s: f64,
-        launches: usize,
-    ) {
-        let tracer = gpu.tracer();
-        if !tracer.is_enabled() {
-            return;
-        }
-        tracer.span(
-            "engine",
-            name,
-            begin_s * 1e6,
-            (gpu.elapsed_s() - begin_s) * 1e6,
-            vec![
-                arg("systems", self.shape.num_systems),
-                arg("size", self.shape.system_size),
-                arg("padded_size", self.padded_size),
-                arg("stage1_target", params.stage1_target_systems),
-                arg("onchip_size", params.onchip_size),
-                arg("thomas_switch", params.thomas_switch),
-                arg("variant", format!("{:?}", params.variant)),
-                arg("launches", launches),
-            ],
-        );
-        // End-to-end latency histograms: one series per span kind
-        // ("solve" for user-facing solves, "measure" for tuner probes).
-        tracer.observe(&format!("{name}_ms"), (gpu.elapsed_s() - begin_s) * 1e3);
-    }
-
-    /// Solve `batches` back-to-back through the two-stream pipelined path:
-    /// batch `k` runs on stream `k % 2` with its own coefficient buffer
-    /// set, so batch `k+1`'s upload and interleave-pack overlap batch `k`'s
-    /// solve and download on the other stream.
-    ///
-    /// The schedule comes from [`pipelined_schedule`], which lowers the
-    /// plan and certifies it: an uncertified schedule is rejected via
-    /// [`CoreError::ScheduleRejected`] *before any transfer or launch is
-    /// enqueued*, like [`SolveSession::plan_for`] rejects a plan. Results
-    /// are bit-identical to calling [`SolveSession::solve`] once per batch.
-    pub fn solve_pipelined(
-        &mut self,
-        gpu: &mut Gpu<T>,
-        batches: &[SystemBatch<T>],
-        params: &SolverParams,
-    ) -> Result<PipelinedOutcome<T>> {
-        if batches.is_empty() {
-            return Err(CoreError::BadParams {
-                detail: "pipelined solve needs at least one batch".into(),
-            });
-        }
-        let plan = self.plan_for_batches(batches, params)?;
-        let schedule = pipelined_schedule(&plan, batches.len())?;
-        self.execute_schedule(gpu, batches, &plan, schedule)
-    }
-
-    /// Certify `schedule` with the happens-before checker, then execute it.
-    /// The certified object and the executed object are the same value —
-    /// prover and executor cannot drift. Rejection happens before any
-    /// launch or transfer touches the device.
-    pub fn solve_scheduled(
-        &mut self,
-        gpu: &mut Gpu<T>,
-        batches: &[SystemBatch<T>],
-        params: &SolverParams,
-        schedule: Schedule,
-    ) -> Result<PipelinedOutcome<T>> {
-        let plan = self.plan_for_batches(batches, params)?;
-        self.execute_schedule(gpu, batches, &plan, schedule.certified()?)
-    }
-
-    /// Execute `schedule` **without** certifying it first.
-    ///
-    /// Exists solely so validation harnesses can cross-check the static
-    /// certifier against the dynamic cross-stream sanitizer on
-    /// deliberately defective fixtures (`trisolve analyze --schedule`).
-    /// Production callers use [`SolveSession::solve_pipelined`] or
-    /// [`SolveSession::solve_scheduled`], which refuse uncertified
-    /// schedules.
-    pub fn solve_scheduled_unchecked(
-        &mut self,
-        gpu: &mut Gpu<T>,
-        batches: &[SystemBatch<T>],
-        params: &SolverParams,
-        schedule: Schedule,
-    ) -> Result<PipelinedOutcome<T>> {
-        let plan = self.plan_for_batches(batches, params)?;
-        self.execute_schedule(gpu, batches, &plan, schedule)
-    }
-
-    /// Check every batch against the session's shape, then admit `params`.
-    fn plan_for_batches(
-        &mut self,
-        batches: &[SystemBatch<T>],
-        params: &SolverParams,
-    ) -> Result<SolvePlan> {
-        for batch in batches {
-            check_shape(self.shape, batch)?;
-        }
-        Ok(self.plan_for(params)?.clone())
-    }
-
-    /// Run a schedule's nodes in enqueue order, routing each through its
-    /// assigned stream. Functional results are computed eagerly at enqueue
-    /// (the simulator is functional), so they depend only on node order —
-    /// event edges shape the simulated clock and the hazard tracking, never
-    /// the numerics. That is exactly why certified and uncertified
-    /// schedules of the same node list are bit-identical, and why the
-    /// dynamic race check is about *ordering*, not corruption.
-    fn execute_schedule(
-        &mut self,
-        gpu: &mut Gpu<T>,
-        batches: &[SystemBatch<T>],
-        plan: &SolvePlan,
-        schedule: Schedule,
-    ) -> Result<PipelinedOutcome<T>> {
-        let m = self.shape.num_systems;
-        let np = self.padded_size;
-        let total = m * np;
-        // Odd-parity batches double-buffer into their own coefficient set;
-        // allocate it only when the schedule actually references set 1.
-        let needs_set1 = schedule.nodes.iter().any(|nd| {
-            nd.reads
-                .iter()
-                .chain(nd.writes.iter())
-                .any(|k| matches!(k, BufKey::Src { set: 1, .. } | BufKey::Dst { set: 1, .. }))
-        });
-        let set1 = if needs_set1 {
-            Some((alloc4(gpu, total)?, alloc4(gpu, total)?))
-        } else {
-            None
-        };
-        let (src1, dst1) = set1
-            .as_ref()
-            .map_or((&self.src, &self.dst), |(s, d)| (s, d));
-        let src_ids = [ids(&self.src), ids(src1)];
-        let dst_ids = [ids(&self.dst), ids(dst1)];
-        let x = self.x.id();
-        let sets = BufferSets {
-            src: &src_ids,
-            dst: &dst_ids,
-            x,
-        };
-
-        let begin_s = gpu.elapsed_s();
-        let streams = gpu.enable_streams(schedule.streams);
-        let events: Vec<_> = (0..schedule.events).map(|_| gpu.create_event()).collect();
-        let mark = gpu.stream_op_intervals().len();
-        let mut xs: Vec<Vec<T>> = vec![Vec::new(); batches.len()];
-        let mut run_node =
-            |session: &mut Self, gpu: &mut Gpu<T>, node: &ScheduleNode| -> Result<()> {
-                let stream = streams[node.stream.min(streams.len() - 1)];
-                for &e in &node.waits {
-                    if let Some(ev) = events.get(e) {
-                        gpu.wait_event(stream, *ev);
-                    }
-                }
-                gpu.set_stream(Some(stream));
-                match node.action {
-                    NodeAction::H2d { batch } => {
-                        let set = match node.writes.first() {
-                            Some(BufKey::Src { set, .. } | BufKey::Dst { set, .. }) => *set % 2,
-                            _ => batch % 2,
-                        };
-                        session.upload_batch(gpu, &batches[batch], src_ids[set])?;
-                    }
-                    // The certified buffer keys are the launch's buffers.
-                    NodeAction::Op { op, .. } => {
-                        let (reads, writes) = (node.reads.iter(), node.writes.iter());
-                        op.describe(m, np).launch(
-                            gpu,
-                            &sets.ids(reads.copied()),
-                            &sets.ids(writes.copied()),
-                        )?;
-                    }
-                    NodeAction::D2h { batch } => {
-                        xs[batch] = session.download_solution(gpu)?;
-                    }
-                }
-                gpu.set_stream(None);
-                for &e in &node.records {
-                    if let Some(ev) = events.get(e) {
-                        gpu.record_event(stream, *ev);
-                    }
-                }
-                Ok(())
-            };
-        let mut outcome = Ok(());
-        for node in &schedule.nodes {
-            outcome = run_node(self, gpu, node);
-            if outcome.is_err() {
-                break;
-            }
-        }
-        gpu.set_stream(None);
-        gpu.sync_streams();
-        outcome?;
-
-        let intervals = &gpu.stream_op_intervals()[mark..];
-        let wall_s = wall_time_s(intervals);
-        let serial_s = serial_time_s(intervals);
-        let ratio = overlap_ratio(intervals);
-        let tracer = gpu.tracer();
-        if tracer.is_enabled() {
-            tracer.span(
-                "engine",
-                "pipelined",
-                begin_s * 1e6,
-                (gpu.elapsed_s() - begin_s) * 1e6,
-                vec![
-                    arg("batches", batches.len()),
-                    arg("streams", schedule.streams),
-                    arg("nodes", schedule.len()),
-                    arg("wall_ms", wall_s * 1e3),
-                    arg("serial_ms", serial_s * 1e3),
-                    arg("overlap_ratio", ratio),
-                ],
-            );
-            tracer.observe("pipelined_ms", wall_s * 1e3);
-        }
-        if let Some(reg) = tracer.registry() {
-            reg.set_gauge("overlap_ratio", ratio);
-        }
-        Ok(PipelinedOutcome {
-            xs,
-            wall_s,
-            serial_s,
-            overlap_ratio: ratio,
-            plan: plan.clone(),
-            schedule,
-        })
-    }
 }
 
 /// The handles of four guarded coefficient buffers, as one bundle.
@@ -904,22 +910,27 @@ fn alloc4<T: GpuScalar>(gpu: &mut Gpu<T>, len: usize) -> Result<[DeviceBuffer; 4
     ])
 }
 
-/// The device buffers behind schedule [`BufKey`]s: each buffer set's
-/// source and destination coefficient bundles, and the solution vector.
-struct BufferSets<'a> {
+/// What a schedule's indices name on the device: the stream each schedule
+/// stream runs on, the event each event slot is, and the buffers behind
+/// its [`BufKey`]s — each buffer set's source and destination coefficient
+/// bundles, and the solution vector.
+struct Bindings<'a> {
+    streams: &'a [Stream],
+    events: &'a [Event],
     src: &'a [CoeffBuffers],
     dst: &'a [CoeffBuffers],
     x: BufferId,
 }
 
-impl BufferSets<'_> {
-    fn ids(&self, keys: impl Iterator<Item = BufKey>) -> Vec<BufferId> {
-        keys.map(|key| match key {
-            BufKey::Src { set, arr } => self.src[set][arr],
-            BufKey::Dst { set, arr } => self.dst[set][arr],
-            BufKey::X => self.x,
-        })
-        .collect()
+impl Bindings<'_> {
+    fn ids(&self, keys: &[BufKey]) -> Vec<BufferId> {
+        keys.iter()
+            .map(|&key| match key {
+                BufKey::Src { set, arr } => self.src[set][arr],
+                BufKey::Dst { set, arr } => self.dst[set][arr],
+                BufKey::X => self.x,
+            })
+            .collect()
     }
 }
 
@@ -1009,15 +1020,15 @@ mod tests {
         for nd in &mut schedule.nodes {
             nd.waits.clear();
         }
-        let launches_before = gpu.timeline().len();
+        let before = gpu.elapsed_s();
         let err = session
             .solve_scheduled(&mut gpu, &batches, &p, schedule)
             .unwrap_err();
         assert!(matches!(err, CoreError::ScheduleRejected { .. }), "{err}");
         assert!(err.to_string().contains("happens-before"));
         assert_eq!(
-            gpu.timeline().len(),
-            launches_before,
+            gpu.elapsed_s().to_bits(),
+            before.to_bits(),
             "rejection must precede every launch"
         );
         assert!(gpu.stream_op_intervals().is_empty());
@@ -1303,7 +1314,7 @@ mod tests {
                         session.solve(&mut gpu, &batch, &p).map(|o| o.x)
                     } else {
                         session.measure(&mut gpu, &batch, &p).and_then(|_| {
-                            let x_padded = gpu.download(session.x.id())?;
+                            let x_padded = gpu.download(session.ws.x.id())?;
                             Ok(x_padded.chunks(np).flat_map(|r| r[..n].to_vec()).collect())
                         })
                     };

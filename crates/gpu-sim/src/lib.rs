@@ -53,8 +53,8 @@ pub use launch::{
 pub use memory::{BufferId, DeviceBuffer, Gpu};
 pub use sanitizer::{AccessSite, Hazard, HazardKind, Region, SanitizerReport};
 pub use stream::{
-    overlap_ratio, serial_time_s, stream_category, transfer_time_s, wall_time_s, Event, OpInterval,
-    Stream, MAX_STREAMS, PCIE_BANDWIDTH_BYTES_PER_S, PCIE_LATENCY_S,
+    overlap_ratio, serial_time_s, transfer_time_s, wall_time_s, Event, OpInterval, Stream,
+    MAX_STREAMS, PCIE_BANDWIDTH_BYTES_PER_S, PCIE_LATENCY_S,
 };
 pub use validate::{
     occupancy_estimate, validate_launch, validate_launches, DiagLevel, Diagnostic, ValidationReport,

@@ -10,8 +10,7 @@ use crate::launch::{
 };
 use crate::sanitizer::{BlockShadow, Hazard, InitMask, SanitizerReport};
 use crate::stream::{
-    stream_category, transfer_time_s, EngineKind, Event, OpInterval, Stream, StreamEngines,
-    MAX_STREAMS,
+    transfer_time_s, EngineKind, Event, OpInterval, Stream, StreamEngines, MAX_STREAMS,
 };
 use crate::timing;
 use crate::writelog::{self, Run, WriteLog};
@@ -115,13 +114,12 @@ pub struct Gpu<E: Element> {
     sanitizer: Option<SanitizerState>,
     tracer: Tracer,
     faults: Option<FaultInjector>,
-    /// Stream/event engine state; `None` until [`Gpu::enable_streams`].
-    /// Absent engines mean every operation takes the exact pre-stream
-    /// synchronous code path (bit-identical timings by construction).
-    streams: Option<StreamEngines>,
-    /// Stream the next `launch`/`upload`/`download` is issued on (`None` =
-    /// synchronous, the default stream).
-    active_stream: Option<Stream>,
+    /// Stream/event engine state: no created streams until
+    /// [`Gpu::enable_streams`].
+    streams: StreamEngines,
+    /// Stream the next `launch`/`price`/`upload`/`download` is issued on:
+    /// [`Stream::DEFAULT`] unless [`Gpu::set_stream`] picked another.
+    stream: Stream,
     /// One [`TileScratch`] per tile group of a launch, kept from launch to
     /// launch (see [`TILE_GROUPS`]).
     scratch: Vec<TileScratch<E>>,
@@ -165,8 +163,8 @@ impl<E: Element> Gpu<E> {
             sanitizer: None,
             tracer: Tracer::disabled(),
             faults: None,
-            streams: None,
-            active_stream: None,
+            streams: StreamEngines::default(),
+            stream: Stream::DEFAULT,
             scratch: Vec::new(),
         }
     }
@@ -289,70 +287,48 @@ impl<E: Element> Gpu<E> {
         }
     }
 
-    /// Enable the asynchronous stream model with `n` streams (clamped to
-    /// `1..=`[`MAX_STREAMS`]), returning their handles. Replaces any
-    /// previous stream state. When the sanitizer is active, the
-    /// cross-stream vector-clock tracker is attached too, so unordered
-    /// cross-stream buffer conflicts surface as
+    /// Create `n` streams (clamped to `1..=`[`MAX_STREAMS`]) besides the
+    /// default one, returning their handles. Replaces any previous created
+    /// streams and events, and makes the default stream current. When the
+    /// sanitizer is active, the cross-stream vector-clock tracker is
+    /// attached too, so unordered cross-stream buffer conflicts surface as
     /// [`crate::HazardKind::CrossStreamRace`] in the sanitizer report.
     ///
-    /// Enabling streams changes nothing by itself: operations stay on the
-    /// synchronous path (bit-identical results *and* timings) until
-    /// [`Gpu::set_stream`] routes them onto a stream.
+    /// Creating streams changes nothing by itself: operations stay on the
+    /// default stream until [`Gpu::set_stream`] routes them elsewhere.
     pub fn enable_streams(&mut self, n: usize) -> Vec<Stream> {
         let n = n.clamp(1, MAX_STREAMS);
-        self.streams = Some(StreamEngines::new(n, self.sanitizer.is_some()));
-        self.active_stream = None;
+        self.streams = StreamEngines::new(n, self.sanitizer.is_some());
+        self.stream = Stream::DEFAULT;
         (0..n).map(Stream).collect()
     }
 
-    /// Route subsequent [`Gpu::launch`]/[`Gpu::upload`]/[`Gpu::download`]
-    /// calls onto `stream` (asynchronous engine accounting), or back onto
-    /// the synchronous default path with `None`.
+    /// Issue subsequent [`Gpu::launch`]/[`Gpu::price`]/[`Gpu::upload`]/
+    /// [`Gpu::download`] calls on `stream`: a created stream (asynchronous
+    /// engine accounting) or [`Stream::DEFAULT`] (synchronous with the
+    /// host; see [`crate::stream`]).
     ///
     /// # Panics
-    /// When targeting a stream without [`Gpu::enable_streams`] having been
-    /// called, or with a handle outside the enabled range (a handle from
-    /// another device).
-    pub fn set_stream(&mut self, stream: Option<Stream>) {
-        if let Some(s) = stream {
-            let n = self
-                .streams
-                .as_ref()
-                .map(StreamEngines::num_streams)
-                .expect("set_stream: enable_streams was never called");
-            assert!(
-                s.index() < n,
-                "set_stream: stream {} not enabled",
-                s.index()
-            );
-        }
-        self.active_stream = stream;
+    /// With a handle this device did not create (a handle from another
+    /// device, or from before the last [`Gpu::enable_streams`]).
+    pub fn set_stream(&mut self, stream: Stream) {
+        assert!(
+            stream == Stream::DEFAULT || stream.index() < self.streams.num_streams(),
+            "set_stream: stream {} not enabled",
+            stream.index()
+        );
+        self.stream = stream;
     }
 
-    /// The stream operations are currently issued on (`None` =
-    /// synchronous).
-    pub fn active_stream(&self) -> Option<Stream> {
-        self.active_stream
-    }
-
-    /// Create an (unrecorded) event. Requires enabled streams.
+    /// Create an (unrecorded) event.
     pub fn create_event(&mut self) -> Event {
-        let engines = self
-            .streams
-            .as_mut()
-            .expect("create_event: enable_streams was never called");
-        Event(engines.create_event())
+        Event(self.streams.create_event())
     }
 
     /// Record `event` at `stream`'s current position: waiters become
     /// ordered after all work enqueued on `stream` so far.
     pub fn record_event(&mut self, stream: Stream, event: Event) {
-        let engines = self
-            .streams
-            .as_mut()
-            .expect("record_event: enable_streams was never called");
-        engines.record_event(stream.index(), event.index());
+        self.streams.record_event(stream.index(), event.index());
     }
 
     /// Make `stream` wait for `event` before running anything enqueued
@@ -360,31 +336,25 @@ impl<E: Element> Gpu<E> {
     /// immediately (CUDA semantics) — the static schedule certifier is
     /// what refutes dangling waits before execution.
     pub fn wait_event(&mut self, stream: Stream, event: Event) {
-        let engines = self
-            .streams
-            .as_mut()
-            .expect("wait_event: enable_streams was never called");
-        engines.wait_event(stream.index(), event.index());
+        self.streams.wait_event(stream.index(), event.index());
     }
 
     /// Join the host clock with every stream: the simulated clock advances
     /// to the completion time of the last asynchronous operation (like
-    /// `cudaDeviceSynchronize`). No-op when streams are disabled or idle.
+    /// `cudaDeviceSynchronize`). No-op when the created streams are idle.
     pub fn sync_streams(&mut self) {
-        if let Some(engines) = &self.streams {
-            let ready = engines.max_ready();
-            if ready > self.elapsed_s {
-                self.elapsed_s = ready;
-            }
+        let ready = self.streams.max_ready();
+        if ready > self.elapsed_s {
+            self.elapsed_s = ready;
         }
     }
 
-    /// Busy intervals of every asynchronous operation issued since streams
-    /// were enabled (or since [`Gpu::reset_clock`]), in issue order — the
-    /// raw material for overlap accounting (see
-    /// [`crate::stream::overlap_ratio`]). Empty when streams are disabled.
+    /// Busy intervals of every operation issued on a created stream since
+    /// [`Gpu::enable_streams`] (or since [`Gpu::reset_clock`]), in issue
+    /// order — the raw material for overlap accounting (see
+    /// [`crate::stream::overlap_ratio`]). The default stream adds none.
     pub fn stream_op_intervals(&self) -> &[OpInterval] {
-        self.streams.as_ref().map_or(&[], StreamEngines::intervals)
+        self.streams.intervals()
     }
 
     /// Emit a fault instant into the trace (no-op when no tracer attached).
@@ -479,7 +449,7 @@ impl<E: Element> Gpu<E> {
             st.init[id.0].set_all();
         }
         self.corrupt_h2d(id, data.len());
-        self.trace_transfer("h2d", id, data.len());
+        self.transfer("h2d", id, data.len());
         Ok(id)
     }
 
@@ -528,10 +498,7 @@ impl<E: Element> Gpu<E> {
             st.init[id.0].set_all();
         }
         self.corrupt_h2d(id, data.len());
-        match self.active_stream {
-            None => self.trace_transfer("h2d", id, data.len()),
-            Some(stream) => self.async_transfer(stream, "h2d", id, data.len()),
-        }
+        self.transfer("h2d", id, data.len());
         Ok(())
     }
 
@@ -581,38 +548,34 @@ impl<E: Element> Gpu<E> {
             }
             self.trace_fault(&rec);
         }
-        match self.active_stream {
-            None => self.trace_transfer("d2h", id, len),
-            Some(stream) => self.async_transfer(stream, "d2h", id, len),
-        }
+        self.transfer("d2h", id, len);
         Ok(out)
     }
 
-    /// Asynchronous-transfer accounting: charge the modelled PCIe time to
-    /// `stream` and the copy engine, emit a span on the stream's trace
-    /// lane, and feed the access to the cross-stream tracker.
-    fn async_transfer(
-        &mut self,
-        stream: Stream,
-        direction: &'static str,
-        id: BufferId,
-        elems: usize,
-    ) {
+    /// Book one host↔device transfer on the current stream: charge its
+    /// copy time (none on the default stream, where a transfer is untimed
+    /// host staging), trace it, and feed it to the cross-stream tracker.
+    /// An untimed transfer is a trace instant, a timed one a span on its
+    /// stream's lane; both add to the direction's byte counter.
+    fn transfer(&mut self, direction: &'static str, id: BufferId, elems: usize) {
         let bytes = elems * E::BYTES;
-        let (start_s, end_s) =
-            self.schedule_async(stream, EngineKind::Copy, transfer_time_s(bytes));
+        let (start_s, end_s) = self.issue(EngineKind::Copy, transfer_time_s(bytes));
         if self.tracer.is_enabled() {
-            self.tracer.span(
-                stream_category(stream.index()),
-                direction,
-                start_s * 1e6,
-                (end_s - start_s) * 1e6,
+            let (cat, args) = (
+                self.stream.category(),
                 vec![
                     arg("buffer", id.0),
                     arg("elems", elems),
                     arg("bytes", bytes),
                 ],
             );
+            if end_s > start_s {
+                let dur_us = (end_s - start_s) * 1e6;
+                self.tracer
+                    .span(cat, direction, start_s * 1e6, dur_us, args);
+            } else {
+                self.tracer.instant(cat, direction, start_s * 1e6, args);
+            }
             let counter = if direction == "h2d" {
                 "h2d_bytes"
             } else {
@@ -620,37 +583,12 @@ impl<E: Element> Gpu<E> {
             };
             self.tracer.counter_add(counter, bytes as u64);
         }
-        let label = format!("{direction}[buf{}]", id.0);
+        let label = format_args!("{direction}[buf{}]", id.0);
         if direction == "h2d" {
-            self.track_async(stream, &label, "h2d", &[], &[(id, OutMode::Scattered)]);
+            self.track(direction, label, &[], &[(id, OutMode::Scattered)]);
         } else {
-            self.track_async(stream, &label, "d2h", &[id], &[]);
+            self.track(direction, label, &[id], &[]);
         }
-    }
-
-    /// Record one host↔device transfer as a trace instant plus a byte
-    /// counter. No-op when no tracer is attached.
-    fn trace_transfer(&self, direction: &'static str, id: BufferId, elems: usize) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let bytes = elems * E::BYTES;
-        self.tracer.instant(
-            "gpu",
-            direction,
-            self.elapsed_s * 1e6,
-            vec![
-                arg("buffer", id.0),
-                arg("elems", elems),
-                arg("bytes", bytes),
-            ],
-        );
-        let counter = if direction == "h2d" {
-            "h2d_bytes"
-        } else {
-            "d2h_bytes"
-        };
-        self.tracer.counter_add(counter, bytes as u64);
     }
 
     /// Borrow a buffer's contents.
@@ -701,9 +639,7 @@ impl<E: Element> Gpu<E> {
     pub fn reset_clock(&mut self) {
         self.elapsed_s = 0.0;
         self.timeline.clear();
-        if let Some(engines) = &mut self.streams {
-            engines.reset();
-        }
+        self.streams.reset();
     }
 
     /// The per-launch profile since the last [`Gpu::reset_clock`].
@@ -885,9 +821,9 @@ impl<E: Element> Gpu<E> {
         Ok(stats)
     }
 
-    /// Book a successful launch: advance the clock (or the active
-    /// stream's engine), emit its trace span, fold its sanitizer audit,
-    /// and append it to the profile.
+    /// Book a successful launch on the current stream: charge its time,
+    /// emit its trace span, fold its sanitizer audit, feed it to the
+    /// cross-stream tracker, and append it to the profile.
     fn charge(
         &mut self,
         stats: &KernelStats,
@@ -896,29 +832,12 @@ impl<E: Element> Gpu<E> {
         inputs: &[BufferId],
         outputs: &[(BufferId, OutMode)],
     ) {
-        match self.active_stream {
-            None => {
-                if self.tracer.is_enabled() {
-                    self.trace_launch(stats, audit.as_ref(), "gpu", self.elapsed_s * 1e6);
-                }
-                self.fold_audit(audit);
-                self.elapsed_s += stats.total_time_s();
-            }
-            Some(stream) => {
-                let (start_s, _) =
-                    self.schedule_async(stream, EngineKind::Compute, stats.total_time_s());
-                if self.tracer.is_enabled() {
-                    self.trace_launch(
-                        stats,
-                        audit.as_ref(),
-                        stream_category(stream.index()),
-                        start_s * 1e6,
-                    );
-                }
-                self.fold_audit(audit);
-                self.track_async(stream, label, "launch", inputs, outputs);
-            }
+        let (start_s, _) = self.issue(EngineKind::Compute, stats.total_time_s());
+        if self.tracer.is_enabled() {
+            self.trace_launch(stats, audit.as_ref(), self.stream.category(), start_s * 1e6);
         }
+        self.fold_audit(audit);
+        self.track("launch", format_args!("{label}"), inputs, outputs);
         self.timeline.push(stats.clone());
     }
 
@@ -934,33 +853,30 @@ impl<E: Element> Gpu<E> {
         }
     }
 
-    /// Charge one asynchronous operation to `stream` and the given engine,
-    /// no earlier than the current host clock. Returns `(start, end)`.
-    fn schedule_async(&mut self, stream: Stream, engine: EngineKind, dur_s: f64) -> (f64, f64) {
-        let now = self.elapsed_s;
+    /// Issue one operation of `dur_s` seconds on the current stream and
+    /// `engine`, no earlier than the host clock. Returns `(start, end)`.
+    fn issue(&mut self, engine: EngineKind, dur_s: f64) -> (f64, f64) {
         self.streams
-            .as_mut()
-            .expect("async op without enabled streams")
-            .schedule(stream.index(), engine, now, dur_s)
+            .schedule(self.stream, engine, &mut self.elapsed_s, dur_s)
     }
 
-    /// Feed one asynchronous operation to the cross-stream race tracker
-    /// (when present) and fold any hazard it forms into the sanitizer
-    /// report plus the trace.
-    fn track_async(
+    /// Feed one operation on the current stream to the cross-stream race
+    /// tracker (when it tracks the stream) and fold any hazard it forms
+    /// into the sanitizer report plus the trace.
+    fn track(
         &mut self,
-        stream: Stream,
-        label: &str,
         site: &'static str,
+        label: std::fmt::Arguments<'_>,
         inputs: &[BufferId],
         outputs: &[(BufferId, OutMode)],
     ) {
-        let Some(tracker) = self.streams.as_mut().and_then(|e| e.tracker.as_mut()) else {
+        let stream = self.stream;
+        let Some(tracker) = self.streams.tracker_for(stream) else {
             return;
         };
         let reads: Vec<usize> = inputs.iter().map(|b| b.0).collect();
         let writes: Vec<usize> = outputs.iter().map(|(b, _)| b.0).collect();
-        let hazards = tracker.on_op(stream.index(), label, site, &reads, &writes);
+        let hazards = tracker.on_op(stream.index(), &label.to_string(), site, &reads, &writes);
         if hazards.is_empty() {
             return;
         }
@@ -986,10 +902,10 @@ impl<E: Element> Gpu<E> {
     }
 
     /// Emit the per-launch trace span (plus counters and any sanitizer
-    /// hazard instants) for a successful launch. Synchronous launches pass
-    /// category `"gpu"` and the pre-launch host timestamp; asynchronous
-    /// launches pass their `stream/<id>` category and the scheduled engine
-    /// start time, so pipelined traces show one lane per stream.
+    /// hazard instants) for a successful launch, at its stream's category
+    /// (`"gpu"` on the default stream) and scheduled start: the pre-launch
+    /// host clock on the default stream, the engine start on a created
+    /// stream, so pipelined traces show one lane per stream.
     fn trace_launch(
         &self,
         stats: &KernelStats,
@@ -2004,10 +1920,10 @@ mod tests {
         let b = g.alloc(4096).unwrap();
         // Upload on stream 0 (copy engine) while stream 1 computes on an
         // unrelated buffer (compute engine): genuine overlap.
-        g.set_stream(Some(streams[0]));
+        g.set_stream(streams[0]);
         g.upload(a, &data).unwrap();
         let cfg = LaunchConfig::new("busy", 4, 128);
-        g.set_stream(Some(streams[1]));
+        g.set_stream(streams[1]);
         g.launch(
             &cfg,
             &[],
@@ -2038,9 +1954,9 @@ mod tests {
         let a = g.alloc(1 << 20).unwrap();
         let b = g.alloc(1 << 20).unwrap();
         let data = vec![1.0f32; 1 << 20];
-        g.set_stream(Some(streams[0]));
+        g.set_stream(streams[0]);
         g.upload(a, &data).unwrap();
-        g.set_stream(Some(streams[1]));
+        g.set_stream(streams[1]);
         g.upload(b, &data).unwrap();
         let iv = g.stream_op_intervals();
         assert_eq!(iv[1].start_s, iv[0].end_s, "one copy engine serialises");
@@ -2052,14 +1968,14 @@ mod tests {
         let streams = g.enable_streams(2);
         let a = g.alloc(1 << 20).unwrap();
         let data = vec![2.0f32; 1 << 20];
-        g.set_stream(Some(streams[0]));
+        g.set_stream(streams[0]);
         g.upload(a, &data).unwrap();
         let ev = g.create_event();
         g.record_event(streams[0], ev);
         g.wait_event(streams[1], ev);
         let dst = g.alloc(1024).unwrap();
         let cfg = LaunchConfig::new("after", 2, 64);
-        g.set_stream(Some(streams[1]));
+        g.set_stream(streams[1]);
         g.launch(
             &cfg,
             &[a],
@@ -2121,7 +2037,7 @@ mod tests {
             let a = g.alloc(1024).unwrap();
             let dst = g.alloc(1024).unwrap();
             let data = vec![1.0f32; 1024];
-            g.set_stream(Some(streams[0]));
+            g.set_stream(streams[0]);
             g.upload(a, &data).unwrap();
             if with_edge {
                 let ev = g.create_event();
@@ -2129,7 +2045,7 @@ mod tests {
                 g.wait_event(streams[1], ev);
             }
             let cfg = LaunchConfig::new("reader", 2, 64);
-            g.set_stream(Some(streams[1]));
+            g.set_stream(streams[1]);
             g.launch(
                 &cfg,
                 &[a],
@@ -2162,12 +2078,12 @@ mod tests {
         let mut g = gpu();
         let streams = g.enable_streams(2);
         let a = g.alloc(1024).unwrap();
-        g.set_stream(Some(streams[0]));
+        g.set_stream(streams[0]);
         g.upload(a, &vec![0.0f32; 1024]).unwrap();
         assert!(!g.stream_op_intervals().is_empty());
         g.reset_clock();
         assert!(g.stream_op_intervals().is_empty());
-        g.set_stream(Some(streams[1]));
+        g.set_stream(streams[1]);
         g.upload(a, &vec![0.0f32; 1024]).unwrap();
         assert_eq!(g.stream_op_intervals()[0].start_s, 0.0);
     }

@@ -2,13 +2,22 @@
 //! compute engine and one copy engine, plus the cross-stream dependency
 //! tracker behind the sanitizer's new cross-stream mode.
 //!
-//! A [`Stream`](crate::Stream) is an in-order queue of device work; work on
-//! *different* streams may overlap in simulated time, subject to engine
-//! contention: the modelled device has **one kernel-execution engine and one
-//! copy engine** (the paper-era GTX 470 has exactly one copy engine), so two
-//! streams issuing compute work serialise on the compute engine — the
-//! serialization fallback — while a copy on one stream genuinely overlaps a
-//! kernel on another. Each asynchronous operation starts at
+//! A [`Stream`](crate::Stream) is an in-order queue of device work. Every
+//! device has the default stream, [`Stream::DEFAULT`] (CUDA's stream 0),
+//! and [`crate::Gpu::enable_streams`] creates up to [`MAX_STREAMS`] more.
+//!
+//! The default stream is synchronous with the host: an operation on it
+//! starts at the host clock, a kernel advances the host clock by its
+//! modelled time, and a copy is untimed host staging, exactly as the
+//! simulator timed every operation before streams existed. It occupies no
+//! engine queue, logs no busy interval and is not race-tracked.
+//!
+//! Work on *created* streams may overlap in simulated time, subject to
+//! engine contention: the modelled device has **one kernel-execution engine
+//! and one copy engine** (the paper-era GTX 470 has exactly one copy
+//! engine), so two streams issuing compute work serialise on the compute
+//! engine — the serialization fallback — while a copy on one stream
+//! genuinely overlaps a kernel on another. Each such operation starts at
 //!
 //! ```text
 //! start = max(host clock at enqueue, stream ready time, engine free time)
@@ -20,21 +29,16 @@
 //! time, which is exactly CUDA's `cudaStreamWaitEvent` happens-before edge
 //! (a wait on a never-recorded event completes immediately, also per CUDA —
 //! the *static* schedule certifier in `trisolve-analyze` refutes such
-//! dangling waits before execution).
-//!
-//! Asynchronous H2D/D2H copies charge modelled PCIe time
-//! ([`PCIE_LATENCY_S`] + bytes / [`PCIE_BANDWIDTH_BYTES_PER_S`]); the
-//! synchronous [`crate::Gpu::upload`]/[`crate::Gpu::download`] paths remain
-//! free of simulated time exactly as before this module existed, so code
-//! that never enables streams times bit-identically to the pre-stream
-//! simulator.
+//! dangling waits before execution). Copies on created streams charge
+//! modelled PCIe time ([`PCIE_LATENCY_S`] + bytes /
+//! [`PCIE_BANDWIDTH_BYTES_PER_S`]).
 //!
 //! The [`CrossStreamTracker`] is a FastTrack-style vector-clock race
-//! detector at buffer granularity: every async operation is a tick on its
-//! stream's clock, event record/wait transports clocks between streams, and
-//! two operations on different streams touching the same buffer (at least
-//! one writing) without a happens-before path between them raise
-//! [`crate::HazardKind::CrossStreamRace`].
+//! detector at buffer granularity: every operation on a created stream is
+//! a tick on its stream's clock, event record/wait transports clocks
+//! between streams, and two operations on different streams touching the
+//! same buffer (at least one writing) without a happens-before path between
+//! them raise [`crate::HazardKind::CrossStreamRace`].
 
 use crate::sanitizer::{AccessSite, Hazard, HazardKind, Region};
 use std::collections::HashMap;
@@ -42,19 +46,16 @@ use std::collections::HashMap;
 /// Maximum number of streams [`crate::Gpu::enable_streams`] hands out.
 ///
 /// Fixed so the per-stream Chrome-trace categories can be `&'static str`
-/// (see [`stream_category`]); four streams is already twice what the
+/// (see [`Stream::category`]); four streams is already twice what the
 /// two-engine device can keep busy.
 pub const MAX_STREAMS: usize = 4;
 
-/// Per-stream trace categories, `stream/<id>`: the Chrome-trace exporter
-/// gives each distinct category its own thread row, so pipelined traces
-/// show one lane per stream.
-const STREAM_CATS: [&str; MAX_STREAMS] = ["stream/0", "stream/1", "stream/2", "stream/3"];
-
-/// The trace category (`"stream/<id>"`) for a stream index.
-pub fn stream_category(stream: usize) -> &'static str {
-    STREAM_CATS[stream]
-}
+/// Trace categories by stream index: `stream/<id>` for the created
+/// streams (the Chrome-trace exporter gives each distinct category its own
+/// thread row, so pipelined traces show one lane per stream), then `gpu`
+/// for the default stream.
+const STREAM_CATS: [&str; MAX_STREAMS + 1] =
+    ["stream/0", "stream/1", "stream/2", "stream/3", "gpu"];
 
 /// Modelled host↔device bandwidth for *asynchronous* copies, in bytes per
 /// second. PCIe 2.0 x16 achieves ~6 GB/s of the 8 GB/s theoretical peak —
@@ -71,15 +72,27 @@ pub fn transfer_time_s(bytes: usize) -> f64 {
     PCIE_LATENCY_S + bytes as f64 / PCIE_BANDWIDTH_BYTES_PER_S
 }
 
-/// Handle to one in-order work queue on a [`crate::Gpu`]. Obtained from
-/// [`crate::Gpu::enable_streams`]; only valid on the device that issued it.
+/// Handle to one in-order work queue on a [`crate::Gpu`]: the default
+/// stream, or one obtained from [`crate::Gpu::enable_streams`] (only valid
+/// on the device that created it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Stream(pub(crate) usize);
 
 impl Stream {
-    /// The stream's index (0-based, dense).
+    /// The default stream, CUDA's stream 0: synchronous with the host (see
+    /// the [module docs](self)). Every device has it.
+    pub const DEFAULT: Stream = Stream(MAX_STREAMS);
+
+    /// The stream's index: created streams are numbered densely from 0,
+    /// the default stream after every stream a device can create.
     pub fn index(&self) -> usize {
         self.0
+    }
+
+    /// The trace category of the stream's operations: `"stream/<id>"`,
+    /// or `"gpu"` on the default stream.
+    pub fn category(&self) -> &'static str {
+        STREAM_CATS[self.0]
     }
 }
 
@@ -159,10 +172,12 @@ pub fn overlap_ratio(intervals: &[OpInterval]) -> f64 {
 }
 
 /// The engine/stream scheduling state of one device: per-stream ready
-/// times, the two engine free times, recorded events and the interval log.
-#[derive(Debug)]
+/// times of the created streams, the two engine free times, recorded
+/// events and the interval log.
+#[derive(Debug, Default)]
 pub(crate) struct StreamEngines {
-    /// Completion time of the last operation enqueued on each stream.
+    /// Completion time of the last operation enqueued on each created
+    /// stream.
     ready: Vec<f64>,
     compute_free: f64,
     copy_free: f64,
@@ -171,7 +186,7 @@ pub(crate) struct StreamEngines {
     intervals: Vec<OpInterval>,
     /// Vector-clock race tracker; present when the sanitizer was active at
     /// [`crate::Gpu::enable_streams`] time.
-    pub(crate) tracker: Option<CrossStreamTracker>,
+    tracker: Option<CrossStreamTracker>,
 }
 
 impl StreamEngines {
@@ -190,16 +205,34 @@ impl StreamEngines {
         self.ready.len()
     }
 
+    /// The race tracker for an operation on `stream`, if one is attached
+    /// and the stream is tracked (the default stream is not).
+    pub(crate) fn tracker_for(&mut self, stream: Stream) -> Option<&mut CrossStreamTracker> {
+        self.tracker.as_mut().filter(|_| stream != Stream::DEFAULT)
+    }
+
     /// Schedule one operation of `dur_s` seconds on `stream`'s queue and
-    /// the given engine, no earlier than `now_s` (the host clock at
+    /// the given engine, no earlier than `*host_s` (the host clock at
     /// enqueue). Returns the `(start, end)` interval.
+    ///
+    /// On the default stream the operation starts at the host clock and
+    /// the host waits for it: a kernel moves `*host_s` to its end, and a
+    /// copy is untimed staging that ends where it starts. It is not logged.
     pub(crate) fn schedule(
         &mut self,
-        stream: usize,
+        stream: Stream,
         engine: EngineKind,
-        now_s: f64,
+        host_s: &mut f64,
         dur_s: f64,
     ) -> (f64, f64) {
+        let now_s = *host_s;
+        if stream == Stream::DEFAULT {
+            if engine == EngineKind::Compute {
+                *host_s += dur_s;
+            }
+            return (now_s, *host_s);
+        }
+        let stream = stream.0;
         let engine_free = match engine {
             EngineKind::Compute => self.compute_free,
             EngineKind::Copy => self.copy_free,
@@ -224,9 +257,14 @@ impl StreamEngines {
         self.events.len() - 1
     }
 
-    /// Record `event` at `stream`'s current ready time.
+    /// Record `event` at `stream`'s current ready time. A no-op on the
+    /// default stream: its work completes before the host issues anything
+    /// else, so every later operation is already ordered after it.
     pub(crate) fn record_event(&mut self, stream: usize, event: usize) {
-        self.events[event] = Some(self.ready[stream]);
+        let Some(&ready) = self.ready.get(stream) else {
+            return;
+        };
+        self.events[event] = Some(ready);
         if let Some(t) = &mut self.tracker {
             t.record_event(stream, event);
         }
@@ -234,11 +272,16 @@ impl StreamEngines {
 
     /// Make `stream` wait for `event`. Waiting on a never-recorded event
     /// completes immediately (CUDA semantics); the static certifier is
-    /// what refutes such dangling waits.
+    /// what refutes such dangling waits. A no-op on the default stream,
+    /// which runs at the host clock: join the streams first instead
+    /// ([`crate::Gpu::sync_streams`]).
     pub(crate) fn wait_event(&mut self, stream: usize, event: usize) {
+        let Some(ready) = self.ready.get_mut(stream) else {
+            return;
+        };
         if let Some(recorded) = self.events[event] {
-            if recorded > self.ready[stream] {
-                self.ready[stream] = recorded;
+            if recorded > *ready {
+                *ready = recorded;
             }
         }
         if let Some(t) = &mut self.tracker {
@@ -414,13 +457,13 @@ mod tests {
         let mut e = StreamEngines::new(2, false);
         // Two compute ops on different streams contend for the single
         // compute engine: serialization fallback.
-        let (s0, e0) = e.schedule(0, EngineKind::Compute, 0.0, 1.0);
-        let (s1, e1) = e.schedule(1, EngineKind::Compute, 0.0, 1.0);
+        let (s0, e0) = e.schedule(Stream(0), EngineKind::Compute, &mut 0.0, 1.0);
+        let (s1, e1) = e.schedule(Stream(1), EngineKind::Compute, &mut 0.0, 1.0);
         assert_eq!((s0, e0), (0.0, 1.0));
         assert_eq!((s1, e1), (1.0, 2.0), "compute engine serialises");
         // A copy on stream 0 uses the copy engine: overlaps stream 1's
         // compute, starting as soon as stream 0 is ready.
-        let (s2, e2) = e.schedule(0, EngineKind::Copy, 0.0, 0.5);
+        let (s2, e2) = e.schedule(Stream(0), EngineKind::Copy, &mut 0.0, 0.5);
         assert_eq!((s2, e2), (1.0, 1.5), "copy engine overlaps compute");
         assert_eq!(e.intervals().len(), 3);
         assert!((wall_time_s(e.intervals()) - 2.0).abs() < 1e-12);
@@ -429,18 +472,41 @@ mod tests {
     }
 
     #[test]
+    fn default_stream_runs_at_the_host_clock_and_logs_nothing() {
+        let mut e = StreamEngines::new(2, true);
+        e.schedule(Stream(0), EngineKind::Compute, &mut 0.0, 4.0);
+        let mut host = 1.5;
+        let kernel = e.schedule(Stream::DEFAULT, EngineKind::Compute, &mut host, 2.0);
+        assert_eq!((kernel, host), ((1.5, 3.5), 3.5), "the host waits");
+        let copy = e.schedule(Stream::DEFAULT, EngineKind::Copy, &mut host, 9.0);
+        assert_eq!((copy, host), ((3.5, 3.5), 3.5), "staging is untimed");
+        assert_eq!(e.intervals().len(), 1);
+        assert!(e.tracker_for(Stream::DEFAULT).is_none());
+        assert!(e.tracker_for(Stream(1)).is_some());
+        // Events neither record nor wait on the default stream.
+        let ev = e.create_event();
+        e.record_event(Stream::DEFAULT.index(), ev);
+        e.wait_event(1, ev);
+        e.wait_event(Stream::DEFAULT.index(), ev);
+        assert_eq!(
+            e.schedule(Stream(1), EngineKind::Copy, &mut 0.0, 1.0).0,
+            0.0
+        );
+    }
+
+    #[test]
     fn ops_never_start_before_enqueue_time() {
         let mut e = StreamEngines::new(1, false);
-        let (s, _) = e.schedule(0, EngineKind::Compute, 3.0, 1.0);
+        let (s, _) = e.schedule(Stream(0), EngineKind::Compute, &mut 3.0, 1.0);
         assert_eq!(s, 3.0);
     }
 
     #[test]
     fn single_stream_has_no_overlap() {
         let mut e = StreamEngines::new(1, false);
-        e.schedule(0, EngineKind::Copy, 0.0, 0.25);
-        e.schedule(0, EngineKind::Compute, 0.0, 1.0);
-        e.schedule(0, EngineKind::Copy, 0.0, 0.25);
+        e.schedule(Stream(0), EngineKind::Copy, &mut 0.0, 0.25);
+        e.schedule(Stream(0), EngineKind::Compute, &mut 0.0, 1.0);
+        e.schedule(Stream(0), EngineKind::Copy, &mut 0.0, 0.25);
         let wall = wall_time_s(e.intervals());
         let serial = serial_time_s(e.intervals());
         assert!((wall - serial).abs() < 1e-12, "one stream is back-to-back");
@@ -450,11 +516,11 @@ mod tests {
     #[test]
     fn event_wait_orders_streams() {
         let mut e = StreamEngines::new(2, false);
-        e.schedule(0, EngineKind::Compute, 0.0, 2.0);
+        e.schedule(Stream(0), EngineKind::Compute, &mut 0.0, 2.0);
         let ev = e.create_event();
         e.record_event(0, ev);
         e.wait_event(1, ev);
-        let (s, _) = e.schedule(1, EngineKind::Copy, 0.0, 0.5);
+        let (s, _) = e.schedule(Stream(1), EngineKind::Copy, &mut 0.0, 0.5);
         assert_eq!(s, 2.0, "stream 1 waits for the recorded position");
         assert_eq!(e.max_ready(), 2.5);
     }
@@ -464,14 +530,14 @@ mod tests {
         let mut e = StreamEngines::new(2, false);
         let ev = e.create_event();
         e.wait_event(1, ev);
-        let (s, _) = e.schedule(1, EngineKind::Compute, 0.0, 1.0);
+        let (s, _) = e.schedule(Stream(1), EngineKind::Compute, &mut 0.0, 1.0);
         assert_eq!(s, 0.0);
     }
 
     #[test]
     fn reset_clears_clock_state() {
         let mut e = StreamEngines::new(2, false);
-        e.schedule(0, EngineKind::Compute, 0.0, 1.0);
+        e.schedule(Stream(0), EngineKind::Compute, &mut 0.0, 1.0);
         let ev = e.create_event();
         e.record_event(0, ev);
         e.reset();
@@ -479,7 +545,7 @@ mod tests {
         assert!(e.intervals().is_empty());
         // The event was un-recorded: waiting on it is a no-op again.
         e.wait_event(1, ev);
-        let (s, _) = e.schedule(1, EngineKind::Compute, 0.0, 1.0);
+        let (s, _) = e.schedule(Stream(1), EngineKind::Compute, &mut 0.0, 1.0);
         assert_eq!(s, 0.0);
     }
 

@@ -1,28 +1,51 @@
 //! Error and residual norms used by the test suites and the experiment
 //! harness to validate every solver against every other.
 
+use crate::error::SolverError;
 use crate::scalar::Scalar;
-use crate::system::{SystemBatch, TridiagonalSystem};
+use crate::system::{check_boundaries, SystemBatch, TridiagonalSystem};
 use crate::Result;
 
 /// Maximum absolute residual `‖A·x − d‖∞` of a candidate solution.
 pub fn residual_linf<T: Scalar>(sys: &TridiagonalSystem<T>, x: &[T]) -> Result<f64> {
-    let y = sys.matvec(x)?;
-    Ok(y.iter()
-        .zip(&sys.d)
-        .map(|(yi, di)| (*yi - *di).abs().to_f64())
-        .fold(0.0, f64::max))
+    Ok(system_norms(sys, x)?.0)
 }
 
 /// Relative residual: `‖A·x − d‖∞ / max(1, ‖d‖∞)`.
 pub fn relative_residual<T: Scalar>(sys: &TridiagonalSystem<T>, x: &[T]) -> Result<f64> {
-    let r = residual_linf(sys, x)?;
-    let dmax = sys
-        .d
-        .iter()
-        .map(|v| v.abs().to_f64())
-        .fold(0.0f64, f64::max);
+    let (r, dmax) = system_norms(sys, x)?;
     Ok(r / dmax.max(1.0))
+}
+
+/// [`residual_norms`] of a whole system, refusing an `x` of another length.
+fn system_norms<T: Scalar>(sys: &TridiagonalSystem<T>, x: &[T]) -> Result<(f64, f64)> {
+    let n = sys.len();
+    if x.len() != n {
+        return Err(SolverError::DimensionMismatch {
+            detail: format!("x has {} entries, system has {n}", x.len()),
+        });
+    }
+    Ok(residual_norms(&sys.a, &sys.b, &sys.c, &sys.d, x))
+}
+
+/// `(‖A·x − d‖∞, ‖d‖∞)` for the system with diagonals `a`, `b`, `c` and
+/// right-hand side `d`, all as long as `x`. Each row of `A·x` is formed as
+/// [`TridiagonalSystem::matvec`] forms it, and nothing is allocated.
+fn residual_norms<T: Scalar>(a: &[T], b: &[T], c: &[T], d: &[T], x: &[T]) -> (f64, f64) {
+    let n = x.len();
+    let (mut r, mut dmax) = (0.0f64, 0.0f64);
+    for i in 0..n {
+        let mut acc = b[i] * x[i];
+        if i > 0 {
+            acc += a[i] * x[i - 1];
+        }
+        if i + 1 < n {
+            acc += c[i] * x[i + 1];
+        }
+        r = r.max((acc - d[i]).abs().to_f64());
+        dmax = dmax.max(d[i].abs().to_f64());
+    }
+    (r, dmax)
 }
 
 /// Maximum absolute component-wise difference between two vectors.
@@ -49,14 +72,22 @@ pub fn relative_l2_error<T: Scalar>(x: &[T], y: &[T]) -> f64 {
 }
 
 /// Worst relative residual across every system of a batch given the batch's
-/// flat solution vector.
+/// flat solution vector, read in place from the batch's arrays. A system
+/// that breaks the storage convention fails as
+/// [`TridiagonalSystem::new`] fails on it.
 pub fn batch_worst_relative_residual<T: Scalar>(batch: &SystemBatch<T>, x: &[T]) -> Result<f64> {
     let n = batch.system_size;
+    if n == 0 && batch.num_systems > 0 {
+        return Err(SolverError::EmptySystem);
+    }
     let mut worst = 0.0f64;
     for s in 0..batch.num_systems {
-        let sys = batch.system(s)?;
-        let r = relative_residual(&sys, &x[s * n..(s + 1) * n])?;
-        worst = worst.max(r);
+        let rows = s * n..(s + 1) * n;
+        let (a, b) = (&batch.a[rows.clone()], &batch.b[rows.clone()]);
+        let (c, d) = (&batch.c[rows.clone()], &batch.d[rows.clone()]);
+        check_boundaries(a, c)?;
+        let (r, dmax) = residual_norms(a, b, c, d, &x[rows]);
+        worst = worst.max(r / dmax.max(1.0));
     }
     Ok(worst)
 }

@@ -40,16 +40,7 @@ impl<T: Scalar> TridiagonalSystem<T> {
                 ),
             });
         }
-        if a[0] != T::ZERO {
-            return Err(SolverError::MalformedBoundary {
-                detail: "a[0] must be 0".into(),
-            });
-        }
-        if c[n - 1] != T::ZERO {
-            return Err(SolverError::MalformedBoundary {
-                detail: "c[n-1] must be 0".into(),
-            });
-        }
+        check_boundaries(&a, &c)?;
         Ok(Self { a, b, c, d })
     }
 
@@ -117,6 +108,23 @@ impl<T: Scalar> TridiagonalSystem<T> {
         }
         Ok(y)
     }
+}
+
+/// [`SolverError::MalformedBoundary`] unless the system with sub- and
+/// super-diagonals `a` and `c` keeps the storage convention `a[0] == 0`,
+/// `c[n-1] == 0`.
+pub(crate) fn check_boundaries<T: Scalar>(a: &[T], c: &[T]) -> Result<()> {
+    if a.first().is_some_and(|&v| v != T::ZERO) {
+        return Err(SolverError::MalformedBoundary {
+            detail: "a[0] must be 0".into(),
+        });
+    }
+    if c.last().is_some_and(|&v| v != T::ZERO) {
+        return Err(SolverError::MalformedBoundary {
+            detail: "c[n-1] must be 0".into(),
+        });
+    }
+    Ok(())
 }
 
 /// A batch of `m` tridiagonal systems, each of `n` equations, stored

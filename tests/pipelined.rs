@@ -52,6 +52,30 @@ macro_rules! assert_pipelined_bit_identical {
             );
         }
         assert!(out.wall_s <= out.serial_s + 1e-12, "{}", shape.label());
+
+        // The default stream after streams were in use: synchronous solves
+        // on the pipelined device and session keep the fresh device's
+        // bits, advance the clock by exactly their launches, and log no
+        // stream interval.
+        let intervals = gpu_pipe.stream_op_intervals().len();
+        for (k, (b, s)) in batches.iter().zip(&sync).enumerate() {
+            let before = gpu_pipe.elapsed_s();
+            let again = pipe_session.solve(&mut gpu_pipe, b, &params).unwrap();
+            let ab: Vec<_> = again.x.iter().map(|v| v.to_bits()).collect();
+            let sb: Vec<_> = s.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(ab, sb, "{} batch {k}: sync after pipelined", shape.label());
+            let clock = again
+                .kernel_stats
+                .iter()
+                .fold(before, |t, st| t + st.total_time_s());
+            assert_eq!(
+                gpu_pipe.elapsed_s().to_bits(),
+                clock.to_bits(),
+                "{} batch {k}: clock moved by other than its launches",
+                shape.label()
+            );
+            assert_eq!(gpu_pipe.stream_op_intervals().len(), intervals);
+        }
     }};
 }
 
