@@ -10,7 +10,7 @@ use criterion::{
 use trisolve_tridiag::cpu_batch::{
     solve_batch_parallel, solve_batch_scoped, solve_batch_sequential, BatchAlgorithm,
 };
-use trisolve_tridiag::pcr::{pcr_split, pcr_step, row_kernel_width};
+use trisolve_tridiag::pcr::{pcr_split, pcr_step, pcr_steps_f32_grid, row_kernel_width};
 use trisolve_tridiag::workloads::{random_dominant, WorkloadShape};
 
 fn bench_algorithms(c: &mut Criterion) {
@@ -58,13 +58,16 @@ const LADDER_ROWS: usize = 1 << 16;
 /// (64K steps 5–6, 512 steps 4–5), where x86 pays a microcode assist per
 /// instruction that touches a subnormal. Those steps run the row update in
 /// `f64`, which takes no assist, so they cost about 7 ns/row instead of
-/// 9–15 (DESIGN §3.17).
+/// 9–15 (DESIGN §3.17). `512/steps4+5_resident` times the 512 ladder's two
+/// subnormal steps as the base kernel runs them, resident in `f64`
+/// (`pcr_steps_f32_grid`): its time compares with the sum of `step4` and
+/// `step5`.
 fn bench_pcr_ladder(c: &mut Criterion) {
     println!("pcr_ladder: {} row kernel", row_kernel_width());
     let mut group = c.benchmark_group("pcr_ladder");
     group.throughput(Throughput::Elements(LADDER_ROWS as u64));
     let big = random_dominant::<f32>(WorkloadShape::new(1, LADDER_ROWS), 1).unwrap();
-    ladder(&mut group, "64K", vec![[big.a, big.b, big.c, big.d]], 8);
+    ladder(&mut group, "64K", vec![[big.a, big.b, big.c, big.d]], 8, 0);
 
     let n = 1024;
     let batch = random_dominant::<f32>(WorkloadShape::new(LADDER_ROWS / n, n), 1).unwrap();
@@ -78,15 +81,44 @@ fn bench_pcr_ladder(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
         .collect();
-    ladder(&mut group, "512", chains, 7);
+    let at_step4 = ladder(&mut group, "512", chains, 7, 4);
+    let (mut out, mut last) = (at_step4.clone(), at_step4.clone());
+    let mut wide = Vec::new();
+    group.bench_function(BenchmarkId::new("512", "steps4+5_resident"), |b| {
+        b.iter(|| {
+            for ((src, dst), [oa, ob, oc, od]) in at_step4.iter().zip(&mut out).zip(&mut last) {
+                let ran = {
+                    let src = src.each_ref().map(|v| &v[..]);
+                    let dst = dst.each_mut().map(|v| &mut v[..]);
+                    pcr_steps_f32_grid(16, 2, src, dst, &mut wide)
+                };
+                // A chain whose step 5 probes normal runs it natively, as
+                // the base kernel does.
+                if ran == 1 {
+                    let [a, b, c, d] = &*dst;
+                    pcr_step(32, a, b, c, d, oa, ob, oc, od);
+                }
+            }
+        });
+    });
     group.finish();
 }
 
 /// Time steps `0..steps` of PCR on `systems`, each step on the previous
-/// step's output.
-fn ladder(group: &mut BenchmarkGroup<'_>, name: &str, mut systems: Vec<[Vec<f32>; 4]>, steps: u32) {
+/// step's output; returns the input of step `keep`.
+fn ladder(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    mut systems: Vec<[Vec<f32>; 4]>,
+    steps: u32,
+    keep: u32,
+) -> Vec<[Vec<f32>; 4]> {
     let mut next = systems.clone();
+    let mut kept = Vec::new();
     for k in 0..steps {
+        if k == keep {
+            kept = systems.clone();
+        }
         let stride = 1 << k;
         group.bench_function(BenchmarkId::new(name, format!("step{k}")), |b| {
             b.iter(|| {
@@ -97,6 +129,7 @@ fn ladder(group: &mut BenchmarkGroup<'_>, name: &str, mut systems: Vec<[Vec<f32>
         });
         std::mem::swap(&mut systems, &mut next);
     }
+    kept
 }
 
 criterion_group!(

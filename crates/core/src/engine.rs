@@ -1295,13 +1295,15 @@ mod tests {
     #[test]
     fn one_copy_download_matches_download_then_unpad_under_d2h_faults() {
         let p = params(16, 256, 32);
-        for (shape, padded) in [
-            (WorkloadShape::new(4, 100), true),
-            (WorkloadShape::new(4, 128), false),
+        // The third shape's 1 MiB of f64 is copied in two halves, both ways.
+        for (shape, padded, seeds) in [
+            (WorkloadShape::new(4, 100), true, 48),
+            (WorkloadShape::new(4, 128), false, 48),
+            (WorkloadShape::new(2, 65_536), false, 4),
         ] {
             let (n, np) = (shape.system_size, shape.system_size.next_power_of_two());
             let (mut in_payload, mut in_padding) = (0, 0);
-            for seed in 0..48 {
+            for seed in 0..seeds {
                 let batch = random_dominant::<f64>(shape, seed).unwrap();
                 let run = |one_copy: bool| {
                     // Every transfer flips a bit: the four uploads and the

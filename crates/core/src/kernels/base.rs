@@ -252,13 +252,12 @@ impl Family for Base {
                 None
             } else {
                 let len = chain_len * lanes;
-                let (work, broke) = scratch.get(chain_tile_scratch(len) + 2 * len, t4 * lanes);
+                let (work, broke, wide) =
+                    scratch.get(chain_tile_scratch(len) + 2 * len, t4 * lanes);
                 let (tile_work, rest) = work.split_at_mut(chain_tile_scratch(len));
                 let (lx, cp) = rest.split_at_mut(len);
                 let mut coeffs = ChainTile::new(&first, lanes, inputs, tile_work);
-                for step in 0..pcr_steps {
-                    coeffs.pcr_step(1 << step);
-                }
+                coeffs.pcr_steps(pcr_steps, wide);
                 let sweep = LaneView {
                     offset: 0,
                     row_stride: t4 * lanes,

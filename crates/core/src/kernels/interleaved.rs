@@ -192,7 +192,7 @@ impl Family for IThomas {
                     len: n,
                 };
                 let [a, b, c, d] = [0, 1, 2, 3].map(|k| io.inputs[k]);
-                let (work, broke) = scratch.get(2 * n * count, count);
+                let (work, broke, _) = scratch.get(2 * n * count, count);
                 let (lx, cp) = work.split_at_mut(n * count);
                 thomas::solve_thomas_lanes(&lanes, a, b, c, d, lx, cp, broke);
                 // Replay system by system, as one thread per system would

@@ -315,10 +315,92 @@ impl<'a, T: GpuScalar> ChainTile<'a, T> {
         }
     }
 
+    /// PCR steps at local strides 1, 2, …, 2^(steps − 1) on every lane,
+    /// as [`ChainTile::pcr_step`] runs them, except that a run of `f32`
+    /// steps that take the `f64` path stays in `f64` from one to the next,
+    /// on `wide` ([`Scalar::pcr_steps_wide`]). The result is the same bit
+    /// for bit.
+    pub(crate) fn pcr_steps(&mut self, steps: u32, wide: &mut Vec<f64>) {
+        let mut k = 0;
+        while k < steps {
+            let (stride, left) = (self.lanes << k, steps - k);
+            let ran = match self.input {
+                Some(src) => {
+                    let dst = self.cur.each_mut().map(|v| &mut **v);
+                    T::pcr_steps_wide(stride, left, src, dst, wide)
+                }
+                None => {
+                    let src = self.cur.each_ref().map(|v| &**v);
+                    let dst = self.next.each_mut().map(|v| &mut **v);
+                    let ran = T::pcr_steps_wide(stride, left, src, dst, wide);
+                    if ran > 0 {
+                        std::mem::swap(&mut self.cur, &mut self.next);
+                    }
+                    ran
+                }
+            };
+            if ran > 0 {
+                self.input = None;
+                k += ran;
+            } else {
+                self.pcr_step(1 << k);
+                k += 1;
+            }
+        }
+    }
+
     /// The current `(a, b, c, d)`.
     pub(crate) fn cur(&self) -> [&[T]; 4] {
         self.input
             .unwrap_or_else(|| self.cur.each_ref().map(|v| &v[..]))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use trisolve_tridiag::workloads::{random_dominant, WorkloadShape};
+
+    /// A tile's steps by [`ChainTile::pcr_steps`], the subnormal ones
+    /// resident in `f64`, equal [`ChainTile::pcr_step`] one at a time, bit
+    /// for bit: for tiles read in place (`lanes == stride`), a gathered one
+    /// and a one-lane one, after every step count. A `random_dominant`
+    /// system's off-diagonals go tiny at its step 5 or 6 and stay tiny for
+    /// one more, so a resident run ends at the step limit when the count
+    /// cuts it and where the probe finds the interior normal again when it
+    /// does not.
+    #[test]
+    fn resident_steps_match_one_step_at_a_time() {
+        let n = 1024;
+        let batch = random_dominant::<f32>(WorkloadShape::new(4, n), 2011).unwrap();
+        let inputs = [&batch.a[..], &batch.b[..], &batch.c[..], &batch.d[..]];
+        for (stride, lanes) in [(2, 2), (16, 16), (4, 2), (8, 1)] {
+            // The tile of system 1's first chains.
+            let first = block_chain(stride, n, stride);
+            let len = first.len * lanes;
+            let mut went_wide = false;
+            for steps in 0..=first.len.trailing_zeros() {
+                let mut work = [(); 2].map(|()| vec![0f32; chain_tile_scratch(len)]);
+                let [w1, w2] = &mut work;
+                let mut one_by_one = ChainTile::new(&first, lanes, &inputs, w1);
+                for k in 0..steps {
+                    one_by_one.pcr_step(1 << k);
+                }
+                let mut resident = ChainTile::new(&first, lanes, &inputs, w2);
+                let mut wide = Vec::new();
+                resident.pcr_steps(steps, &mut wide);
+                went_wide |= !wide.is_empty();
+                for (k, (g, w)) in resident.cur().iter().zip(one_by_one.cur()).enumerate() {
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(g),
+                        bits(w),
+                        "stride {stride}, {lanes} lanes, {steps} steps: array {k}"
+                    );
+                }
+            }
+            assert!(went_wide, "stride {stride}: no step ran resident");
+        }
     }
 }
 

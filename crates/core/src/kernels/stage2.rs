@@ -124,7 +124,7 @@ impl Family for Stage2 {
             // working arrays (read in place when the tile is contiguous),
             // and the steps. Only an executed launch computes.
             let coeffs = (!ctxs[0].pricing()).then(|| {
-                let (work, _) = scratch.get(chain_tile_scratch(chain_len * lanes), 0);
+                let (work, ..) = scratch.get(chain_tile_scratch(chain_len * lanes), 0);
                 let mut coeffs = ChainTile::new(&first, lanes, inputs, work);
                 for step in 0..steps {
                     coeffs.pcr_step(1 << step);

@@ -630,6 +630,7 @@ pub fn store_tile<E: Element>(
 pub struct TileScratch<E> {
     elems: Vec<E>,
     flags: Vec<bool>,
+    wide: Vec<f64>,
 }
 
 impl<E> Default for TileScratch<E> {
@@ -637,6 +638,7 @@ impl<E> Default for TileScratch<E> {
         Self {
             elems: Vec::new(),
             flags: Vec::new(),
+            wide: Vec::new(),
         }
     }
 }
@@ -644,16 +646,21 @@ impl<E> Default for TileScratch<E> {
 impl<E: Element> TileScratch<E> {
     /// `elems` elements and `flags` flags of working memory, holding
     /// whatever the previous tile left there: the kernel writes before it
-    /// reads. Grows when asked for more than any earlier tile, and never
-    /// shrinks.
-    pub fn get(&mut self, elems: usize, flags: usize) -> (&mut [E], &mut [bool]) {
+    /// reads, plus an `f64` area that a kernel grows itself, only when it
+    /// needs one. All three grow when asked for more than any earlier
+    /// tile, and never shrink.
+    pub fn get(&mut self, elems: usize, flags: usize) -> (&mut [E], &mut [bool], &mut Vec<f64>) {
         if self.elems.len() < elems {
             self.elems.resize(elems, E::default());
         }
         if self.flags.len() < flags {
             self.flags.resize(flags, false);
         }
-        (&mut self.elems[..elems], &mut self.flags[..flags])
+        (
+            &mut self.elems[..elems],
+            &mut self.flags[..flags],
+            &mut self.wide,
+        )
     }
 }
 

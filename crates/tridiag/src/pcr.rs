@@ -19,6 +19,7 @@ use crate::scalar::Scalar;
 use crate::system::{ChainView, TridiagonalSystem};
 use crate::thomas;
 use crate::Result;
+use std::marker::PhantomData;
 
 /// Apply one PCR step at stride `stride` to the system stored in the `src`
 /// slices, writing the transformed system into the `dst` slices.
@@ -101,18 +102,38 @@ fn pcr_rows_with<T: Scalar, K: RowKernel<T>>(
     dc: &mut [T],
     dd: &mut [T],
 ) {
+    in_widest(RowsJob::<T, K> {
+        stride,
+        lo,
+        src: [sa, sb, sc, sd],
+        dst: [da, db, dc, dd],
+        kernel: PhantomData,
+    });
+}
+
+/// Work compiled twice, plainly and inside the `avx512f` instantiation,
+/// and run by [`in_widest`] in the widest one the host supports: the PCR
+/// row kernel ([`RowsJob`]) and the resident `f32`-grid ladder
+/// ([`GridLadder`]). `run` is `#[inline(always)]` in every implementor,
+/// so the work is compiled into each instantiation.
+trait Widest {
+    type Output;
+    fn run(self) -> Self::Output;
+}
+
+/// Run `work` in the `avx512f` instantiation when the host supports it,
+/// else in the baseline one.
+#[inline(always)]
+fn in_widest<W: Widest>(work: W) -> W::Output {
     #[cfg(target_arch = "x86_64")]
     if has_avx512f() {
         #[allow(unsafe_code)]
         // SAFETY: the only requirement of a `target_feature` function is
         // that the host supports its features, and `avx512f` was just
         // detected at run time.
-        unsafe {
-            pcr_rows_avx512f::<T, K>(stride, lo, sa, sb, sc, sd, da, db, dc, dd);
-        }
-        return;
+        return unsafe { in_avx512f(work) };
     }
-    pcr_rows_body::<T, K>(stride, lo, sa, sb, sc, sd, da, db, dc, dd);
+    work.run()
 }
 
 /// Which instantiation of the PCR row kernel [`pcr_rows`] runs on this
@@ -132,23 +153,30 @@ fn has_avx512f() -> bool {
     false
 }
 
-/// [`pcr_rows_body`] compiled for `avx512f`.
+/// `work` compiled for `avx512f`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-fn pcr_rows_avx512f<T: Scalar, K: RowKernel<T>>(
+fn in_avx512f<W: Widest>(work: W) -> W::Output {
+    work.run()
+}
+
+/// One [`pcr_rows_body`] call with the row update `K`.
+struct RowsJob<'a, T, K> {
     stride: usize,
     lo: usize,
-    sa: &[T],
-    sb: &[T],
-    sc: &[T],
-    sd: &[T],
-    da: &mut [T],
-    db: &mut [T],
-    dc: &mut [T],
-    dd: &mut [T],
-) {
-    pcr_rows_body::<T, K>(stride, lo, sa, sb, sc, sd, da, db, dc, dd);
+    src: [&'a [T]; 4],
+    dst: [&'a mut [T]; 4],
+    kernel: PhantomData<K>,
+}
+
+impl<T: Scalar, K: RowKernel<T>> Widest for RowsJob<'_, T, K> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let ([sa, sb, sc, sd], [da, db, dc, dd]) = (self.src, self.dst);
+        pcr_rows_body::<T, K>(self.stride, self.lo, sa, sb, sc, sd, da, db, dc, dd);
+    }
 }
 
 /// A row update over equal-length runs: own rows, their `−stride`
@@ -338,8 +366,7 @@ pub(crate) fn row_update_f32(
     oc: &mut [f32],
     od: &mut [f32],
 ) {
-    let probe = own.window(0, own.a.len().min(PROBE_ROWS));
-    if has_tiny(probe.a) || has_tiny(probe.c) {
+    if probes_tiny(own.a, own.c) {
         row_kernel_f64(own, m, p, oa, ob, oc, od);
     } else {
         row_kernel(own, m, p, oa, ob, oc, od);
@@ -354,6 +381,16 @@ pub(crate) fn row_update_f32(
 /// sent step 4 of the 64K ladder, which takes no assist, down the slower
 /// path.
 const TINY: f32 = f32::from_bits((127 - 75) << 23);
+
+/// Rows of the largest system whose subnormal steps run resident in `f64`
+/// ([`pcr_steps_f32_grid`]): its eight `f64` arrays, 128 KiB, stay in the
+/// L2 cache beside the tile's own. Measured on `solver_benches`'
+/// `strided_chains` on a 2-vCPU Intel Xeon with AVX-512: `1K×1K` f32,
+/// whose base-kernel tiles are 1 024 rows, gains (24.0 and 21.7 → 20.4 and
+/// 18.8 ms, criterion lower bounds); `2×64K` f32, whose tiles are 16 lanes
+/// of 512 rows (8 192), lost 7–15% when they ran resident (4.37 and 4.43
+/// → 5.01 and 4.66 ms) and is unchanged at this limit (4.30 and 4.45 ms).
+const RESIDENT_ROWS: usize = 2048;
 
 /// Rows of a run the path test reads. A step shrinks the off-diagonals of
 /// every row alike, so the first rows stand for the run; scanning all of
@@ -374,8 +411,14 @@ fn has_tiny(xs: &[f32]) -> bool {
 const SIGN32: u32 = 1 << 31;
 /// The sign bit of an `f64`.
 const SIGN64: u64 = 1 << 63;
+/// The exponent field of an `f64`.
+const EXPONENT64: u64 = 0x7ff << 52;
 /// 2^−126, the smallest normal `f32`, as an `f64`.
 const MIN_NORMAL_F32: f64 = f32::MIN_POSITIVE as f64;
+/// (2 − 2^−24)·2^127, halfway between `f32::MAX` and 2^128: the smallest
+/// magnitude that rounds to an `f32` infinity (the tie goes to the even
+/// 2^128).
+const OVERFLOW_F32: f64 = f64::from_bits(((1023 + 127) << 52) | (((1 << 24) - 1) << 28));
 /// 2^−97: its `f64` ulp is 2^−149, the spacing of the `f32` subnormals.
 /// `|x| + SUBNORMAL_GRID` rounds a magnitude below 2^−126 onto that grid,
 /// and the low 24 bits of the sum are the `f32` bits of the result (up to
@@ -422,20 +465,33 @@ fn convertible(x: f64, tiny: bool) -> f64 {
 }
 
 /// `x` rounded to the nearest `f32` (ties to even, overflow to infinity),
-/// kept as an `f64`: a magnitude below 2^−126 is rounded onto the
-/// subnormal grid by [`SUBNORMAL_GRID`], every other value by the hardware
-/// converters.
+/// kept as an `f64`, without a conversion: `(|x| + m) − m` with the sign
+/// of `x`, where `m = max(2^(e+29), 2^−97)` for `x`'s binade `2^e`. The
+/// `f64` ulp of `m` is the `f32` ulp of that binade (2^(e−23), or 2^−149
+/// below 2^−126), so the sum rounds `|x|` onto the `f32` grid and the
+/// difference is exact. A magnitude of at least
+/// [`OVERFLOW_F32`] gives infinity; a NaN stays a NaN.
 #[inline(always)]
 pub(crate) fn round(x: f64) -> f64 {
-    let tiny = x.abs() < MIN_NORMAL_F32;
-    let small = (x.abs() + SUBNORMAL_GRID) - SUBNORMAL_GRID;
-    let small = f64::from_bits(small.to_bits() | (x.to_bits() & SIGN64));
-    let normal = f64::from(convertible(x, tiny) as f32);
-    if tiny {
-        small
+    let bits = x.to_bits();
+    let magnitude = f64::from_bits(bits & !SIGN64);
+    // 2^(e+29) from the exponent field. For an infinity or a NaN the sum
+    // carries into the sign bit, so `m` is negative and loses the `max`;
+    // any magnitude whose `m` leaves the `f64` range is caught by the
+    // overflow test below.
+    let m = f64::from_bits((bits & EXPONENT64) + (29 << 52));
+    let m = if m > SUBNORMAL_GRID {
+        m
     } else {
-        normal
-    }
+        SUBNORMAL_GRID
+    };
+    let rounded = (magnitude + m) - m;
+    let rounded = if magnitude >= OVERFLOW_F32 {
+        f64::INFINITY
+    } else {
+        rounded
+    };
+    f64::from_bits(rounded.to_bits() | (bits & SIGN64))
 }
 
 /// `x` rounded to the nearest `f32`, as [`round`] does, and returned as
@@ -483,6 +539,191 @@ pub(crate) fn row_kernel_f64(
         let d = round(widen(own.d[j]) + round(alpha * widen(m.d[j])));
         od[j] = narrow(d + round(gamma * widen(p.d[j])));
     }
+}
+
+/// [`row_kernel`] for `f32` values held as `f64` (the grid's values, which
+/// [`widen`] gives exactly), each operation's result rounded back onto
+/// the `f32` grid by [`round`]: [`row_kernel_f64`] without the widening of
+/// its inputs and the narrowing of its outputs, for steps that stay in
+/// `f64` from one to the next ([`pcr_steps_f32_grid`]). Every value it
+/// reads and writes is on the grid, so its results, narrowed, are
+/// [`row_kernel`]'s bit for bit.
+#[inline(always)]
+fn row_kernel_f32_grid(
+    own: Rows<'_, f64>,
+    m: Rows<'_, f64>,
+    p: Rows<'_, f64>,
+    oa: &mut [f64],
+    ob: &mut [f64],
+    oc: &mut [f64],
+    od: &mut [f64],
+) {
+    let len = oa.len();
+    let (own, m, p) = (own.window(0, len), m.window(0, len), p.window(0, len));
+    let (ob, oc, od) = (&mut ob[..len], &mut oc[..len], &mut od[..len]);
+    for j in 0..len {
+        let alpha = round(-own.a[j] / m.b[j]);
+        let gamma = round(-own.c[j] / p.b[j]);
+        oa[j] = round(alpha * m.a[j]);
+        let b = round(own.b[j] + round(alpha * m.c[j]));
+        ob[j] = round(b + round(gamma * p.a[j]));
+        oc[j] = round(gamma * p.c[j]);
+        let d = round(own.d[j] + round(alpha * m.d[j]));
+        od[j] = round(d + round(gamma * p.d[j]));
+    }
+}
+
+/// The `f32` row update on the `f32` grid in `f64`, [`row_kernel_f32_grid`].
+struct F32Grid;
+
+impl RowKernel<f64> for F32Grid {
+    #[inline(always)]
+    fn update(
+        own: Rows<'_, f64>,
+        m: Rows<'_, f64>,
+        p: Rows<'_, f64>,
+        oa: &mut [f64],
+        ob: &mut [f64],
+        oc: &mut [f64],
+        od: &mut [f64],
+    ) {
+        row_kernel_f32_grid(own, m, p, oa, ob, oc, od);
+    }
+}
+
+/// Whether rows whose off-diagonals are `a` and `c` take the `f64` path:
+/// any of the first [`PROBE_ROWS`] holds a nonzero magnitude below
+/// [`TINY`].
+#[inline(always)]
+fn probes_tiny(a: &[f32], c: &[f32]) -> bool {
+    let rows = a.len().min(PROBE_ROWS);
+    has_tiny(&a[..rows]) || has_tiny(&c[..rows])
+}
+
+/// The first row of the interior run of a step at `stride` on `n` rows,
+/// where both neighbours exist, or 0 when there is none. The rows next to
+/// the edges decay faster than the rest: their off-diagonals are often
+/// exact zeros while the interior's are still tiny, so a step's path is
+/// decided by the interior, as [`row_update_f32`] decides it for the
+/// interior run.
+fn interior(n: usize, stride: usize) -> usize {
+    if 2 * stride <= n {
+        stride
+    } else {
+        0
+    }
+}
+
+/// [`probes_tiny`] on `f32` values held as `f64`.
+#[inline(always)]
+fn probes_tiny_wide(a: &[f64], c: &[f64]) -> bool {
+    let rows = a.len().min(PROBE_ROWS);
+    let limit = f64::from(TINY).to_bits();
+    [&a[..rows], &c[..rows]].iter().any(|xs| {
+        xs.iter().fold(false, |any, x| {
+            any | ((x.to_bits() & !SIGN64).wrapping_sub(1) < limit - 1)
+        })
+    })
+}
+
+/// Consecutive `f32` PCR steps at strides `stride`, `2·stride`, … on the
+/// system in `src`, resident in `f64`: when the first step takes the `f64`
+/// path ([`row_update_f32`]'s test on the first rows of the step's
+/// interior, [`interior`]), `src` is
+/// widened once into `wide`, every step that still takes that path runs
+/// on the `f32` grid in `f64` ([`row_kernel_f32_grid`], through
+/// [`pcr_rows`]'s edge handling and width dispatch), and the result is
+/// narrowed once into `dst`. Runs at most `max_steps` steps and returns
+/// how many it ran: 0, touching nothing, when the first step would run
+/// natively or the system has more than [`RESIDENT_ROWS`] rows. `wide`
+/// grows to `8·n` elements (both buffers of the four arrays) when it is
+/// shorter.
+///
+/// The result is bit for bit that of the same steps by [`pcr_step`]:
+/// widening is exact, each operation is rounded as [`row_kernel_f64`]
+/// rounds it, and narrowing a value of the grid is exact. What is saved
+/// is the widening of every step's inputs and the narrowing of its
+/// outputs.
+pub fn pcr_steps_f32_grid(
+    stride: usize,
+    max_steps: u32,
+    src: [&[f32]; 4],
+    dst: [&mut [f32]; 4],
+    wide: &mut Vec<f64>,
+) -> u32 {
+    let n = src[1].len();
+    let from = interior(n, stride);
+    if max_steps == 0 || n > RESIDENT_ROWS || !probes_tiny(&src[0][from..], &src[2][from..]) {
+        return 0;
+    }
+    if wide.len() < 8 * n {
+        wide.resize(8 * n, 0.0);
+    }
+    in_widest(GridLadder {
+        stride,
+        max_steps,
+        src,
+        dst,
+        wide: &mut wide[..8 * n],
+    })
+}
+
+/// The body of [`pcr_steps_f32_grid`] after its first probe, with `wide`
+/// cut to its eight arrays.
+struct GridLadder<'a> {
+    stride: usize,
+    max_steps: u32,
+    src: [&'a [f32]; 4],
+    dst: [&'a mut [f32]; 4],
+    wide: &'a mut [f64],
+}
+
+impl Widest for GridLadder<'_> {
+    type Output = u32;
+
+    #[inline(always)]
+    fn run(self) -> u32 {
+        let n = self.src[1].len();
+        let mut arrays = self.wide.chunks_exact_mut(n);
+        let mut four = || [(); 4].map(|()| arrays.next().expect("eight wide arrays"));
+        let (mut cur, mut next) = (four(), four());
+        for (w, s) in cur.iter_mut().zip(self.src) {
+            for (w, &s) in w.iter_mut().zip(s) {
+                *w = widen(s);
+            }
+        }
+        let mut steps = 0;
+        loop {
+            let [a, b, c, d] = &cur;
+            let [oa, ob, oc, od] = &mut next;
+            let stride = self.stride << steps;
+            pcr_rows_body::<f64, F32Grid>(stride, 0, a, b, c, d, oa, ob, oc, od);
+            std::mem::swap(&mut cur, &mut next);
+            steps += 1;
+            let from = interior(n, self.stride << steps);
+            if steps == self.max_steps || !probes_tiny_wide(&cur[0][from..], &cur[2][from..]) {
+                break;
+            }
+        }
+        for (d, w) in self.dst.into_iter().zip(&cur) {
+            for (d, &w) in d.iter_mut().zip(w.iter()) {
+                *d = narrow(w);
+            }
+        }
+        steps
+    }
+}
+
+/// [`Scalar::pcr_steps_wide`] of `f64`, whose steps never take an `f64`
+/// path: runs none.
+pub(crate) fn no_steps_wide(
+    _stride: usize,
+    _max_steps: u32,
+    _src: [&[f64]; 4],
+    _dst: [&mut [f64]; 4],
+    _wide: &mut Vec<f64>,
+) -> u32 {
+    0
 }
 
 /// The result of PCR-splitting a system: transformed coefficients plus the
@@ -1045,6 +1286,164 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Steps at `strides` on the `f32` grid in `f64`, widened before the
+    /// first and narrowed after the last only, in the widest instantiation
+    /// (`widest`) or the baseline one: so an output whose last rounding
+    /// were missing would carry its extra bits into the next step.
+    fn grid_steps(widest: bool, strides: &[usize], sys: &[Vec<f32>; 4]) -> [Vec<f32>; 4] {
+        let n = sys[1].len();
+        let mut cur = sys
+            .each_ref()
+            .map(|v| v.iter().map(|&x| widen(x)).collect::<Vec<_>>());
+        let mut next = [(); 4].map(|()| vec![0.0; n]);
+        for &stride in strides {
+            let [a, b, c, d] = cur.each_ref().map(|v| &v[..]);
+            let [oa, ob, oc, od] = next.each_mut().map(|v| &mut v[..]);
+            if widest {
+                pcr_rows_with::<f64, F32Grid>(stride, 0, a, b, c, d, oa, ob, oc, od);
+            } else {
+                pcr_rows_body::<f64, F32Grid>(stride, 0, a, b, c, d, oa, ob, oc, od);
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+        cur.map(|v| v.into_iter().map(narrow).collect())
+    }
+
+    /// Rows of [`adversarial_f32`] values through the grid row kernel, in
+    /// both instantiations, against the oracle: one step, narrowed at once,
+    /// and two steps in a row, narrowed after the second.
+    #[test]
+    fn adversarial_rows_match_scalar_oracle_on_the_f32_grid() {
+        let v = adversarial_f32();
+        let mut s = 11u64;
+        let mut pick = || {
+            s = s
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            v[(s >> 33) as usize % v.len()]
+        };
+        let n = 3 * IDENTITY_ROWS + 17;
+        for round in 0..32 {
+            let sys: [Vec<f32>; 4] = [(); 4].map(|()| (0..n).map(|_| pick()).collect());
+            for stride in [1, 2, 3, 16, n / 2, n] {
+                let want = scalar_step(stride, &sys);
+                let then = 2 * stride % n + 1;
+                let want_then = scalar_step(then, &want);
+                for widest in widths("f32") {
+                    for (strides, want) in [(&[stride][..], &want), (&[stride, then], &want_then)] {
+                        let got = grid_steps(widest, strides, &sys);
+                        for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
+                            assert_eq!(g.bits(), w.bits(), "round {round}, strides {strides:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`round`] at the edges of the `f32` range, directly.
+    #[test]
+    fn round_keeps_signed_zeros_and_overflows_at_the_threshold() {
+        let threshold = (2.0 - 2f64.powi(-24)) * 2f64.powi(127);
+        assert_eq!(OVERFLOW_F32, threshold);
+        let below = f64::from_bits(threshold.to_bits() - 1);
+        for sign in [1.0, -1.0] {
+            let bits = |x: f64| round(sign * x).to_bits();
+            assert_eq!(bits(threshold), (sign * f64::INFINITY).to_bits());
+            assert_eq!(bits(below), (sign * f64::from(f32::MAX)).to_bits());
+            assert_eq!(bits(f64::INFINITY), (sign * f64::INFINITY).to_bits());
+            assert_eq!(bits(0.0), (sign * 0.0).to_bits());
+            // Half the smallest subnormal ties to the even zero, a hair
+            // above rounds up to it.
+            let least = f64::from(f32::from_bits(1));
+            assert_eq!(bits(least / 2.0), (sign * 0.0).to_bits());
+            assert_eq!(bits(least * 0.5000001), (sign * least).to_bits());
+            assert!(round(sign * f64::NAN).is_nan());
+        }
+    }
+
+    /// [`pcr_steps_f32_grid`] in the widest instantiation (`widest`) or in
+    /// the baseline one.
+    fn grid_ladder(
+        widest: bool,
+        stride: usize,
+        max_steps: u32,
+        src: &[Vec<f32>; 4],
+        dst: &mut [Vec<f32>; 4],
+        wide: &mut Vec<f64>,
+    ) -> u32 {
+        let (src, dst) = (
+            src.each_ref().map(|v| &v[..]),
+            dst.each_mut().map(|v| &mut v[..]),
+        );
+        if widest {
+            return pcr_steps_f32_grid(stride, max_steps, src, dst, wide);
+        }
+        let n = src[1].len();
+        let from = interior(n, stride);
+        if max_steps == 0 || !probes_tiny(&src[0][from..], &src[2][from..]) {
+            return 0;
+        }
+        wide.resize(8 * n, 0.0);
+        GridLadder {
+            stride,
+            max_steps,
+            src,
+            dst,
+            wide,
+        }
+        .run()
+    }
+
+    /// Runs of resident steps against the oracle's steps, bit for bit: on
+    /// the pre-stepped oracle inputs (signed zeros, or a NaN and both
+    /// infinities planted), from every step on, both for runs the probe
+    /// ends before the step limit and for runs the limit ends.
+    #[test]
+    fn resident_steps_match_native_steps() {
+        let n = 1024;
+        let specials = [
+            (0, 2, f64::NAN),
+            (1, 5, f64::INFINITY),
+            (2, 40, f64::NEG_INFINITY),
+        ];
+        let negzero = [(0, 1, -0.0), (2, 3, -0.0), (3, 7, -0.0)];
+        let (mut ended_by_probe, mut ended_by_limit) = (0, 0);
+        let mut wide = Vec::new();
+        for (seed, overrides) in [(1, &negzero[..]), (2, &specials[..])] {
+            for (k, sys) in pre_stepped::<f32>(n, seed, overrides) {
+                for max_steps in [1, 2, 16] {
+                    for widest in widths("f32") {
+                        let mut got = [(); 4].map(|()| vec![0.0; n]);
+                        let ran = grid_ladder(widest, 1 << k, max_steps, &sys, &mut got, &mut wide);
+                        if ran == 0 {
+                            assert!(got.iter().flatten().all(|v| v.to_bits() == 0));
+                            continue;
+                        }
+                        assert!(ran <= max_steps);
+                        let mut want = sys.clone();
+                        for j in 0..ran {
+                            want = scalar_step(1 << (k + j), &want);
+                        }
+                        for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
+                            assert_eq!(
+                                g.bits(),
+                                w.bits(),
+                                "seed {seed}, {ran} steps from step {k}, widest={widest}"
+                            );
+                        }
+                        if ran == max_steps {
+                            ended_by_limit += 1;
+                        } else {
+                            ended_by_probe += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(ended_by_probe > 0 && ended_by_limit > 0);
     }
 
     #[test]

@@ -69,6 +69,19 @@ pub trait Scalar:
         od: &mut [Self],
     );
 
+    /// Consecutive PCR steps from stride `stride` on, resident in `f64`
+    /// while they take the `f64` path, at most `max_steps` of them, from
+    /// `src` into `dst`, with `wide` as working memory; returns how many
+    /// ran. `f32` runs [`crate::pcr::pcr_steps_f32_grid`]; `f64` runs
+    /// none, since its steps never take that path.
+    fn pcr_steps_wide(
+        stride: usize,
+        max_steps: u32,
+        src: [&[Self]; 4],
+        dst: [&mut [Self]; 4],
+        wide: &mut Vec<f64>,
+    ) -> u32;
+
     /// `max` that is total on non-NaN inputs.
     fn max_s(self, other: Self) -> Self {
         if self > other {
@@ -89,7 +102,7 @@ pub trait Scalar:
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $name:literal, $row_update:path) => {
+    ($t:ty, $name:literal, $row_update:path, $steps_wide:path) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -132,12 +145,21 @@ macro_rules! impl_scalar {
             ) {
                 $row_update(own, minus, plus, oa, ob, oc, od);
             }
+            fn pcr_steps_wide(
+                stride: usize,
+                max_steps: u32,
+                src: [&[Self]; 4],
+                dst: [&mut [Self]; 4],
+                wide: &mut Vec<f64>,
+            ) -> u32 {
+                $steps_wide(stride, max_steps, src, dst, wide)
+            }
         }
     };
 }
 
-impl_scalar!(f32, "f32", pcr::row_update_f32);
-impl_scalar!(f64, "f64", pcr::row_kernel);
+impl_scalar!(f32, "f32", pcr::row_update_f32, pcr::pcr_steps_f32_grid);
+impl_scalar!(f64, "f64", pcr::row_kernel, pcr::no_steps_wide);
 
 #[cfg(test)]
 mod tests {
