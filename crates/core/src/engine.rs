@@ -222,8 +222,8 @@ impl StageTimeline {
 pub struct SolveSession<T: GpuScalar> {
     device: QueryableProps,
     /// Built plans, each with its one-batch, one-stream lowering (the
-    /// schedule a synchronous solve runs) once a solve or measurement has
-    /// run it: lowered once per plan, never per solve.
+    /// schedule a synchronous solve runs) once a solve, measurement or
+    /// pricing has run it: lowered once per plan, never per solve.
     plans: HashMap<SolverParams, (SolvePlan, Option<Schedule>)>,
     /// Optional cross-session plan store (multi-tenant service fronts):
     /// `plan_for` publishes every plan it builds here and consults it
@@ -393,6 +393,16 @@ impl<T: GpuScalar> SolveSession<T> {
         })
     }
 
+    /// Device bytes a session for `shape` allocates: nine buffers of the
+    /// padded batch. `None` when that count overflows `usize`.
+    pub fn device_bytes(shape: WorkloadShape) -> Option<usize> {
+        shape
+            .system_size
+            .checked_next_power_of_two()?
+            .checked_mul(shape.num_systems)?
+            .checked_mul(9 * elem_bytes::<T>())
+    }
+
     /// Allocate a session whose plan cache is shared with other sessions
     /// (the multi-tenant service case): buffers are this session's own,
     /// but plans built by any tenant of `cache` are reused instead of
@@ -557,20 +567,7 @@ impl<T: GpuScalar> SolveSession<T> {
     ) -> Result<(f64, Vec<KernelStats>)> {
         self.plan_for(params)?;
         let (plan, cached) = self.plans.get_mut(params).expect("admitted above");
-        // Pricing runs on a throwaway lowering. The tuner prices each
-        // candidate once; a lowering kept per priced plan leaves small live
-        // allocations behind the tuning session's device buffers, so the
-        // allocator recycles those buffers' memory dirty and the next
-        // session pays to zero it (about 25 ms of twoclock's `batch-1Kx1K`
-        // set-up on a 2-vCPU Xeon with glibc malloc).
-        let priced;
-        let schedule = match batch {
-            Some(_) => cached.get_or_insert_with(|| lower_schedule(plan, 1, 1)),
-            None => {
-                priced = lower_schedule(plan, 1, 1);
-                &priced
-            }
-        };
+        let schedule = cached.get_or_insert_with(|| lower_schedule(plan, 1, 1));
         let (body, d2h) = schedule.nodes.split_at(schedule.nodes.len() - 1);
         let bindings = Bindings {
             streams: &[Stream::DEFAULT],

@@ -17,6 +17,7 @@ use crate::writelog::{self, Run, WriteLog};
 use crate::Element;
 use parking_lot::Mutex;
 use rayon::prelude::*;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use trisolve_obs::{arg, Tracer};
 
@@ -106,8 +107,12 @@ impl Drop for DeviceBuffer {
 #[derive(Debug)]
 pub struct Gpu<E: Element> {
     spec: DeviceSpec,
-    buffers: Vec<Option<Vec<E>>>,
+    buffers: Vec<Option<Storage<E>>>,
     allocated_bytes: usize,
+    /// Storage of freed buffers, oldest freed first, for [`Gpu::alloc`] to
+    /// reuse. With the live buffers it stays within the device's global
+    /// memory (`Gpu::trim_kept`).
+    kept: VecDeque<Storage<E>>,
     timeline: Vec<KernelStats>,
     elapsed_s: f64,
     free_queue: FreeQueue,
@@ -123,6 +128,15 @@ pub struct Gpu<E: Element> {
     /// One [`TileScratch`] per tile group of a launch, kept from launch to
     /// launch (see [`TILE_GROUPS`]).
     scratch: Vec<TileScratch<E>>,
+}
+
+/// The elements behind a buffer, live or kept after its free.
+#[derive(Debug)]
+struct Storage<E> {
+    data: Vec<E>,
+    /// Whether anything was written into `data` since it was last zero:
+    /// storage that was never written is reused without a fill.
+    written: bool,
 }
 
 /// How many groups of adjacent tiles a launch runs in parallel, each on
@@ -179,6 +193,7 @@ impl<E: Element> Gpu<E> {
             spec,
             buffers: Vec::new(),
             allocated_bytes: 0,
+            kept: VecDeque::new(),
             timeline: Vec::new(),
             elapsed_s: 0.0,
             free_queue: Arc::new(Mutex::new(Vec::new())),
@@ -230,7 +245,7 @@ impl<E: Element> Gpu<E> {
         let init = self
             .buffers
             .iter()
-            .map(|b| InitMask::new_init(b.as_ref().map_or(0, Vec::len)))
+            .map(|b| InitMask::new_init(b.as_ref().map_or(0, |b| b.data.len())))
             .collect();
         self.sanitizer = Some(SanitizerState {
             init,
@@ -406,13 +421,14 @@ impl<E: Element> Gpu<E> {
     ///
     /// Buffers whose [`DeviceBuffer`] guard has dropped but that have not
     /// yet been reclaimed do not count: logically they are already free.
+    /// Nor does the storage the device keeps from freed buffers.
     pub fn allocated_bytes(&self) -> usize {
         let pending: usize = self
             .free_queue
             .lock()
             .iter()
             .filter_map(|id| self.buffers.get(id.0).and_then(|b| b.as_ref()))
-            .map(|b| b.len() * E::BYTES)
+            .map(|b| b.data.len() * E::BYTES)
             .sum();
         self.allocated_bytes - pending
     }
@@ -430,43 +446,96 @@ impl<E: Element> Gpu<E> {
     }
 
     /// Allocate a zero-initialised buffer of `len` elements.
+    ///
+    /// The capacity check, the fault draw, the accounting, the new slot
+    /// (slots and ids are never reused) and the sanitizer's uninitialised
+    /// mark do not depend on what the device keeps from freed buffers.
+    /// Only then does the buffer take its storage: the best fit among the
+    /// kept storage (the smallest that holds `len` elements, the earliest
+    /// freed on a tie), zero-filled only if anything was ever written into
+    /// it; fresh storage when none fits.
     pub fn alloc(&mut self, len: usize) -> Result<BufferId, SimError> {
         self.reclaim();
-        let bytes = len * E::BYTES;
-        let cap = self.spec.queryable().global_mem_bytes;
-        if self.allocated_bytes + bytes > cap {
-            return Err(SimError::OutOfGlobalMemory {
-                requested: bytes,
-                available: cap - self.allocated_bytes,
-            });
-        }
+        let available = self.spec.queryable().global_mem_bytes - self.allocated_bytes;
+        let bytes = match len.checked_mul(E::BYTES) {
+            Some(bytes) if bytes <= available => bytes,
+            bytes => {
+                return Err(SimError::OutOfGlobalMemory {
+                    requested: bytes.unwrap_or(usize::MAX),
+                    available,
+                })
+            }
+        };
         let fault = self.faults.as_mut().and_then(|f| f.next_alloc_fault(bytes));
         if let Some(rec) = fault {
             self.trace_fault(&rec);
             return Err(SimError::OutOfGlobalMemory {
                 requested: bytes,
-                available: cap - self.allocated_bytes,
+                available,
             });
         }
         self.allocated_bytes += bytes;
         let id = BufferId(self.buffers.len());
-        self.buffers.push(Some(vec![E::default(); len]));
         if let Some(st) = &mut self.sanitizer {
             // Although the functional simulator zero-fills, a fresh
             // allocation is *uninitialised* for initcheck purposes — exactly
             // `cudaMalloc` semantics.
             st.init.push(InitMask::new_uninit(len));
         }
+        let storage = self.take_storage(len);
+        self.buffers.push(Some(storage));
+        self.trim_kept();
         Ok(id)
+    }
+
+    /// Storage for `len` zero elements: the best fit among the kept
+    /// storage, or fresh storage when none holds `len` elements.
+    fn take_storage(&mut self, len: usize) -> Storage<E> {
+        // `min_by_key` keeps the first of equal minima: the earliest freed.
+        let best = self
+            .kept
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.data.capacity() >= len)
+            .min_by_key(|(_, s)| s.data.capacity())
+            .map(|(i, _)| i);
+        let Some(mut s) = best.and_then(|i| self.kept.remove(i)) else {
+            return Storage {
+                data: vec![E::default(); len],
+                written: false,
+            };
+        };
+        if s.written {
+            s.data.clear();
+            s.written = false;
+        }
+        // Truncates, or zero-fills the elements past the kept length.
+        s.data.resize(len, E::default());
+        s
+    }
+
+    /// Bytes of storage the device keeps from freed buffers.
+    fn kept_bytes(&self) -> usize {
+        self.kept.iter().map(|s| s.data.capacity() * E::BYTES).sum()
+    }
+
+    /// Drop the storage kept longest until the live buffers and the kept
+    /// storage together fit in the device's global memory.
+    fn trim_kept(&mut self) {
+        let cap = self.spec.queryable().global_mem_bytes;
+        let mut kept = self.kept_bytes();
+        while self.allocated_bytes + kept > cap {
+            let Some(s) = self.kept.pop_front() else {
+                break;
+            };
+            kept -= s.data.capacity() * E::BYTES;
+        }
     }
 
     /// Allocate a buffer initialised from host data (an H2D copy).
     pub fn alloc_from(&mut self, data: &[E]) -> Result<BufferId, SimError> {
         let id = self.alloc(data.len())?;
-        self.buffers[id.0]
-            .as_mut()
-            .expect("freshly allocated")
-            .copy_from_slice(data);
+        self.buffer_mut(id)?.copy_from_slice(data);
         if let Some(st) = &mut self.sanitizer {
             st.init[id.0].set_all();
         }
@@ -483,7 +552,7 @@ impl<E: Element> Gpu<E> {
             .as_mut()
             .and_then(|f| f.next_transfer_fault("h2d", len, 8 * E::BYTES as u32));
         if let Some((index, bit, rec)) = fault {
-            if let Some(buf) = self.buffers.get_mut(id.0).and_then(|b| b.as_mut()) {
+            if let Ok(buf) = self.buffer_mut(id) {
                 buf[index] = buf[index].flip_bit(bit);
             }
             self.trace_fault(&rec);
@@ -624,18 +693,25 @@ impl<E: Element> Gpu<E> {
     pub fn view(&self, id: BufferId) -> Result<&[E], SimError> {
         self.buffers
             .get(id.0)
-            .and_then(|b| b.as_deref())
+            .and_then(|b| b.as_ref())
+            .map(|b| b.data.as_slice())
             .ok_or(SimError::InvalidBuffer { id: id.0 })
     }
 
+    /// Borrow a buffer's contents to write them, marking its storage
+    /// written.
     fn buffer_mut(&mut self, id: BufferId) -> Result<&mut Vec<E>, SimError> {
-        self.buffers
+        let storage = self
+            .buffers
             .get_mut(id.0)
             .and_then(|b| b.as_mut())
-            .ok_or(SimError::InvalidBuffer { id: id.0 })
+            .ok_or(SimError::InvalidBuffer { id: id.0 })?;
+        storage.written = true;
+        Ok(&mut storage.data)
     }
 
-    /// Free a buffer.
+    /// Free a buffer. Its slot and id are never reused; the device keeps
+    /// its storage for a later [`Gpu::alloc`], within global memory.
     pub fn free(&mut self, id: BufferId) -> Result<(), SimError> {
         self.reclaim();
         self.free_now(id)
@@ -647,8 +723,10 @@ impl<E: Element> Gpu<E> {
             .get_mut(id.0)
             .ok_or(SimError::InvalidBuffer { id: id.0 })?;
         match slot.take() {
-            Some(v) => {
-                self.allocated_bytes -= v.len() * E::BYTES;
+            Some(storage) => {
+                self.allocated_bytes -= storage.data.len() * E::BYTES;
+                self.kept.push_back(storage);
+                self.trim_kept();
                 Ok(())
             }
             None => Err(SimError::InvalidBuffer { id: id.0 }),
@@ -771,8 +849,8 @@ impl<E: Element> Gpu<E> {
                 .buffers
                 .get_mut(oid.0)
                 .ok_or(SimError::InvalidBuffer { id: oid.0 })?;
-            let buf = slot.take().ok_or(SimError::InvalidBuffer { id: oid.0 })?;
-            taken.push((*oid, *mode, buf));
+            let storage = slot.take().ok_or(SimError::InvalidBuffer { id: oid.0 })?;
+            taken.push((*oid, *mode, storage.data));
         }
         // Restore-on-exit guard pattern: from here on, every path must put
         // the buffers back before returning.
@@ -784,8 +862,12 @@ impl<E: Element> Gpu<E> {
         let mut scratch = std::mem::take(&mut self.scratch);
         let result = self.run_tiles(cfg, tile, inputs, &mut taken, &mut scratch, kernel);
         self.scratch = scratch;
-        for (oid, _, buf) in taken {
-            self.buffers[oid.0] = Some(buf);
+        // An output counts as written even when the launch failed.
+        for (oid, _, data) in taken {
+            self.buffers[oid.0] = Some(Storage {
+                data,
+                written: true,
+            });
         }
 
         let (stats, audit) = result?;
@@ -796,15 +878,14 @@ impl<E: Element> Gpu<E> {
         // is only observable in the data (and to residual verification).
         let output_lens: Vec<usize> = outputs
             .iter()
-            .map(|(oid, _)| self.buffers[oid.0].as_ref().map_or(0, Vec::len))
+            .map(|(oid, _)| self.buffers[oid.0].as_ref().map_or(0, |b| b.data.len()))
             .collect();
         let flip = self
             .faults
             .as_mut()
             .and_then(|f| f.next_output_bit_flip(&cfg.label, &output_lens, 8 * E::BYTES as u32));
         if let Some((slot, index, bit, rec)) = flip {
-            let oid = outputs[slot].0;
-            if let Some(buf) = self.buffers.get_mut(oid.0).and_then(|b| b.as_mut()) {
+            if let Ok(buf) = self.buffer_mut(outputs[slot].0) {
                 buf[index] = buf[index].flip_bit(bit);
             }
             self.trace_fault(&rec);
@@ -2213,6 +2294,212 @@ mod tests {
         let too_big = LaunchConfig::new("huge", 1, 4096);
         assert!(priced.price(&too_big, kernel).is_err());
         assert_eq!(priced.timeline().len(), 1);
+    }
+
+    #[test]
+    fn alloc_size_overflow_is_out_of_memory() {
+        let mut g = gpu();
+        assert!(matches!(
+            g.alloc(usize::MAX / 2),
+            Err(SimError::OutOfGlobalMemory {
+                requested: usize::MAX,
+                ..
+            })
+        ));
+        assert_eq!(g.allocated_bytes(), 0);
+    }
+
+    /// A plan that fails some allocations fails the same ones, with the
+    /// same log, on a device that frees and reuses storage in between as
+    /// on one that never frees; a failed allocation takes no kept storage.
+    #[test]
+    fn recycling_moves_no_alloc_fault() {
+        let lens = [64, 32, 64, 128, 16, 64, 32, 96, 64, 8, 64, 32];
+        let mut failures = 0;
+        for seed in 0..6 {
+            let run = |free: bool| {
+                let plan = FaultPlan::seeded(seed).with_alloc_failures(0.3);
+                let mut g: Gpu<f32> = Gpu::with_faults(DeviceSpec::gtx_470(), plan);
+                let mut failed = Vec::new();
+                for (k, &len) in lens.iter().enumerate() {
+                    let kept = g.kept_bytes();
+                    match g.alloc(len) {
+                        Ok(id) => {
+                            g.upload(id, &vec![1.0; len]).unwrap();
+                            if free {
+                                g.free(id).unwrap();
+                            }
+                        }
+                        Err(e) => {
+                            assert!(matches!(e, SimError::OutOfGlobalMemory { .. }));
+                            assert_eq!(g.kept_bytes(), kept, "the failed alloc took storage");
+                            failed.push(k);
+                        }
+                    }
+                }
+                (failed, g.take_fault_log())
+            };
+            let recycled = run(true);
+            assert_eq!(recycled, run(false), "seed {seed}");
+            failures += recycled.0.len();
+        }
+        assert!(failures > 0, "no allocation failed");
+    }
+
+    /// Storage that anything wrote into reads back as zeros once another
+    /// buffer takes it.
+    #[test]
+    fn written_storage_is_zero_once_reallocated() {
+        const N: usize = 256;
+        type Writer = fn() -> (Gpu<f32>, BufferId);
+        let writers: [(&str, Writer); 6] = [
+            ("upload", || {
+                let mut g = gpu();
+                let id = g.alloc(N).unwrap();
+                g.upload(id, &[1.0; N]).unwrap();
+                (g, id)
+            }),
+            ("alloc_from", || {
+                let mut g = gpu();
+                let id = g.alloc_from(&[1.0; N]).unwrap();
+                (g, id)
+            }),
+            ("launch", || {
+                let mut g = gpu();
+                let id = g.alloc(N).unwrap();
+                let cfg = LaunchConfig::new("ones", 2, 32);
+                g.launch(
+                    &cfg,
+                    &[],
+                    &[(id, OutMode::Chunked { chunk: N / 2 })],
+                    |_, io| {
+                        io.owned[0].fill(1.0);
+                    },
+                )
+                .unwrap();
+                (g, id)
+            }),
+            ("failed launch", || {
+                let mut g = gpu();
+                let id = g.alloc(N).unwrap();
+                let cfg = LaunchConfig::new("race", 2, 32);
+                let race = g.launch(&cfg, &[], &[(id, OutMode::Scattered)], |_, io| {
+                    io.scattered[0].set(3, 1.0);
+                });
+                assert!(matches!(race, Err(SimError::WriteRace { .. })));
+                (g, id)
+            }),
+            ("bit flip", || {
+                let plan = FaultPlan::seeded(6).with_bit_flips(1.0).with_max_faults(1);
+                let mut g = Gpu::with_faults(DeviceSpec::gtx_470(), plan);
+                let id = g.alloc(N).unwrap();
+                let cfg = LaunchConfig::new("nothing", 2, 32);
+                let chunked = [(id, OutMode::Chunked { chunk: N / 2 })];
+                g.launch(&cfg, &[], &chunked, |_, _| {}).unwrap();
+                (g, id)
+            }),
+            ("h2d flip", || {
+                let plan = FaultPlan::seeded(4)
+                    .with_transfer_corruption(1.0)
+                    .with_max_faults(1);
+                let mut g = Gpu::with_faults(DeviceSpec::gtx_470(), plan);
+                let id = g.alloc(N).unwrap();
+                g.upload(id, &[0.0; N]).unwrap();
+                (g, id)
+            }),
+        ];
+        for (name, write) in writers {
+            let (mut g, id) = write();
+            let zero_bits = |g: &Gpu<f32>, id| g.view(id).unwrap().iter().all(|v| v.to_bits() == 0);
+            assert!(!zero_bits(&g, id), "{name} wrote nothing");
+            g.free(id).unwrap();
+            let again = g.alloc(N).unwrap();
+            assert!(g.kept.is_empty(), "{name}: the storage was not reused");
+            assert!(zero_bits(&g, again), "{name}");
+        }
+    }
+
+    /// Storage never written is reused without a fill, shorter or longer
+    /// (within its capacity), and still reads as zeros; so is storage
+    /// whose written tail lies past a shorter buffer's end.
+    #[test]
+    fn unwritten_storage_reads_zero_reallocated_shorter_and_longer() {
+        let mut g = gpu();
+        let id = g.alloc(64).unwrap();
+        g.free(id).unwrap();
+        let short = g.alloc(16).unwrap();
+        assert!(g.kept.is_empty(), "the storage was not reused");
+        assert_eq!(g.view(short).unwrap(), &[0.0; 16]);
+        g.free(short).unwrap();
+        let long = g.alloc(64).unwrap();
+        assert!(g.kept.is_empty(), "the storage was not reused");
+        assert_eq!(g.view(long).unwrap(), &[0.0; 64]);
+        g.upload(long, &[1.0; 64]).unwrap();
+        g.free(long).unwrap();
+        let short = g.alloc(16).unwrap();
+        assert_eq!(g.view(short).unwrap(), &[0.0; 16]);
+        g.free(short).unwrap();
+        let long = g.alloc(64).unwrap();
+        assert!(g.kept.is_empty(), "the storage was not reused");
+        assert_eq!(g.view(long).unwrap(), &[0.0; 64]);
+        g.free(long).unwrap();
+        let longer = g.alloc(128).unwrap();
+        assert_eq!(g.kept.len(), 1, "no kept storage holds 128 elements");
+        assert_eq!(g.view(longer).unwrap(), &[0.0; 128]);
+    }
+
+    #[test]
+    fn recycled_buffer_is_uninitialised_for_initcheck() {
+        let mut g = gpu();
+        g.enable_sanitizer();
+        let id = g.alloc_from(&[1.0f32; 64]).unwrap();
+        g.free(id).unwrap();
+        let src = g.alloc(64).unwrap();
+        assert!(g.kept.is_empty(), "the storage was not reused");
+        let dst = g.alloc(64).unwrap();
+        let cfg = LaunchConfig::new("read", 1, 32);
+        let outputs = [(dst, OutMode::Chunked { chunk: 64 })];
+        g.launch(&cfg, &[src], &outputs, |_, io| {
+            let v = io.load(0, 5, 0, "read");
+            io.store(0, 5, v, 0, "write");
+        })
+        .unwrap();
+        let report = g.take_sanitizer_report().unwrap();
+        assert!(
+            report
+                .hazards
+                .iter()
+                .any(|h| h.kind == HazardKind::UninitializedRead),
+            "{report:?}"
+        );
+    }
+
+    /// Live buffers plus kept storage stay within global memory: kept
+    /// storage is dropped, oldest first, rather than refuse an allocation.
+    #[test]
+    fn kept_storage_stays_within_global_memory() {
+        let mut g = gpu();
+        let cap = g.spec().queryable().global_mem_bytes;
+        let elems = cap / 4;
+        let within = |g: &Gpu<f32>| assert!(g.allocated_bytes() + g.kept_bytes() <= cap);
+        let half = g.alloc(elems / 2).unwrap();
+        g.free(half).unwrap();
+        within(&g);
+        assert_eq!(g.kept_bytes(), cap / 2);
+        // Too large for the kept half, which would overflow beside it.
+        let most = g.alloc(elems / 4 * 3).unwrap();
+        within(&g);
+        assert_eq!(g.kept_bytes(), 0);
+        let rest = g.alloc(elems - elems / 4 * 3).unwrap();
+        assert_eq!(g.allocated_bytes(), cap);
+        g.free(most).unwrap();
+        g.free(rest).unwrap();
+        within(&g);
+        assert_eq!(g.kept_bytes(), cap);
+        let all = g.alloc(elems).unwrap();
+        within(&g);
+        g.free(all).unwrap();
+        within(&g);
     }
 
     #[test]

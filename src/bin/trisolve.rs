@@ -209,8 +209,8 @@ fn cmd_devices(o: &CliOptions) -> Result<(), String> {
 }
 
 fn cmd_solve<T: GpuScalar>(o: &CliOptions) -> Result<(), String> {
-    let shape = o.shape()?;
     let dev = o.device();
+    let shape = o.shape::<T>(std::slice::from_ref(&dev))?;
     let batch = workload::<T>(o, shape)?;
     let tuner = o.tuner.unwrap_or(TunerKind::Dynamic);
     let (params, evals) = pick_params(tuner, &mut Gpu::<T>::new(dev.clone()), shape);
@@ -256,8 +256,8 @@ fn cmd_solve<T: GpuScalar>(o: &CliOptions) -> Result<(), String> {
 }
 
 fn cmd_tune(o: &CliOptions) -> Result<(), String> {
-    let shape = o.shape()?;
     let dev = o.device();
+    let shape = o.shape::<f32>(std::slice::from_ref(&dev))?;
     let mut gpu: Gpu<f32> = Gpu::new(dev.clone());
     let cfg = DynamicTuner::new().tune_for(&mut gpu, shape);
 
@@ -291,10 +291,11 @@ fn cmd_tune(o: &CliOptions) -> Result<(), String> {
 }
 
 fn cmd_compare(o: &CliOptions) -> Result<(), String> {
-    let shape = o.shape()?;
+    let devices = DeviceSpec::paper_devices();
+    let shape = o.shape::<f32>(&devices)?;
     let batch = workload::<f32>(o, shape)?;
     let mut rows = Vec::new();
-    for dev in DeviceSpec::paper_devices() {
+    for dev in devices {
         let times: Vec<f64> = [TunerKind::Default, TunerKind::Static, TunerKind::Dynamic]
             .into_iter()
             .map(|tuner| {
@@ -329,8 +330,8 @@ fn cmd_compare(o: &CliOptions) -> Result<(), String> {
 }
 
 fn cmd_trace(o: &CliOptions) -> Result<(), String> {
-    let shape = o.shape()?;
     let dev = o.device();
+    let shape = o.shape::<f32>(std::slice::from_ref(&dev))?;
     let batch = workload::<f32>(o, shape)?;
     let format = o.format.unwrap_or(TraceFormat::Chrome);
 

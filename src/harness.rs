@@ -14,6 +14,8 @@ use std::fmt;
 
 use serde::Serialize;
 use serde_json::Value;
+use trisolve_core::kernels::GpuScalar;
+use trisolve_core::SolveSession;
 use trisolve_gpu_sim::DeviceSpec;
 use trisolve_tridiag::workloads::WorkloadShape;
 
@@ -315,6 +317,15 @@ pub enum CliError {
     UnknownChoice(&'static str, String, &'static str),
     /// The value is not what the flag takes (described last).
     BadValue(&'static str, &'static str),
+    /// A solve session for the shape needs more device memory than any
+    /// device in use has: the bytes it needs (`None` when they overflow
+    /// `usize`) and the most a device has.
+    TooLarge {
+        /// Bytes the session's buffers take.
+        needed: Option<usize>,
+        /// Global memory of the largest device in use.
+        available: usize,
+    },
 }
 
 impl fmt::Display for CliError {
@@ -329,6 +340,14 @@ impl fmt::Display for CliError {
                 write!(f, "unknown {flag} `{v}` (use {choices})")
             }
             CliError::BadValue(flag, expected) => write!(f, "--{flag} must be {expected}"),
+            CliError::TooLarge { needed, available } => {
+                let needed = needed.map_or(format!("more than {}", usize::MAX), |b| b.to_string());
+                write!(
+                    f,
+                    "--systems x --size needs {needed} bytes of device memory; \
+                     {available} bytes are available"
+                )
+            }
         }
     }
 }
@@ -502,11 +521,22 @@ impl CliOptions {
         Ok(())
     }
 
-    /// The `--systems` × `--size` shape.
-    pub fn shape(&self) -> Result<WorkloadShape, CliError> {
+    /// The `--systems` × `--size` shape, refused before anything is
+    /// generated when a solve session for it in `T` fits on none of
+    /// `devices`.
+    pub fn shape<T: GpuScalar>(&self, devices: &[DeviceSpec]) -> Result<WorkloadShape, CliError> {
         let m = self.systems.ok_or(CliError::Missing("systems"))?;
         let n = self.size.ok_or(CliError::Missing("size"))?;
-        Ok(WorkloadShape::new(m, n))
+        let shape = WorkloadShape::new(m, n);
+        let available = devices
+            .iter()
+            .map(|d| d.queryable().global_mem_bytes)
+            .max()
+            .unwrap_or(0);
+        match SolveSession::<T>::device_bytes(shape) {
+            Some(needed) if needed <= available => Ok(shape),
+            needed => Err(CliError::TooLarge { needed, available }),
+        }
     }
 
     /// `--device`, the GTX 470 when absent.

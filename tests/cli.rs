@@ -375,3 +375,41 @@ fn dnc_subcommands_run() {
     assert!(ok, "{stdout}");
     assert!(stdout.contains("quicksorted 30000 keys"));
 }
+
+/// A shape whose solve session fits on no device in use is refused with
+/// exit 1 before any system is generated, naming the bytes it needs and
+/// the bytes available: an equation count that overflows as well as one
+/// that only outgrows the device.
+#[test]
+fn shapes_no_device_can_hold_are_refused_before_generation() {
+    let huge = "4294967296";
+    let cases: [(&[&str], &str); 6] = [
+        (
+            &["solve", "--systems", "100000", "--size", "100000"],
+            "471859200000 bytes",
+        ),
+        (&["solve", "--systems", huge, "--size", huge], "more than"),
+        (&["trace", "--systems", huge, "--size", huge], "more than"),
+        (&["compare", "--systems", huge, "--size", huge], "more than"),
+        (&["tune", "--systems", huge, "--size", huge], "more than"),
+        // 4.5 GiB: more than the largest of the three devices has.
+        (
+            &["compare", "--systems", "16384", "--size", "8192"],
+            "4831838208 bytes",
+        ),
+    ];
+    for (args, needed) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_trisolve"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(needed), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("1342177280 bytes are available"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+    }
+}
