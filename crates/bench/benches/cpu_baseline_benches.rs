@@ -57,8 +57,9 @@ const LADDER_ROWS: usize = 1 << 16;
 /// The off-diagonals reach the f32 subnormal range on the late steps
 /// (64K steps 5–6, 512 steps 4–5), where x86 pays a microcode assist per
 /// instruction that touches a subnormal. Those steps run the row update in
-/// `f64`, which takes no assist, so they cost about 7 ns/row instead of
-/// 9–15 (DESIGN §3.17). `512/steps4+5_resident` times the 512 ladder's two
+/// `f64`, which takes no assist, and skip the operations a bound proves
+/// exact: the first keeps `b` and `d`, the second is copies and signed
+/// zeros (DESIGN §3.17). `512/steps4+5_resident` times the 512 ladder's two
 /// subnormal steps as the base kernel runs them, resident in `f64`
 /// (`pcr_steps_f32_grid`): its time compares with the sum of `step4` and
 /// `step5`.

@@ -352,7 +352,7 @@ pub(crate) fn row_kernel<T: Scalar>(
     }
 }
 
-/// The `f32` row update: [`row_kernel_f64`] on runs whose first
+/// The `f32` row update: [`F64Path`] on runs whose first
 /// [`PROBE_ROWS`] own off-diagonals hold a nonzero magnitude below
 /// [`TINY`], the native [`row_kernel`] elsewhere. Both give the same bits,
 /// so the test only decides speed.
@@ -367,7 +367,7 @@ pub(crate) fn row_update_f32(
     od: &mut [f32],
 ) {
     if probes_tiny(own.a, own.c) {
-        row_kernel_f64(own, m, p, oa, ob, oc, od);
+        F64Path::update(own, m, p, oa, ob, oc, od);
     } else {
         row_kernel(own, m, p, oa, ob, oc, od);
     }
@@ -505,91 +505,184 @@ pub(crate) fn narrow(x: f64) -> f32 {
     f32::from_bits(if tiny { small } else { normal })
 }
 
-/// [`row_kernel`] for `f32`, evaluated in `f64` on operands widened by
-/// [`widen`], each operation's result rounded back onto the `f32` grid by
-/// [`round`] (the last one of each output by [`narrow`]).
+/// How the `f32` row update reads and writes its values in `f64`
+/// ([`grid_rows`]): `f32` elements widened by [`widen`] and stored by
+/// [`narrow`] ([`Widened`]), or `f32` values held as `f64`, read as they
+/// are and stored by [`round`] ([`Held`]).
+trait GridIo {
+    type Elem: Copy;
+    /// The element as an `f64`, exactly.
+    fn load(x: Self::Elem) -> f64;
+    /// `x` rounded onto the `f32` grid, as an element.
+    fn store(x: f64) -> Self::Elem;
+    /// The zero whose sign is that of `−x / y · z`: `1 ⊕ s(x) ⊕ s(y) ⊕
+    /// s(z)`, from the sign bits.
+    fn signed_zero(x: Self::Elem, y: Self::Elem, z: Self::Elem) -> Self::Elem;
+}
+
+/// `f32` elements, widened on load and narrowed on store.
+struct Widened;
+
+impl GridIo for Widened {
+    type Elem = f32;
+
+    #[inline(always)]
+    fn load(x: f32) -> f64 {
+        widen(x)
+    }
+
+    #[inline(always)]
+    fn store(x: f64) -> f32 {
+        narrow(x)
+    }
+
+    #[inline(always)]
+    fn signed_zero(x: f32, y: f32, z: f32) -> f32 {
+        f32::from_bits(((x.to_bits() ^ y.to_bits() ^ z.to_bits()) & SIGN32) ^ SIGN32)
+    }
+}
+
+/// `f32` values held as `f64` (the grid's values, which [`widen`] gives
+/// exactly), for steps that stay in `f64` from one to the next
+/// ([`pcr_steps_f32_grid`]).
+struct Held;
+
+impl GridIo for Held {
+    type Elem = f64;
+
+    #[inline(always)]
+    fn load(x: f64) -> f64 {
+        x
+    }
+
+    #[inline(always)]
+    fn store(x: f64) -> f64 {
+        round(x)
+    }
+
+    #[inline(always)]
+    fn signed_zero(x: f64, y: f64, z: f64) -> f64 {
+        f64::from_bits(((x.to_bits() ^ y.to_bits() ^ z.to_bits()) & SIGN64) ^ SIGN64)
+    }
+}
+
+/// Which of a row update's results the `f64` path computes, chosen once
+/// per run of rows or resident step ([`StepBound::kind`]); the others are
+/// exact without arithmetic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StepKind {
+    /// All ten rounded operations.
+    Full,
+    /// `ob = own.b` and `od = own.d`; α, γ, `oa` and `oc` computed.
+    KeepBd,
+    /// `ob = own.b` and `od = own.d`; `oa` and `oc` signed zeros, no
+    /// division.
+    Copy,
+}
+
+/// The [`StepKind`]s as the const parameter of [`grid_rows`].
+const FULL: u8 = StepKind::Full as u8;
+const KEEP_BD: u8 = StepKind::KeepBd as u8;
+const COPY: u8 = StepKind::Copy as u8;
+
+/// [`row_kernel`] for `f32`, evaluated in `f64` through `G`: each
+/// operation's result is rounded back onto the `f32` grid by [`round`],
+/// the last one of each output by `G::store`. `KIND` (a [`StepKind`])
+/// skips the operations whose results the step's bound proves exact:
+/// keep-b/d and copy leave `ob` and `od` as they are, since the step's
+/// `b` and `d` are its input's, which the caller keeps.
 ///
 /// Every `f32` value, subnormals included, is a normal `f64`, and so is
 /// every intermediate: a product of two `f32` values is exact in `f64`,
 /// and sums and quotients, rounded first to `f64` and then to `f32`, are
-/// rounded correctly because 53 ≥ 2·24 + 2. Neither `widen` nor the
+/// rounded correctly because 53 ≥ 2·24 + 2. Neither [`widen`] nor the
 /// rounding converts an `f32` subnormal in hardware, so the path takes no
 /// subnormal assist, and its results are bit for bit those of
 /// [`row_kernel`].
 #[inline(always)]
-pub(crate) fn row_kernel_f64(
-    own: Rows<'_, f32>,
-    m: Rows<'_, f32>,
-    p: Rows<'_, f32>,
-    oa: &mut [f32],
-    ob: &mut [f32],
-    oc: &mut [f32],
-    od: &mut [f32],
+fn grid_rows<G: GridIo, const KIND: u8>(
+    own: Rows<'_, G::Elem>,
+    m: Rows<'_, G::Elem>,
+    p: Rows<'_, G::Elem>,
+    oa: &mut [G::Elem],
+    ob: &mut [G::Elem],
+    oc: &mut [G::Elem],
+    od: &mut [G::Elem],
 ) {
     let len = oa.len();
     let (own, m, p) = (own.window(0, len), m.window(0, len), p.window(0, len));
     let (ob, oc, od) = (&mut ob[..len], &mut oc[..len], &mut od[..len]);
+    let load = G::load;
+    // The outputs are written in the order `oa`, `ob`, `oc`, `od`: with
+    // `oa` and `oc` first, the per-step 64K steps measured 20% slower.
     for j in 0..len {
-        let alpha = round(-widen(own.a[j]) / widen(m.b[j]));
-        let gamma = round(-widen(own.c[j]) / widen(p.b[j]));
-        oa[j] = narrow(alpha * widen(m.a[j]));
-        let b = round(widen(own.b[j]) + round(alpha * widen(m.c[j])));
-        ob[j] = narrow(b + round(gamma * widen(p.a[j])));
-        oc[j] = narrow(gamma * widen(p.c[j]));
-        let d = round(widen(own.d[j]) + round(alpha * widen(m.d[j])));
-        od[j] = narrow(d + round(gamma * widen(p.d[j])));
+        if KIND == COPY {
+            oa[j] = G::signed_zero(own.a[j], m.b[j], m.a[j]);
+            oc[j] = G::signed_zero(own.c[j], p.b[j], p.c[j]);
+            continue;
+        }
+        let alpha = round(-load(own.a[j]) / load(m.b[j]));
+        let gamma = round(-load(own.c[j]) / load(p.b[j]));
+        oa[j] = G::store(alpha * load(m.a[j]));
+        if KIND == FULL {
+            let b = round(load(own.b[j]) + round(alpha * load(m.c[j])));
+            ob[j] = G::store(b + round(gamma * load(p.a[j])));
+        }
+        oc[j] = G::store(gamma * load(p.c[j]));
+        if KIND == FULL {
+            let d = round(load(own.d[j]) + round(alpha * load(m.d[j])));
+            od[j] = G::store(d + round(gamma * load(p.d[j])));
+        }
     }
 }
 
-/// [`row_kernel`] for `f32` values held as `f64` (the grid's values, which
-/// [`widen`] gives exactly), each operation's result rounded back onto
-/// the `f32` grid by [`round`]: [`row_kernel_f64`] without the widening of
-/// its inputs and the narrowing of its outputs, for steps that stay in
-/// `f64` from one to the next ([`pcr_steps_f32_grid`]). Every value it
-/// reads and writes is on the grid, so its results, narrowed, are
-/// [`row_kernel`]'s bit for bit.
-#[inline(always)]
-fn row_kernel_f32_grid(
-    own: Rows<'_, f64>,
-    m: Rows<'_, f64>,
-    p: Rows<'_, f64>,
-    oa: &mut [f64],
-    ob: &mut [f64],
-    oc: &mut [f64],
-    od: &mut [f64],
-) {
-    let len = oa.len();
-    let (own, m, p) = (own.window(0, len), m.window(0, len), p.window(0, len));
-    let (ob, oc, od) = (&mut ob[..len], &mut oc[..len], &mut od[..len]);
-    for j in 0..len {
-        let alpha = round(-own.a[j] / m.b[j]);
-        let gamma = round(-own.c[j] / p.b[j]);
-        oa[j] = round(alpha * m.a[j]);
-        let b = round(own.b[j] + round(alpha * m.c[j]));
-        ob[j] = round(b + round(gamma * p.a[j]));
-        oc[j] = round(gamma * p.c[j]);
-        let d = round(own.d[j] + round(alpha * m.d[j]));
-        od[j] = round(d + round(gamma * p.d[j]));
-    }
-}
+/// [`grid_rows`] through `G`, of kind `KIND`, as a [`RowKernel`].
+struct OnGrid<G, const KIND: u8>(PhantomData<G>);
 
-/// The `f32` row update on the `f32` grid in `f64`, [`row_kernel_f32_grid`].
-struct F32Grid;
-
-impl RowKernel<f64> for F32Grid {
+impl<G: GridIo, const KIND: u8> RowKernel<G::Elem> for OnGrid<G, KIND> {
     #[inline(always)]
     fn update(
-        own: Rows<'_, f64>,
-        m: Rows<'_, f64>,
-        p: Rows<'_, f64>,
-        oa: &mut [f64],
-        ob: &mut [f64],
-        oc: &mut [f64],
-        od: &mut [f64],
+        own: Rows<'_, G::Elem>,
+        m: Rows<'_, G::Elem>,
+        p: Rows<'_, G::Elem>,
+        oa: &mut [G::Elem],
+        ob: &mut [G::Elem],
+        oc: &mut [G::Elem],
+        od: &mut [G::Elem],
     ) {
-        row_kernel_f32_grid(own, m, p, oa, ob, oc, od);
+        grid_rows::<G, KIND>(own, m, p, oa, ob, oc, od);
     }
 }
+
+/// The `f32` row update evaluated in `f64`: [`grid_rows`] of the kind the
+/// run's bound picks ([`StepBound::of_run`]).
+struct F64Path;
+
+impl RowKernel<f32> for F64Path {
+    #[inline(always)]
+    fn update(
+        own: Rows<'_, f32>,
+        m: Rows<'_, f32>,
+        p: Rows<'_, f32>,
+        oa: &mut [f32],
+        ob: &mut [f32],
+        oc: &mut [f32],
+        od: &mut [f32],
+    ) {
+        match StepBound::of_run(own, m, p).kind() {
+            StepKind::Full => return OnGrid::<Widened, FULL>::update(own, m, p, oa, ob, oc, od),
+            StepKind::KeepBd => OnGrid::<Widened, KEEP_BD>::update(own, m, p, oa, ob, oc, od),
+            StepKind::Copy => OnGrid::<Widened, COPY>::update(own, m, p, oa, ob, oc, od),
+        }
+        // The kinds leave `b` and `d` to the caller, which here are copies.
+        let len = oa.len();
+        ob[..len].copy_from_slice(&own.b[..len]);
+        od[..len].copy_from_slice(&own.d[..len]);
+    }
+}
+
+/// One resident step's row update of kind `KIND`, on held values.
+type Resident<const KIND: u8> = OnGrid<Held, KIND>;
 
 /// Whether rows whose off-diagonals are `a` and `c` take the `f64` path:
 /// any of the first [`PROBE_ROWS`] holds a nonzero magnitude below
@@ -614,36 +707,175 @@ fn interior(n: usize, stride: usize) -> usize {
     }
 }
 
-/// [`probes_tiny`] on `f32` values held as `f64`.
+/// 2^−28: a step keeps `b` (or `d`) when every addend of it is
+/// at most this times the smallest `|b|` (`|d|`). An addend of magnitude
+/// `y` leaves `x` unchanged when `|fl(y)| < ¼ ulp(x)`, and `¼ ulp(x) >
+/// 2^−26·|x|`; the bound leaves a factor 4 for rounding (DESIGN §3.17).
+const ADDEND_RATIO: f64 = f64::from_bits((1023 - 28) << 52);
+/// 2^−152: a step's product `α·m.a` (`γ·p.c`) at most this in
+/// magnitude rounds to a zero, since the `f32` rounding sends every
+/// magnitude up to 2^−150 to zero.
+const ZERO_PRODUCT: f64 = f64::from_bits((1023 - 152) << 52);
+/// 2^−149, the least `f32` subnormal and the spacing of their grid.
+const LEAST_F32: f64 = f64::from_bits((1023 - 149) << 52);
+/// 1 + 2^−23.
+const ONE_ULP_UP: f64 = 1.0 + f32::EPSILON as f64;
+/// The magnitude bits of an `f64` infinity; larger ones are NaNs.
+const INFINITY64: u64 = EXPONENT64;
+
+/// An upper bound on `|fl(x / y)|`, the `f32` quotient of a magnitude of
+/// at most `x` by one of at least `y > 0`, rounded to nearest: a normal
+/// result errs by at most 2^−24 relatively, which `1 + 2^−23` covers with
+/// the `f64` evaluation's own rounding; one on the subnormal grid errs by
+/// at most 2^−150 absolutely, which no relative factor near 1 covers (a
+/// quotient just above 2^−150 rounds up to 2^−149), so 2^−149 is added.
+#[inline]
+fn quotient_bound(x: f64, y: f64) -> f64 {
+    x / y * ONE_ULP_UP + LEAST_F32
+}
+
+/// Magnitude bounds of one step's input, a resident tile's ([`Self::of`])
+/// or a run's ([`Self::of_run`]), as `f64` bits (a magnitude's bits order
+/// as the magnitudes do): the
+/// largest `|a|`, `|b|`, `|c|`, `|d|` in `max`; the smallest `|b|` and
+/// `|d|`, and the smallest nonzero `|a|` and `|c|` less one, in `min`.
+/// Integer reductions, so they vectorise and take no assist.
+#[derive(Debug, Clone, Copy)]
+struct StepBound {
+    max: [u64; 4],
+    min: [u64; 4],
+}
+
+impl StepBound {
+    /// The bounds of the system `arrays`, `(a, b, c, d)`.
+    #[inline(always)]
+    fn of(arrays: [&[f64]; 4]) -> Self {
+        let mut bound = StepBound {
+            max: [0; 4],
+            min: [0; 4],
+        };
+        for (k, xs) in arrays.into_iter().enumerate() {
+            bound.reduce(k, xs);
+        }
+        bound
+    }
+
+    /// The bounds of array `k`, from its values `xs`.
+    #[inline(always)]
+    fn reduce(&mut self, k: usize, xs: &[f64]) {
+        // Zeros are left out of the least `|a|` and `|c|`: less one, they
+        // wrap to the largest bits.
+        let less = u64::from(k.is_multiple_of(2));
+        let (mut max, mut min) = (0, u64::MAX);
+        for x in xs {
+            let bits = x.to_bits() & !SIGN64;
+            max = max.max(bits);
+            min = min.min(bits.wrapping_sub(less));
+        }
+        (self.max[k], self.min[k]) = (max, min);
+    }
+
+    /// The bounds of a run of `f32` rows, `own`, and of its neighbours `m`
+    /// and `p`: every value counts, except that the least `|d|` is
+    /// `own`'s (a neighbour's `d` is only an addend).
+    #[inline(always)]
+    fn of_run(own: Rows<'_, f32>, m: Rows<'_, f32>, p: Rows<'_, f32>) -> Self {
+        let mut bound = StepBound {
+            max: [0; 4],
+            min: [u64::MAX; 4],
+        };
+        for (rows, is_own) in [(own, true), (m, false), (p, false)] {
+            for (k, xs) in [rows.a, rows.b, rows.c, rows.d].into_iter().enumerate() {
+                let (max, min) = extremes_f32(xs, k.is_multiple_of(2));
+                bound.max[k] = bound.max[k].max(max);
+                if is_own || k != 3 {
+                    bound.min[k] = bound.min[k].min(min);
+                }
+            }
+        }
+        bound
+    }
+
+    /// Whether some `a` or `c` is nonzero and smaller in magnitude than
+    /// [`TINY`], as [`has_tiny`] tests a run.
+    fn has_tiny(&self) -> bool {
+        self.min[0].min(self.min[2]) < f64::from(TINY).to_bits() - 1
+    }
+
+    /// The kind of the step on these rows, whatever its stride. With
+    /// `|α| ≤ α̂ = quotient_bound(max|a|, min(min|b|, 1))` (a missing
+    /// neighbour is an identity row, `b = 1`) and `|γ| ≤ γ̂` likewise from
+    /// `max|c|`:
+    /// - [`StepKind::KeepBd`] when the addends of `d`, `α·m.d` and
+    ///   `γ·p.d`, are small against every `d`: `max(α̂, γ̂)·max|d|` at most
+    ///   [`ADDEND_RATIO`]`·min|d|`. That puts `α̂` and `γ̂` below the ratio,
+    ///   so `max|c| ≤ γ̂·min|b|` and the addends of `b`, at most
+    ///   `α̂·max|c|` and `γ̂·max|a|`, are small against every `b` too;
+    /// - [`StepKind::Copy`] when also `α̂·max|a|` and `γ̂·max|c|` are at
+    ///   most [`ZERO_PRODUCT`];
+    /// - [`StepKind::Full`] otherwise, and whenever a value is not finite
+    ///   (`0·inf` is NaN) or a `b` or `d` is zero (`±0 + ±0` takes its
+    ///   sign from both).
+    fn kind(&self) -> StepKind {
+        let [_, min_b, _, min_d] = self.min;
+        if self.max.iter().any(|&m| m >= INFINITY64) || min_b == 0 || min_d == 0 {
+            return StepKind::Full;
+        }
+        let [a, _, c, d] = self.max.map(f64::from_bits);
+        let divisor = f64::from_bits(min_b).min(1.0);
+        let (alpha, gamma) = (quotient_bound(a, divisor), quotient_bound(c, divisor));
+        if alpha.max(gamma) * d > ADDEND_RATIO * f64::from_bits(min_d) {
+            StepKind::Full
+        } else if alpha * a <= ZERO_PRODUCT && gamma * c <= ZERO_PRODUCT {
+            StepKind::Copy
+        } else {
+            StepKind::KeepBd
+        }
+    }
+}
+
+/// [`StepBound::reduce`] on `f32` values: the largest magnitude of `xs`
+/// and the least (the least nonzero one less one, when `nonzero`), as the
+/// bits of the `f64` magnitudes.
 #[inline(always)]
-fn probes_tiny_wide(a: &[f64], c: &[f64]) -> bool {
-    let rows = a.len().min(PROBE_ROWS);
-    let limit = f64::from(TINY).to_bits();
-    [&a[..rows], &c[..rows]].iter().any(|xs| {
-        xs.iter().fold(false, |any, x| {
-            any | ((x.to_bits() & !SIGN64).wrapping_sub(1) < limit - 1)
-        })
-    })
+fn extremes_f32(xs: &[f32], nonzero: bool) -> (u64, u64) {
+    let less = u32::from(nonzero);
+    let (mut max, mut min) = (0u32, u32::MAX);
+    for x in xs {
+        let bits = x.to_bits() & !SIGN32;
+        max = max.max(bits);
+        min = min.min(bits.wrapping_sub(less));
+    }
+    let wide = |bits: u32| widen(f32::from_bits(bits)).to_bits();
+    // Undo the `less` before widening, and redo it after; all zeros stay
+    // the largest bits.
+    let min = match min.checked_add(less) {
+        Some(least) => wide(least) - u64::from(less),
+        None => u64::MAX,
+    };
+    (wide(max), min)
 }
 
 /// Consecutive `f32` PCR steps at strides `stride`, `2·stride`, … on the
 /// system in `src`, resident in `f64`: when the first step takes the `f64`
 /// path ([`row_update_f32`]'s test on the first rows of the step's
-/// interior, [`interior`]), `src` is
-/// widened once into `wide`, every step that still takes that path runs
-/// on the `f32` grid in `f64` ([`row_kernel_f32_grid`], through
-/// [`pcr_rows`]'s edge handling and width dispatch), and the result is
-/// narrowed once into `dst`. Runs at most `max_steps` steps and returns
-/// how many it ran: 0, touching nothing, when the first step would run
-/// natively or the system has more than [`RESIDENT_ROWS`] rows. `wide`
-/// grows to `8·n` elements (both buffers of the four arrays) when it is
-/// shorter.
+/// interior, [`interior`]), `src` is widened once into `wide`, that step
+/// and every later one that still has a tiny off-diagonal ([`StepBound`])
+/// run on the `f32` grid in `f64` ([`grid_rows`] of the kind the step's
+/// bound picks, through [`pcr_rows`]'s edge handling and width dispatch),
+/// and the result is narrowed once into `dst`. Runs at most `max_steps`
+/// steps and returns how many it ran: 0, touching nothing, when the first
+/// step would run natively or the system has more than [`RESIDENT_ROWS`]
+/// rows. `wide` grows to `8·n` elements (both buffers of the four arrays)
+/// when it is shorter.
 ///
 /// The result is bit for bit that of the same steps by [`pcr_step`]:
-/// widening is exact, each operation is rounded as [`row_kernel_f64`]
-/// rounds it, and narrowing a value of the grid is exact. What is saved
-/// is the widening of every step's inputs and the narrowing of its
-/// outputs.
+/// widening is exact, each operation is rounded as the `f64` path rounds
+/// it, a result a step's kind does not compute is proved equal to its
+/// operand or to a signed zero ([`StepBound::kind`]), and narrowing a
+/// value of the grid is exact. What is saved is the widening of every
+/// step's inputs and the narrowing of its outputs, and the arithmetic
+/// whose result is known.
 pub fn pcr_steps_f32_grid(
     stride: usize,
     max_steps: u32,
@@ -692,16 +924,43 @@ impl Widest for GridLadder<'_> {
                 *w = widen(s);
             }
         }
+        let mut bound = StepBound::of(cur.each_ref().map(|v| &**v));
         let mut steps = 0;
         loop {
+            let kind = bound.kind();
             let [a, b, c, d] = &cur;
             let [oa, ob, oc, od] = &mut next;
             let stride = self.stride << steps;
-            pcr_rows_body::<f64, F32Grid>(stride, 0, a, b, c, d, oa, ob, oc, od);
-            std::mem::swap(&mut cur, &mut next);
+            match kind {
+                StepKind::Full => {
+                    pcr_rows_body::<f64, Resident<FULL>>(stride, 0, a, b, c, d, oa, ob, oc, od);
+                }
+                StepKind::KeepBd => {
+                    pcr_rows_body::<f64, Resident<KEEP_BD>>(stride, 0, a, b, c, d, oa, ob, oc, od);
+                }
+                StepKind::Copy => {
+                    pcr_rows_body::<f64, Resident<COPY>>(stride, 0, a, b, c, d, oa, ob, oc, od);
+                }
+            }
+            // Keep-b/d and copy leave `b` and `d` where they are, so only
+            // the off-diagonals are new.
+            let new: &[usize] = if kind == StepKind::Full {
+                std::mem::swap(&mut cur, &mut next);
+                &[0, 1, 2, 3]
+            } else {
+                std::mem::swap(&mut cur[0], &mut next[0]);
+                std::mem::swap(&mut cur[2], &mut next[2]);
+                &[0, 2]
+            };
             steps += 1;
-            let from = interior(n, self.stride << steps);
-            if steps == self.max_steps || !probes_tiny_wide(&cur[0][from..], &cur[2][from..]) {
+            // A copy leaves no nonzero off-diagonal, so no tiny one.
+            if steps == self.max_steps || kind == StepKind::Copy {
+                break;
+            }
+            for &k in new {
+                bound.reduce(k, cur[k]);
+            }
+            if !bound.has_tiny() {
                 break;
             }
         }
@@ -1014,24 +1273,6 @@ mod tests {
         }
     }
 
-    /// The `f32` row kernel evaluated in `f64`, forced.
-    struct F64Path;
-
-    impl RowKernel<f32> for F64Path {
-        #[inline(always)]
-        fn update(
-            own: Rows<'_, f32>,
-            m: Rows<'_, f32>,
-            p: Rows<'_, f32>,
-            oa: &mut [f32],
-            ob: &mut [f32],
-            oc: &mut [f32],
-            od: &mut [f32],
-        ) {
-            row_kernel_f64(own, m, p, oa, ob, oc, od);
-        }
-    }
-
     /// `pcr_rows` over `lo..hi` with the row update `K` against the
     /// oracle, bit for bit, in the widest instantiation the host runs
     /// (`widest`) or the baseline one.
@@ -1302,9 +1543,9 @@ mod tests {
             let [a, b, c, d] = cur.each_ref().map(|v| &v[..]);
             let [oa, ob, oc, od] = next.each_mut().map(|v| &mut v[..]);
             if widest {
-                pcr_rows_with::<f64, F32Grid>(stride, 0, a, b, c, d, oa, ob, oc, od);
+                pcr_rows_with::<f64, Resident<FULL>>(stride, 0, a, b, c, d, oa, ob, oc, od);
             } else {
-                pcr_rows_body::<f64, F32Grid>(stride, 0, a, b, c, d, oa, ob, oc, od);
+                pcr_rows_body::<f64, Resident<FULL>>(stride, 0, a, b, c, d, oa, ob, oc, od);
             }
             std::mem::swap(&mut cur, &mut next);
         }
@@ -1444,6 +1685,232 @@ mod tests {
             }
         }
         assert!(ended_by_probe > 0 && ended_by_limit > 0);
+    }
+
+    /// One resident step at `stride` on `sys`, whatever its first probe
+    /// says, in the widest instantiation (`widest`) or the baseline one,
+    /// against the oracle, bit for bit; returns the kind the step took.
+    fn resident_step_matches(
+        widest: bool,
+        stride: usize,
+        sys: &[Vec<f32>; 4],
+        what: &str,
+    ) -> StepKind {
+        let n = sys[1].len();
+        let mut got = [(); 4].map(|()| vec![0.0; n]);
+        let mut wide = vec![0.0; 8 * n];
+        let job = GridLadder {
+            stride,
+            max_steps: 1,
+            src: sys.each_ref().map(|v| &v[..]),
+            dst: got.each_mut().map(|v| &mut v[..]),
+            wide: &mut wide,
+        };
+        assert_eq!(if widest { in_widest(job) } else { job.run() }, 1);
+        let want = scalar_step(stride, sys);
+        for k in 0..4 {
+            for (i, (g, w)) in got[k].iter().zip(&want[k]).enumerate() {
+                assert_eq!(
+                    g.bits(),
+                    w.bits(),
+                    "{what} widest={widest} stride={stride}: array {k} row {i}: {g:e} vs {w:e}"
+                );
+            }
+        }
+        let held = sys
+            .each_ref()
+            .map(|v| v.iter().map(|&x| widen(x)).collect::<Vec<_>>());
+        StepBound::of(held.each_ref().map(|v| &v[..])).kind()
+    }
+
+    /// `n` rows of `a, b, c, d`, then the `(array, row, value)` overrides.
+    fn rows_of(
+        n: usize,
+        [a, b, c, d]: [f32; 4],
+        overrides: &[(usize, usize, f32)],
+    ) -> [Vec<f32>; 4] {
+        let mut sys = [a, b, c, d].map(|v| vec![v; n]);
+        for &(k, i, v) in overrides {
+            sys[k][i] = v;
+        }
+        sys
+    }
+
+    /// `x` moved by `k` units in the last place, towards larger magnitudes
+    /// for positive `k`.
+    fn ulps(x: f32, k: i32) -> f32 {
+        f32::from_bits(x.to_bits().wrapping_add_signed(k))
+    }
+
+    /// Resident steps, and the per-step row updates of `f32` (the `f64`
+    /// path forced, whose runs pick their kinds from their own bounds),
+    /// at the edges of the kinds' bounds, against the oracle in both
+    /// instantiations, with the kind each resident step must take:
+    /// - `d` addends at exactly ¼ ulp of a `d` at the bottom of its binade
+    ///   (a tie that keeps `d`), and one ulp above and below it, and at a
+    ///   `d` at the top of its binade (with `b = 1`, `α = −a`);
+    /// - products `α·m.a` at 2^−150 (a tie to zero), 2^−151 and 2^−152,
+    ///   each ± 1 ulp;
+    /// - α quotients in (2^−150, 2^−149), which round up to 2^−149;
+    /// - tiny off-diagonals of both signs (both zeros and subnormals
+    ///   among them) beside `b` and `d` of both signs: a copy, whose zeros
+    ///   take their signs from three operands;
+    /// - ±0 in every operand (a zero `b` beside zero off-diagonals, a
+    ///   zero `d`, every `d` a zero), and an infinity or a NaN beside a
+    ///   zero `own.a`, which keep the full kernel;
+    /// - short systems at strides past half their length, whose rows
+    ///   mostly read identity neighbours, with `b` far above 1.
+    #[test]
+    fn resident_step_kinds_match_scalar_oracle_at_their_bounds() {
+        let n = 3 * IDENTITY_ROWS + 5;
+        let quarter = 2f32.powi(-25);
+        let p = |e: i32| 2f32.powi(e);
+        let mut cases: Vec<(String, [Vec<f32>; 4], Option<StepKind>)> = Vec::new();
+        let expect = StepKind::Full;
+        for k in [0, 1, -1] {
+            for d in [1.0, -1.0] {
+                let sys = rows_of(n, [ulps(quarter, k), 1.0, 0.0, d], &[]);
+                cases.push((
+                    format!("d addend ¼ ulp {k:+} ulp, d = {d}"),
+                    sys,
+                    Some(expect),
+                ));
+            }
+            // The tie of a `d` at the top of its binade is ½ ulp up.
+            let top = ulps(2.0, -1);
+            let sys = rows_of(n, [-ulps(p(-25), k), 1.0, 0.0, top], &[]);
+            let what = format!("d addend ½ ulp {k:+} ulp at the top of its binade");
+            cases.push((what, sys, Some(expect)));
+            let sys = rows_of(n, [0.0, 1.0, ulps(quarter, k), -1.0], &[]);
+            cases.push((format!("gamma addend ¼ ulp {k:+} ulp"), sys, Some(expect)));
+            // Even rows hold `x`, odd rows `y`: at an odd stride the
+            // products are `x·y`, at an even one `x²` and `y²`.
+            for (x, y) in [(p(-75), p(-75)), (p(-75), p(-76)), (p(-76), p(-76))] {
+                let x = ulps(x, k);
+                let over: Vec<_> = (1..n)
+                    .step_by(2)
+                    .flat_map(|i| [(0, i, y), (2, i, -y)])
+                    .collect();
+                let sys = rows_of(n, [x, -1.0, -x, 3.0], &over);
+                cases.push((format!("products of {x:e} and {y:e}"), sys, None));
+            }
+        }
+        let sys = rows_of(n, [1.5 * p(-50), p(100), -1.25 * p(-50), 1.0], &[]);
+        cases.push((
+            "alpha quotients in (2^-150, 2^-149)".into(),
+            sys,
+            Some(StepKind::KeepBd),
+        ));
+        let mut s = 5u64;
+        let mut r = || {
+            s = s
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            s >> 33
+        };
+        let mut signed = |x: f32| if r() % 2 == 0 { x } else { -x };
+        let tiny = [
+            0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x7f_ffff),
+            p(-90),
+            p(-80),
+        ];
+        let mut copy = rows_of(n, [0.0; 4], &[]);
+        for i in 0..n {
+            copy[0][i] = signed(tiny[i % tiny.len()]);
+            copy[1][i] = signed(1.0 + (i % 7) as f32 / 8.0);
+            copy[2][i] = signed(tiny[(i / 2) % tiny.len()]);
+            copy[3][i] = signed(p(i as i32 % 9 - 4));
+        }
+        cases.push((
+            "copy of signed zeros".into(),
+            copy.clone(),
+            Some(StepKind::Copy),
+        ));
+        // A zero `b` beside zero off-diagonals divides 0 by 0; zeros of `d`
+        // add up to a zero whose sign depends on all three.
+        for z in [0.0, -0.0] {
+            let mut sys = copy.clone();
+            sys[1][n / 2] = z;
+            for k in [0, 2] {
+                sys[k].iter_mut().for_each(|v| *v = signed(0.0));
+            }
+            let what = format!("b = {z:?} beside zero off-diagonals");
+            cases.push((what, sys, Some(StepKind::Full)));
+            let mut sys = copy.clone();
+            sys[3][n / 2] = z;
+            cases.push((format!("d = {z:?}"), sys, Some(StepKind::Full)));
+        }
+        let mut sys = copy.clone();
+        sys[3].iter_mut().for_each(|d| *d = signed(0.0));
+        cases.push(("every d a zero".into(), sys, Some(StepKind::Full)));
+        for v in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            for k in 0..4 {
+                let mut sys = copy.clone();
+                sys[0][n / 2] = 0.0;
+                sys[k][n / 2 - 1] = v;
+                sys[k][n / 2 + 1] = v;
+                cases.push((
+                    format!("{v} in array {k} beside a zero own.a"),
+                    sys,
+                    Some(StepKind::Full),
+                ));
+            }
+        }
+        let edges = rows_of(
+            5,
+            [p(-30), p(20), -p(-31), 1.0],
+            &[(0, 0, -p(-20)), (2, 4, p(-20))],
+        );
+        let mut kinds = Vec::new();
+        for widest in widths("f32") {
+            for (what, sys, expect) in &cases {
+                for stride in [1, 2, 3, sys[1].len() / 2 + 1] {
+                    let kind = resident_step_matches(widest, stride, sys, what);
+                    let want = scalar_step(stride, sys);
+                    f32::assert_kernels_match(widest, stride, sys, &want, what);
+                    if let Some(expect) = expect {
+                        assert_eq!(kind, *expect, "{what}");
+                    }
+                    kinds.push(kind);
+                }
+            }
+            for stride in 1..=5 {
+                let want = scalar_step(stride, &edges);
+                f32::assert_kernels_match(widest, stride, &edges, &want, "identity edge rows");
+                kinds.push(resident_step_matches(
+                    widest,
+                    stride,
+                    &edges,
+                    "identity edge rows",
+                ));
+            }
+        }
+        for kind in [StepKind::Full, StepKind::KeepBd, StepKind::Copy] {
+            assert!(kinds.contains(&kind), "no step took {kind:?}");
+        }
+    }
+
+    /// [`quotient_bound`] bounds every `f32` quotient of the adversarial
+    /// operands: the normal results' relative rounding, and the subnormal
+    /// grid's absolute one, a quotient just above 2^−150 rounding up to
+    /// 2^−149.
+    #[test]
+    fn quotient_bound_covers_every_rounded_quotient() {
+        let v: Vec<f32> = adversarial_f32()
+            .into_iter()
+            .filter(|x| x.is_finite())
+            .collect();
+        for &x in &v {
+            for &y in v.iter().filter(|y| **y != 0.0) {
+                let q = (x / y).abs();
+                if q.is_finite() {
+                    let bound = quotient_bound(f64::from(x.abs()), f64::from(y.abs()));
+                    assert!(f64::from(q) <= bound, "{x:e} / {y:e} = {q:e} > {bound:e}");
+                }
+            }
+        }
     }
 
     #[test]

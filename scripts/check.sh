@@ -21,6 +21,12 @@ cargo test -q
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
+# The PCR kernels' bit-identity tests depend on codegen (vectorisation,
+# the avx512f instantiation), and the test profile builds them at
+# opt-level 2 only: run them in the release profile too.
+echo "== cargo test (PCR kernels, release profile) =="
+cargo test -q --release -p trisolve-tridiag pcr::
+
 # The vendored stand-ins are not workspace members; run their own tests.
 for crate in serde serde_json rayon; do
     echo "== cargo test (vendor/$crate) =="
